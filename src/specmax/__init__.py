@@ -25,12 +25,9 @@ from .factorspace import (
 from .generators import (
     ConvexSet2D,
     Generator,
-    SetDescriptor,
     UnsupportedGenerator,
     builtin,
     condition_check,
-    d_set,
-    gamma_set,
     make_generator,
     q_set,
 )
@@ -55,7 +52,6 @@ from .polysub import (
     Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
-    Dp_set,
     rsd_f_horizon_membership,
     rsd_f_membership,
     subderivative_f,

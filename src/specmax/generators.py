@@ -18,7 +18,6 @@ pure, under which contract everything here is safe for concurrent use.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,7 +27,6 @@ import numpy as np
 __all__ = [
     "ConvexSet2D",
     "Generator",
-    "SetDescriptor",
     "UnsupportedGenerator",
     "builtin",
     "make_generator",
@@ -36,8 +34,6 @@ __all__ = [
     "re_cip",
     "condition_check",
     "q_set",
-    "d_set",
-    "gamma_set",
     "COND14",
     "COND15",
     "NEITHER",
@@ -209,6 +205,40 @@ class ConvexSet2D:
             return ConvexSet2D.disk(t * radius, t * center)
         raise ValueError(f"unknown set kind {self.kind!r}")
 
+    def scale_interval(self, z: complex, tol: float = 0.0) -> tuple:
+        """Interval (lo, hi) of the scales t >= 0 with z in t * set, each
+        bound relaxed by tol; lo > hi when there is none.  It is an interval
+        because {(z, t) : z in t * set} is a convex cone.  Each supporting
+        halfplane Re(conj(a) z) <= t * support(a) of a point, segment or
+        polygon, or a halfplane itself, bounds t linearly; a disk bounds it
+        by the quadratic |z - t * center| <= t * radius + tol.
+        """
+        z = complex(z)
+        if self.kind == "disk":
+            return _disk_scales(z, *self.data, tol)
+        if self.kind == "halfplane":
+            normal, offset = self.data
+            bounds = [(normal / abs(normal), offset / abs(normal))]
+        elif self.kind in ("point", "segment", "polygon"):
+            # along and across every edge, both signs (so the orientation of
+            # the loop does not matter), or the axes for a point
+            vs = self.data
+            edges = [(b - a) / abs(b - a) for a, b in zip(vs, vs[1:] + vs[:1]) if a != b]
+            normals = [k * e for e in edges for k in (1, -1, 1j, -1j)] or [1, -1, 1j, -1j]
+            bounds = [(a, self.support(a)) for a in normals]
+        else:
+            raise UnsupportedGenerator(f"no scale interval for set kind {self.kind!r}")
+        lo, hi = 0.0, math.inf
+        for a, s in bounds:
+            r = re_cip(a, z) - tol  # the bound reads t * s >= r
+            if s > 0:
+                lo = max(lo, r / s)
+            elif s < 0:
+                hi = min(hi, r / s)
+            elif r > 0:
+                return math.inf, 0.0
+        return lo, hi
+
     def rspan_is_plane(self) -> bool:
         """Whether the real linear span {t*z : t real, z in set} is all of C.
 
@@ -240,6 +270,25 @@ def _segment_distance(z: complex, a: complex, b: complex) -> float:
     return abs(z - (a + t * (b - a)))
 
 
+def _disk_scales(z: complex, center: complex, radius: float, tol: float) -> tuple:
+    """Scales t >= 0 with |z - t * center| <= t * radius + tol.  Both sides
+    are nonnegative, so squaring gives a t^2 + b t + c <= 0."""
+    a = abs(center) ** 2 - radius ** 2
+    b = -2.0 * (re_cip(center, z) + radius * tol)
+    c = abs(z) ** 2 - tol ** 2
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return math.inf, 0.0
+    root = math.sqrt(disc)
+    if a > 0:  # origin outside the disk: between the roots
+        return max(0.0, (-b - root) / (2 * a)), (-b + root) / (2 * a)
+    if c <= 0:  # z within tol of the origin, which every scale reaches
+        return 0.0, math.inf
+    if root <= b:
+        return math.inf, 0.0
+    return 2 * c / (root - b), math.inf  # the positive root, stably
+
+
 def _polygon_contains(z: complex, vertices) -> bool:
     """Point-in-convex-polygon via signed areas (vertices in a loop)."""
     n = len(vertices)
@@ -253,16 +302,6 @@ def _polygon_contains(z: complex, vertices) -> bool:
         cross = np.imag(np.conj(b - a) * (z - a))
         signs.append(cross)
     return all(s >= -1e-14 for s in signs) or all(s <= 1e-14 for s in signs)
-
-
-@dataclass(frozen=True)
-class SetDescriptor:
-    """Infinite set given by a membership predicate, a parametric sampler,
-    and a horizon (recession direction) predicate."""
-
-    contains: Callable
-    sample: Callable
-    horizon_contains: Callable
 
 
 @dataclass(frozen=True)
@@ -522,120 +561,3 @@ def q_set(f: Generator, lam: complex) -> ConvexSet2D:
     raise UnsupportedGenerator(
         f"no exact squared-generator representation for subdifferential {S.kind!r}"
     )
-
-
-def d_set(f: Generator, n_j: int, lam: complex) -> ConvexSet2D:
-    """Halfplane {theta : Re(conj((grad f)^2) theta) <= eta / n_j} where eta
-    is the curvature of f orthogonal to its gradient at lam."""
-    if condition_check(f, lam) != COND14:
-        raise UnsupportedGenerator(
-            f"{f.name} is not in the smooth regime at {lam}"
-        )
-    g = f.grad(lam)
-    if g is None or g == 0:
-        raise ValueError("d_set needs a nonzero gradient")
-    return ConvexSet2D.halfplane(g * g, f.eta(lam) / n_j)
-
-
-def gamma_set(f: Generator, n_j: int, lam: complex, active: bool,
-              tol: float = 1e-10, seed: int = 0) -> SetDescriptor:
-    """Per-root building block of the subgradient coordinate set, in C^n_j.
-
-    Inactive roots contribute only the zero block.  Active roots contribute
-    (-subdiff(f)/n_j) x H x C^(n_j - 2) where H is the curvature halfplane in
-    the smooth regime and the squared-generator cone in the corner regime.
-    The horizon variant is {0} x Q x C^(n_j - 2).
-    """
-    if n_j < 1:
-        raise ValueError("multiplicity must be positive")
-
-    if not active:
-        def contains(vec, tol=tol):
-            vec = np.asarray(vec, dtype=complex).ravel()
-            _expect_len(vec, n_j)
-            return bool(np.all(np.abs(vec) <= tol))
-
-        def sample(params=None, seed=seed):
-            return np.zeros(n_j, dtype=complex)
-
-        def horizon_contains(vec, tol=tol):
-            return contains(vec, tol)
-
-        return SetDescriptor(contains, sample, horizon_contains)
-
-    cond = condition_check(f, lam)
-    if cond == COND14:
-        second_set = d_set(f, n_j, lam) if n_j >= 2 else None
-    elif cond == COND15:
-        second_set = q_set(f, lam) if n_j >= 2 else None
-    else:
-        raise UnsupportedGenerator(
-            f"{f.name} at {lam} is in neither supported regime"
-        )
-    S = f.subdiff(lam)
-    Q = q_set(f, lam)
-
-    def contains(vec, tol=tol):
-        vec = np.asarray(vec, dtype=complex).ravel()
-        _expect_len(vec, n_j)
-        first = S.scaled(1.0 / n_j)
-        if first.distance(-vec[0]) > tol:
-            return False
-        if n_j >= 2 and second_set.distance(vec[1]) > tol:
-            return False
-        return True
-
-    def sample(params=None, seed=seed):
-        rng = np.random.default_rng(seed)
-        g = _sample_set(S, rng)
-        out = np.zeros(n_j, dtype=complex)
-        out[0] = -g / n_j
-        if n_j >= 2:
-            out[1] = _sample_set(second_set, rng, interior=True)
-        if n_j >= 3:
-            out[2:] = rng.standard_normal(n_j - 2) + 1j * rng.standard_normal(n_j - 2)
-        return out
-
-    def horizon_contains(vec, tol=tol):
-        vec = np.asarray(vec, dtype=complex).ravel()
-        _expect_len(vec, n_j)
-        if abs(vec[0]) > tol:
-            return False
-        if n_j >= 2 and Q.distance(vec[1]) > tol:
-            return False
-        return True
-
-    return SetDescriptor(contains, sample, horizon_contains)
-
-
-def _expect_len(vec, n):
-    if vec.size != n:
-        raise ValueError(f"expected a block of length {n}, got {vec.size}")
-
-
-def _sample_set(S: ConvexSet2D, rng, interior: bool = False) -> complex:
-    if S.kind == "point":
-        return S.data[0]
-    if S.kind == "segment":
-        t = rng.uniform()
-        return S.data[0] + t * (S.data[1] - S.data[0])
-    if S.kind == "polygon":
-        ws = rng.uniform(size=len(S.data))
-        ws /= ws.sum()
-        return complex(np.dot(ws, np.asarray(S.data)))
-    if S.kind == "halfplane":
-        normal, offset = S.data
-        slack = abs(rng.standard_normal()) + (0.1 if interior else 0.0)
-        tangent = 1j * normal / abs(normal)
-        base = (offset - slack) * normal / abs(normal) ** 2
-        return base + rng.standard_normal() * tangent
-    if S.kind == "disk":
-        center, radius = S.data
-        r = radius * math.sqrt(rng.uniform())
-        ang = rng.uniform(0, 2 * math.pi)
-        return center + r * cmath.exp(1j * ang)
-    if S.kind == "plane":
-        return complex(rng.standard_normal(), rng.standard_normal())
-    if S.kind == "line":
-        return rng.standard_normal() * S.data[0]
-    raise ValueError(f"cannot sample from set kind {S.kind!r}")

@@ -266,7 +266,9 @@ def char_poly(X) -> Poly:
 
 def char_poly_deriv_action(spec: JordanSpec, Z) -> Poly:
     """Action of the derivative of the characteristic polynomial map at the
-    base matrix on a direction Z, expressed through the declared structure.
+    base matrix on a direction Z, expressed through the declared structure:
+    the sum over eigenvalues j of r_j * gj_deriv(spec, j, Z), where r_j is
+    the product of the other eigenvalues' monic factors.
 
     Requires the spec to cover the whole spectrum (empty rest block).  Works
     for derogatory eigenvalues as well.
@@ -276,23 +278,13 @@ def char_poly_deriv_action(spec: JordanSpec, Z) -> Poly:
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (spec.n, spec.n):
         raise ValueError(f"direction must be {spec.n}x{spec.n}")
-    V = spec.P @ Z @ spec.Pinv
     out = Poly.zero(max(spec.n - 1, 0))
     for j in range(spec.num_eigs):
-        lam, n_j = spec.eig_value(j), spec.n_j(j)
-        Vjj = V[spec.eig_slice(j), spec.eig_slice(j)]
-        Nb = spec.nilpotent_bracket(j)
-        inner = Poly.zero(max(n_j - 1, 0))
-        power = np.eye(n_j, dtype=complex)
-        for ell in range(1, spec.m_j(j) + 1):
-            coeff = np.trace(power @ Vjj)
-            inner = inner + coeff * elementary(n_j - ell, lam, degree_bound=n_j - 1)
-            power = power @ Nb
         r_j = Poly.one()
         for k in range(spec.num_eigs):
             if k != j:
                 r_j = r_j * elementary(spec.n_j(k), spec.eig_value(k))
-        out = out + (-1.0) * (r_j * inner).padded(out.degree_bound)
+        out = out + (r_j * gj_deriv(spec, j, Z)).padded(out.degree_bound)
     return out
 
 

@@ -5,10 +5,11 @@ described in the Taylor coordinates of the local factorization: the leading
 coordinate vanishes, inactive root blocks vanish, and each active block is
 constrained through a convex-weight family (weights gamma_j >= 0 summing to
 one across the active roots) scaling the first two coordinates of the
-per-root building blocks; deeper coordinates are free.  Membership is
-decided by a small feasibility search over the weight simplex, which
-collapses to a direct solve when every active subdifferential is a
-singleton.
+per-root building blocks; deeper coordinates are free.  A singleton
+subdifferential forces its root's weight through the first coordinate.
+Every other active root admits an interval of weights, because
+{(x, gamma) : x in gamma S} is a convex cone, so the split exists exactly
+when those intervals can share the remaining mass.
 
 All functions are pure; every set is handled through membership predicates
 and samplers rather than explicit geometry.
@@ -18,21 +19,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .cpoly import Poly, RootCluster, active_set
-from .factorspace import F_deriv0_inv, T_apply, T_inverse
+from .factorspace import F_deriv0_inv, T_apply
 from .generators import (
     COND14,
     COND15,
     ConvexSet2D,
     Generator,
-    SetDescriptor,
     UnsupportedGenerator,
-    _sample_set,
     condition_check,
     q_set,
     re_cip,
@@ -41,7 +38,6 @@ from .generators import (
 __all__ = [
     "Dp_membership",
     "Dp_horizon_membership",
-    "Dp_set",
     "Dp_sample",
     "rsd_f_membership",
     "rsd_f_horizon_membership",
@@ -57,7 +53,6 @@ class _ActiveBlock:
     """Per-active-root data needed by the membership tests."""
 
     def __init__(self, f: Generator, lam: complex, n_j: int):
-        self.lam = lam
         self.n_j = n_j
         self.cond = condition_check(f, lam)
         if self.cond not in (COND14, COND15):
@@ -95,6 +90,22 @@ class _ActiveBlock:
                 r = max(r, self.q.distance(block[1]))
         return r
 
+    def weight_interval(self, block: np.ndarray, tol: float) -> tuple:
+        """Interval (lo, hi) of the weights gamma >= 0 under which the block
+        passes its checks, each bound relaxed by tol; lo > hi when none does.
+        In the corner regime the second coordinate does not depend on gamma."""
+        lo, hi = (self.n_j * t for t in self.subdiff.scale_interval(-block[0], tol))
+        if self.n_j >= 2:
+            if self.cond == COND14:
+                # the residual bounds Re(conj(w) theta) - gamma * offset_rate
+                # by tol unnormalized, so the relaxation is scaled by 1/|w|
+                hp = ConvexSet2D.halfplane(self.w, self.offset_rate)
+                a, b = hp.scale_interval(block[1], tol / abs(self.w))
+                lo, hi = max(lo, a), min(hi, b)
+            elif self.q.distance(block[1]) > tol:
+                return math.inf, 0.0
+        return lo, hi
+
     def horizon_residual(self, block: np.ndarray) -> float:
         r = abs(block[0])
         if self.n_j >= 2:
@@ -111,14 +122,21 @@ def _split_blocks(cluster: RootCluster, c: np.ndarray) -> list:
     return blocks
 
 
-def _prepare(cluster: RootCluster, f: Generator, c, active_tol: float):
+def _prepare(cluster: RootCluster, f: Generator, c, tol: float, active_tol: float):
+    """Sorted active root indices, and the per-root blocks of c, or None when
+    its leading coordinate or an inactive block does not vanish."""
     c = np.asarray(c, dtype=complex).ravel()
     if c.size != cluster.degree() + 1:
         raise ValueError(
             f"coordinate vector must have length {cluster.degree() + 1}, got {c.size}"
         )
     _, active = active_set(cluster, f, active_tol=active_tol)
-    return c, sorted(active)
+    blocks = _split_blocks(cluster, c)
+    scale = 1.0 + float(np.linalg.norm(c))
+    if abs(c[0]) > tol or any(np.linalg.norm(block) > tol * scale
+                              for j, block in enumerate(blocks) if j not in active):
+        blocks = None
+    return sorted(active), blocks
 
 
 def Dp_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8,
@@ -127,85 +145,54 @@ def Dp_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8,
 
     True iff the leading coordinate vanishes, inactive blocks vanish, and
     weights gamma_j >= 0 with sum 1 exist putting each active block inside
-    its gamma-scaled building block.  With singleton subdifferentials the
-    weights are forced by the first coordinates; otherwise a coarse simplex
-    grid plus a Nelder-Mead refinement decides feasibility.
+    its gamma-scaled building block.  A singleton subdifferential forces its
+    weight through the first coordinate.  Every other active block admits
+    the weights of an interval [lo_j, hi_j], each bound relaxed by tol, and
+    the remaining mass m can be split iff sum lo_j <= m <= sum hi_j, the sum
+    within SIMPLEX_TOL.  The witness split spreads the slack over the blocks
+    so that none sits on a relaxed endpoint, and the verdict is that the
+    witness's residual, the largest over the blocks and the weight sum,
+    is at most tol.
     """
-    c, active = _prepare(cluster, f, c, active_tol)
+    active, blocks = _prepare(cluster, f, c, tol, active_tol)
     if not active:
         raise ValueError("no active root")
-    if abs(c[0]) > tol:
+    if blocks is None:
         return False
-    blocks = _split_blocks(cluster, c)
-    scale = 1.0 + float(np.linalg.norm(c))
-
-    for j, block in enumerate(blocks):
-        if j not in active and np.linalg.norm(block) > tol * scale:
-            return False
-
     data = [_ActiveBlock(f, cluster.roots[j], cluster.mults[j]) for j in active]
     act_blocks = [blocks[j] for j in active]
 
-    def total_residual(gammas: Sequence[float]) -> float:
-        r = abs(sum(gammas) - 1.0) * (tol / SIMPLEX_TOL)  # rescale to the shared tol
-        for d, b, g in zip(data, act_blocks, gammas):
-            r = max(r, d.residual(b, g))
-        return r
-
-    det_idx = [i for i, d in enumerate(data) if d.determined]
-    free_idx = [i for i, d in enumerate(data) if not d.determined]
     gammas = np.zeros(len(data))
-    for i in det_idx:
-        gammas[i] = data[i].gamma_from_first(act_blocks[i][0])
-    if not free_idx:
-        return bool(total_residual(gammas) <= tol)
-    mass = 1.0 - gammas[det_idx].sum() if det_idx else 1.0
-    if mass < -SIMPLEX_TOL:
-        return False
-    mass = max(mass, 0.0)
-    if len(free_idx) == 1:
-        gammas[free_idx[0]] = mass
-        return bool(total_residual(gammas) <= tol)
-
-    # coarse grid on the free sub-simplex, then local refinement
-    steps = 32 if len(free_idx) <= 2 else (16 if len(free_idx) == 3 else 8)
-    best = (math.inf, None)
-    for point in _simplex_grid(len(free_idx), steps):
-        gammas[free_idx] = mass * np.asarray(point)
-        r = total_residual(gammas)
-        if r < best[0]:
-            best = (r, gammas.copy())
-    if best[0] <= tol:
-        return True
-
-    def objective(x):
-        weights = np.exp(x - x.max())
-        weights /= weights.sum()
-        gam = best[1].copy()
-        gam[free_idx] = mass * weights
-        return total_residual(gam)
-
-    x0 = np.log(np.maximum(best[1][free_idx] / max(mass, 1e-12), 1e-6))
-    res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-    return bool(float(res.fun) <= tol)
+    free_idx = []
+    for i, (d, b) in enumerate(zip(data, act_blocks)):
+        if d.determined:
+            gammas[i] = d.gamma_from_first(b[0])
+        else:
+            free_idx.append(i)
+    if free_idx:
+        bounds = np.array([data[i].weight_interval(act_blocks[i], tol) for i in free_idx])
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        mass = 1.0 - gammas.sum()
+        if np.any(lo > hi) or not lo.sum() - SIMPLEX_TOL <= mass <= hi.sum() + SIMPLEX_TOL:
+            return False
+        gammas[free_idx] = _spread(lo, hi, min(max(mass, lo.sum()), hi.sum()))
+    residual = abs(gammas.sum() - 1.0) * (tol / SIMPLEX_TOL)  # rescale to the shared tol
+    for d, b, g in zip(data, act_blocks, gammas):
+        residual = max(residual, d.residual(b, g))
+    return bool(residual <= tol)
 
 
-def _simplex_grid(dim: int, steps: int):
-    """Lattice points of the standard simplex with the given resolution."""
-    if dim == 1:
-        yield (1.0,)
-        return
+def _spread(lo: np.ndarray, hi: np.ndarray, mass: float) -> np.ndarray:
+    """Weights in [lo, hi] summing to mass, with sum(lo) <= mass <= sum(hi).
 
-    def rec(remaining, parts):
-        if len(parts) == dim - 1:
-            yield parts + [remaining]
-            return
-        for k in range(remaining + 1):
-            yield from rec(remaining - k, parts + [k])
-
-    for combo in rec(steps, []):
-        yield tuple(k / steps for k in combo)
+    Each block takes a share of the slack mass - sum(lo) in proportion to
+    its room min(hi - lo, slack), so every block with room ends strictly
+    inside its interval unless the mass pins the split to the endpoints."""
+    slack = mass - lo.sum()
+    room = np.minimum(hi - lo, slack)
+    if room.sum() <= 0:
+        return lo
+    return lo + slack * room / room.sum()
 
 
 def Dp_horizon_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8,
@@ -213,19 +200,10 @@ def Dp_horizon_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e
     """Membership in the horizon cone: zero leading coordinate and inactive
     blocks, zero first coordinate per active block, second coordinate in the
     squared-generator cone, deeper coordinates free."""
-    c, active = _prepare(cluster, f, c, active_tol)
-    if abs(c[0]) > tol:
-        return False
-    blocks = _split_blocks(cluster, c)
-    scale = 1.0 + float(np.linalg.norm(c))
-    for j, block in enumerate(blocks):
-        if j not in active and np.linalg.norm(block) > tol * scale:
-            return False
-    for j in active:
-        d = _ActiveBlock(f, cluster.roots[j], cluster.mults[j])
-        if d.horizon_residual(blocks[j]) > tol:
-            return False
-    return True
+    active, blocks = _prepare(cluster, f, c, tol, active_tol)
+    return blocks is not None and all(
+        _ActiveBlock(f, cluster.roots[j], cluster.mults[j]).horizon_residual(blocks[j]) <= tol
+        for j in active)
 
 
 def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0,
@@ -259,16 +237,37 @@ def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0,
     return c
 
 
-def Dp_set(cluster: RootCluster, f: Generator, tol: float = 1e-8) -> SetDescriptor:
-    """Bundle of the membership predicate, sampler, and horizon predicate."""
-    return SetDescriptor(
-        contains=lambda c, tol=tol: Dp_membership(cluster, f, c, tol),
-        sample=lambda gamma=None, seed=0: Dp_sample(cluster, f, gamma, seed),
-        horizon_contains=lambda c, tol=tol: Dp_horizon_membership(cluster, f, c, tol),
-    )
+def _sample_set(S: ConvexSet2D, rng, interior: bool = False) -> complex:
+    if S.kind == "point":
+        return S.data[0]
+    if S.kind == "segment":
+        t = rng.uniform()
+        return S.data[0] + t * (S.data[1] - S.data[0])
+    if S.kind == "polygon":
+        ws = rng.uniform(size=len(S.data))
+        ws /= ws.sum()
+        return complex(np.dot(ws, np.asarray(S.data)))
+    if S.kind == "halfplane":
+        normal, offset = S.data
+        slack = abs(rng.standard_normal()) + (0.1 if interior else 0.0)
+        tangent = 1j * normal / abs(normal)
+        base = (offset - slack) * normal / abs(normal) ** 2
+        return base + rng.standard_normal() * tangent
+    if S.kind == "disk":
+        center, radius = S.data
+        r = radius * math.sqrt(rng.uniform())
+        ang = rng.uniform(0, 2 * math.pi)
+        return center + r * cmath.exp(1j * ang)
+    if S.kind == "plane":
+        return complex(rng.standard_normal(), rng.standard_normal())
+    if S.kind == "line":
+        return rng.standard_normal() * S.data[0]
+    raise ValueError(f"cannot sample from set kind {S.kind!r}")
 
 
 def _coords_of(cluster: RootCluster, v: Poly) -> np.ndarray:
+    """Coordinates (omega_0, omega_11, ..., omega_mn_m) with v = F'(0) applied
+    to them, per-root blocks in Taylor form."""
     w = F_deriv0_inv(cluster, v)
     return T_apply(cluster, w)
 
@@ -286,13 +285,6 @@ def rsd_f_horizon_membership(cluster: RootCluster, f: Generator, v: Poly,
     return Dp_horizon_membership(cluster, f, _coords_of(cluster, v), tol)
 
 
-def _omega_blocks(cluster: RootCluster, v: Poly):
-    """Decompose v = F'(0)(omega0, w_1, ..., w_m) and return omega0 together
-    with per-root coordinate arrays (omega_j1, ..., omega_jn_j)."""
-    coords = _coords_of(cluster, v)
-    return coords[0], _split_blocks(cluster, coords)
-
-
 def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
                     tol: float = 1e-8, active_tol: float = 1e-8) -> float:
     """Lower directional derivative of the root max function at the cluster
@@ -300,7 +292,10 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
 
     Finite exactly when, at every active root, sqrt(-omega_j2) is
     real-orthogonal to the whole subdifferential and the deeper coordinates
-    vanish; the value is then the max over active roots of
+    vanish.  Orthogonality to a generating point g means that omega_j2 lies
+    on the ray through g^2, which is tested within tol * (1 + |block|) for
+    every nonzero g of the subdifferential's finite generator list.  The
+    value is then the max over active roots of
     (f'(lam_j; -omega_j1) + curvature term) / n_j, the curvature term being
     f''(lam_j; sqrt(-omega_j2), sqrt(-omega_j2)) in the smooth regime and
     zero in the corner regime.  The division by the multiplicity applies to
@@ -311,7 +306,7 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
     _, active = active_set(cluster, f, active_tol=active_tol)
     if not active:
         raise ValueError("no active root")
-    omega0, blocks = _omega_blocks(cluster, v)
+    blocks = _split_blocks(cluster, _coords_of(cluster, v))
     vals = []
     for j in sorted(active):
         lam, n_j = cluster.roots[j], cluster.mults[j]
@@ -321,16 +316,20 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
                 f"{f.name} at {lam} satisfies neither supported regime"
             )
         block = blocks[j]
+        bound = tol * (1.0 + float(np.linalg.norm(block)))
         kappa = 0.0
         if n_j >= 2:
-            z = cmath.sqrt(-block[1])
+            # tested on omega_j2 itself: through its square root, rounding
+            # noise of size eps would become noise of size sqrt(eps)
             for g in _generating_points(f.subdiff(lam)):
-                if abs(re_cip(g, z)) > tol * (1.0 + abs(g) * abs(z)):
+                if g == 0:
+                    continue
+                t = (g * g).conjugate() * block[1] / abs(g * g)  # on the ray iff t >= 0
+                if (abs(t.imag) if t.real >= 0 else abs(t)) > bound:
                     return math.inf
             if cond == COND14:
-                kappa = f.second(lam, z)
-        if any(abs(block[s]) > tol * (1.0 + float(np.linalg.norm(block)))
-               for s in range(2, n_j)):
+                kappa = f.second(lam, cmath.sqrt(-block[1]))
+        if any(abs(block[s]) > bound for s in range(2, n_j)):
             return math.inf
         vals.append((f.dirderiv(lam, -block[0]) + kappa) / n_j)
     return max(vals)
@@ -367,7 +366,7 @@ def subderivative_radius(cluster: RootCluster, v: Poly, tol: float = 1e-8,
             "matrix path at the origin"
         )
     active = [j for j, r in enumerate(cluster.roots) if abs(r) >= radius - active_tol]
-    _, blocks = _omega_blocks(cluster, v)
+    blocks = _split_blocks(cluster, _coords_of(cluster, v))
     vals = []
     for j in active:
         lam, n_j = cluster.roots[j], cluster.mults[j]

@@ -4,7 +4,7 @@ Iterates of a descent run are generic, so the spectral max is handled on
 the structure-free path: eigenvalues are assumed simple (with a clustering
 fallback only for reporting) and the subgradient at a simple active
 eigenvalue is assembled from its left/right eigenvectors.  This is a
-heuristic demonstration driver, not a certified optimizer.
+heuristic demonstration driver, not a certified minimizer.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specmax
 from specmax.cli import main
 from specmax.fixtures import fixture_derogatory, fixture_two_active
 from specmax.jordan import matrix_to_json, spec_to_json
@@ -194,3 +198,15 @@ class TestStabilizeCommand:
         fpath = paths("fam.json", {"A0": matrix_to_json(np.eye(2))})
         code, _ = run(capsys, ["stabilize", fpath])
         assert code == 2
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # every CLI call pays for what the package imports
+        src = os.path.dirname(os.path.dirname(specmax.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, specmax; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "[]"

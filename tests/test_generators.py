@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specmax.cpoly import RootCluster
 from specmax.generators import (
     COND14,
     COND15,
@@ -11,11 +12,10 @@ from specmax.generators import (
     UnsupportedGenerator,
     builtin,
     condition_check,
-    d_set,
-    gamma_set,
     q_set,
     re_cip,
 )
+from specmax.polysub import Dp_horizon_membership, Dp_membership, Dp_sample
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -144,71 +144,87 @@ class TestQSet:
 
 
 class TestDSet:
+    """The curvature halfplane {theta : Re(conj(grad^2) theta) <= eta / n_j}
+    of the smooth regime, read as the second coordinate of a one-root
+    subgradient coordinate set whose first coordinate forces weight 1."""
+
+    @staticmethod
+    def member(f, lam, theta):
+        base = RootCluster((complex(lam),), (2,))
+        return Dp_membership(base, f, [0, -f.grad(lam) / 2, theta])
+
     def test_abscissa_needs_nonpositive_real_part(self):
-        D = d_set(ABSC, 2, 0)
-        assert D.contains(-3) and D.contains(1j) and not D.contains(0.1)
+        assert self.member(ABSC, 0, -3) and self.member(ABSC, 0, 1j)
+        assert not self.member(ABSC, 0, 0.1)
 
     def test_radius2_offset_half(self):
-        D = d_set(RAD2, 2, 1.0)
-        assert D.contains(0.5) and not D.contains(0.5 + 1e-6)
+        assert self.member(RAD2, 1.0, 0.5) and not self.member(RAD2, 1.0, 0.5 + 1e-6)
 
     def test_radius2_at_i_flips_the_normal(self):
-        # grad = i, grad^2 = -1: the halfplane is Re(theta) >= -1
-        D = d_set(RAD2, 1, 1j)
-        assert D.contains(-1) and D.contains(5 + 3j) and not D.contains(-1.001)
+        # grad = i, grad^2 = -1, eta / n_j = 1/2: the halfplane is Re(theta) >= -1/2
+        assert self.member(RAD2, 1j, -0.5) and self.member(RAD2, 1j, 5 + 3j)
+        assert not self.member(RAD2, 1j, -0.501)
 
     def test_smooth_regime_required(self):
         with pytest.raises(UnsupportedGenerator):
-            d_set(RAD, 2, 1.0)
+            Dp_sample(RootCluster((1 + 0j,), (2,)), RAD)
 
 
 class TestGammaSet:
+    """The per-root building block, read as one-root (or one-active-root)
+    cases of the subgradient coordinate set and its horizon cone."""
+
     def test_inactive_only_zero(self):
-        G = gamma_set(ABSC, 3, 0, active=False)
-        assert G.contains(np.zeros(3))
-        assert not G.contains([0, 1e-3, 0])
+        # roots 0 (triple, inactive for the abscissa) and 1 (simple, active)
+        base = RootCluster((0j, 1 + 0j), (3, 1))
+        assert Dp_membership(base, ABSC, [0, 0, 0, 0, -1])
+        assert not Dp_membership(base, ABSC, [0, 0, 1e-3, 0, -1])
 
     def test_active_two_block_membership(self):
-        G = gamma_set(ABSC, 2, 0, active=True)
-        assert G.contains([-0.5, -3])
-        assert not G.contains([-0.5, 1])
+        base = RootCluster((0j,), (2,))
+        assert Dp_membership(base, ABSC, [0, -0.5, -3])
+        assert not Dp_membership(base, ABSC, [0, -0.5, 1])
 
     def test_active_three_block_with_free_tail(self):
-        G = gamma_set(ABSC, 3, 0, active=True)
-        assert G.contains([-1 / 3, -3, 7 + 2j])
-        assert not G.contains([-1 / 3, 1, 7 + 2j])
+        base = RootCluster((0j,), (3,))
+        assert Dp_membership(base, ABSC, [0, -1 / 3, -3, 7 + 2j])
+        assert not Dp_membership(base, ABSC, [0, -1 / 3, 1, 7 + 2j])
 
     def test_wrong_length_rejected(self):
-        G = gamma_set(ABSC, 2, 0, active=True)
         with pytest.raises(ValueError):
-            G.contains([-0.5, -3, 0])
+            Dp_membership(RootCluster((0j,), (2,)), ABSC, [0, -0.5, -3, 0])
 
     def test_samples_are_members(self):
         for n_j in (1, 2, 4):
-            G = gamma_set(RAD2, n_j, 1 - 1j, active=True)
+            base = RootCluster((1 - 1j,), (n_j,))
             for s in range(20):
-                assert G.contains(G.sample(seed=s), tol=1e-9)
+                assert Dp_membership(base, RAD2, Dp_sample(base, RAD2, seed=s), tol=1e-9)
 
     def test_horizon_is_recession_cone_on_rays(self):
         rng = np.random.default_rng(4)
-        G = gamma_set(RAD2, 3, 1 + 0.5j, active=True)
-        x0 = G.sample(seed=0)
+        base = RootCluster((1 + 0.5j,), (3,))
+        x0 = Dp_sample(base, RAD2, seed=0)
         hits = 0
         for k in range(100):
-            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            z[0] = 0  # horizon directions have zero first coordinate
+            # horizon directions have zero leading and first coordinates
+            z = np.zeros(4, dtype=complex)
+            z[2:] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             if rng.uniform() < 0.5:
-                z[1] = -abs(z[1].real) * (RAD2.grad(1 + 0.5j) ** 2)  # inside the cone
-            inside = G.horizon_contains(z)
+                z[2] = -abs(z[2].real) * (RAD2.grad(1 + 0.5j) ** 2)  # inside the cone
+            inside = Dp_horizon_membership(base, RAD2, z)
             # recession definition: x0 + z/t stays in the set as t decreases
-            stays = all(G.contains(x0 + z / t, tol=1e-8) for t in (1e-1, 1e-2, 1e-3))
+            stays = all(Dp_membership(base, RAD2, x0 + z / t, tol=1e-8)
+                        for t in (1e-1, 1e-2, 1e-3))
             assert inside == stays
             hits += inside
         assert 0 < hits < 100  # both outcomes exercised
 
     def test_neither_regime_rejected(self):
+        base = RootCluster((1 + 0j,), (2,))
         with pytest.raises(UnsupportedGenerator):
-            gamma_set(RAD, 2, 1.0, active=True)
+            Dp_membership(base, RAD, [0, -0.5, 0])
+        with pytest.raises(UnsupportedGenerator):
+            Dp_horizon_membership(base, RAD, [0, 0, 0])
 
 
 class TestConvexSet2D:
@@ -233,6 +249,19 @@ class TestConvexSet2D:
     def test_scaling_by_zero_collapses(self):
         S = ConvexSet2D.segment(1, 2).scaled(0.0)
         assert S.contains(0) and not S.contains(1)
+
+    def test_scale_interval(self):
+        # 3 + 1.5i = t * (2 + i) only for t = 1.5; a disk away from the
+        # origin is entered and left again; one around it is never left
+        assert ConvexSet2D.point(2 + 1j).scale_interval(3 + 1.5j) == pytest.approx((1.5, 1.5))
+        lo, hi = ConvexSet2D.point(2 + 1j).scale_interval(3 + 1.6j)
+        assert lo > hi
+        assert ConvexSet2D.disk(1.0, 2 + 0j).scale_interval(3) == pytest.approx((1.0, 3.0))
+        assert ConvexSet2D.disk(2.0, 1 + 0j).scale_interval(3) == pytest.approx((1.0, np.inf))
+        # the relaxation widens the bounds by tol over the support
+        assert ConvexSet2D.segment(1, 2).scale_interval(4, tol=0.1) == pytest.approx((1.95, 4.1))
+        with pytest.raises(UnsupportedGenerator):
+            ConvexSet2D.plane().scale_interval(1)
 
 
 class TestMidpointConvexity:

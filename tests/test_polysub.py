@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from specmax.polysub import (
     Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
-    Dp_set,
     rsd_f_horizon_membership,
     rsd_f_membership,
     subderivative_f,
@@ -62,17 +62,17 @@ class TestDpMembership:
         assert not Dp_membership(LAM2, ELL1, [0, 0.7, 0])
 
     def test_samples_are_members(self):
-        for base, f in [(LAM2, ABSC), (TWO_SIMPLE, ABSC),
+        for base, f in [(LAM2, ABSC), (TWO_SIMPLE, ABSC), (LAM2, ELL1),
                         (RootCluster((-1 + 0j, 1 + 0j), (2, 2)), RAD2)]:
             for s in range(5):
                 c = Dp_sample(base, f, seed=s)
                 assert Dp_membership(base, f, c)
 
     def test_descriptor_bundle(self):
-        D = Dp_set(LAM2, ABSC)
-        c = D.sample(seed=1)
-        assert D.contains(c)
-        assert D.horizon_contains([0, 0, -1])
+        # the sampler, the membership test and the horizon cone of one set
+        c = Dp_sample(LAM2, ABSC, seed=1)
+        assert Dp_membership(LAM2, ABSC, c)
+        assert Dp_horizon_membership(LAM2, ABSC, [0, 0, -1])
 
 
 class TestDpSearchPath:
@@ -109,6 +109,104 @@ class TestDpSearchPath:
         base = RootCluster((-1 + 0j, 1 + 0j), (1, 1))
         # each block alone needs weight > 0.6: total mass cannot reach both
         assert not Dp_membership(base, f, [0, 0.7 * (2 - 0j), -0.7 * (2 + 0j)])
+
+
+class TestWeightFeasibility:
+    """The exact weight split against a brute-force decision on a dense grid
+    of weights, with 3 to 4 roots whose subdifferentials are polygons,
+    segments and disks; in the `determined` cases one of them is a point,
+    which forces its root's weight."""
+
+    STEPS = 120  # weight grid step 1/STEPS
+    SLACK = 0.035  # above the grid step times the largest |point| of a set (< 3.63)
+
+    @staticmethod
+    def _random_set(rng):
+        kind = rng.choice(["polygon", "segment", "disk"])
+        center = complex(*rng.uniform(-1.5, 1.5, 2))
+        if kind == "polygon":
+            angles = np.sort(rng.uniform(0, 2 * np.pi, rng.integers(3, 7)))
+            return ConvexSet2D.polygon(center + rng.uniform(0.3, 1.5) * np.exp(1j * angles))
+        if kind == "disk":
+            return ConvexSet2D.disk(rng.uniform(0.2, 1.5), center)
+        # on a line through the origin, so the admissible weights have interior
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        r1, r2 = np.sort(rng.uniform(-1.0, 2.5, 2))
+        return ConvexSet2D.segment(r1 * u, r2 * u)
+
+    def _case(self, rng, determined):
+        """A cluster, generator and coordinate vector.  Every root has value
+        0, so all are active; the smooth-regime tag with unit gradient and
+        identity Hessian admits any set kind and makes the second coordinate
+        theta of a double root bound its weight from below
+        (Re theta <= gamma / 2)."""
+        k = rng.integers(3, 5)
+        mults = tuple(int(m) for m in rng.choice([1, 1, 2], k))
+        roots = tuple(complex(j) for j in range(k))
+        sets = {r: self._random_set(rng) for r in roots}
+        weights = rng.dirichlet(np.full(k, 2.0))
+        if determined:
+            sets[roots[0]] = ConvexSet2D.point(1 + 0.5j)
+            mults = (1,) + mults[1:]
+            weights[1:] *= 0.75 / weights[1:].sum()
+            weights[0] = 0.25  # on the grid
+        # members, then points pushed out of or deeper into their sets
+        stretch = 1.0 if rng.uniform() < 0.4 else rng.uniform(0.2, 3.0)
+        c = [0j]
+        for r, n_j, g in zip(roots, mults, weights):
+            S = sets[r]
+            if S.kind == "disk":
+                center, radius = S.data
+                point = center + radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            else:
+                point = np.dot(rng.dirichlet(np.ones(len(S.data))), S.data)
+            c.append(-(g if S.is_singleton else g * stretch) * point / n_j)
+            if n_j == 2:
+                c.append(complex(rng.uniform(-0.5, 0.3), rng.standard_normal()))
+        f = make_generator("fat", lambda z: 0.0, grad=lambda z: 1 + 0j,
+                           hess=lambda z: np.eye(2), subdiff=lambda z: sets[z],
+                           tag=lambda z: "quadratic")
+        return RootCluster(roots, mults), f, sets, np.array(c)
+
+    def _grid_residuals(self, cluster, sets, c):
+        """Per root, its residual at each grid weight k / STEPS: the distance
+        of the first coordinate to the scaled set and, for a double root, the
+        excess of Re theta over gamma / 2."""
+        out = []
+        pos = 1
+        for r, n_j in zip(cluster.roots, cluster.mults):
+            gam = np.arange(self.STEPS + 1) / self.STEPS
+            res = np.array([sets[r].scaled(g / n_j).distance(-c[pos]) for g in gam])
+            if n_j == 2:
+                res = np.maximum(res, c[pos + 1].real - gam / 2)
+            out.append(res)
+            pos += n_j
+        return out
+
+    def _split_exists(self, residuals, slack):
+        """Whether grid weights summing to one keep every residual within
+        slack: the reachable sums of each root's admissible grid weights."""
+        reach = np.zeros(self.STEPS + 1, dtype=bool)
+        reach[0] = True
+        for res in residuals:
+            reach = np.convolve(reach, res <= slack)[:self.STEPS + 1] > 0
+        return bool(reach[-1])
+
+    @pytest.mark.parametrize("determined", [False, True])
+    def test_matches_dense_grid(self, determined):
+        # a split found on the grid is exact; a split off the grid has a grid
+        # neighbour within SLACK, so none within SLACK means none at all
+        rng = np.random.default_rng(11 + determined)
+        verdicts = []
+        for _ in range(60):
+            cluster, f, sets, c = self._case(rng, determined)
+            residuals = self._grid_residuals(cluster, sets, c)
+            truth = self._split_exists(residuals, 1e-12)
+            if truth != self._split_exists(residuals, self.SLACK):
+                continue  # the margin is within reach of the grid step
+            assert Dp_membership(cluster, f, c) == truth
+            verdicts.append(truth)
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 class TestHorizon:
@@ -166,6 +264,33 @@ class TestSubderivative:
 
     def test_zero_direction(self):
         assert subderivative_f(LAM2, ABSC, Poly.zero(2)) == 0.0
+
+    @staticmethod
+    def _corner_double_root():
+        # f = |.| with the rectangle [-i, 2+i] * lam as its subdifferential
+        # at the active double root lam (corner regime), and a simple
+        # inactive root
+        lam = cmath.exp(2j)
+        rect = ConvexSet2D.polygon([1j * lam, -1j * lam, (2 - 1j) * lam, (2 + 1j) * lam])
+        f = make_generator("corner", abs, subdiff=lambda z: rect,
+                           tag=lambda z: "nonsmooth-fullspan" if z == lam else "other")
+        return RootCluster((lam, -0.3 * lam), (2, 1)), f, lam
+
+    def test_rounding_noise_on_the_ray_is_finite(self):
+        # omega_2 = 0 comes back from the coordinate solve as rounding noise;
+        # 3e-16 (1 + i) is noise of that size in any arithmetic
+        base, f, lam = self._corner_double_root()
+        for omega2 in (0, 3e-16 * (1 + 1j)):
+            v = from_coords(base, [0.3, -0.2 * lam, omega2, 0.7])
+            # max over the rectangle of Re(conj(0.2 lam) g) is 0.4, halved by n_j
+            assert subderivative_f(base, f, v) == pytest.approx(0.2, rel=1e-12)
+
+    def test_second_coordinate_off_the_ray_blows_up(self):
+        base, f, lam = self._corner_double_root()
+        v = from_coords(base, [0.3, -0.2 * lam, 1e-6 * lam * lam, 0.7])
+        assert subderivative_f(base, f, v) == math.inf
+        # smooth regime: the ray through grad^2 = 1 is the positive reals
+        assert subderivative_f(LAM2, ABSC, from_coords(LAM2, [0, 0, 1 + 1e-6j])) == math.inf
 
     def test_deep_coordinates_must_vanish(self):
         base = RootCluster((0j,), (3,))

@@ -235,12 +235,36 @@ def _cluster_points(points: np.ndarray, tol: float) -> list:
     return clusters
 
 
+def _cluster_rows(points: np.ndarray, tol: float) -> list:
+    """Cluster every row of a (rows, k) array of points, k >= 1, with
+    :func:`_cluster_points`, each cluster represented by the mean of its
+    members.
+
+    Returns one ``(means, multiplicities)`` pair per row.  Only rows with
+    some pair of points within ``tol`` go through the agglomeration:
+    complete linkage merges nothing when every pair is farther apart, so
+    every other row is all singletons.
+    """
+    points = np.asarray(points)
+    k = points.shape[-1]
+    i, j = np.triu_indices(k, 1)
+    close = np.abs(points[:, i] - points[:, j]).min(axis=1, initial=np.inf) <= tol
+    out = []
+    for row, merge in zip(points.tolist(), close.tolist()):
+        if merge:
+            groups = _cluster_points(row, tol)
+            out.append(([sum(g) / len(g) for g in groups], [len(g) for g in groups]))
+        else:
+            out.append((row, [1] * k))
+    return out
+
+
 def roots(p: Poly, cluster_tol: float = 1e-6) -> RootCluster:
     """All roots of p via the balanced companion matrix, merged into clusters.
 
     Clusters are grown greedily subject to diameter <= cluster_tol and each is
-    represented by the mean of its members, so the multiplicities always sum
-    to the (numerical) degree of p.
+    represented by the mean of its members (:func:`_cluster_rows`), so the
+    multiplicities always sum to the (numerical) degree of p.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined roots")
@@ -249,9 +273,8 @@ def roots(p: Poly, cluster_tol: float = 1e-6) -> RootCluster:
         return RootCluster((), ())
     cs = p.array()[: d + 1]
     rts = np.roots(cs[::-1])  # numpy wants the high-order coefficient first
-    clusters = _cluster_points(rts, cluster_tol)
-    pairs = [(complex(np.mean(c)), len(c)) for c in clusters]
-    return RootCluster.sorted(pairs)
+    (means, mults), = _cluster_rows(rts[None, :], cluster_tol)
+    return RootCluster.sorted(zip(means, mults))
 
 
 def active_set(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):

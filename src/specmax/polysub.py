@@ -84,7 +84,8 @@ class _ActiveBlock:
         r = self.subdiff.scaled(gamma / self.n_j).distance(-block[0])
         if self.n_j >= 2:
             if self.cond == COND14:
-                r = max(r, max(0.0, re_cip(self.w, block[1]) - gamma * self.offset_rate))
+                hp = ConvexSet2D.halfplane(self.w, gamma * self.offset_rate)
+                r = max(r, hp.distance(block[1]))
             else:
                 # the squared-generator set is a cone: scaling leaves it fixed
                 r = max(r, self.q.distance(block[1]))
@@ -97,10 +98,8 @@ class _ActiveBlock:
         lo, hi = (self.n_j * t for t in self.subdiff.scale_interval(-block[0], tol))
         if self.n_j >= 2:
             if self.cond == COND14:
-                # the residual bounds Re(conj(w) theta) - gamma * offset_rate
-                # by tol unnormalized, so the relaxation is scaled by 1/|w|
                 hp = ConvexSet2D.halfplane(self.w, self.offset_rate)
-                a, b = hp.scale_interval(block[1], tol / abs(self.w))
+                a, b = hp.scale_interval(block[1], tol)
                 lo, hi = max(lo, a), min(hi, b)
             elif self.q.distance(block[1]) > tol:
                 return math.inf, 0.0

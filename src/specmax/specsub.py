@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, lex_key, poly_root_max, roots
+from .cpoly import RootCluster, _cluster_rows, _fvalue, active_set
 from .generators import (
     COND14,
     COND15,
@@ -40,7 +40,6 @@ from .jordan import (
     JordanSpec,
     R_matrix,
     active_factor,
-    char_poly,
     nilpotent,
 )
 from .polysub import Dp_horizon_membership, Dp_membership
@@ -119,18 +118,51 @@ class MembershipReport:
 # -- evaluation ----------------------------------------------------------------
 
 
-def spectral_max(X, f, cluster_tol: float = 1e-6) -> float:
-    """Max of f over the spectrum, computed through the characteristic
-    polynomial and its roots; +inf is returned (not raised) for spectra
-    leaving the domain of f."""
-    return poly_root_max(char_poly(X), f, cluster_tol=cluster_tol)
+def _clustered_spectra(X, cluster_tol: float) -> list:
+    """Eigenvalues of every matrix of the stack X (..., n, n), one
+    ``eigvals`` call for all of them, merged by :func:`cpoly._cluster_rows`
+    into clusters of diameter at most ``cluster_tol``.
+
+    Returns one ``(means, multiplicities)`` pair per matrix, in row-major
+    order of the leading axes.  The mean of a cluster holding all copies of
+    an m-fold eigenvalue is accurate to O(eps), while the copies split by
+    about eps^(1/m).
+    """
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
+        raise ValueError("spectral max needs square matrices")
+    n = X.shape[-1]
+    if n == 0:
+        raise ValueError("empty matrix: no eigenvalues to maximize over")
+    return _cluster_rows(np.linalg.eigvals(X).reshape(-1, n), cluster_tol)
+
+
+def spectral_max(X, f, cluster_tol: float = 1e-6):
+    """Max of f over the clustered spectrum of X, taken at the cluster means
+    of backward-stable eigenvalues; +inf is returned (not raised) for
+    spectra leaving the domain of f.
+
+    X is one matrix (a float is returned) or a stack (..., n, n) (an array
+    of shape X.shape[:-2] is returned); the whole stack costs one
+    ``eigvals`` call.  f is called once per cluster mean with a Python
+    complex, so scalar-only callables work.
+    """
+    X = np.asarray(X, dtype=complex)
+    value_of = _fvalue(f)
+    values = [max(float(value_of(z)) for z in means)
+              for means, _ in _clustered_spectra(X, cluster_tol)]
+    if X.ndim == 2:
+        return values[0]
+    return np.array(values).reshape(X.shape[:-2])
 
 
 def spectral_active(X, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):
-    """Value, clustered spectrum, and active indices, for reporting."""
-    from .cpoly import active_set
-
-    cluster = roots(char_poly(X), cluster_tol)
+    """Value, clustered spectrum, and active indices of one matrix, for
+    reporting; the clusters are those :func:`spectral_max` maximizes over."""
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2:
+        raise ValueError("spectral_active takes one square matrix")
+    (means, mults), = _clustered_spectra(X, cluster_tol)
+    cluster = RootCluster.sorted(zip(means, mults))
     value, idx = active_set(cluster, f, active_tol=active_tol)
     return value, cluster, idx
 

@@ -210,3 +210,17 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True).stdout
         assert out.strip() == "[]"
+
+
+class TestScripts:
+    def test_verify_random_specs_smoke(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(specmax.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "verify_random_specs.py"),
+             "--specs", "4", "--members", "1", "--samples", "50"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "4/4 specs clean" in out.stdout

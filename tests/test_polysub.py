@@ -74,6 +74,17 @@ class TestDpMembership:
         assert Dp_membership(LAM2, ABSC, c)
         assert Dp_horizon_membership(LAM2, ABSC, [0, 0, -1])
 
+    def test_second_coordinate_tolerance_is_a_distance(self):
+        # radius2 at the double root 10: w = grad^2 = 400, so a tolerance on
+        # the unnormalized Re(conj(w) theta) would reject points 2e-10 past
+        # the curvature halfplane Re(theta) <= 1/2 while the horizon cone
+        # accepts 2e-9; both read the tolerance as a distance
+        base = RootCluster((10 + 0j,), (2,))
+        assert Dp_membership(base, RAD2, [0, -5, 0.5 + 2e-10])
+        assert Dp_horizon_membership(base, RAD2, [0, 0, 2e-9])
+        assert not Dp_membership(base, RAD2, [0, -5, 0.5 + 1e-7])
+        assert not Dp_horizon_membership(base, RAD2, [0, 0, 1e-7])
+
 
 class TestDpSearchPath:
     """Feasibility search when several active subdifferentials are fat."""

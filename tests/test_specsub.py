@@ -74,6 +74,39 @@ class TestSpectralMax:
 
         assert math.isinf(spectral_max(np.diag([-1.0, 1.0]), half))
 
+    @pytest.mark.parametrize("n", [15, 20, 25])
+    def test_abscissa_of_an_orthogonally_similar_diagonal(self, n):
+        # on these matrices the trace recursion of the characteristic
+        # polynomial lost 1.5e-4 (n = 20) and 0.13 (n = 25); eigvals does not
+        Q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+        X = Q @ np.diag(np.arange(1.0, n + 1)) @ Q.T
+        assert abs(spectral_max(X, ABSC) - n) <= 1e-10 * n
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        def half(z):  # scalar-only: an array argument would raise
+            return z.real if z.real >= 0 else math.inf
+
+        rng = np.random.default_rng(3)
+        P = random_P(rng, 3)
+        mats = [
+            np.diag([-1.0, 1.0, 2.0]),  # outside the domain of half
+            np.linalg.inv(P) @ np.diag([1.0, 1.0 + 1e-8, 0.5]) @ P,  # near-double
+            A_SPEC.synth(),
+            np.diag([0.5, 2.0, 3.0 + 1j]),
+        ]
+        mats += [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                 for _ in range(4)]
+        X = np.array(mats).reshape(2, 4, 3, 3)
+        _, cluster, _ = spectral_active(mats[1], ABSC)
+        assert sorted(cluster.mults) == [1, 2]  # the agglomeration ran
+        for f in (ABSC, RAD2, half):
+            stacked = spectral_max(X, f)
+            assert stacked.shape == (2, 4)
+            single = [spectral_max(M, f) for M in mats]
+            assert isinstance(single[0], float)
+            assert stacked.ravel().tolist() == single
+        assert math.isinf(spectral_max(X, half)[0, 0])
+
 
 class TestWExtract:
     def test_scaled_identity_passes(self):

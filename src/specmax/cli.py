@@ -12,6 +12,7 @@ parse error, 3 domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -291,7 +292,22 @@ def cmd_stabilize(args, cfg: RunConfig) -> int:
 # -- argument plumbing ------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use (parsing
+    keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="specmax",
         description="Spectral max functions: evaluation, subgradient membership, "
@@ -326,13 +342,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-examples", parents=[common],
                        help="run the bundled worked examples")
-    p.add_argument("--nu", type=int, default=100, help="perturbation sequence length")
+    p.add_argument("--nu", type=_int_at_least(1), default=100,
+                   help="perturbation sequence length")
 
     p = sub.add_parser("verify", parents=[common], help="run the oracle suites")
     p.add_argument("spec", help="Jordan spec JSON path")
     p.add_argument("--f", required=True, help="generator name")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--nu", type=int, default=50)
+    p.add_argument("--samples", type=_int_at_least(0), default=200)
+    p.add_argument("--nu", type=_int_at_least(1), default=50)
 
     p = sub.add_parser("stabilize", parents=[common],
                        help="subgradient descent demo over an affine family")

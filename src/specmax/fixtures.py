@@ -51,6 +51,8 @@ def _diag_theta(theta11: complex, theta12: complex, theta21: complex) -> np.ndar
 
 def worked_example_checks(nu_count: int = 100) -> list:
     """The bundled assertion table: (name, passed, detail) triples."""
+    if nu_count < 1:
+        raise ValueError(f"the perturbation sequence needs at least one member, got {nu_count}")
     radius = builtin("radius")
     A = fixture_two_active()
     B = fixture_derogatory()

@@ -20,6 +20,7 @@ spec is {"eigs": [{"lambda": [re, im], "blocks": [...]}, ...], "P": matrix,
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Sequence
 
@@ -108,14 +109,8 @@ class JordanSpec:
 
         lams = [lam for lam, _ in self.eigs]
         self._b_eigs = np.linalg.eigvals(B) if self.n0 else np.zeros(0, dtype=complex)
-        others = list(self._b_eigs)
         for i, lam in enumerate(lams):
-            for mu in lams[i + 1:] + others:
-                if abs(lam - mu) <= self.MIN_SEPARATION:
-                    raise ValueError(
-                        f"declared eigenvalues must be distinct (and distinct from the "
-                        f"rest block): {lam} vs {mu}"
-                    )
+            self._check_separation(lam, lams[i + 1:])
 
         # layout: [0, n0) is B, then each eigenvalue's sub-blocks in order
         self._eig_slices = []
@@ -129,6 +124,28 @@ class JordanSpec:
                 pos += b
             self._eig_slices.append(slice(start, pos))
             self._subblock_slices.append(tuple(subs))
+
+    def _check_separation(self, lam: complex, lams) -> None:
+        """Raise unless lam is apart from ``lams`` and the rest-block spectrum."""
+        for mu in list(lams) + list(self._b_eigs):
+            if abs(lam - mu) <= self.MIN_SEPARATION:
+                raise ValueError(
+                    f"declared eigenvalues must be distinct (and distinct from the "
+                    f"rest block): {lam} vs {mu}"
+                )
+
+    def with_eigenvalue(self, j: int, lam) -> "JordanSpec":
+        """This spec with eigenvalue j moved to ``lam``.
+
+        The copy shares P, its inverse and the block layout, which do not
+        depend on the eigenvalues; only the moved eigenvalue's separation
+        from the others and from the rest block is checked again.
+        """
+        lam = complex(lam)
+        self._check_separation(lam, [mu for i, (mu, _) in enumerate(self.eigs) if i != j])
+        moved = copy.copy(self)
+        moved.eigs = self.eigs[:j] + ((lam, self.eigs[j][1]),) + self.eigs[j + 1:]
+        return moved
 
     # -- structure queries ----------------------------------------------------
 

@@ -16,8 +16,10 @@ matrices (directions times steps) and evaluates them in one call, or in
 blocks of at most STACK_ENTRIES matrix entries so that memory stays
 bounded for many directions.
 
-Everything is deterministic given the seed; sample directions draw from
-per-index substreams so results do not depend on evaluation order.
+Everything is deterministic given the seed.  The suite's sample directions
+come from one generator per call: direction i is a function of
+(seed, i, n) alone, so it does not depend on the block size, and the first
+k directions of a longer draw are the k directions of a shorter one.
 """
 
 from __future__ import annotations
@@ -87,28 +89,34 @@ def growth_exponent(steps: Sequence[float], quotients: Sequence[float]) -> Optio
     return float(slope)
 
 
-def slack_coefficient(steps: Sequence[float], quotients: Sequence[float],
-                      order: int = 1) -> float:
+def slack_coefficient(steps: Sequence[float], quotients, order: int = 1):
     """Calibrate c in the slack model c * t^(1/order) from the quotients.
 
     c is ten times the largest divided slope of the quotient sequence in the
     variable t^(1/order); for quotients of the form q0 + b * t^alpha on a
     decaying grid this covers |q(t) - q0| at every step regardless of how
-    alpha compares to 1/order.  Non-finite quotients are skipped.
+    alpha compares to 1/order.  Non-finite quotients are skipped, slopes join
+    consecutive finite points in step order, equal abscissae give no slope,
+    and c is 0 without any slope.
+
+    ``quotients`` is one sequence of shape (k,), giving a float, or a stack
+    of shape (..., k), giving one coefficient per row.
     """
-    pts = sorted(
-        ((t ** (1.0 / max(order, 1)), q) for t, q in zip(steps, quotients)
-         if math.isfinite(q)),
-        key=lambda p: p[0],
-    )
-    if len(pts) < 2:
-        return 0.0
-    slopes = [
-        abs(pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
-        for i in range(len(pts) - 1)
-        if pts[i + 1][0] > pts[i][0]
-    ]
-    return 10.0 * max(slopes) if slopes else 0.0
+    x = np.array([t ** (1.0 / max(order, 1)) for t in steps], dtype=float)
+    perm = np.argsort(x, kind="stable")
+    x = x[perm]
+    q = np.asarray(quotients, dtype=float)[..., perm]
+    finite = np.isfinite(q)
+    q = np.where(finite, q, 0.0)
+    # for each point, the index of the latest finite point at or before it
+    last = np.maximum.accumulate(np.where(finite, np.arange(len(x)), -1), axis=-1)
+    prev = np.maximum(last[..., :-1], 0)
+    dx = x[1:] - x[prev]
+    ok = finite[..., 1:] & (last[..., :-1] >= 0) & (dx > 0)
+    slopes = np.abs(q[..., 1:] - np.take_along_axis(q, prev, axis=-1)) / np.where(ok, dx, 1.0)
+    best = np.where(ok, slopes, -1.0).max(axis=-1, initial=-1.0)
+    coeff = np.where(best >= 0, 10.0 * best, 0.0)
+    return float(coeff) if coeff.ndim == 0 else coeff
 
 
 def _extrapolate(steps, quotients) -> float:
@@ -203,6 +211,26 @@ def _structured_probes(spec: JordanSpec) -> list:
     return [p / np.linalg.norm(p) for p in probes if np.linalg.norm(p) > 0]
 
 
+def _sample_directions(n: int, n_samples: int, seed: int, out=None) -> np.ndarray:
+    """Seeded unit-norm complex n x n directions, shape (n_samples, n, n).
+
+    One generator fills the array in blocks (consecutive draws continue one
+    normal stream), so direction i depends only on (seed, i, n) and the
+    float draw never holds more than STACK_ENTRIES numbers.
+    """
+    if out is None:
+        out = np.empty((n_samples, n, n), dtype=complex)
+    rng = np.random.default_rng(seed)
+    block = max(1, STACK_ENTRIES // (2 * n * n))
+    for a in range(0, n_samples, block):
+        g = rng.standard_normal((min(block, n_samples - a), 2, n, n))
+        Z = out[a:a + len(g)]
+        Z.real = g[:, 0]
+        Z.imag = g[:, 1]
+        Z /= np.linalg.norm(Z, axis=(1, 2))[:, None, None]
+    return out
+
+
 def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
                                  radii=(1e-2, 1e-3, 1e-4), seed: int = 0,
                                  include_probes: bool = True) -> dict:
@@ -214,10 +242,7 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     probes = _structured_probes(spec) if include_probes else []
     D = np.empty((len(probes) + n_samples, spec.n, spec.n), dtype=complex)
     D[:len(probes)] = np.reshape(probes, (-1, spec.n, spec.n))
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        Z = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
-        D[len(probes) + i] = Z / np.linalg.norm(Z)
+    _sample_directions(spec.n, n_samples, seed, out=D[len(probes):])
 
     steps = np.asarray(radii, dtype=float)
     base = spectral_max(X, f)
@@ -228,7 +253,7 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     for a in range(0, len(D), block):
         stack = X + steps[:, None, None] * D[a:a + block, None]
         quotients[a:a + block] = (spectral_max(stack, f) - base) / steps
-    coeff = np.array([slack_coefficient(radii, q, m_max) for q in quotients])
+    coeff = slack_coefficient(radii, quotients, m_max)
     margin = (quotients + coeff[:, None] * np.array([t ** (1.0 / m_max) for t in radii])
               + noise / steps + ABS_SLACK)
     gap = (lhs[:, None] - margin).max(axis=1)

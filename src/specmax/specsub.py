@@ -629,7 +629,8 @@ def regularity_verdict(spec: JordanSpec, f) -> str:
 
 def _split_spec(spec: JordanSpec, j: int, block_index: int, lam_new: complex):
     """Move sub-block ``block_index`` of eigenvalue j to the end of its
-    segment, assign it the new eigenvalue, and fold the re-layout into P."""
+    segment, assign it the new eigenvalue, and fold the re-layout into P.
+    With at least two sub-blocks, the moved one becomes eigenvalue j + 1."""
     sizes = spec.block_sizes(j)
     subs = spec.subblock_slices(j)
     order = [k for k in range(len(sizes)) if k != block_index] + [block_index]
@@ -664,6 +665,8 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     unequal.  Returns ``(witnesses, M, report)`` with ``witnesses`` a list
     of (spec_nu, Y_nu) pairs.
     """
+    if count < 1:
+        raise ValueError(f"the witness sequence needs at least one member, got {count}")
     radius_mode = getattr(f, "name", None) == "radius"
     if radius_mode:
         rho, active = _radius_active(spec, active_tol)
@@ -695,16 +698,17 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     seps += [abs(lam - mu) for mu in spec.b_eigenvalues]
     step0 = min([1.0] + [s / 4 for s in seps])
 
+    # only the moved eigenvalue differs between nu: one split similarity
+    split = _split_spec(spec, target, block_index, lam + step0 * direction)
+    idx = target + 1
+    Y_basis = split.from_W(split.jordan_power_embed(idx, 0))
+
     witnesses = []
     per_nu = []
     for nu in range(1, count + 1):
         lam_nu = lam + (step0 / nu) * direction
-        spec_nu = _split_spec(spec, target, block_index, lam_nu)
-        idx_nu = next(
-            i for i in range(spec_nu.num_eigs) if spec_nu.eig_value(i) == lam_nu
-        )
-        E = spec_nu.jordan_power_embed(idx_nu, 0)
-        Y_nu = (grad_at(lam_nu) / m_k) * spec_nu.from_W(E)
+        spec_nu = split.with_eigenvalue(idx, lam_nu)
+        Y_nu = (grad_at(lam_nu) / m_k) * Y_basis
         if radius_mode:
             rep = radius_rsd_membership(spec_nu, Y_nu)
         else:

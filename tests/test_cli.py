@@ -148,6 +148,13 @@ class TestWorkedExamples:
         assert code == 0 and payload["all_passed"]
         assert len(payload["checks"]) == 12
 
+    @pytest.mark.parametrize("nu_count", [0, -1])
+    def test_empty_sequence_rejected(self, nu_count):
+        from specmax.fixtures import worked_example_checks
+
+        with pytest.raises(ValueError, match="at least one member"):
+            worked_example_checks(nu_count=nu_count)
+
     def test_byte_identical_output(self, capsys):
         _, out1 = run(capsys, ["paper-examples", "--nu", "3", "--json"])
         _, out2 = run(capsys, ["paper-examples", "--nu", "3", "--json"])
@@ -175,6 +182,57 @@ class TestVerify:
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         code, _ = run(capsys, ["verify", spath, "--f", "abscissa", "--seed", "x"])
         assert code == 2
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify", "{spec}", "--f", "abscissa", "--nu", "0"], "--nu"),
+        (["verify", "{spec}", "--f", "abscissa", "--nu", "-3"], "--nu"),
+        (["verify", "{spec}", "--f", "abscissa", "--samples", "-5"], "--samples"),
+        (["paper-examples", "--nu", "0"], "--nu"),
+    ])
+    def test_counts_below_the_minimum_exit_2(self, capsys, paths, argv, flag):
+        spath = paths("B.json", spec_to_json(fixture_derogatory()))
+        code = main([a.format(spec=spath) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least" in captured.err
+
+    def test_zero_samples_still_runs_the_probes(self, capsys, paths):
+        spath = paths("A.json", spec_to_json(fixture_two_active()))
+        code, out = run(capsys, ["verify", spath, "--f", "abscissa", "--samples", "0"])
+        assert code == 0 and json.loads(out)["ok"]
+
+
+class TestParserReuse:
+    def test_no_state_leaks_between_calls(self, capsys, paths, tmp_path):
+        from specmax import cli
+
+        spath = paths("A.json", spec_to_json(fixture_two_active()))
+        out_file = tmp_path / "first.json"
+        first = ["verify", spath, "--f", "abscissa", "--samples", "30", "--seed", "4",
+                 "--json", "--out", str(out_file)]
+        plain = ["verify", spath, "--f", "abscissa", "--samples", "30"]
+        examples = ["paper-examples", "--nu", "3"]
+
+        fresh = []
+        for argv in (first, plain, examples):
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        out_file.unlink()
+
+        reused = [run(capsys, first)]
+        assert run(capsys, ["verify", spath, "--f", "abscissa", "--nu", "0"])[0] == 2
+        reused += [run(capsys, plain), run(capsys, examples)]
+        assert reused == fresh
+        assert json.loads(reused[0][1])["seed"] == 4
+        assert json.loads(reused[1][1])["seed"] == 0
+        assert json.loads(out_file.read_text()) == json.loads(reused[0][1])
+        out_file.unlink()
+        run(capsys, plain)
+        assert not out_file.exists()
+        assert "PASS" in reused[2][1]  # text, not --json
 
 
 class TestStabilizeCommand:

@@ -10,6 +10,7 @@ from specmax.generators import builtin
 from specmax.jordan import JordanSpec, char_poly
 from specmax.oracles import (
     ABS_SLACK,
+    _sample_directions,
     _structured_probes,
     eval_noise_floor,
     fd_phi_quotient,
@@ -94,6 +95,75 @@ class TestDiagnostics:
         assert slack_coefficient((1e-2, 1e-3, 1e-4), (0.7, 0.7, 0.7)) == 0.0
 
 
+def _slack_one_row(steps, quotients, order=1):
+    """The scalar slack calibration: one sorted list of finite points."""
+    pts = sorted(
+        ((t ** (1.0 / max(order, 1)), q) for t, q in zip(steps, quotients)
+         if math.isfinite(q)),
+        key=lambda p: p[0],
+    )
+    if len(pts) < 2:
+        return 0.0
+    slopes = [
+        abs(pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
+        for i in range(len(pts) - 1)
+        if pts[i + 1][0] > pts[i][0]
+    ]
+    return 10.0 * max(slopes) if slopes else 0.0
+
+
+class TestSlackRows:
+    @pytest.mark.parametrize("steps", [
+        (1e-2, 1e-3, 1e-4, 1e-5),
+        (1e-4, 1e-2, 1e-3, 1e-5),  # unsorted
+        (1e-2, 1e-3, 1e-3, 1e-4),  # a repeated step
+        (1e-3, 1e-3, 1e-3, 1e-3),  # no slope at all
+    ])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_rows_match_the_scalar_loop(self, steps, order):
+        rows = np.array([
+            [0.5, 0.6, 0.8, 1.1],
+            [math.inf, 0.6, 0.8, 1.1],
+            [0.5, math.nan, -math.inf, 1.1],
+            [0.5, 0.6, math.nan, 0.7],
+            [math.nan, math.inf, 2.0, -math.inf],  # a single finite point
+            [math.inf, math.nan, -math.inf, math.inf],  # none finite
+            [0.7, 0.7, 0.7, 0.7],
+            [-3.0, 4.0, math.nan, -1e3],
+        ])
+        got = slack_coefficient(steps, rows, order)
+        assert got.shape == (len(rows),)
+        for row, c in zip(rows, got):
+            assert c == _slack_one_row(steps, row, order)
+            assert slack_coefficient(steps, tuple(row), order) == c
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(3)
+        steps = (1e-2, 1e-3, 1e-4)
+        q = rng.standard_normal((2, 5, 3))
+        q[q > 1.0] = math.inf
+        got = slack_coefficient(steps, q, 2)
+        assert got.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            assert got[idx] == _slack_one_row(steps, q[idx], 2)
+
+
+class TestDirections:
+    def test_unit_norm_and_prefix_stable(self):
+        long = _sample_directions(4, 25, seed=7)
+        assert long.shape == (25, 4, 4)
+        assert np.allclose(np.linalg.norm(long, axis=(1, 2)), 1.0, rtol=0, atol=1e-14)
+        for k in (0, 1, 10):
+            assert np.array_equal(_sample_directions(4, k, seed=7), long[:k])
+        assert not np.array_equal(_sample_directions(4, 25, seed=8), long)
+
+    def test_independent_of_the_block_size(self, monkeypatch):
+        ref = _sample_directions(5, 40, seed=3)
+        for per_block in (1, 3, 7):
+            monkeypatch.setattr(oracles, "STACK_ENTRIES", per_block * 2 * 25)
+            assert np.array_equal(_sample_directions(5, 40, seed=3), ref)
+
+
 class TestInequalitySuite:
     def test_member_has_no_violations(self):
         Y = rsd_sample(J2, ABSC, seed=3)
@@ -126,11 +196,7 @@ def _suite_one_direction_at_a_time(spec, f, Y, n_samples, radii=(1e-2, 1e-3, 1e-
     X = spec.synth()
     Y = np.asarray(Y, dtype=complex)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs))
-    directions = list(_structured_probes(spec))
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        Z = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
-        directions.append(Z / np.linalg.norm(Z))
+    directions = list(_structured_probes(spec)) + list(_sample_directions(spec.n, n_samples, seed))
     worst, worst_idx, violations = 0.0, -1, 0
     base = spectral_max(X, f)
     noise = eval_noise_floor(m_max, max(1.0, abs(base), float(np.linalg.norm(X))))
@@ -185,6 +251,20 @@ class TestBatchedSuite:
         rep = subgradient_inequality_suite(SPEC32, RAD2, Y, n_samples=60, seed=5)
         ref = _suite_one_direction_at_a_time(SPEC32, RAD2, Y, n_samples=60, seed=5)
         assert ref["n_directions"] % 7 != 0 and ref["violations"] > 0
+        for key in ("n_directions", "violations", "worst_direction"):
+            assert rep[key] == ref[key]
+        assert rep["max_violation"] == pytest.approx(ref["max_violation"], rel=1e-12, abs=0)
+
+    def test_worst_direction_is_a_sampled_one(self):
+        # simple eigenvalues 1 and -1: the gradient is E11, and an extra
+        # off-diagonal weight is seen only along directions with a (0, 1)
+        # entry, which no structured probe has
+        spec = JordanSpec([(1.0, (1,)), (-1.0, (1,))])
+        Y = np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex)
+        rep = subgradient_inequality_suite(spec, ABSC, Y, n_samples=60, seed=4)
+        ref = _suite_one_direction_at_a_time(spec, ABSC, Y, n_samples=60, seed=4)
+        assert ref["violations"] > 0
+        assert ref["worst_direction"] >= len(_structured_probes(spec))
         for key in ("n_directions", "violations", "worst_direction"):
             assert rep[key] == ref[key]
         assert rep["max_violation"] == pytest.approx(ref["max_violation"], rel=1e-12, abs=0)

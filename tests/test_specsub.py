@@ -7,6 +7,8 @@ from specmax.generators import UnsupportedGenerator, builtin
 from specmax.jordan import DerogatoryEigenvalue, JordanSpec, nilpotent
 from specmax.specsub import (
     W_extract,
+    _declared_active,
+    _radius_active,
     chain_rule_membership,
     derogatory_witness,
     radius_rsd_membership,
@@ -421,6 +423,79 @@ class TestRegularityAndWitness:
     def test_nonderogatory_rejected(self):
         with pytest.raises(ValueError):
             derogatory_witness(A_SPEC, RAD)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_sequence_rejected(self, count):
+        with pytest.raises(ValueError, match="at least one member"):
+            derogatory_witness(B_SPEC, RAD, count=count)
+
+
+def _witness_from_scratch(spec, f, count, block_index=0):
+    """(per_nu, Ys, M) of the witness with every nu's split spec built by
+    JordanSpec(...) from scratch."""
+    if f.name == "radius":
+        _, active = _radius_active(spec)
+    else:
+        _, active = _declared_active(spec, f)
+    target = next(j for j in active if not spec.nonderogatory(j))
+    lam = spec.eig_value(target)
+    m_k = spec.block_sizes(target)[block_index]
+    direction = f.grad(lam) / abs(f.grad(lam))
+    seps = [abs(lam - spec.eig_value(i)) for i in range(spec.num_eigs) if i != target]
+    seps += [abs(lam - mu) for mu in spec.b_eigenvalues]
+    step0 = min([1.0] + [s / 4 for s in seps])
+    per_nu, Ys = [], []
+    for nu in range(1, count + 1):
+        lam_nu = lam + (step0 / nu) * direction
+        sizes = spec.block_sizes(target)
+        rest = tuple(b for k, b in enumerate(sizes) if k != block_index)
+        eigs = list(spec.eigs[:target]) + [(lam, rest), (lam_nu, (sizes[block_index],))]
+        eigs += list(spec.eigs[target + 1:])
+        perm = list(range(spec.eig_slice(target).start))
+        subs = spec.subblock_slices(target)
+        for k in [k for k in range(len(sizes)) if k != block_index] + [block_index]:
+            perm.extend(range(subs[k].start, subs[k].stop))
+        perm.extend(range(spec.eig_slice(target).stop, spec.n))
+        spec_nu = JordanSpec(eigs, P=np.eye(spec.n)[perm, :] @ spec.P,
+                             B=spec.B if spec.n0 else None)
+        E = spec_nu.jordan_power_embed(target + 1, 0)
+        Y = (f.grad(lam_nu) / m_k) * spec_nu.from_W(E)
+        rep = (radius_rsd_membership(spec_nu, Y) if f.name == "radius"
+               else rsd_membership(spec_nu, f, Y))
+        per_nu.append(rep.verdict)
+        Ys.append(Y)
+    E = np.zeros((spec.n, spec.n), dtype=complex)
+    sl = spec.subblock_slices(target)[block_index]
+    E[sl, sl] = np.eye(m_k)
+    return per_nu, Ys, (f.grad(lam) / m_k) * spec.from_W(E)
+
+
+class TestSharedSplitWitness:
+    @pytest.mark.parametrize("spec,f,block_index", [
+        (B_SPEC, RAD, 1),
+        (B_SPEC, RAD, 0),
+        (JordanSpec([(0.5 + 0.2j, (2, 1, 1)), (-1.0, (1,))],
+                    P=np.eye(6) + 0.2 * np.random.default_rng(8).standard_normal((6, 6)),
+                    B=np.array([[0.1]])), ABSC, 1),
+    ])
+    def test_matches_specs_built_from_scratch(self, spec, f, block_index):
+        wits, M, report = derogatory_witness(spec, f, count=30, block_index=block_index)
+        per_nu, Ys, M_ref = _witness_from_scratch(spec, f, 30, block_index)
+        assert report["per_nu"] == per_nu
+        assert np.abs(M - M_ref).max() <= 1e-14
+        for (spec_nu, Y_nu), Y_ref in zip(wits, Ys):
+            assert np.abs(Y_nu - Y_ref).max() <= 1e-14
+        assert len({id(s.P) for s, _ in wits}) == 1  # one similarity for every nu
+
+    def test_moved_eigenvalue_keeps_its_separation_check(self):
+        spec = JordanSpec([(0.0, (1, 1)), (-0.4, (1,))], B=np.array([[-0.5]]))
+        wits, _, _ = derogatory_witness(spec, ABSC, count=3)
+        split, _ = wits[0]
+        assert split.eig_value(1) == pytest.approx(0.1)
+        split.with_eigenvalue(1, 0.3)  # apart from everything: accepted
+        for lam in (0.0, -0.4, -0.5, -0.5 + 1e-9):  # declared, declared, rest, near rest
+            with pytest.raises(ValueError, match="distinct"):
+                split.with_eigenvalue(1, lam)
 
 
 class TestSubgradientDefinition:

@@ -26,13 +26,11 @@ from .cpoly import poly_from_json
 from .generators import UnsupportedGenerator, builtin
 from .jordan import DomainError, matrix_from_json, spec_from_json
 from .oracles import subgradient_inequality_suite
-from .polysub import subderivative_f, subderivative_radius
+from .polysub import subderivative_f
 from .specsub import (
     W_extract,
     chain_rule_membership,
     derogatory_witness,
-    radius_rsd_membership,
-    radius_rsd_zero,
     regularity_verdict,
     rsd_membership,
     rsd_recession_membership,
@@ -49,10 +47,8 @@ EXIT_DOMAIN = 3
 
 @dataclass
 class RunConfig:
-    """Parsed invocation: command, generator, inputs, tolerances, seed, output."""
+    """Parsed invocation: tolerance, seed, output."""
 
-    command: str
-    f_name: Optional[str] = None
     tol: float = 1e-8
     seed: int = 0
     as_json: bool = False
@@ -142,15 +138,7 @@ def cmd_membership(args, cfg: RunConfig) -> int:
         _emit({"verdict": verdict, "route": "chain"}, cfg)
         return EXIT_OK if verdict else EXIT_NONMEMBER
 
-    horizon = args.set == "recession"
-    if f.name == "radius":
-        rho = max([abs(spec.eig_value(j)) for j in range(spec.num_eigs)]
-                  + [abs(mu) for mu in spec.b_eigenvalues])
-        if rho > 0:
-            report = radius_rsd_membership(spec, Y, horizon=horizon)
-        else:
-            report = radius_rsd_zero(spec, Y, horizon=horizon)
-    elif horizon:
+    if args.set == "recession":
         report = rsd_recession_membership(spec, f, Y)
     else:
         report = rsd_membership(spec, f, Y)
@@ -166,12 +154,9 @@ def cmd_subderivative(args, cfg: RunConfig) -> int:
         p = poly_from_json(_load_json(args.base))
         v = poly_from_json(_load_json(args.direction))
         cluster = cluster_roots(p, cluster_tol=args.cluster_tol)
-        if f.name == "radius":
-            value = subderivative_radius(cluster, v.padded(cluster.degree()), tol=cfg.tol)
-        else:
-            value = subderivative_f(cluster, f, v.padded(cluster.degree()), tol=cfg.tol)
+        value = subderivative_f(cluster, f, v.padded(cluster.degree()), tol=cfg.tol)
     else:
-        from .jordan import active_factor, char_poly_deriv_action
+        from .jordan import char_poly_deriv_action
         from .cpoly import RootCluster
 
         spec = spec_from_json(_load_json(args.base))
@@ -182,10 +167,7 @@ def cmd_subderivative(args, cfg: RunConfig) -> int:
         cluster = RootCluster.sorted(
             (spec.eig_value(j), spec.n_j(j)) for j in range(spec.num_eigs)
         )
-        if f.name == "radius":
-            value = subderivative_radius(cluster, action, tol=cfg.tol)
-        else:
-            value = subderivative_f(cluster, f, action, tol=cfg.tol)
+        value = subderivative_f(cluster, f, action, tol=cfg.tol)
     _emit({"value": value if math.isfinite(value) else "inf", "kind": args.kind}, cfg)
     return EXIT_OK
 
@@ -218,37 +200,20 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     report["regularity"] = "regular" if regular else "not_regular"
 
     if regular:
-        radius_mode = f.name == "radius"
-        sampler_f = _generator("radius2") if radius_mode else f
-        rho = max([abs(spec.eig_value(j)) for j in range(spec.num_eigs)]
-                  + [abs(mu) for mu in spec.b_eigenvalues]) if radius_mode else None
-        members_checked = 0
         cross_failures = 0
         suites = []
         rng = np.random.default_rng(cfg.seed)
         n_members = max(1, args.samples // 100)
         for i in range(n_members):
-            Y = rsd_sample(spec, sampler_f, seed=int(rng.integers(2 ** 31)))
-            if radius_mode:
-                if rho == 0:
-                    raise SystemExit2("verification at a nilpotent base point "
-                                      "needs the quadratic-modulus generator")
-                Y = Y / rho
-                members_checked += 1
-                if not radius_rsd_membership(spec, Y).verdict:
-                    cross_failures += 1
-            else:
-                members_checked += 1
-                if not rsd_membership(spec, f, Y).verdict:
-                    cross_failures += 1
-                if not chain_rule_membership(spec, f, Y):
-                    cross_failures += 1
+            Y = rsd_sample(spec, f, seed=int(rng.integers(2 ** 31)))
+            cross_failures += not rsd_membership(spec, f, Y).verdict
+            cross_failures += not chain_rule_membership(spec, f, Y)
             suites.append(
                 subgradient_inequality_suite(
                     spec, f, Y, n_samples=args.samples, seed=cfg.seed + i
                 )
             )
-        report["members_checked"] = members_checked
+        report["members_checked"] = n_members
         report["cross_route_failures"] = cross_failures
         report["max_violation"] = max(s["max_violation"] for s in suites)
         report["violations"] = sum(s["violations"] for s in suites)
@@ -379,8 +344,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     cfg = RunConfig(
-        command=args.command,
-        f_name=getattr(args, "f", None),
         tol=args.tol,
         seed=args.seed,
         as_json=args.json,

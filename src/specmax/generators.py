@@ -30,6 +30,7 @@ __all__ = [
     "UnsupportedGenerator",
     "builtin",
     "make_generator",
+    "radius_transform",
     "cip",
     "re_cip",
     "condition_check",
@@ -453,9 +454,9 @@ def _radius() -> Generator:
         return ConvexSet2D.point(z / abs(z))
 
     def tag(z):
-        # The origin is the bespoke corner of the modulus: the raw span test
-        # on the unit disk is full-plane, but the downstream calculus treats
-        # it separately, so it is deliberately left unclassified here.
+        # The origin is the corner of the modulus: the raw span test on the
+        # unit disk is full-plane, but the calculus reaches it through the
+        # corner block of radius_transform, so it is left unclassified here.
         return TAG_OTHER
 
     return Generator("radius", value=abs, grad_fn=grad, hess_fn=hess,
@@ -518,6 +519,34 @@ def builtin(name: str) -> Generator:
         raise ValueError(
             f"unknown generator {name!r}; choose from {sorted(_BUILTINS)}"
         ) from None
+
+
+_RADIUS2 = _radius2()
+# the modulus at the origin as a corner-regime generator; its subdifferential
+# is the unit disk only at 0, so it stands for the radius at a nilpotent base
+_NILPOTENT_ORIGIN = make_generator(
+    "radius at the nilpotent origin", abs,
+    subdiff=lambda z: ConvexSet2D.disk(1.0), tag=lambda z: TAG_FULLSPAN)
+
+
+def radius_transform(f, eigenvalues) -> tuple:
+    """``(g, rho)``: the generator the calculus runs on for f over the given
+    spectrum, and the factor that carries a subgradient of f to one of g.
+
+    Every generator but the modulus maps to itself with factor 1.  The
+    spectral radius is the increasing transform rho = sqrt(2 phi_radius2),
+    so where rho > 0, Y is a regular subgradient (or recession direction)
+    of it iff rho * Y is one of phi_radius2, and its subderivative is that
+    of phi_radius2 divided by rho.  At rho = 0 it maps to the corner block of
+    the modulus at the origin, with factor 1: the unit disk as
+    subdifferential, so q_set is the whole plane.
+    """
+    if getattr(f, "name", None) != "radius":
+        return f, 1.0
+    rho = max((abs(z) for z in eigenvalues), default=0.0)
+    if rho > 0:
+        return _RADIUS2, rho
+    return _NILPOTENT_ORIGIN, 1.0
 
 
 # -- condition classification and derived sets --------------------------------

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .cpoly import Poly, RootCluster, elementary, lex_key
+from .generators import radius_transform
 
 __all__ = [
     "JordanSpec",
@@ -40,6 +41,7 @@ __all__ = [
     "gj_deriv_adjoint",
     "det_expansion_residual",
     "lambda_grad",
+    "declared_active",
     "active_factor",
     "R_apply",
     "R_matrix",
@@ -383,16 +385,20 @@ def lambda_grad(spec: JordanSpec, j: int, s: int) -> np.ndarray:
     return (spec.Pstar @ Jjs.conj().T @ spec.Pinvstar) / (n_j - s)
 
 
-def active_factor(spec: JordanSpec, f, tol: float = 1e-8):
-    """Split the declared structure at the maximizers of f over the spectrum.
+def declared_active(spec: JordanSpec, f, tol: float = 1e-8) -> tuple:
+    """The one active-set routine over declared structure.
 
-    Returns ``(cluster, active_spec)``: the monic factor carrying the active
-    eigenvalues (as a lex-ordered root cluster) and a re-laid-out spec whose
-    declared eigenvalues are exactly the active ones, everything else
-    absorbed into the rest block.
+    Returns ``(g, rho, active)``: the generator and factor of
+    :func:`generators.radius_transform` for f over the spectrum, and the
+    indices of the declared eigenvalues at which g attains its max.  Raises
+    :class:`DomainError` when an eigenvalue lies outside the domain, and
+    ValueError when no eigenvalue is declared or a rest-block eigenvalue
+    attains the max (its Jordan structure must then be declared).
     """
-    value_of = f.value if hasattr(f, "value") else f
-    vals = [float(value_of(spec.eig_value(j))) for j in range(spec.num_eigs)]
+    lams = [lam for lam, _ in spec.eigs]
+    g, rho = radius_transform(f, lams + list(spec.b_eigenvalues))
+    value_of = g.value if hasattr(g, "value") else g
+    vals = [float(value_of(lam)) for lam in lams]
     b_vals = [float(value_of(mu)) for mu in spec.b_eigenvalues]
     if any(math.isinf(v) for v in vals + b_vals):
         raise DomainError("an eigenvalue lies outside the domain of the generator")
@@ -404,7 +410,18 @@ def active_factor(spec: JordanSpec, f, tol: float = 1e-8):
             "an eigenvalue of the rest block attains the max; its Jordan "
             "structure must be declared"
         )
-    active = [j for j, v in enumerate(vals) if v >= value - tol]
+    return g, rho, [j for j, v in enumerate(vals) if v >= value - tol]
+
+
+def active_factor(spec: JordanSpec, f, tol: float = 1e-8):
+    """Split the declared structure at the maximizers of f over the spectrum.
+
+    Returns ``(cluster, active_spec)``: the monic factor carrying the active
+    eigenvalues (as a lex-ordered root cluster) and a re-laid-out spec whose
+    declared eigenvalues are exactly the active ones, everything else
+    absorbed into the rest block.
+    """
+    _, _, active = declared_active(spec, f, tol)
     inactive = [j for j in range(spec.num_eigs) if j not in active]
 
     cluster = RootCluster.sorted(

@@ -30,12 +30,14 @@ from .generators import (
     ConvexSet2D,
     Generator,
     UnsupportedGenerator,
+    builtin,
     condition_check,
     q_set,
-    re_cip,
+    radius_transform,
 )
 
 __all__ = [
+    "block_failures",
     "Dp_membership",
     "Dp_horizon_membership",
     "Dp_sample",
@@ -49,19 +51,27 @@ __all__ = [
 SIMPLEX_TOL = 1e-8
 
 
+def _regime(f: Generator, lam: complex) -> str:
+    """The regime of f at lam, COND14 (smooth) or COND15 (corner)."""
+    cond = condition_check(f, lam)
+    if cond not in (COND14, COND15):
+        raise UnsupportedGenerator(f"{f.name} at {lam} satisfies neither supported regime")
+    return cond
+
+
 class _ActiveBlock:
-    """Per-active-root data needed by the membership tests."""
+    """Per-active-root data needed by the membership tests.  A coordinate
+    block carries the first coordinate and, when it has one, the second; a
+    derogatory eigenvalue of the matrix route has fewer coordinates than its
+    multiplicity n_j."""
 
     def __init__(self, f: Generator, lam: complex, n_j: int):
         self.n_j = n_j
-        self.cond = condition_check(f, lam)
-        if self.cond not in (COND14, COND15):
-            raise UnsupportedGenerator(
-                f"{f.name} at {lam} satisfies neither supported regime"
-            )
+        self.cond = _regime(f, lam)
         self.subdiff = f.subdiff(lam)
         if self.subdiff.is_singleton and self.subdiff.the_point() == 0:
-            raise ValueError(f"subdifferential at {lam} is {{0}}; test not applicable")
+            raise UnsupportedGenerator(
+                f"subdifferential of {f.name} at {lam} is {{0}}: no weight reaches it")
         if self.cond == COND14:
             g = f.grad(lam)
             self.w = g * g
@@ -78,38 +88,89 @@ class _ActiveBlock:
         a singleton {g}: c1 = -gamma * g / n_j."""
         g = self.subdiff.the_point()
         xi = -self.n_j * c1 / g
-        return max(xi.real, 0.0)
+        return max(0.0, xi.real)
 
-    def residual(self, block: np.ndarray, gamma: float) -> float:
-        r = self.subdiff.scaled(gamma / self.n_j).distance(-block[0])
-        if self.n_j >= 2:
-            if self.cond == COND14:
-                hp = ConvexSet2D.halfplane(self.w, gamma * self.offset_rate)
-                r = max(r, hp.distance(block[1]))
-            else:
-                # the squared-generator set is a cone: scaling leaves it fixed
-                r = max(r, self.q.distance(block[1]))
-        return r
+    def second_set(self, gamma: float) -> ConvexSet2D:
+        """The set of the second coordinate at weight gamma; in the corner
+        regime the squared-generator set is a cone, which scaling leaves
+        fixed."""
+        if self.cond == COND14:
+            return ConvexSet2D.halfplane(self.w, gamma * self.offset_rate)
+        return self.q
 
     def weight_interval(self, block: np.ndarray, tol: float) -> tuple:
-        """Interval (lo, hi) of the weights gamma >= 0 under which the block
-        passes its checks, each bound relaxed by tol; lo > hi when none does.
-        In the corner regime the second coordinate does not depend on gamma."""
+        """Interval (lo, hi) of the weights gamma >= 0 under which the
+        gamma-dependent checks of the block pass, each bound relaxed by tol;
+        lo > hi when none does."""
         lo, hi = (self.n_j * t for t in self.subdiff.scale_interval(-block[0], tol))
-        if self.n_j >= 2:
-            if self.cond == COND14:
-                hp = ConvexSet2D.halfplane(self.w, self.offset_rate)
-                a, b = hp.scale_interval(block[1], tol)
-                lo, hi = max(lo, a), min(hi, b)
-            elif self.q.distance(block[1]) > tol:
-                return math.inf, 0.0
+        if len(block) >= 2 and self.cond == COND14:
+            hp = ConvexSet2D.halfplane(self.w, self.offset_rate)
+            a, b = hp.scale_interval(block[1], tol)
+            lo, hi = max(lo, a), min(hi, b)
         return lo, hi
 
-    def horizon_residual(self, block: np.ndarray) -> float:
-        r = abs(block[0])
-        if self.n_j >= 2:
-            r = max(r, self.q.distance(block[1]))
-        return r
+
+def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) -> tuple:
+    """The subgradient conditions on the active coordinate blocks: the one
+    decision behind both membership routes.
+
+    ``data`` are the :class:`_ActiveBlock` of the active roots and
+    ``blocks`` their coordinate blocks.  Returns ``(failed, gammas)``, with
+    ``failed`` the failed conditions as ``(condition, residual, i)`` (i the
+    position of the block, None for the weight sum) and ``gammas`` the
+    witness weights (None for the horizon cone).
+
+    Regular subgradients: a singleton subdifferential forces its weight
+    through the first coordinate.  Every other block admits the weights of
+    an interval [lo_i, hi_i], each bound relaxed by tol, and the remaining
+    mass m can be split iff sum lo_i <= m <= sum hi_i, within SIMPLEX_TOL;
+    otherwise the split fails with a residual in weight units.  The witness
+    split spreads the slack over the blocks so that none sits on a relaxed
+    endpoint, and each block then needs its first coordinate within tol of
+    -gamma_i / n_i times the subdifferential and its second coordinate
+    within tol of its set.  The horizon cone needs a zero first coordinate
+    and the second in the squared-generator cone.  Deeper coordinates are
+    free.
+    """
+    failed = []
+    if horizon:
+        for i, (d, b) in enumerate(zip(data, blocks)):
+            if abs(b[0]) > tol:
+                failed.append(("diagonal_zero", abs(b[0]), i))
+            if len(b) >= 2 and (r := d.q.distance(b[1])) > tol:
+                failed.append(("subdiagonal_halfplane", r, i))
+        return failed, None
+
+    gammas = np.zeros(len(data))
+    free_idx = []
+    for i, (d, b) in enumerate(zip(data, blocks)):
+        if d.determined:
+            gammas[i] = d.gamma_from_first(b[0])
+        else:
+            free_idx.append(i)
+    if free_idx:
+        bounds = np.array([data[i].weight_interval(blocks[i], tol) for i in free_idx])
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        failed = [("diagonal_in_subdifferential", lo[k] - hi[k], i)
+                  for k, i in enumerate(free_idx) if lo[k] > hi[k]]
+        mass = 1.0 - gammas.sum()
+        gap = max(lo.sum() - mass, mass - hi.sum())
+        if not failed and gap > SIMPLEX_TOL:
+            failed = [("weight_sum_one", gap, None)]
+        if failed:
+            return failed, gammas
+        gammas[free_idx] = _spread(lo, hi, min(max(mass, lo.sum()), hi.sum()))
+    if abs(gammas.sum() - 1.0) > SIMPLEX_TOL:
+        failed.append(("weight_sum_one", abs(gammas.sum() - 1.0), None))
+    for i, (d, b, g) in enumerate(zip(data, blocks, gammas)):
+        r = d.subdiff.scaled(g / d.n_j).distance(-b[0])
+        if r > tol:
+            failed.append(("diagonal_in_subdifferential", r, i))
+        if len(b) >= 2:
+            r = d.second_set(g).distance(b[1])
+            if r > tol:
+                failed.append(("subdiagonal_halfplane", r, i))
+    return failed, gammas
 
 
 def _split_blocks(cluster: RootCluster, c: np.ndarray) -> list:
@@ -121,64 +182,34 @@ def _split_blocks(cluster: RootCluster, c: np.ndarray) -> list:
     return blocks
 
 
-def _prepare(cluster: RootCluster, f: Generator, c, tol: float, active_tol: float):
-    """Sorted active root indices, and the per-root blocks of c, or None when
-    its leading coordinate or an inactive block does not vanish."""
+def _member(cluster: RootCluster, f: Generator, c, tol: float, active_tol: float,
+            horizon: bool) -> bool:
+    """Whether the leading coordinate and the inactive blocks of c vanish
+    and its active blocks pass :func:`block_failures`."""
     c = np.asarray(c, dtype=complex).ravel()
     if c.size != cluster.degree() + 1:
         raise ValueError(
             f"coordinate vector must have length {cluster.degree() + 1}, got {c.size}"
         )
     _, active = active_set(cluster, f, active_tol=active_tol)
+    if not active:
+        raise ValueError("no active root")
+    active = sorted(active)
     blocks = _split_blocks(cluster, c)
     scale = 1.0 + float(np.linalg.norm(c))
     if abs(c[0]) > tol or any(np.linalg.norm(block) > tol * scale
                               for j, block in enumerate(blocks) if j not in active):
-        blocks = None
-    return sorted(active), blocks
+        return False
+    data = [_ActiveBlock(f, cluster.roots[j], cluster.mults[j]) for j in active]
+    return not block_failures(data, [blocks[j] for j in active], tol, horizon)[0]
 
 
 def Dp_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8,
                   active_tol: float = 1e-8) -> bool:
-    """Membership of a coordinate vector in the subgradient coordinate set.
-
-    True iff the leading coordinate vanishes, inactive blocks vanish, and
-    weights gamma_j >= 0 with sum 1 exist putting each active block inside
-    its gamma-scaled building block.  A singleton subdifferential forces its
-    weight through the first coordinate.  Every other active block admits
-    the weights of an interval [lo_j, hi_j], each bound relaxed by tol, and
-    the remaining mass m can be split iff sum lo_j <= m <= sum hi_j, the sum
-    within SIMPLEX_TOL.  The witness split spreads the slack over the blocks
-    so that none sits on a relaxed endpoint, and the verdict is that the
-    witness's residual, the largest over the blocks and the weight sum,
-    is at most tol.
-    """
-    active, blocks = _prepare(cluster, f, c, tol, active_tol)
-    if not active:
-        raise ValueError("no active root")
-    if blocks is None:
-        return False
-    data = [_ActiveBlock(f, cluster.roots[j], cluster.mults[j]) for j in active]
-    act_blocks = [blocks[j] for j in active]
-
-    gammas = np.zeros(len(data))
-    free_idx = []
-    for i, (d, b) in enumerate(zip(data, act_blocks)):
-        if d.determined:
-            gammas[i] = d.gamma_from_first(b[0])
-        else:
-            free_idx.append(i)
-    if free_idx:
-        bounds = np.array([data[i].weight_interval(act_blocks[i], tol) for i in free_idx])
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        mass = 1.0 - gammas.sum()
-        if np.any(lo > hi) or not lo.sum() - SIMPLEX_TOL <= mass <= hi.sum() + SIMPLEX_TOL:
-            return False
-        gammas[free_idx] = _spread(lo, hi, min(max(mass, lo.sum()), hi.sum()))
-    residual = abs(gammas.sum() - 1.0) * (tol / SIMPLEX_TOL)  # rescale to the shared tol
-    for d, b, g in zip(data, act_blocks, gammas):
-        residual = max(residual, d.residual(b, g))
-    return bool(residual <= tol)
+    """Membership of a coordinate vector in the subgradient coordinate set:
+    the leading coordinate and inactive blocks vanish, and the active
+    blocks pass :func:`block_failures` at tolerance tol."""
+    return _member(cluster, f, c, tol, active_tol, horizon=False)
 
 
 def _spread(lo: np.ndarray, hi: np.ndarray, mass: float) -> np.ndarray:
@@ -199,10 +230,7 @@ def Dp_horizon_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e
     """Membership in the horizon cone: zero leading coordinate and inactive
     blocks, zero first coordinate per active block, second coordinate in the
     squared-generator cone, deeper coordinates free."""
-    active, blocks = _prepare(cluster, f, c, tol, active_tol)
-    return blocks is not None and all(
-        _ActiveBlock(f, cluster.roots[j], cluster.mults[j]).horizon_residual(blocks[j]) <= tol
-        for j in active)
+    return _member(cluster, f, c, tol, active_tol, horizon=True)
 
 
 def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0,
@@ -222,14 +250,9 @@ def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0,
         if j in active:
             g = gamma[active.index(j)]
             d = _ActiveBlock(f, cluster.roots[j], n_j)
-            S = d.subdiff.scaled(g / n_j)
-            c[pos] = -_sample_set(S, rng)
+            c[pos] = -_sample_set(d.subdiff.scaled(g / n_j), rng)
             if n_j >= 2:
-                if d.cond == COND14:
-                    hp = ConvexSet2D.halfplane(d.w, g * d.offset_rate)
-                else:
-                    hp = d.q
-                c[pos + 1] = _sample_set(hp, rng, interior=True)
+                c[pos + 1] = _sample_set(d.second_set(g), rng, interior=True)
             if n_j >= 3:
                 c[pos + 2: pos + n_j] = rng.standard_normal(n_j - 2) + 1j * rng.standard_normal(n_j - 2)
         pos += n_j
@@ -301,7 +324,11 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
     the whole bracket: a multiplicity-n root responds to a coefficient
     perturbation with the mean of its n split roots, and this normalization
     is the one under which the subgradient support inequality is tight.
+    The spectral radius goes through :func:`generators.radius_transform`.
     """
+    g, rho = radius_transform(f, cluster.roots)
+    if g is not f:
+        return subderivative_f(cluster, g, v, tol, active_tol) / rho
     _, active = active_set(cluster, f, active_tol=active_tol)
     if not active:
         raise ValueError("no active root")
@@ -309,11 +336,7 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
     vals = []
     for j in sorted(active):
         lam, n_j = cluster.roots[j], cluster.mults[j]
-        cond = condition_check(f, lam)
-        if cond not in (COND14, COND15):
-            raise UnsupportedGenerator(
-                f"{f.name} at {lam} satisfies neither supported regime"
-            )
+        cond = _regime(f, lam)
         block = blocks[j]
         bound = tol * (1.0 + float(np.linalg.norm(block)))
         kappa = 0.0
@@ -348,36 +371,9 @@ def _generating_points(S: ConvexSet2D):
 
 def subderivative_radius(cluster: RootCluster, v: Poly, tol: float = 1e-8,
                          active_tol: float = 1e-8) -> float:
-    """Lower directional derivative of the root radius (max root modulus) at
-    a monic polynomial with positive radius.
-
-    Finite exactly when, at every active root, omega_j2 lies in the closed
-    cone spanned by lam_j^2 and the deeper coordinates vanish; the value is
-    then max over active roots of
-    (|omega_j2| - Re(conj(lam_j) omega_j1)) / (|lam_j| n_j).
-    The leading coordinate direction rescales the polynomial and never moves
-    its roots, so it does not enter.
-    """
-    radius = max(abs(r) for r in cluster.roots) if cluster.roots else 0.0
-    if radius <= 0:
-        raise ValueError(
-            "zero root radius: use the quadratic-modulus generator or the "
-            "matrix path at the origin"
-        )
-    active = [j for j, r in enumerate(cluster.roots) if abs(r) >= radius - active_tol]
-    blocks = _split_blocks(cluster, _coords_of(cluster, v))
-    vals = []
-    for j in active:
-        lam, n_j = cluster.roots[j], cluster.mults[j]
-        block = blocks[j]
-        om2_abs = 0.0
-        if n_j >= 2:
-            t = block[1] / (lam * lam)
-            if abs(t.imag) > tol * (1.0 + abs(t)) or t.real < -tol:
-                return math.inf
-            om2_abs = abs(block[1])
-        if any(abs(block[s]) > tol * (1.0 + float(np.linalg.norm(block)))
-               for s in range(2, n_j)):
-            return math.inf
-        vals.append((om2_abs - re_cip(lam, block[0])) / (abs(lam) * n_j))
-    return max(vals)
+    """Lower directional derivative of the root radius (max root modulus):
+    at radius rho > 0, :func:`subderivative_f` of radius2 divided by rho,
+    which is max over active roots of (|omega_j2| - Re(conj(lam_j) omega_j1))
+    / (rho n_j) when every omega_j2 lies in the closed cone spanned by
+    lam_j^2 and the deeper coordinates vanish, and inf otherwise."""
+    return subderivative_f(cluster, builtin("radius"), v, tol, active_tol)

@@ -4,13 +4,17 @@ A subgradient candidate Y is analyzed through the transformed coordinates
 W = P^{-*} Y P^{*} of the declared Jordan structure.  Regular subgradients
 force W to be block diagonal across distinct eigenvalues with each block a
 direct sum of lower triangular Toeplitz sub-blocks sharing their diagonal
-values; on top of this structure sit the weight conditions on the diagonals
-and a halfplane inequality on the subdiagonals.  The same set is reachable
-through the polynomial route (factor coordinates of the active factor), and
-the two are used as mutual cross-checks.
+values.  On top of this structure, the negated diagonals -theta_j of the
+active eigenvalues go through the same per-root decision as the polynomial
+route (:func:`polysub.block_failures`): weights on the first coordinates,
+a halfplane or the squared-generator cone on the second.  The polynomial
+route reaches the same set through the factor coordinates of the active
+factor, and the two are used as mutual cross-checks.  The spectral radius
+enters through :func:`generators.radius_transform`.
 
-Tolerances: structural zeros are relative (1e-9 times the candidate norm),
-weight-simplex checks use 1e-8, inequality slacks 1e-10 absolute.
+Tolerances: structural zeros are relative (1e-9 times max(1, |Y|)); the
+first and second coordinates of the active blocks are checked within
+1e-10 times max(1, |Y|), and the weight sum within 1e-8.
 
 All operations are pure given an immutable spec; batch verification can fan
 out freely across samples.
@@ -19,30 +23,34 @@ out freely across samples.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .cpoly import RootCluster, _cluster_rows, _fvalue, active_set
 from .generators import (
     COND14,
-    COND15,
     Generator,
     UnsupportedGenerator,
-    condition_check,
+    builtin,
+    radius_transform,
     re_cip,
 )
 from .jordan import (
     DerogatoryEigenvalue,
-    DomainError,
     JordanSpec,
     R_matrix,
     active_factor,
+    declared_active,
     nilpotent,
 )
-from .polysub import Dp_horizon_membership, Dp_membership
+from .polysub import (
+    SIMPLEX_TOL,
+    Dp_horizon_membership,
+    Dp_membership,
+    _ActiveBlock,
+    block_failures,
+)
 
 __all__ = [
     "Violation",
@@ -60,13 +68,13 @@ __all__ = [
     "regularity_verdict",
     "derogatory_witness",
     "STRUCT_TOL",
-    "WEIGHT_TOL",
     "INEQ_SLACK",
 ]
 
 STRUCT_TOL = 1e-9   # relative, structural zeros and Toeplitz deviations
-WEIGHT_TOL = 1e-8   # weight realness/nonnegativity and simplex sum
-INEQ_SLACK = 1e-10  # absolute slack on halfplane inequalities
+INEQ_SLACK = 1e-10  # relative, the first and second coordinates of active blocks
+
+_RADIUS = builtin("radius")
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,6 @@ class ToeplitzParams:
     theta: dict
     flags: dict
     violations: list
-    sigma: Optional[dict] = None
 
     def theta_of(self, j: int, s: int) -> complex:
         """theta_{j,s} with s starting at 1 (diagonal)."""
@@ -107,10 +114,7 @@ class MembershipReport:
         payload = {
             "verdict": self.verdict,
             "failed_conditions": [v.to_json() for v in self.failed],
-            "details": {
-                k: (v if not isinstance(v, complex) else [v.real, v.imag])
-                for k, v in self.details.items()
-            },
+            "details": self.details,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -196,11 +200,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
         "equal_diagonals": True,
     }
 
-    segments = []
-    if spec.n0:
-        segments.append(("rest", slice(0, spec.n0)))
-    for j in range(spec.num_eigs):
-        segments.append((f"eig{j}", spec.eig_slice(j)))
+    segments = _segments(spec)
     for a, (name_a, sl_a) in enumerate(segments):
         for b, (name_b, sl_b) in enumerate(segments):
             if a == b:
@@ -240,7 +240,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
                 if m_k >= s:
                     blk = W[sl_k, sl_k]
                     entries.extend(blk[i + s - 1, i] for i in range(m_k - s + 1))
-            center = complex(np.mean(entries))
+            center = sum(entries) / len(entries)
             vals[s - 1] = center
             dev = max(abs(e - center) for e in entries)
             if level == "regular" and dev > atol:
@@ -258,6 +258,12 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
     )
 
 
+def _segments(spec: JordanSpec) -> list:
+    """(name, slice) of the rest block, if any, and of each eigenvalue."""
+    rest = [("rest", slice(0, spec.n0))] if spec.n0 else []
+    return rest + [(f"eig{j}", spec.eig_slice(j)) for j in range(spec.num_eigs)]
+
+
 def _rect_toeplitz_residual(blk: np.ndarray, m_r: int, m_s: int) -> float:
     """Deviation from the rectangular lower-triangular Toeplitz pattern:
     entries constant along diagonals, zero above the main diagonal drawn
@@ -271,136 +277,58 @@ def _rect_toeplitz_residual(blk: np.ndarray, m_r: int, m_s: int) -> float:
         if d < min_d:
             res = max(res, max(abs(e) for e in entries))
         else:
-            center = complex(np.mean(entries))
+            center = sum(entries) / len(entries)
             res = max(res, max(abs(e - center) for e in entries))
     return res
 
 
-# -- active sets over declared structure ---------------------------------------
-
-
-def _declared_active(spec: JordanSpec, f, active_tol: float = 1e-8):
-    value_of = f.value if hasattr(f, "value") else f
-    vals = [float(value_of(spec.eig_value(j))) for j in range(spec.num_eigs)]
-    b_vals = [float(value_of(mu)) for mu in spec.b_eigenvalues]
-    if any(math.isinf(v) for v in vals + b_vals):
-        raise DomainError("an eigenvalue lies outside the domain of the generator")
-    value = max(vals + b_vals)
-    if any(v >= value - active_tol for v in b_vals):
-        raise ValueError(
-            "an eigenvalue of the rest block attains the max; declare its structure"
-        )
-    return value, [j for j, v in enumerate(vals) if v >= value - active_tol]
-
-
-def _require_smooth_regime(spec: JordanSpec, f: Generator, active):
-    for j in active:
-        lam = spec.eig_value(j)
-        if condition_check(f, lam) != COND14:
-            raise UnsupportedGenerator(
-                f"{f.name} must be quadratic or C^2 positive definite at the "
-                f"active eigenvalue {lam}"
-            )
-        g = f.grad(lam)
-        if g is None or g == 0:
-            raise UnsupportedGenerator(
-                f"gradient of {f.name} vanishes (or is undefined) at {lam}"
-            )
+# -- the direct route -------------------------------------------------------------
 
 
 def _inactive_violations(spec: JordanSpec, W: np.ndarray, active, atol: float):
-    out = []
-    if spec.n0:
-        r = float(np.abs(W[: spec.n0, : spec.n0]).max())
-        if r > atol:
-            out.append(Violation("inactive_block_zero", r, "rest"))
-    for j in range(spec.num_eigs):
-        if j in active:
-            continue
-        sl = spec.eig_slice(j)
-        r = float(np.abs(W[sl, sl]).max())
-        if r > atol:
-            out.append(Violation("inactive_block_zero", r, f"eig{j}"))
-    return out
+    kept = {f"eig{j}" for j in active}
+    res = [(name, float(np.abs(W[sl, sl]).max()))
+           for name, sl in _segments(spec) if name not in kept]
+    return [Violation("inactive_block_zero", r, name) for name, r in res if r > atol]
 
 
-# -- regular subdifferential, smooth regime ------------------------------------
+def _membership(spec: JordanSpec, f, Y, tol: float, horizon: bool) -> MembershipReport:
+    """One active set, the regular W structure of Y, vanishing inactive
+    blocks, and the active blocks -theta_j through
+    :func:`polysub.block_failures` at INEQ_SLACK * max(1, |Y|).  The radius
+    transform scales the blocks and that tolerance by rho alike, so the
+    core's residuals for the radius are those of rho * Y under radius2."""
+    f, rho, active = declared_active(spec, f)
+    params = W_extract(spec, Y, level="regular", tol=tol)
+    scale = max(1.0, float(np.linalg.norm(np.asarray(Y))))
+    failed = params.violations + _inactive_violations(spec, params.W, active, tol * scale)
+    data = [_ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
+    core, gammas = block_failures(data, [-rho * params.theta[j] for j in active],
+                                  rho * INEQ_SLACK * scale, horizon)
+    failed += [Violation(c, r, "active" if i is None else f"eig{active[i]}")
+               for c, r, i in core]
+    details = {"active": active}
+    if gammas is not None:
+        details["gamma"] = dict(zip(active, gammas.tolist()))
+    return MembershipReport(verdict=not failed, failed=failed, details=details)
 
 
 def rsd_membership(spec: JordanSpec, f: Generator, Y,
                    tol: float = STRUCT_TOL) -> MembershipReport:
-    """Regular subgradient test through the transformed coordinates W.
-
-    Conditions: the regular W structure; vanishing inactive blocks; weights
-    sigma_j = theta_j1 / grad f real and nonnegative with the multiplicities
-    summing them to one over the active eigenvalues; and for blocks of size
-    at least two, Re<theta_j2, (grad f)^2> >= -sigma_j * eta_j with eta_j
-    the curvature of f orthogonal to its gradient.
-    """
-    _, active = _declared_active(spec, f)
-    _require_smooth_regime(spec, f, active)
-    params = W_extract(spec, Y, level="regular", tol=tol)
-    scale = max(1.0, float(np.linalg.norm(np.asarray(Y))))
-    failed = list(params.violations)
-    failed += _inactive_violations(spec, params.W, active, tol * scale)
-
-    sigma = {}
-    total = 0.0 + 0.0j
-    for j in active:
-        lam = spec.eig_value(j)
-        g = f.grad(lam)
-        s = params.theta_of(j, 1) / g
-        sigma[j] = s
-        total += spec.n_j(j) * s
-        if abs(s.imag) > WEIGHT_TOL:
-            failed.append(Violation("weight_real", abs(s.imag), f"eig{j}"))
-        if s.real < -WEIGHT_TOL:
-            failed.append(Violation("weight_nonnegative", -s.real, f"eig{j}"))
-    if abs(total - 1.0) > WEIGHT_TOL:
-        failed.append(Violation("weight_sum_one", abs(total - 1.0), "active"))
-
-    for j in active:
-        if spec.m_j(j) < 2:
-            continue
-        lam = spec.eig_value(j)
-        g = f.grad(lam)
-        lhs = re_cip(params.theta_of(j, 2), g * g)
-        rhs = -max(sigma[j].real, 0.0) * f.eta(lam)
-        if lhs < rhs - INEQ_SLACK:
-            failed.append(Violation("subdiagonal_halfplane", rhs - lhs, f"eig{j}"))
-
-    params.sigma = sigma
-    return MembershipReport(
-        verdict=not failed,
-        failed=failed,
-        details={"sigma": {j: [s.real, s.imag] for j, s in sigma.items()},
-                 "active": list(active)},
-    )
+    """Regular subgradient test through the transformed coordinates W: the
+    regular W structure, vanishing inactive blocks, and weights gamma_j >= 0
+    summing to one with theta_j1 in gamma_j / n_j times the subdifferential
+    and, for blocks of size at least two, theta_j2 in the weighted halfplane
+    Re<theta_j2, (grad f)^2> >= -gamma_j eta_j / n_j (smooth regime) or in
+    -q_set (corner regime)."""
+    return _membership(spec, f, Y, tol, horizon=False)
 
 
 def rsd_recession_membership(spec: JordanSpec, f: Generator, Y,
                              tol: float = STRUCT_TOL) -> MembershipReport:
     """Recession-cone test: regular W structure, vanishing inactive blocks,
-    zero diagonals on active blocks, and nonnegative halfplane inequality on
-    the subdiagonals."""
-    _, active = _declared_active(spec, f)
-    _require_smooth_regime(spec, f, active)
-    params = W_extract(spec, Y, level="regular", tol=tol)
-    scale = max(1.0, float(np.linalg.norm(np.asarray(Y))))
-    failed = list(params.violations)
-    failed += _inactive_violations(spec, params.W, active, tol * scale)
-
-    for j in active:
-        t1 = params.theta_of(j, 1)
-        if abs(t1) > tol * scale:
-            failed.append(Violation("diagonal_zero", abs(t1), f"eig{j}"))
-        if spec.m_j(j) >= 2:
-            g = f.grad(spec.eig_value(j))
-            lhs = re_cip(params.theta_of(j, 2), g * g)
-            if lhs < -INEQ_SLACK:
-                failed.append(Violation("subdiagonal_halfplane", -lhs, f"eig{j}"))
-    return MembershipReport(verdict=not failed, failed=failed,
-                            details={"active": list(active)})
+    zero diagonals on active blocks, and the subdiagonals in -q_set."""
+    return _membership(spec, f, Y, tol, horizon=True)
 
 
 def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
@@ -412,12 +340,18 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
     gamma_j * grad f / n_j.  ``theta2`` maps active eigenvalue indices to
     subdiagonal values (validated against the halfplane inequality; sampled
     inside it when omitted), ``deep`` maps them to the free deeper
-    diagonals.  The result always passes :func:`rsd_membership`.
+    diagonals.  The result always passes :func:`rsd_membership`.  For the
+    spectral radius it is a sample of radius2 divided by the radius.
     """
     rng = np.random.default_rng(seed)
-    _, active = _declared_active(spec, f)
-    _require_smooth_regime(spec, f, active)
+    f, rho, active = declared_active(spec, f)
+    data = {j: _ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active}
     for j in active:
+        if data[j].cond != COND14:
+            raise UnsupportedGenerator(
+                f"explicit construction needs the smooth regime, which {f.name} "
+                f"lacks at the active eigenvalue {spec.eig_value(j)}"
+            )
         if not spec.nonderogatory(j):
             raise DerogatoryEigenvalue(
                 f"explicit construction needs nonderogatory active eigenvalues; "
@@ -426,20 +360,18 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
     if gamma is None:
         gamma = np.full(len(active), 1.0 / len(active))
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.size != len(active) or gamma.min() < -WEIGHT_TOL or abs(gamma.sum() - 1) > WEIGHT_TOL:
+    if gamma.size != len(active) or gamma.min() < -SIMPLEX_TOL or abs(gamma.sum() - 1) > SIMPLEX_TOL:
         raise ValueError("gamma must be a point of the simplex over the active set")
     theta2 = dict(theta2 or {})
     deep = dict(deep or {})
 
     W = np.zeros((spec.n, spec.n), dtype=complex)
     for idx, j in enumerate(active):
-        lam, n_j = spec.eig_value(j), spec.n_j(j)
-        g = f.grad(lam)
+        lam, n_j, d = spec.eig_value(j), spec.n_j(j), data[j]
         thetas = np.zeros(n_j, dtype=complex)
-        thetas[0] = gamma[idx] * g / n_j
+        thetas[0] = gamma[idx] * d.subdiff.the_point() / n_j
         if n_j >= 2:
-            w = g * g
-            floor = -(gamma[idx] / n_j) * f.eta(lam)
+            w, floor = d.w, -(gamma[idx] / n_j) * f.eta(lam)
             if j in theta2:
                 t2 = complex(theta2[j])
                 if re_cip(t2, w) < floor - INEQ_SLACK:
@@ -465,7 +397,7 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
             block += thetas[s] * power
             power = power @ Nt
         W[sl, sl] = block
-    return spec.from_W(W)
+    return spec.from_W(W) / rho
 
 
 # -- chain rule route -----------------------------------------------------------
@@ -476,9 +408,11 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
     """Membership via the polynomial route: invert the coordinate-to-matrix
     map on its range (least squares plus a residual gate) and test the
     coordinate set of the active factor.  Needs nonderogatory active
-    eigenvalues; supports both the smooth and the corner regime of f.
+    eigenvalues; supports both the smooth and the corner regime of f, and
+    the spectral radius through its transform.
     """
     cluster, aspec = active_factor(spec, f)
+    f, rho = radius_transform(f, cluster.roots)  # the active roots attain the radius
     M = R_matrix(aspec)  # raises on derogatory active eigenvalues
     Y = np.asarray(Y, dtype=complex)
     rhs = -Y.ravel()
@@ -486,132 +420,32 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
     resid = float(np.linalg.norm(M @ v - rhs))
     if resid > tol * max(1.0, float(np.linalg.norm(Y))):
         return False
-    c = np.concatenate(([0.0 + 0.0j], v))
-    if horizon:
-        return Dp_horizon_membership(cluster, f, c, tol)
-    return Dp_membership(cluster, f, c, tol)
+    c = rho * np.concatenate(([0.0 + 0.0j], v))
+    member = Dp_horizon_membership if horizon else Dp_membership
+    return member(cluster, f, c, rho * tol)
 
 
-# -- spectral radius specializations ---------------------------------------------
-
-
-def _radius_active(spec: JordanSpec, active_tol: float = 1e-8):
-    mods = [abs(spec.eig_value(j)) for j in range(spec.num_eigs)]
-    b_mods = [abs(mu) for mu in spec.b_eigenvalues]
-    rho = max(mods + b_mods)
-    if any(m >= rho - active_tol for m in b_mods):
-        raise ValueError(
-            "an eigenvalue of the rest block attains the spectral radius; "
-            "declare its structure"
-        )
-    return rho, [j for j, m in enumerate(mods) if m >= rho - active_tol]
+# -- spectral radius entry points -------------------------------------------------
 
 
 def radius_rsd_membership(spec: JordanSpec, Y, tol: float = STRUCT_TOL,
                           horizon: bool = False) -> MembershipReport:
     """Regular subgradient (or recession direction) test for the spectral
-    radius at a base point with positive radius.
-
-    Diagonal values must lie on the outward ray: theta_j1 / lam_j real and
-    nonnegative with sum_j n_j theta_j1 |lam_j| / lam_j = 1; for blocks of
-    size at least two, Re(conj(theta_j2) lam_j^2) >= -theta_j1 |lam_j|^2 / lam_j.
-    The recession variant zeroes the diagonals and drops the right-hand sides.
-    """
-    rho, active = _radius_active(spec)
-    if rho <= 0:
+    radius at a base point with positive radius: the test of radius2 on
+    rho * Y."""
+    if all(lam == 0 for lam, _ in spec.eigs) and not spec.b_eigenvalues.any():
         raise ValueError("zero spectral radius: use the origin-specific test")
-    params = W_extract(spec, Y, level="regular", tol=tol)
-    scale = max(1.0, float(np.linalg.norm(np.asarray(Y))))
-    failed = list(params.violations)
-    failed += _inactive_violations(spec, params.W, active, tol * scale)
-
-    if horizon:
-        for j in active:
-            t1 = params.theta_of(j, 1)
-            if abs(t1) > tol * scale:
-                failed.append(Violation("diagonal_zero", abs(t1), f"eig{j}"))
-            if spec.m_j(j) >= 2:
-                lam = spec.eig_value(j)
-                lhs = re_cip(params.theta_of(j, 2), lam * lam)
-                if lhs < -INEQ_SLACK:
-                    failed.append(Violation("subdiagonal_halfplane", -lhs, f"eig{j}"))
-        return MembershipReport(verdict=not failed, failed=failed,
-                                details={"active": list(active), "rho": rho})
-
-    total = 0.0 + 0.0j
-    rays = {}
-    for j in active:
-        lam = spec.eig_value(j)
-        t1 = params.theta_of(j, 1)
-        ray = t1 / lam
-        rays[j] = ray
-        total += spec.n_j(j) * t1 * abs(lam) / lam
-        if abs(ray.imag) > WEIGHT_TOL:
-            failed.append(Violation("diagonal_ray_real", abs(ray.imag), f"eig{j}"))
-        if ray.real < -WEIGHT_TOL:
-            failed.append(Violation("diagonal_ray_nonnegative", -ray.real, f"eig{j}"))
-    if abs(total - 1.0) > WEIGHT_TOL:
-        failed.append(Violation("weight_sum_one", abs(total - 1.0), "active"))
-    for j in active:
-        if spec.m_j(j) < 2:
-            continue
-        lam = spec.eig_value(j)
-        lhs = re_cip(params.theta_of(j, 2), lam * lam)
-        rhs = -np.real(params.theta_of(j, 1) * abs(lam) ** 2 / lam)
-        if lhs < rhs - INEQ_SLACK:
-            failed.append(Violation("subdiagonal_halfplane", rhs - lhs, f"eig{j}"))
-    return MembershipReport(
-        verdict=not failed,
-        failed=failed,
-        details={"active": list(active), "rho": rho,
-                 "rays": {j: [r.real, r.imag] for j, r in rays.items()}},
-    )
+    return _membership(spec, _RADIUS, Y, tol, horizon)
 
 
 def radius_rsd_zero(spec: JordanSpec, Y, tol: float = STRUCT_TOL,
                     horizon: bool = False) -> MembershipReport:
     """Regular subgradient (or recession direction) test for the spectral
-    radius at a nilpotent base point: regular W structure with the single
-    diagonal value bounded by 1/n (zero for the recession variant)."""
+    radius at a nilpotent base point, the corner block of the modulus: |theta_1|
+    at most 1/n (zero for the recession variant), theta_2 free."""
     if spec.n0 or spec.num_eigs != 1 or spec.eig_value(0) != 0:
         raise ValueError("origin test needs a single declared eigenvalue 0")
-    params = W_extract(spec, Y, level="regular", tol=tol)
-    scale = max(1.0, float(np.linalg.norm(np.asarray(Y))))
-    failed = list(params.violations)
-    t1 = params.theta_of(0, 1)
-    if horizon:
-        if abs(t1) > tol * scale:
-            failed.append(Violation("diagonal_zero", abs(t1), "eig0"))
-    else:
-        if abs(t1) > 1.0 / spec.n + INEQ_SLACK:
-            failed.append(
-                Violation("diagonal_modulus_bound", abs(t1) - 1.0 / spec.n, "eig0")
-            )
-    return MembershipReport(verdict=not failed, failed=failed,
-                            details={"theta1": [t1.real, t1.imag], "n": spec.n})
-
-
-def reading_comparison(spec: JordanSpec, f: Generator, Y, tol: float = STRUCT_TOL) -> dict:
-    """Strict-mode diagnostic: the adopted convention next to the rejected
-    alternative readings of the explicit-representation display.
-
-    Reports the verdict under (a) the adopted convention (diagonals
-    +gamma_j grad f / n_j, coordinates W = P^{-*} Y P^{*}), (b) the
-    sign-flipped diagonal reading (diagonals -gamma_j grad f / n_j, i.e. the
-    candidate -Y under (a)), and (c) the transpose variant that transforms
-    with P^{-*} Y P instead of P^{-*} Y P^{*} (structure check only, since
-    the weight conditions presuppose reading (a)).
-    """
-    adopted = rsd_membership(spec, f, Y, tol)
-    flipped = rsd_membership(spec, f, -np.asarray(Y, dtype=complex), tol)
-    W_alt = spec.Pinvstar @ np.asarray(Y, dtype=complex) @ spec.P
-    alt_params = W_extract(spec, spec.from_W(W_alt), level="regular", tol=tol)
-    return {
-        "adopted": adopted.verdict,
-        "sign_flipped": flipped.verdict,
-        "transpose_variant_structure": alt_params.ok,
-        "adopted_report": adopted,
-    }
+    return _membership(spec, _RADIUS, Y, tol, horizon)
 
 
 # -- regularity and the derogatory witness ---------------------------------------
@@ -619,10 +453,7 @@ def reading_comparison(spec: JordanSpec, f: Generator, Y, tol: float = STRUCT_TO
 
 def regularity_verdict(spec: JordanSpec, f) -> str:
     """"regular" iff every active eigenvalue is a single Jordan block."""
-    if getattr(f, "name", None) == "radius":
-        _, active = _radius_active(spec)
-    else:
-        _, active = _declared_active(spec, f)
+    _, _, active = declared_active(spec, f)
     ok = all(spec.nonderogatory(j) for j in active)
     return "regular" if ok else "not_regular"
 
@@ -667,13 +498,7 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     """
     if count < 1:
         raise ValueError(f"the witness sequence needs at least one member, got {count}")
-    radius_mode = getattr(f, "name", None) == "radius"
-    if radius_mode:
-        rho, active = _radius_active(spec, active_tol)
-        zero_mode = rho == 0
-    else:
-        _, active = _declared_active(spec, f, active_tol)
-        zero_mode = False
+    _, _, active = declared_active(spec, f, active_tol)
     target = next((j for j in active if not spec.nonderogatory(j)), None)
     if target is None:
         raise ValueError("no derogatory active eigenvalue to witness")
@@ -682,17 +507,14 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     lam = spec.eig_value(target)
     m_k = spec.block_sizes(target)[block_index]
 
-    if zero_mode:
-        direction = 1.0 + 0j
-        grad_at = lambda z: 1.0 + 0j  # grad of the modulus along the positive ray
-    else:
-        g = f.grad(lam)
-        if g is None or g == 0:
-            raise UnsupportedGenerator(
-                f"witness needs a nonzero gradient of {f.name} at {lam}"
-            )
-        direction = g / abs(g)
-        grad_at = f.grad
+    # at a corner, such as the radius at the nilpotent origin, the gradient
+    # on the ray lam + t (t > 0), where the modulus has a constant one
+    g = f.grad(lam)
+    if g is None:
+        g = f.grad(lam + 1.0)
+    if not g:
+        raise UnsupportedGenerator(f"witness needs a nonzero gradient of {f.name} at {lam}")
+    direction = g / abs(g)
 
     seps = [abs(lam - spec.eig_value(i)) for i in range(spec.num_eigs) if i != target]
     seps += [abs(lam - mu) for mu in spec.b_eigenvalues]
@@ -708,25 +530,16 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     for nu in range(1, count + 1):
         lam_nu = lam + (step0 / nu) * direction
         spec_nu = split.with_eigenvalue(idx, lam_nu)
-        Y_nu = (grad_at(lam_nu) / m_k) * Y_basis
-        if radius_mode:
-            rep = radius_rsd_membership(spec_nu, Y_nu)
-        else:
-            rep = rsd_membership(spec_nu, f, Y_nu)
+        Y_nu = (f.grad(lam_nu) / m_k) * Y_basis
+        rep = rsd_membership(spec_nu, f, Y_nu)
         witnesses.append((spec_nu, Y_nu))
         per_nu.append(rep.verdict)
 
-    g_lim = 1.0 + 0j if zero_mode else f.grad(lam)
     E = np.zeros((spec.n, spec.n), dtype=complex)
     sl = spec.subblock_slices(target)[block_index]
     E[sl, sl] = np.eye(m_k)
-    M = (g_lim / m_k) * spec.from_W(E)
-    if radius_mode and zero_mode:
-        base_rep = radius_rsd_zero(spec, M)
-    elif radius_mode:
-        base_rep = radius_rsd_membership(spec, M)
-    else:
-        base_rep = rsd_membership(spec, f, M)
+    M = (g / m_k) * spec.from_W(E)
+    base_rep = rsd_membership(spec, f, M)
 
     report = {
         "per_nu": per_nu,

@@ -178,6 +178,23 @@ class TestVerify:
         assert code == 0
         assert payload["witness"]["ok"]
 
+    def test_radius_runs_both_routes(self, capsys, paths):
+        spath = paths("A.json", spec_to_json(fixture_two_active()))
+        code, out = run(capsys, ["verify", spath, "--f", "radius",
+                                 "--samples", "300", "--seed", "2"])
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"]
+        assert payload["members_checked"] == 3
+        assert payload["cross_route_failures"] == 0
+
+    def test_radius_at_the_nilpotent_origin_exits_2(self, capsys, paths):
+        spath = paths("J3.json", {"eigs": [{"lambda": [0.0, 0.0], "blocks": [3]}]})
+        code = main(["verify", spath, "--f", "radius", "--samples", "20"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "radius at the nilpotent origin" in captured.err
+        assert "radius2" not in captured.err
+
     def test_bad_seed_type_exits_2(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         code, _ = run(capsys, ["verify", spath, "--f", "abscissa", "--seed", "x"])

@@ -36,7 +36,6 @@ from .jordan import (
     DomainError,
     JordanSpec,
     R_apply,
-    active_factor,
     char_poly,
     char_poly_deriv_action,
     det_expansion_residual,

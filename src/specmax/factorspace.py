@@ -141,8 +141,9 @@ def T_inverse(base: RootCluster, coords: np.ndarray) -> FactorSpaceElem:
     return FactorSpaceElem(base, coords[0], tuple(factors))
 
 
-def F_deriv0_inv(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> FactorSpaceElem:
-    """The unique w with F_deriv0(base, w) = v, by a dense coordinate solve.
+def _solve_coords(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> np.ndarray:
+    """The Taylor coordinates (omega_0, omega_11, ..., omega_mn_m) of the
+    unique w with F_deriv0(base, w) = v, by a dense coordinate solve.
 
     The stacked coordinate matrix is nonsingular whenever the base roots are
     distinct; the solve is guarded by an explicit residual check.
@@ -159,7 +160,12 @@ def F_deriv0_inv(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> Fac
     resid = float(np.linalg.norm(M @ coords - rhs))
     if resid > residual_tol * max(1.0, float(np.linalg.norm(rhs))):
         raise ValueError(f"factor coordinate solve residual {resid:.3e} too large")
-    return T_inverse(base, coords)
+    return coords
+
+
+def F_deriv0_inv(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> FactorSpaceElem:
+    """The unique w with F_deriv0(base, w) = v (see :func:`_solve_coords`)."""
+    return T_inverse(base, _solve_coords(base, v, residual_tol))
 
 
 def sp_inner(u: FactorSpaceElem, w: FactorSpaceElem) -> complex:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, elementary, lex_key
+from .cpoly import Poly, elementary, lex_key
 from .generators import radius_transform
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "det_expansion_residual",
     "lambda_grad",
     "declared_active",
-    "active_factor",
     "R_apply",
     "R_matrix",
     "matrix_to_json",
@@ -219,16 +218,6 @@ class JordanSpec:
         out[sl, sl] = M
         return out
 
-    def jordan_power_embed(self, j: int, s: int) -> np.ndarray:
-        """Embedded N_j^s (the identity for s = 0); needs a single block."""
-        if s == 0:
-            return self.embed_block(j, np.eye(self.n_j(j), dtype=complex))
-        if not self.nonderogatory(j):
-            raise DerogatoryEigenvalue(
-                f"eigenvalue {self.eig_value(j)} has {self.q_j(j)} Jordan blocks"
-            )
-        return self.embed_block(j, np.linalg.matrix_power(nilpotent(self.n_j(j)), s))
-
     def to_W(self, Y: np.ndarray) -> np.ndarray:
         """Transformed subgradient coordinates W = P^{-*} Y P^{*}."""
         return self.Pinvstar @ np.asarray(Y, dtype=complex) @ self.Pstar
@@ -329,15 +318,9 @@ def gj_deriv_adjoint(spec: JordanSpec, j: int, h: Poly) -> np.ndarray:
     from .cpoly import taylor_coeff
 
     lam, n_j = spec.eig_value(j), spec.n_j(j)
-    if not spec.nonderogatory(j):
-        raise DerogatoryEigenvalue("adjoint formula needs a single Jordan block")
     h = h.padded(max(h.degree_bound, n_j - 1))
-    out = np.zeros((spec.n, spec.n), dtype=complex)
-    for s in range(n_j):
-        c = taylor_coeff(h, n_j - s - 1, lam)
-        A = spec.jordan_power_embed(j, s).conj().T
-        out -= c * (spec.Pstar @ A @ spec.Pinvstar)
-    return out
+    return -sum(taylor_coeff(h, n_j - s - 1, lam) * _R_column(spec, j, s)
+                for s in range(n_j))
 
 
 def det_expansion_residual(n: int, lam, xi_grid) -> float:
@@ -374,15 +357,9 @@ def lambda_grad(spec: JordanSpec, j: int, s: int) -> np.ndarray:
     matrix: (n_j - s)^{-1} P^* (N_j^s)^* P^{-*}; eigenvalue j must be a
     single Jordan block."""
     n_j = spec.n_j(j)
-    if not spec.nonderogatory(j):
-        raise DerogatoryEigenvalue(
-            f"eigenvalue {spec.eig_value(j)} is derogatory; the coefficient "
-            "gradients exist only for single Jordan blocks"
-        )
     if not 0 <= s <= n_j - 1:
         raise ValueError(f"coefficient index {s} outside 0..{n_j - 1}")
-    Jjs = spec.jordan_power_embed(j, s)
-    return (spec.Pstar @ Jjs.conj().T @ spec.Pinvstar) / (n_j - s)
+    return _R_column(spec, j, s) / (n_j - s)
 
 
 def declared_active(spec: JordanSpec, f, tol: float = 1e-8) -> tuple:
@@ -413,54 +390,27 @@ def declared_active(spec: JordanSpec, f, tol: float = 1e-8) -> tuple:
     return g, rho, [j for j, v in enumerate(vals) if v >= value - tol]
 
 
-def active_factor(spec: JordanSpec, f, tol: float = 1e-8):
-    """Split the declared structure at the maximizers of f over the spectrum.
-
-    Returns ``(cluster, active_spec)``: the monic factor carrying the active
-    eigenvalues (as a lex-ordered root cluster) and a re-laid-out spec whose
-    declared eigenvalues are exactly the active ones, everything else
-    absorbed into the rest block.
-    """
-    _, _, active = declared_active(spec, f, tol)
-    inactive = [j for j in range(spec.num_eigs) if j not in active]
-
-    cluster = RootCluster.sorted(
-        (spec.eig_value(j), spec.n_j(j)) for j in active
-    )
-    active_sorted = sorted(active, key=lambda j: lex_key(spec.eig_value(j)))
-
-    perm = list(range(spec.n0))
-    for j in inactive:
-        sl = spec.eig_slice(j)
-        perm.extend(range(sl.start, sl.stop))
-    n0_new = len(perm)
-    for j in active_sorted:
-        sl = spec.eig_slice(j)
-        perm.extend(range(sl.start, sl.stop))
-
-    Pi = np.eye(spec.n)[perm, :]
-    J_new = Pi @ spec.jordan_matrix() @ Pi.T
-    active_spec = JordanSpec(
-        [(spec.eig_value(j), spec.block_sizes(j)) for j in active_sorted],
-        P=Pi @ spec.P,
-        B=J_new[:n0_new, :n0_new],
-    )
-    return cluster, active_spec
+def _R_column(spec: JordanSpec, j: int, s: int) -> np.ndarray:
+    """P^* (N_j^s)^* P^{-*}: (N_j^s)^* has ones at (i + s, i) of eigenvalue
+    j's slot, so the product is the outer products of P^*'s columns i + s
+    with P^{-*}'s rows i.  Eigenvalue j must be a single Jordan block."""
+    if not spec.nonderogatory(j):
+        raise DerogatoryEigenvalue(
+            f"eigenvalue {spec.eig_value(j)} has {spec.q_j(j)} Jordan blocks"
+        )
+    sl = spec.eig_slice(j)
+    return spec.Pstar[:, sl.start + s: sl.stop] @ spec.Pinvstar[sl.start: sl.stop - s]
 
 
-def R_matrix(spec: JordanSpec) -> np.ndarray:
-    """Stacked columns vec(P^* (N_j^s)^* P^{-*}) over the declared
-    eigenvalues, the linear map behind the matrix part of R."""
-    cols = []
-    for j in range(spec.num_eigs):
-        if not spec.nonderogatory(j):
-            raise DerogatoryEigenvalue(
-                f"eigenvalue {spec.eig_value(j)} is derogatory"
-            )
-        for s in range(spec.n_j(j)):
-            A = spec.Pstar @ spec.jordan_power_embed(j, s).conj().T @ spec.Pinvstar
-            cols.append(A.ravel())
-    return np.stack(cols, axis=1)
+def R_matrix(spec: JordanSpec, eigs=None) -> np.ndarray:
+    """Stacked columns vec(P^* (N_j^s)^* P^{-*}), s = 0..n_j - 1, for the
+    declared eigenvalues j listed in ``eigs``, in that order (all of them by
+    default): the linear map behind the matrix part of R.  A subset of the
+    eigenvalues needs no re-laid-out spec, because a permutation of the
+    block layout cancels between P^* and P^{-*}."""
+    eigs = range(spec.num_eigs) if eigs is None else eigs
+    return np.stack([_R_column(spec, j, s).ravel()
+                     for j in eigs for s in range(spec.n_j(j))], axis=1)
 
 
 def R_apply(spec: JordanSpec, v) -> tuple:

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .cpoly import Poly, RootCluster, active_set
-from .factorspace import F_deriv0_inv, T_apply
+from .factorspace import _solve_coords
 from .generators import (
     COND14,
     COND15,
@@ -287,24 +287,17 @@ def _sample_set(S: ConvexSet2D, rng, interior: bool = False) -> complex:
     raise ValueError(f"cannot sample from set kind {S.kind!r}")
 
 
-def _coords_of(cluster: RootCluster, v: Poly) -> np.ndarray:
-    """Coordinates (omega_0, omega_11, ..., omega_mn_m) with v = F'(0) applied
-    to them, per-root blocks in Taylor form."""
-    w = F_deriv0_inv(cluster, v)
-    return T_apply(cluster, w)
-
-
 def rsd_f_membership(cluster: RootCluster, f: Generator, v: Poly,
                      tol: float = 1e-8) -> bool:
     """Regular subgradient test for the root max function: pull v back
     through the factorization derivative and test the coordinate set."""
-    return Dp_membership(cluster, f, _coords_of(cluster, v), tol)
+    return Dp_membership(cluster, f, _solve_coords(cluster, v), tol)
 
 
 def rsd_f_horizon_membership(cluster: RootCluster, f: Generator, v: Poly,
                              tol: float = 1e-8) -> bool:
     """Horizon subgradient test for the root max function."""
-    return Dp_horizon_membership(cluster, f, _coords_of(cluster, v), tol)
+    return Dp_horizon_membership(cluster, f, _solve_coords(cluster, v), tol)
 
 
 def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
@@ -332,7 +325,7 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
     _, active = active_set(cluster, f, active_tol=active_tol)
     if not active:
         raise ValueError("no active root")
-    blocks = _split_blocks(cluster, _coords_of(cluster, v))
+    blocks = _split_blocks(cluster, _solve_coords(cluster, v))
     vals = []
     for j in sorted(active):
         lam, n_j = cluster.roots[j], cluster.mults[j]

@@ -9,8 +9,10 @@ active eigenvalues go through the same per-root decision as the polynomial
 route (:func:`polysub.block_failures`): weights on the first coordinates,
 a halfplane or the squared-generator cone on the second.  The polynomial
 route reaches the same set through the factor coordinates of the active
-factor, and the two are used as mutual cross-checks.  The spectral radius
-enters through :func:`generators.radius_transform`.
+factor, pulled back through the one map :func:`jordan.R_matrix` of the
+active eigenvalues, and the two are used as mutual cross-checks; members
+are drawn in factor coordinates and pushed forward through the same map.
+The spectral radius enters through :func:`generators.radius_transform`.
 
 Tolerances: structural zeros are relative (1e-9 times max(1, |Y|)); the
 first and second coordinates of the active blocks are checked within
@@ -27,28 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpoly import RootCluster, _cluster_rows, _fvalue, active_set
-from .generators import (
-    COND14,
-    Generator,
-    UnsupportedGenerator,
-    builtin,
-    radius_transform,
-    re_cip,
-)
-from .jordan import (
-    DerogatoryEigenvalue,
-    JordanSpec,
-    R_matrix,
-    active_factor,
-    declared_active,
-    nilpotent,
-)
+from .cpoly import RootCluster, _cluster_rows, _fvalue, active_set, lex_key
+from .generators import Generator, UnsupportedGenerator, builtin
+from .jordan import JordanSpec, R_matrix, declared_active
 from .polysub import (
-    SIMPLEX_TOL,
     Dp_horizon_membership,
     Dp_membership,
+    Dp_sample,
     _ActiveBlock,
+    _split_blocks,
     block_failures,
 )
 
@@ -331,73 +320,47 @@ def rsd_recession_membership(spec: JordanSpec, f: Generator, Y,
     return _membership(spec, f, Y, tol, horizon=True)
 
 
+def _active_cluster(spec: JordanSpec, active) -> tuple:
+    """``(order, cluster)``: the active eigenvalue indices in lex order of
+    their values, and the monic factor they carry as a root cluster."""
+    order = sorted(active, key=lambda j: lex_key(spec.eig_value(j)))
+    return order, RootCluster(tuple(spec.eig_value(j) for j in order),
+                              tuple(spec.n_j(j) for j in order))
+
+
 def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
-               deep=None, seed: int = 0) -> np.ndarray:
-    """Construct a regular subgradient from explicit parameters.
+               seed: int = 0) -> np.ndarray:
+    """Construct a regular subgradient: a point of the active factor's
+    coordinate set drawn by :func:`polysub.Dp_sample`, mapped through R and
+    divided by the factor of :func:`generators.radius_transform`.
 
     ``gamma`` are convex weights over the active eigenvalues, listed in the
-    spec's declared order (uniform by default); the block diagonals become
-    gamma_j * grad f / n_j.  ``theta2`` maps active eigenvalue indices to
-    subdiagonal values (validated against the halfplane inequality; sampled
-    inside it when omitted), ``deep`` maps them to the free deeper
-    diagonals.  The result always passes :func:`rsd_membership`.  For the
-    spectral radius it is a sample of radius2 divided by the radius.
+    spec's declared order (a random point of the simplex by default).
+    ``theta2`` maps active eigenvalue indices to subdiagonal values of W,
+    which replace the drawn ones; ValueError is raised when the result then
+    fails :func:`rsd_membership`.  The active eigenvalues must be
+    nonderogatory; both regimes of f are supported.
     """
-    rng = np.random.default_rng(seed)
-    f, rho, active = declared_active(spec, f)
-    data = {j: _ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active}
-    for j in active:
-        if data[j].cond != COND14:
-            raise UnsupportedGenerator(
-                f"explicit construction needs the smooth regime, which {f.name} "
-                f"lacks at the active eigenvalue {spec.eig_value(j)}"
-            )
-        if not spec.nonderogatory(j):
-            raise DerogatoryEigenvalue(
-                f"explicit construction needs nonderogatory active eigenvalues; "
-                f"eigenvalue {spec.eig_value(j)} has {spec.q_j(j)} blocks"
-            )
-    if gamma is None:
-        gamma = np.full(len(active), 1.0 / len(active))
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.size != len(active) or gamma.min() < -SIMPLEX_TOL or abs(gamma.sum() - 1) > SIMPLEX_TOL:
-        raise ValueError("gamma must be a point of the simplex over the active set")
+    g, rho, active = declared_active(spec, f)
+    order, cluster = _active_cluster(spec, active)
+    M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
+    if gamma is not None:
+        gamma = np.asarray(gamma, dtype=float).ravel()
+        if gamma.size != len(active):
+            raise ValueError("gamma needs one weight per active eigenvalue")
+        gamma = gamma[[active.index(j) for j in order]]
+    c = Dp_sample(cluster, g, gamma, seed)
     theta2 = dict(theta2 or {})
-    deep = dict(deep or {})
-
-    W = np.zeros((spec.n, spec.n), dtype=complex)
-    for idx, j in enumerate(active):
-        lam, n_j, d = spec.eig_value(j), spec.n_j(j), data[j]
-        thetas = np.zeros(n_j, dtype=complex)
-        thetas[0] = gamma[idx] * d.subdiff.the_point() / n_j
-        if n_j >= 2:
-            w, floor = d.w, -(gamma[idx] / n_j) * f.eta(lam)
-            if j in theta2:
-                t2 = complex(theta2[j])
-                if re_cip(t2, w) < floor - INEQ_SLACK:
-                    raise ValueError(
-                        f"subdiagonal value at eigenvalue {lam} violates the "
-                        f"halfplane inequality"
-                    )
-            else:
-                a = floor / abs(w) ** 2 + abs(rng.standard_normal()) * 0.5
-                b = rng.standard_normal() * 0.5
-                t2 = (a + 1j * b) * w
-            thetas[1] = t2
-        if n_j >= 3:
-            extra = deep.get(j)
-            if extra is None:
-                extra = 0.5 * (rng.standard_normal(n_j - 2) + 1j * rng.standard_normal(n_j - 2))
-            thetas[2:] = np.asarray(extra, dtype=complex)
-        sl = spec.eig_slice(j)
-        Nt = nilpotent(n_j).T
-        block = np.zeros((n_j, n_j), dtype=complex)
-        power = np.eye(n_j, dtype=complex)
-        for s in range(n_j):
-            block += thetas[s] * power
-            power = power @ Nt
-        W[sl, sl] = block
-    return spec.from_W(W) / rho
+    for j, block in zip(order, _split_blocks(cluster, c)):
+        if j in theta2 and len(block) >= 2:
+            block[1] = -complex(theta2[j])  # block is a view into c
+    Y = -(M @ c[1:]).reshape(spec.n, spec.n) / rho
+    if theta2:
+        report = rsd_membership(spec, f, Y)
+        if not report.verdict:
+            raise ValueError("the subdiagonal values leave the subgradient set: "
+                             + ", ".join(v.condition for v in report.failed))
+    return Y
 
 
 # -- chain rule route -----------------------------------------------------------
@@ -406,14 +369,14 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
 def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
                           tol: float = 1e-8, horizon: bool = False) -> bool:
     """Membership via the polynomial route: invert the coordinate-to-matrix
-    map on its range (least squares plus a residual gate) and test the
-    coordinate set of the active factor.  Needs nonderogatory active
-    eigenvalues; supports both the smooth and the corner regime of f, and
-    the spectral radius through its transform.
+    map R of the active eigenvalues on its range (least squares plus a
+    residual gate) and test the coordinate set of the active factor.  Needs
+    nonderogatory active eigenvalues; supports both the smooth and the
+    corner regime of f, and the spectral radius through its transform.
     """
-    cluster, aspec = active_factor(spec, f)
-    f, rho = radius_transform(f, cluster.roots)  # the active roots attain the radius
-    M = R_matrix(aspec)  # raises on derogatory active eigenvalues
+    g, rho, active = declared_active(spec, f)
+    order, cluster = _active_cluster(spec, active)
+    M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
     Y = np.asarray(Y, dtype=complex)
     rhs = -Y.ravel()
     v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
@@ -422,7 +385,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
         return False
     c = rho * np.concatenate(([0.0 + 0.0j], v))
     member = Dp_horizon_membership if horizon else Dp_membership
-    return member(cluster, f, c, rho * tol)
+    return member(cluster, g, c, rho * tol)
 
 
 # -- spectral radius entry points -------------------------------------------------
@@ -523,7 +486,7 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     # only the moved eigenvalue differs between nu: one split similarity
     split = _split_spec(spec, target, block_index, lam + step0 * direction)
     idx = target + 1
-    Y_basis = split.from_W(split.jordan_power_embed(idx, 0))
+    Y_basis = split.from_W(split.embed_block(idx, np.eye(m_k)))
 
     witnesses = []
     per_nu = []

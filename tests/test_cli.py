@@ -187,13 +187,25 @@ class TestVerify:
         assert payload["members_checked"] == 3
         assert payload["cross_route_failures"] == 0
 
-    def test_radius_at_the_nilpotent_origin_exits_2(self, capsys, paths):
-        spath = paths("J3.json", {"eigs": [{"lambda": [0.0, 0.0], "blocks": [3]}]})
-        code = main(["verify", spath, "--f", "radius", "--samples", "20"])
+    @pytest.mark.parametrize("f,size", [("radius", 3), ("ell1", 2), ("ell1", 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corner_regime_specs_pass(self, capsys, paths, f, size, seed):
+        # the radius and ell1 at a nilpotent J_size(0): members are drawn in
+        # factor coordinates, so the corner regime is checked like the smooth one
+        spath = paths("J.json", {"eigs": [{"lambda": [0.0, 0.0], "blocks": [size]}]})
+        code, out = run(capsys, ["verify", spath, "--f", f, "--samples", "200",
+                                 "--seed", str(seed)])
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"]
+        assert payload["cross_route_failures"] == 0 and payload["violations"] == 0
+
+    def test_neither_regime_exits_2(self, capsys, paths):
+        # ell1 is linear near -0.3+0.1i: neither smooth curvature nor a corner
+        spath = paths("J2.json", {"eigs": [{"lambda": [-0.3, 0.1], "blocks": [2]}]})
+        code = main(["verify", spath, "--f", "ell1", "--samples", "20"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "radius at the nilpotent origin" in captured.err
-        assert "radius2" not in captured.err
+        assert "neither supported regime" in captured.err
 
     def test_bad_seed_type_exits_2(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))

@@ -1,16 +1,19 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
-from specmax.cpoly import Poly, RootCluster, elementary, roots, taylor_coeff, taylor_inner
+from specmax.cpoly import Poly, RootCluster, elementary, lex_key, roots, taylor_coeff, taylor_inner
 from specmax.generators import builtin
 from specmax.jordan import (
     DerogatoryEigenvalue,
     JordanSpec,
     R_apply,
     R_matrix,
-    active_factor,
     char_poly,
     char_poly_deriv_action,
+    declared_active,
     det_expansion_residual,
     gj_deriv,
     gj_deriv_adjoint,
@@ -256,15 +259,81 @@ class TestLambdaGrad:
                 assert abs(fd - expect) <= 1e-5 * max(1.0, abs(expect))
 
 
+# -- the active factor as a re-laid-out spec ---------------------------------------
+
+
+def _reference_active_factor(spec, f, tol=1e-8):
+    """``(cluster, active_spec)``: the lex-ordered root cluster of the active
+    eigenvalues and a fresh spec declaring exactly them, everything else
+    folded into its rest block.  This is how the chain route built its map
+    before ``R_matrix`` took a list of eigenvalues; it is kept as the
+    reference that the permutation cancels."""
+    _, _, active = declared_active(spec, f, tol)
+    inactive = [j for j in range(spec.num_eigs) if j not in active]
+    cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
+    active_sorted = sorted(active, key=lambda j: lex_key(spec.eig_value(j)))
+    perm = list(range(spec.n0))
+    for j in inactive:
+        perm.extend(range(spec.eig_slice(j).start, spec.eig_slice(j).stop))
+    n0_new = len(perm)
+    for j in active_sorted:
+        perm.extend(range(spec.eig_slice(j).start, spec.eig_slice(j).stop))
+    Pi = np.eye(spec.n)[perm, :]
+    J_new = Pi @ spec.jordan_matrix() @ Pi.T
+    active_spec = JordanSpec(
+        [(spec.eig_value(j), spec.block_sizes(j)) for j in active_sorted],
+        P=Pi @ spec.P,
+        B=J_new[:n0_new, :n0_new],
+    )
+    return cluster, active_spec
+
+
+def _reference_R_matrix(spec):
+    """Columns vec(P^* (N_j^s)^* P^{-*}) over all declared eigenvalues, each
+    formed as the full triple product with the embedded nilpotent power."""
+    cols = []
+    for j in range(spec.num_eigs):
+        if not spec.nonderogatory(j):
+            raise DerogatoryEigenvalue(f"eigenvalue {spec.eig_value(j)} is derogatory")
+        for s in range(spec.n_j(j)):
+            E = spec.embed_block(j, np.linalg.matrix_power(nilpotent(spec.n_j(j)), s))
+            cols.append((spec.Pstar @ E.conj().T @ spec.Pinvstar).ravel())
+    return np.stack(cols, axis=1)
+
+
+def spec_with_rest(rng, f):
+    """One to three active single-block eigenvalues of f (equal real parts
+    for the abscissa, equal moduli for the radius), up to two inactive ones
+    and a rest block of up to 2x2 well below the max."""
+    k_act = int(rng.integers(1, 4))
+    phi = rng.uniform(0, 2 * math.pi)
+    if f is ABSC:
+        lams = [1.0 + 1j * (1.2 * k + rng.uniform(-0.5, 0.5)) for k in range(k_act)]
+        lams += [-1.0 + 1j * (1.2 * k + rng.uniform(-0.5, 0.5))
+                 for k in range(int(rng.integers(0, 3)))]
+    else:
+        lams = [1.5 * cmath.exp(1j * (phi + 2 * math.pi * k / k_act)) for k in range(k_act)]
+        lams += [0.9 * cmath.exp(1j * (phi + 2 * math.pi * (k + 0.5) / 2))
+                 for k in range(int(rng.integers(0, 3)))]
+    lams = [lams[k] for k in rng.permutation(len(lams))]  # declared order is not lex order
+    sizes = [(int(rng.integers(1, 4)),) for _ in lams]
+    n0 = int(rng.integers(0, 3))
+    B = 0.15 * (rng.standard_normal((n0, n0)) + 1j * rng.standard_normal((n0, n0))) if n0 else None
+    n = n0 + sum(s for s, in sizes)
+    return JordanSpec(list(zip(lams, sizes)), P=random_P(rng, n, 0.2), B=B)
+
+
 class TestActiveFactor:
+    """The reference re-laid-out spec describes the same matrix."""
+
     def test_modulus_keeps_both_eigenvalues(self):
-        cluster, aspec = active_factor(A_SPEC, RAD)
+        cluster, aspec = _reference_active_factor(A_SPEC, RAD)
         assert cluster.roots == (-1 + 0j, 1 + 0j) and cluster.mults == (1, 2)
         assert aspec.n0 == 0 and aspec.num_eigs == 2
         assert np.allclose(aspec.synth(), A_MATRIX)
 
     def test_abscissa_drops_the_negative_eigenvalue(self):
-        cluster, aspec = active_factor(A_SPEC, ABSC)
+        cluster, aspec = _reference_active_factor(A_SPEC, ABSC)
         assert cluster.roots == (1 + 0j,) and cluster.mults == (2,)
         assert aspec.num_eigs == 1 and aspec.n0 == 1
         assert np.allclose(aspec.synth(), A_MATRIX)
@@ -273,12 +342,12 @@ class TestActiveFactor:
     def test_rest_block_cannot_be_active(self):
         spec = JordanSpec([(0.0, (2,))], B=np.array([[2.0]]))
         with pytest.raises(ValueError):
-            active_factor(spec, ABSC)
+            _reference_active_factor(spec, ABSC)
 
     def test_reordered_similarity_is_consistent(self):
         rng = np.random.default_rng(9)
         spec = JordanSpec([(1.0, (2,)), (2.0, (1,)), (-3.0, (2,))], P=random_P(rng, 5, 0.2))
-        cluster, aspec = active_factor(spec, ABSC)
+        cluster, aspec = _reference_active_factor(spec, ABSC)
         assert cluster.roots == (2 + 0j,)
         assert np.allclose(aspec.synth(), spec.synth(), atol=1e-9)
 
@@ -300,6 +369,8 @@ class TestRMap:
         for _ in range(10):
             spec = random_spec(rng, derogatory_ok=False)
             M = R_matrix(spec)
+            ref = _reference_R_matrix(spec)
+            assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
             s = np.linalg.svd(M, compute_uv=False)
             assert s.min() > 1e-10
             v = rng.standard_normal(spec.declared_degree + 1) * (1 + 0j)
@@ -311,6 +382,24 @@ class TestRMap:
         spec = JordanSpec([(0.0, (1, 1))])
         with pytest.raises(DerogatoryEigenvalue):
             R_apply(spec, np.zeros(3))
+
+    @pytest.mark.parametrize("f", [ABSC, RAD])
+    def test_active_columns_match_the_re_laid_out_spec(self, f):
+        # R on the parent spec, restricted to the active eigenvalues in lex
+        # order, against R of the re-laid-out spec: P -> Pi P cancels
+        rng = np.random.default_rng(13 if f is ABSC else 14)
+        inactive = rests = 0
+        for _ in range(30):
+            spec = spec_with_rest(rng, f)
+            _, rho, active = declared_active(spec, f)
+            assert rho > 0
+            order = sorted(active, key=lambda j: lex_key(spec.eig_value(j)))
+            _, aspec = _reference_active_factor(spec, f)
+            M = _reference_R_matrix(aspec)
+            assert np.linalg.norm(R_matrix(spec, order) - M) <= 1e-12 * np.linalg.norm(M)
+            inactive += len(active) < spec.num_eigs
+            rests += spec.n0 > 0
+        assert inactive >= 10 and rests >= 10
 
 
 def test_spec_json_roundtrip():

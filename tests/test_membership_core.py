@@ -22,8 +22,8 @@ from specmax.generators import (
     radius_transform,
     re_cip,
 )
-from specmax.jordan import DomainError, JordanSpec, R_apply, active_factor
-from specmax.polysub import SIMPLEX_TOL, Dp_sample, _ActiveBlock, block_failures
+from specmax.jordan import DomainError, JordanSpec, declared_active
+from specmax.polysub import SIMPLEX_TOL, _ActiveBlock, block_failures
 from specmax.specsub import (
     W_extract,
     chain_rule_membership,
@@ -31,6 +31,7 @@ from specmax.specsub import (
     radius_rsd_zero,
     rsd_membership,
     rsd_recession_membership,
+    rsd_sample,
 )
 
 ABSC = builtin("abscissa")
@@ -309,15 +310,14 @@ CORNER_CASES = [
 
 @pytest.mark.parametrize("name,spec", CORNER_CASES)
 def test_corner_regime_routes_agree(name, spec):
-    """Members drawn by Dp_sample and mapped through R_apply pass both routes;
-    on 1.5x those members the routes agree, and some of them fail."""
+    """Members drawn by rsd_sample pass both routes; on 1.5x those members
+    the routes agree, and some of them fail."""
     lams = [spec.eig_value(j) for j in range(spec.num_eigs)]
     f = ELL1 if name == "ell1" else rectangles([z for z in lams if abs(abs(z) - 1) < 1e-12])
-    cluster, aspec = active_factor(spec, f)
-    assert cluster.degree() >= 2
+    assert sum(spec.n_j(j) for j in declared_active(spec, f)[2]) >= 2
     failed_scaled = 0
     for seed in range(40):
-        Y = R_apply(aspec, Dp_sample(cluster, f, seed=seed))[1]
+        Y = rsd_sample(spec, f, seed=seed)
         assert rsd_membership(spec, f, Y).verdict
         assert chain_rule_membership(spec, f, Y)
         direct = rsd_membership(spec, f, 1.5 * Y).verdict

@@ -307,6 +307,32 @@ class TestChainRule:
         with pytest.raises(DerogatoryEigenvalue):
             chain_rule_membership(B_SPEC, RAD2, np.eye(3) / 3)
 
+    def test_active_rest_block_rejected(self):
+        spec = JordanSpec([(0.0, (2,))], B=np.array([[2.0]]))
+        with pytest.raises(ValueError, match="rest block attains the max"):
+            chain_rule_membership(spec, ABSC, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("f", [ABSC, RAD])
+def test_chain_route_and_sampler_build_no_spec(monkeypatch, f):
+    # the map R of the active eigenvalues is read off the parent spec: an
+    # inactive eigenvalue and a rest block need no re-laid-out spec
+    rng = np.random.default_rng(6)
+    spec = JordanSpec([(1.0, (2,)), (-1.5j, (2,)), (0.2, (1,))], P=random_P(rng, 6),
+                      B=np.array([[-0.3]]))
+    built = []
+    init = JordanSpec.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JordanSpec, "__init__", counting_init)
+    Y = rsd_sample(spec, f, seed=3)
+    assert chain_rule_membership(spec, f, Y)
+    assert chain_rule_membership(spec, f, np.zeros_like(Y), horizon=True)
+    assert built == []
+
 
 class TestRadiusMembership:
     def test_printed_characterization_of_the_two_active_fixture(self):
@@ -466,7 +492,7 @@ def _witness_from_scratch(spec, f, count, block_index=0):
         perm.extend(range(spec.eig_slice(target).stop, spec.n))
         spec_nu = JordanSpec(eigs, P=np.eye(spec.n)[perm, :] @ spec.P,
                              B=spec.B if spec.n0 else None)
-        E = spec_nu.jordan_power_embed(target + 1, 0)
+        E = spec_nu.embed_block(target + 1, np.eye(m_k))
         Y = (f.grad(lam_nu) / m_k) * spec_nu.from_W(E)
         rep = (radius_rsd_membership(spec_nu, Y) if f.name == "radius"
                else rsd_membership(spec_nu, f, Y))

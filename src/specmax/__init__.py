@@ -35,7 +35,6 @@ from .jordan import (
     DerogatoryEigenvalue,
     DomainError,
     JordanSpec,
-    R_apply,
     char_poly,
     char_poly_deriv_action,
     det_expansion_residual,

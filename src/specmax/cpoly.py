@@ -215,56 +215,81 @@ class RootCluster:
         return p
 
 
-def _cluster_points(points: np.ndarray, tol: float) -> list:
-    """Complete-linkage agglomeration: merge while the merged diameter <= tol."""
-    clusters = [[p] for p in points]
-    while len(clusters) > 1:
+def _complete_linkage(row: list, tol: float) -> list:
+    """Complete-linkage agglomeration of one row of points: merge the pair
+    of clusters whose union has the smallest diameter (the first such pair
+    in index order on ties) while that diameter is at most ``tol``.
+
+    Returns the clusters as lists of points in merge order.  The diameter
+    of a union is the largest of the two diameters and their largest cross
+    distance, and the cross distances of a union are the larger of its
+    parts' (the Lance-Williams update), so a merge costs O(k^2).
+    """
+    groups = [[p] for p in row]
+    diam = [0.0] * len(row)
+    cross = [[abs(a - b) for b in row] for a in row]
+    while len(groups) > 1:
         best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                diam = max(
-                    abs(a - b) for a in clusters[i] + clusters[j] for b in clusters[i] + clusters[j]
-                )
-                if diam <= tol and (best is None or diam < best[0]):
-                    best = (diam, i, j)
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                d = max(diam[i], diam[j], cross[i][j])
+                if d <= tol and (best is None or d < best[0]):
+                    best = (d, i, j)
         if best is None:
             break
-        _, i, j = best
-        clusters[i] = clusters[i] + clusters[j]
-        del clusters[j]
-    return clusters
+        d, i, j = best
+        groups[i] += groups.pop(j)
+        diam[i] = d
+        del diam[j]
+        row_j = cross.pop(j)
+        for r in cross:
+            r[i] = max(r[i], r.pop(j))
+        del row_j[j]
+        cross[i] = [max(a, b) for a, b in zip(cross[i], row_j)]
+    return groups
 
 
-def _cluster_rows(points: np.ndarray, tol: float) -> list:
-    """Cluster every row of a (rows, k) array of points, k >= 1, with
-    :func:`_cluster_points`, each cluster represented by the mean of its
+def _cluster_rows(points: np.ndarray, tol: float) -> tuple:
+    """Cluster every row of a (rows, k) array of points, k >= 1, by
+    :func:`_complete_linkage`, each cluster represented by the mean of its
     members.
 
-    Returns one ``(means, multiplicities)`` pair per row.  Only rows with
-    some pair of points within ``tol`` go through the agglomeration:
-    complete linkage merges nothing when every pair is farther apart, so
-    every other row is all singletons.
+    Returns ``(means, mults)``, both of shape (rows, k): a row's clusters
+    come first, in merge order, and a row with fewer than k clusters repeats
+    its first mean with multiplicity 0 in the padding, so a max over a row
+    of ``means`` is the max over its clusters.  Only rows with some pair of
+    points within ``tol`` run the agglomeration: complete linkage merges
+    nothing when every pair is farther apart, so every other row is all
+    singletons.
     """
     points = np.asarray(points)
     k = points.shape[-1]
-    i, j = np.triu_indices(k, 1)
+    # the pairs a < b, as lists: np.triu_indices costs more than a one-row test
+    i = [a for a in range(k) for _ in range(a + 1, k)]
+    j = [b for a in range(k) for b in range(a + 1, k)]
     close = np.abs(points[:, i] - points[:, j]).min(axis=1, initial=np.inf) <= tol
-    out = []
-    for row, merge in zip(points.tolist(), close.tolist()):
-        if merge:
-            groups = _cluster_points(row, tol)
-            out.append(([sum(g) / len(g) for g in groups], [len(g) for g in groups]))
-        else:
-            out.append((row, [1] * k))
-    return out
+    means = points.astype(complex)
+    mults = np.ones(points.shape, dtype=int)
+    for r in np.flatnonzero(close).tolist():
+        groups = _complete_linkage(points[r].tolist(), tol)
+        centers = [sum(g) / len(g) for g in groups]
+        means[r] = centers + centers[:1] * (k - len(groups))
+        mults[r] = [len(g) for g in groups] + [0] * (k - len(groups))
+    return means, mults
+
+
+def _row_cluster(means: np.ndarray, mults: np.ndarray) -> RootCluster:
+    """The clusters of one row of :func:`_cluster_rows`, padding dropped."""
+    return RootCluster.sorted((z, m) for z, m in zip(means.tolist(), mults.tolist()) if m)
 
 
 def roots(p: Poly, cluster_tol: float = 1e-6) -> RootCluster:
     """All roots of p via the balanced companion matrix, merged into clusters.
 
     Clusters are grown greedily subject to diameter <= cluster_tol and each is
-    represented by the mean of its members (:func:`_cluster_rows`), so the
-    multiplicities always sum to the (numerical) degree of p.
+    represented by the mean of its members (:func:`_cluster_rows`, which
+    :func:`specsub.spectral_max` shares), so the multiplicities always sum
+    to the (numerical) degree of p.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined roots")
@@ -273,8 +298,8 @@ def roots(p: Poly, cluster_tol: float = 1e-6) -> RootCluster:
         return RootCluster((), ())
     cs = p.array()[: d + 1]
     rts = np.roots(cs[::-1])  # numpy wants the high-order coefficient first
-    (means, mults), = _cluster_rows(rts[None, :], cluster_tol)
-    return RootCluster.sorted(zip(means, mults))
+    means, mults = _cluster_rows(rts[None, :], cluster_tol)
+    return _row_cluster(means[0], mults[0])
 
 
 def active_set(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):

@@ -383,7 +383,11 @@ def make_generator(name, value, grad=None, hess=None, subdiff=None, tag=None) ->
     """Assemble a generator from user hooks, with sensible fallbacks.
 
     Missing subdifferentials fall back to the gradient singleton; a missing
-    tag falls back to classifying from the available pieces.
+    tag falls back to classifying from the available pieces.  ``value`` is
+    what :func:`specsub.spectral_max` evaluates: it is first called once on
+    the complex array of all cluster means and must then act elementwise;
+    a scalar-only hook, which raises TypeError or ValueError on an array or
+    answers with another shape, is called once per mean instead.
     """
     grad = grad or (lambda z: None)
 

@@ -42,7 +42,6 @@ __all__ = [
     "det_expansion_residual",
     "lambda_grad",
     "declared_active",
-    "R_apply",
     "R_matrix",
     "matrix_to_json",
     "matrix_from_json",
@@ -411,19 +410,6 @@ def R_matrix(spec: JordanSpec, eigs=None) -> np.ndarray:
     eigs = range(spec.num_eigs) if eigs is None else eigs
     return np.stack([_R_column(spec, j, s).ravel()
                      for j in eigs for s in range(spec.n_j(j))], axis=1)
-
-
-def R_apply(spec: JordanSpec, v) -> tuple:
-    """The injective linear map (v_0, v_js) -> (v_0, -sum v_js P^* (N_j^s)^* P^{-*})
-    taking factor coordinates to scalar-plus-matrix pairs; all declared
-    eigenvalues must be nonderogatory."""
-    v = np.asarray(v, dtype=complex).ravel()
-    ntilde = spec.declared_degree
-    if v.size != ntilde + 1:
-        raise ValueError(f"coordinate vector must have length {ntilde + 1}")
-    M = R_matrix(spec)
-    Y = -(M @ v[1:]).reshape(spec.n, spec.n)
-    return complex(v[0]), Y
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpoly import RootCluster, _cluster_rows, _fvalue, active_set, lex_key
+from .cpoly import RootCluster, _cluster_rows, _fvalue, _row_cluster, active_set, lex_key
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, declared_active
 from .polysub import (
@@ -76,21 +76,59 @@ class Violation:
         return {"condition": self.condition, "residual": self.residual, "where": self.where}
 
 
+# each W check: the structural flag it clears when it fails, and the format
+# of its location
+_CHECKS = {
+    "cross_block_zero": ("block_diagonal", "{}x{}"),
+    "toeplitz": ("toeplitz", "eig{}[{},{}]"),
+    "subblock_coupling_zero": ("subblock_coupling_zero", "eig{}[{},{}]"),
+    "equal_diagonals": ("equal_diagonals", "eig{} diag {}"),
+}
+
+
 @dataclass
 class ToeplitzParams:
-    """Extracted Toeplitz data of W: per-eigenvalue diagonal values theta_j1..
-    theta_jm_j, structural flags, and any violations found."""
+    """Extracted Toeplitz data of W = P^{-*} Y P^{*}: per-eigenvalue diagonal
+    values theta_j1..theta_jm_j and the residual of every structure check
+    made, as ``(condition, residual, at)`` in check order, with ``at`` the
+    tuple the check's location is formatted from.  The violations are the
+    residuals above ``tol * max(1, norm)``, with ``norm`` = |Y|; the flags
+    and ``ok`` summarize them."""
 
-    ok: bool
     level: str
     W: np.ndarray
     theta: dict
-    flags: dict
-    violations: list
+    residuals: list
+    tol: float
+    norm: float
+    violations: list = field(init=False)
+
+    def __post_init__(self):
+        atol = self.tol * max(1.0, self.norm)
+        self.violations = [Violation(c, r, _CHECKS[c][1].format(*at))
+                           for c, r, at in self.residuals if r > atol]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def flags(self) -> dict:
+        failed = {v.condition for v in self.violations}
+        return {flag: c not in failed for c, (flag, _) in _CHECKS.items()}
 
     def theta_of(self, j: int, s: int) -> complex:
         """theta_{j,s} with s starting at 1 (diagonal)."""
         return self.theta[j][s - 1]
+
+    def scaled(self, c: complex) -> "ToeplitzParams":
+        """The extraction of c * Y read off this one of Y: W and theta scale
+        by c, every residual by |c|, and the tolerance moves with |c| |Y|."""
+        size = abs(c)
+        return ToeplitzParams(
+            self.level, c * self.W, {j: c * t for j, t in self.theta.items()},
+            [(cond, size * r, at) for cond, r, at in self.residuals],
+            self.tol, size * self.norm)
 
 
 @dataclass
@@ -111,15 +149,15 @@ class MembershipReport:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _clustered_spectra(X, cluster_tol: float) -> list:
+def _clustered_spectra(X, cluster_tol: float) -> tuple:
     """Eigenvalues of every matrix of the stack X (..., n, n), one
     ``eigvals`` call for all of them, merged by :func:`cpoly._cluster_rows`
     into clusters of diameter at most ``cluster_tol``.
 
-    Returns one ``(means, multiplicities)`` pair per matrix, in row-major
-    order of the leading axes.  The mean of a cluster holding all copies of
-    an m-fold eigenvalue is accurate to O(eps), while the copies split by
-    about eps^(1/m).
+    Returns the ``(means, mults)`` arrays of shape (matrices, n), one row
+    per matrix in row-major order of the leading axes.  The mean of a
+    cluster holding all copies of an m-fold eigenvalue is accurate to
+    O(eps), while the copies split by about eps^(1/m).
     """
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError("spectral max needs square matrices")
@@ -129,6 +167,24 @@ def _clustered_spectra(X, cluster_tol: float) -> list:
     return _cluster_rows(np.linalg.eigvals(X).reshape(-1, n), cluster_tol)
 
 
+def _values(f, z: np.ndarray) -> np.ndarray:
+    """f at every entry of the complex array z, as floats of z's shape.
+
+    One call on the whole array when f accepts it and answers with an
+    array of that shape (the builtins are elementwise); otherwise one
+    Python call per entry through ``np.frompyfunc``, so scalar-only
+    callables work too.
+    """
+    value_of = _fvalue(f)
+    try:
+        out = np.asarray(value_of(z), dtype=float)
+        if out.shape == z.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.frompyfunc(value_of, 1, 1)(z).astype(float)
+
+
 def spectral_max(X, f, cluster_tol: float = 1e-6):
     """Max of f over the clustered spectrum of X, taken at the cluster means
     of backward-stable eigenvalues; +inf is returned (not raised) for
@@ -136,16 +192,17 @@ def spectral_max(X, f, cluster_tol: float = 1e-6):
 
     X is one matrix (a float is returned) or a stack (..., n, n) (an array
     of shape X.shape[:-2] is returned); the whole stack costs one
-    ``eigvals`` call.  f is called once per cluster mean with a Python
-    complex, so scalar-only callables work.
+    ``eigvals`` call.  f is called once, on the complex array of all
+    cluster means, and must then act elementwise; a callable that raises
+    TypeError or ValueError on an array, or answers with another shape, is
+    called once per mean with a Python complex instead.
     """
     X = np.asarray(X, dtype=complex)
-    value_of = _fvalue(f)
-    values = [max(float(value_of(z)) for z in means)
-              for means, _ in _clustered_spectra(X, cluster_tol)]
+    means, _ = _clustered_spectra(X, cluster_tol)
+    values = _values(f, means).max(axis=-1)
     if X.ndim == 2:
-        return values[0]
-    return np.array(values).reshape(X.shape[:-2])
+        return float(values[0])
+    return values.reshape(X.shape[:-2])
 
 
 def spectral_active(X, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):
@@ -154,8 +211,8 @@ def spectral_active(X, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2:
         raise ValueError("spectral_active takes one square matrix")
-    (means, mults), = _clustered_spectra(X, cluster_tol)
-    cluster = RootCluster.sorted(zip(means, mults))
+    means, mults = _clustered_spectra(X, cluster_tol)
+    cluster = _row_cluster(means[0], mults[0])
     value, idx = active_set(cluster, f, active_tol=active_tol)
     return value, cluster, idx
 
@@ -171,7 +228,8 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
     and the rectangular lower-triangular-Toeplitz pattern of every sub-block
     pair; ``level="regular"`` additionally requires the off-diagonal
     sub-blocks to vanish and all diagonal sub-blocks of one eigenvalue to
-    share their diagonal values.  Violations are reported, never raised.
+    share their diagonal values.  Every check's residual is reported, and
+    those above ``tol * max(1, |Y|)`` are the violations; nothing is raised.
     """
     if level not in ("limiting", "regular"):
         raise ValueError("level must be 'limiting' or 'regular'")
@@ -179,25 +237,13 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
     if Y.shape != (spec.n, spec.n):
         raise ValueError(f"candidate must be {spec.n}x{spec.n}")
     W = spec.to_W(Y)
-    scale = max(1.0, float(np.linalg.norm(Y)))
-    atol = tol * scale
-    violations = []
-    flags = {
-        "block_diagonal": True,
-        "toeplitz": True,
-        "subblock_coupling_zero": True,
-        "equal_diagonals": True,
-    }
-
+    residuals = []
     segments = _segments(spec)
     for a, (name_a, sl_a) in enumerate(segments):
         for b, (name_b, sl_b) in enumerate(segments):
-            if a == b:
-                continue
-            r = float(np.abs(W[sl_a, sl_b]).max()) if W[sl_a, sl_b].size else 0.0
-            if r > atol:
-                flags["block_diagonal"] = False
-                violations.append(Violation("cross_block_zero", r, f"{name_a}x{name_b}"))
+            if a != b:
+                r = float(np.abs(W[sl_a, sl_b]).max()) if W[sl_a, sl_b].size else 0.0
+                residuals.append(("cross_block_zero", r, (name_a, name_b)))
 
     theta: dict = {}
     for j in range(spec.num_eigs):
@@ -207,19 +253,11 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
             for s_i, (sl_s, m_s) in enumerate(zip(subs, sizes)):
                 blk = W[sl_r, sl_s]
                 if level == "regular" and r_i != s_i:
-                    res = float(np.abs(blk).max())
-                    if res > atol:
-                        flags["subblock_coupling_zero"] = False
-                        violations.append(
-                            Violation("subblock_coupling_zero", res, f"eig{j}[{r_i},{s_i}]")
-                        )
-                    continue
-                res = _rect_toeplitz_residual(blk, m_r, m_s)
-                if res > atol:
-                    flags["toeplitz"] = False
-                    violations.append(
-                        Violation("toeplitz", res, f"eig{j}[{r_i},{s_i}]")
-                    )
+                    residuals.append(("subblock_coupling_zero", float(np.abs(blk).max()),
+                                      (j, r_i, s_i)))
+                else:
+                    residuals.append(("toeplitz", _rect_toeplitz_residual(blk, m_r, m_s),
+                                      (j, r_i, s_i)))
         # diagonal values shared across diagonal sub-blocks
         m_j = spec.m_j(j)
         vals = np.zeros(m_j, dtype=complex)
@@ -231,20 +269,12 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
                     entries.extend(blk[i + s - 1, i] for i in range(m_k - s + 1))
             center = sum(entries) / len(entries)
             vals[s - 1] = center
-            dev = max(abs(e - center) for e in entries)
-            if level == "regular" and dev > atol:
-                flags["equal_diagonals"] = False
-                violations.append(Violation("equal_diagonals", dev, f"eig{j} diag {s}"))
+            if level == "regular":
+                residuals.append(("equal_diagonals", max(abs(e - center) for e in entries),
+                                  (j, s)))
         theta[j] = vals
 
-    return ToeplitzParams(
-        ok=not violations,
-        level=level,
-        W=W,
-        theta=theta,
-        flags=flags,
-        violations=violations,
-    )
+    return ToeplitzParams(level, W, theta, residuals, tol, float(np.linalg.norm(Y)))
 
 
 def _segments(spec: JordanSpec) -> list:
@@ -281,16 +311,18 @@ def _inactive_violations(spec: JordanSpec, W: np.ndarray, active, atol: float):
     return [Violation("inactive_block_zero", r, name) for name, r in res if r > atol]
 
 
-def _membership(spec: JordanSpec, f, Y, tol: float, horizon: bool) -> MembershipReport:
-    """One active set, the regular W structure of Y, vanishing inactive
-    blocks, and the active blocks -theta_j through
-    :func:`polysub.block_failures` at INEQ_SLACK * max(1, |Y|).  The radius
-    transform scales the blocks and that tolerance by rho alike, so the
-    core's residuals for the radius are those of rho * Y under radius2."""
+def _membership(spec: JordanSpec, f, params: ToeplitzParams,
+                horizon: bool) -> MembershipReport:
+    """One active set, the regular W structure of the candidate Y (already
+    extracted into ``params``), vanishing inactive blocks, and the active
+    blocks -theta_j through :func:`polysub.block_failures` at
+    INEQ_SLACK * max(1, |Y|).  The radius transform scales the blocks and
+    that tolerance by rho alike, so the core's residuals for the radius are
+    those of rho * Y under radius2."""
     f, rho, active = declared_active(spec, f)
-    params = W_extract(spec, Y, level="regular", tol=tol)
-    scale = max(1.0, float(np.linalg.norm(np.asarray(Y))))
-    failed = params.violations + _inactive_violations(spec, params.W, active, tol * scale)
+    scale = max(1.0, params.norm)
+    failed = params.violations + _inactive_violations(spec, params.W, active,
+                                                      params.tol * scale)
     data = [_ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
     core, gammas = block_failures(data, [-rho * params.theta[j] for j in active],
                                   rho * INEQ_SLACK * scale, horizon)
@@ -310,14 +342,14 @@ def rsd_membership(spec: JordanSpec, f: Generator, Y,
     and, for blocks of size at least two, theta_j2 in the weighted halfplane
     Re<theta_j2, (grad f)^2> >= -gamma_j eta_j / n_j (smooth regime) or in
     -q_set (corner regime)."""
-    return _membership(spec, f, Y, tol, horizon=False)
+    return _membership(spec, f, W_extract(spec, Y, "regular", tol), horizon=False)
 
 
 def rsd_recession_membership(spec: JordanSpec, f: Generator, Y,
                              tol: float = STRUCT_TOL) -> MembershipReport:
     """Recession-cone test: regular W structure, vanishing inactive blocks,
     zero diagonals on active blocks, and the subdiagonals in -q_set."""
-    return _membership(spec, f, Y, tol, horizon=True)
+    return _membership(spec, f, W_extract(spec, Y, "regular", tol), horizon=True)
 
 
 def _active_cluster(spec: JordanSpec, active) -> tuple:
@@ -398,7 +430,7 @@ def radius_rsd_membership(spec: JordanSpec, Y, tol: float = STRUCT_TOL,
     rho * Y."""
     if all(lam == 0 for lam, _ in spec.eigs) and not spec.b_eigenvalues.any():
         raise ValueError("zero spectral radius: use the origin-specific test")
-    return _membership(spec, _RADIUS, Y, tol, horizon)
+    return _membership(spec, _RADIUS, W_extract(spec, Y, "regular", tol), horizon)
 
 
 def radius_rsd_zero(spec: JordanSpec, Y, tol: float = STRUCT_TOL,
@@ -408,7 +440,7 @@ def radius_rsd_zero(spec: JordanSpec, Y, tol: float = STRUCT_TOL,
     at most 1/n (zero for the recession variant), theta_2 free."""
     if spec.n0 or spec.num_eigs != 1 or spec.eig_value(0) != 0:
         raise ValueError("origin test needs a single declared eigenvalue 0")
-    return _membership(spec, _RADIUS, Y, tol, horizon)
+    return _membership(spec, _RADIUS, W_extract(spec, Y, "regular", tol), horizon)
 
 
 # -- regularity and the derogatory witness ---------------------------------------
@@ -458,6 +490,14 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     test at the base point because the sub-block diagonals of W end up
     unequal.  Returns ``(witnesses, M, report)`` with ``witnesses`` a list
     of (spec_nu, Y_nu) pairs.
+
+    All Y_nu are multiples c_nu * Y_basis of one matrix under one
+    similarity, so W is formed and its structure checked once, on Y_basis;
+    each nu's residuals are |c_nu| times those, judged at its own tolerance
+    STRUCT_TOL * max(1, |c_nu| |Y_basis|).  The verdict is still given per
+    nu: each runs its own active set and active-block decision, and gets the
+    verdict :func:`rsd_membership` gives on (spec_nu, Y_nu), up to rounding
+    in forming W.
     """
     if count < 1:
         raise ValueError(f"the witness sequence needs at least one member, got {count}")
@@ -488,15 +528,15 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     idx = target + 1
     Y_basis = split.from_W(split.embed_block(idx, np.eye(m_k)))
 
+    basis = W_extract(split, Y_basis)
     witnesses = []
     per_nu = []
     for nu in range(1, count + 1):
         lam_nu = lam + (step0 / nu) * direction
         spec_nu = split.with_eigenvalue(idx, lam_nu)
-        Y_nu = (f.grad(lam_nu) / m_k) * Y_basis
-        rep = rsd_membership(spec_nu, f, Y_nu)
-        witnesses.append((spec_nu, Y_nu))
-        per_nu.append(rep.verdict)
+        c = f.grad(lam_nu) / m_k
+        witnesses.append((spec_nu, c * Y_basis))
+        per_nu.append(_membership(spec_nu, f, basis.scaled(c), horizon=False).verdict)
 
     E = np.zeros((spec.n, spec.n), dtype=complex)
     sl = spec.subblock_slices(target)[block_index]

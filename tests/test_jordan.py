@@ -9,7 +9,6 @@ from specmax.generators import builtin
 from specmax.jordan import (
     DerogatoryEigenvalue,
     JordanSpec,
-    R_apply,
     R_matrix,
     char_poly,
     char_poly_deriv_action,
@@ -354,13 +353,14 @@ class TestActiveFactor:
 
 class TestRMap:
     def test_zero(self):
-        zeta, Y = R_apply(A_SPEC, np.zeros(4))
-        assert zeta == 0 and np.allclose(Y, 0)
+        M = R_matrix(A_SPEC)
+        assert M.shape == (A_SPEC.n ** 2, A_SPEC.declared_degree)
+        assert np.allclose(M @ np.zeros(A_SPEC.declared_degree), 0)
 
     def test_single_block_formula(self):
         spec = JordanSpec([(0.0, (2,))])
         v10, v11 = 0.3 - 0.2j, 1.5j
-        _, Y = R_apply(spec, [0, v10, v11])
+        Y = -(R_matrix(spec) @ [v10, v11]).reshape(2, 2)
         expect = -(v10 * np.eye(2) + v11 * nilpotent(2).conj().T)
         assert np.allclose(Y, expect)
 
@@ -373,15 +373,14 @@ class TestRMap:
             assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
             s = np.linalg.svd(M, compute_uv=False)
             assert s.min() > 1e-10
-            v = rng.standard_normal(spec.declared_degree + 1) * (1 + 0j)
-            if np.linalg.norm(v[1:]) > 0:
-                _, Y = R_apply(spec, v)
-                assert np.linalg.norm(Y) > 1e-12
+            v = rng.standard_normal(spec.declared_degree) * (1 + 0j)
+            if np.linalg.norm(v) > 0:
+                assert np.linalg.norm(M @ v) > 1e-12
 
     def test_derogatory_rejected(self):
         spec = JordanSpec([(0.0, (1, 1))])
         with pytest.raises(DerogatoryEigenvalue):
-            R_apply(spec, np.zeros(3))
+            R_matrix(spec)
 
     @pytest.mark.parametrize("f", [ABSC, RAD])
     def test_active_columns_match_the_re_laid_out_spec(self, f):

@@ -532,6 +532,73 @@ class TestSharedSplitWitness:
                 split.with_eigenvalue(1, lam)
 
 
+WITNESS_CASES = [
+    (B_SPEC, RAD, 1),
+    (B_SPEC, RAD, 0),
+    (JordanSpec([(0.5 + 0.2j, (2, 1, 1)), (-1.0, (1,))],
+                P=np.eye(6) + 0.2 * np.random.default_rng(8).standard_normal((6, 6)),
+                B=np.array([[0.1]])), ABSC, 1),
+    (JordanSpec([(1.0 + 0.5j, (1, 2)), (0.3, (1,))],
+                P=random_P(np.random.default_rng(15), 4)), RAD2, 1),
+    (JordanSpec([(0.8, (2, 2)), (-0.5j, (1,))], P=random_P(np.random.default_rng(16), 7),
+                B=np.array([[0.2, 0.1], [0.0, -0.3]])), ABSC, 0),
+]
+
+
+class TestWitnessFormsWOnce:
+    @pytest.mark.parametrize("spec,f,block_index", WITNESS_CASES)
+    def test_each_verdict_is_rsd_membership_of_its_pair(self, spec, f, block_index):
+        wits, _, report = derogatory_witness(spec, f, count=30, block_index=block_index)
+        assert report["ok"]
+        assert [rsd_membership(s, f, Y).verdict for s, Y in wits] == report["per_nu"]
+
+    @pytest.mark.parametrize("level", ["regular", "limiting"])
+    def test_scaled_extraction_matches_extracting_the_scaled_candidate(self, level):
+        rng = np.random.default_rng(17)
+        spec = WITNESS_CASES[2][0]
+        W0 = np.zeros((spec.n, spec.n), dtype=complex)
+        W0[spec.eig_slice(0), spec.eig_slice(0)] = 0.4 * np.eye(spec.n_j(0)) + 0.1
+        noise = 10 ** rng.uniform(-13, -7, (spec.n, spec.n)) * np.exp(
+            2j * np.pi * rng.uniform(size=(spec.n, spec.n)))
+        Y = spec.from_W(W0 + noise)
+        base = W_extract(spec, Y, level=level)
+        norm = np.linalg.norm(Y)
+        failing = set()
+        for size in (0.01, 0.5, 3.0, 200.0):  # |c| |Y| below and above 1
+            c = size / norm * np.exp(0.7j)
+            got = base.scaled(c)
+            ref = W_extract(spec, c * Y, level=level)
+            assert [(v.condition, v.where) for v in got.violations] == \
+                [(v.condition, v.where) for v in ref.violations]
+            assert got.flags == ref.flags and got.ok == ref.ok
+            assert [(cond, at) for cond, _, at in got.residuals] == \
+                [(cond, at) for cond, _, at in ref.residuals]
+            # rounding in forming W is relative to |c Y|, not to a small residual
+            for (_, a, _), (_, b, _) in zip(got.residuals, ref.residuals):
+                assert abs(a - b) <= 1e-12 * max(b, size)
+            for j, t in ref.theta.items():
+                assert np.abs(got.theta[j] - t).max() <= 1e-12 * size
+            assert np.abs(got.W - ref.W).max() <= 1e-12 * size
+            failing.add(len(ref.violations))
+            assert 0 < len(ref.violations) < len(ref.residuals)
+        assert len(failing) > 1  # the tolerance switch changes what fails
+
+    def test_one_extraction_for_the_whole_sequence(self, monkeypatch):
+        from specmax import specsub
+
+        calls = []
+        extract = specsub.W_extract
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(specsub, "W_extract", counted)
+        _, _, report = derogatory_witness(B_SPEC, RAD, count=50)
+        assert report["ok"] and len(report["per_nu"]) == 50
+        assert len(calls) <= 2  # the basis of the sequence, and the limit at the base
+
+
 class TestSubgradientDefinition:
     def test_violation_rate_shrinks_with_the_ball(self):
         rng = np.random.default_rng(7)

@@ -38,7 +38,6 @@ from .jordan import (
     char_poly,
     char_poly_deriv_action,
     det_expansion_residual,
-    lambda_grad,
     matrix_from_json,
     matrix_to_json,
     spec_from_json,

@@ -16,15 +16,19 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import fixtures
-from .cpoly import poly_from_json
+from .cpoly import poly_from_json, roots
 from .generators import UnsupportedGenerator, builtin
-from .jordan import DomainError, matrix_from_json, spec_from_json
+from .jordan import (
+    DomainError,
+    _lex_cluster,
+    char_poly_deriv_action,
+    matrix_from_json,
+    spec_from_json,
+)
 from .oracles import subgradient_inequality_suite
 from .polysub import subderivative_f
 from .specsub import (
@@ -45,16 +49,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: tolerance, seed, output."""
-
-    tol: float = 1e-8
-    seed: int = 0
-    as_json: bool = False
-    out: Optional[str] = None
-
-
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -67,10 +61,10 @@ class SystemExit2(Exception):
     """Usage/parse failure carrying exit code 2."""
 
 
-def _emit(payload, cfg: RunConfig) -> None:
+def _emit(payload, out) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -99,12 +93,12 @@ def _pairs(z: complex):
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args) -> int:
     f = _generator(args.f)
     X = matrix_from_json(_load_json(args.matrix))
     if X.shape[0] != X.shape[1]:
         raise SystemExit2("matrix must be square")
-    value, cluster, active = spectral_active(X, f, active_tol=cfg.tol)
+    value, cluster, active = spectral_active(X, f, active_tol=args.tol)
     payload = {
         "value": value if math.isfinite(value) else "inf",
         "eigenvalues": [_pairs(r) for r in cluster.roots],
@@ -112,16 +106,14 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         "active": sorted(active),
         "active_eigenvalues": [_pairs(cluster.roots[j]) for j in sorted(active)],
     }
-    _emit(payload, cfg)
+    _emit(payload, args.out)
     return EXIT_OK if math.isfinite(value) else EXIT_DOMAIN
 
 
-def cmd_membership(args, cfg: RunConfig) -> int:
+def cmd_membership(args) -> int:
     f = _generator(args.f)
     spec = spec_from_json(_load_json(args.spec))
     Y = matrix_from_json(_load_json(args.candidate))
-    if Y.shape != (spec.n, spec.n):
-        raise SystemExit2(f"candidate must be {spec.n}x{spec.n}")
 
     if args.set == "limiting-structure":
         params = W_extract(spec, Y, level="limiting")
@@ -130,57 +122,50 @@ def cmd_membership(args, cfg: RunConfig) -> int:
             "failed_conditions": [v.to_json() for v in params.violations],
             "flags": params.flags,
         }
-        _emit(payload, cfg)
+        _emit(payload, args.out)
         return EXIT_OK if params.ok else EXIT_NONMEMBER
 
     if args.set == "chain":
-        verdict = chain_rule_membership(spec, f, Y, tol=cfg.tol)
-        _emit({"verdict": verdict, "route": "chain"}, cfg)
+        verdict = chain_rule_membership(spec, f, Y, tol=args.tol)
+        _emit({"verdict": verdict, "route": "chain"}, args.out)
         return EXIT_OK if verdict else EXIT_NONMEMBER
 
     if args.set == "recession":
         report = rsd_recession_membership(spec, f, Y)
     else:
         report = rsd_membership(spec, f, Y)
-    _emit(json.loads(report.to_json()), cfg)
+    _emit(json.loads(report.to_json()), args.out)
     return EXIT_OK if report.verdict else EXIT_NONMEMBER
 
 
-def cmd_subderivative(args, cfg: RunConfig) -> int:
+def cmd_subderivative(args) -> int:
     f = _generator(args.f)
     if args.kind == "poly":
-        from .cpoly import roots as cluster_roots
-
         p = poly_from_json(_load_json(args.base))
         v = poly_from_json(_load_json(args.direction))
-        cluster = cluster_roots(p, cluster_tol=args.cluster_tol)
-        value = subderivative_f(cluster, f, v.padded(cluster.degree()), tol=cfg.tol)
+        cluster = roots(p, cluster_tol=args.cluster_tol)
+        value = subderivative_f(cluster, f, v.padded(cluster.degree()), tol=args.tol)
     else:
-        from .jordan import char_poly_deriv_action
-        from .cpoly import RootCluster
-
         spec = spec_from_json(_load_json(args.base))
         Z = matrix_from_json(_load_json(args.direction))
         if spec.n0:
             raise SystemExit2("matrix subderivative needs the full spectrum declared")
         action = char_poly_deriv_action(spec, Z)
-        cluster = RootCluster.sorted(
-            (spec.eig_value(j), spec.n_j(j)) for j in range(spec.num_eigs)
-        )
-        value = subderivative_f(cluster, f, action, tol=cfg.tol)
-    _emit({"value": value if math.isfinite(value) else "inf", "kind": args.kind}, cfg)
+        _, cluster = _lex_cluster(spec, range(spec.num_eigs))
+        value = subderivative_f(cluster, f, action, tol=args.tol)
+    _emit({"value": value if math.isfinite(value) else "inf", "kind": args.kind}, args.out)
     return EXIT_OK
 
 
-def cmd_paper_examples(args, cfg: RunConfig) -> int:
+def cmd_paper_examples(args) -> int:
     checks = fixtures.worked_example_checks(nu_count=args.nu)
     all_ok = all(ok for _, ok, _ in checks)
-    if cfg.as_json:
+    if args.json:
         payload = {
             "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
             "all_passed": all_ok,
         }
-        _emit(payload, cfg)
+        _emit(payload, args.out)
     else:
         width = max(len(n) for n, _, _ in checks)
         for name, ok, _ in checks:
@@ -189,11 +174,11 @@ def cmd_paper_examples(args, cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_NONMEMBER
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     f = _generator(args.f)
     spec = spec_from_json(_load_json(args.spec))
     report = {"spec": {"n": spec.n, "eigs": [[_pairs(l), list(b)] for l, b in spec.eigs]},
-              "generator": f.name, "samples": args.samples, "seed": cfg.seed}
+              "generator": f.name, "samples": args.samples, "seed": args.seed}
 
     verdict_ok = True
     regular = regularity_verdict(spec, f) == "regular"
@@ -202,7 +187,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if regular:
         cross_failures = 0
         suites = []
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         n_members = max(1, args.samples // 100)
         for i in range(n_members):
             Y = rsd_sample(spec, f, seed=int(rng.integers(2 ** 31)))
@@ -210,7 +195,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             cross_failures += not chain_rule_membership(spec, f, Y)
             suites.append(
                 subgradient_inequality_suite(
-                    spec, f, Y, n_samples=args.samples, seed=cfg.seed + i
+                    spec, f, Y, n_samples=args.samples, seed=args.seed + i
                 )
             )
         report["members_checked"] = n_members
@@ -227,11 +212,11 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         }
         verdict_ok = verdict_ok and wreport["ok"]
     report["ok"] = verdict_ok
-    _emit(report, cfg)
+    _emit(report, args.out)
     return EXIT_OK if verdict_ok else EXIT_NONMEMBER
 
 
-def cmd_stabilize(args, cfg: RunConfig) -> int:
+def cmd_stabilize(args) -> int:
     f = _generator(args.f)
     data = _load_json(args.family)
     try:
@@ -246,8 +231,8 @@ def cmd_stabilize(args, cfg: RunConfig) -> int:
     for row in traj.rows():
         lines.append(",".join(repr(x) for x in row))
     text = "\n".join(lines)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -343,14 +328,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cfg = RunConfig(
-        tol=args.tol,
-        seed=args.seed,
-        as_json=args.json,
-        out=args.out,
-    )
     try:
-        return _DISPATCH[args.command](args, cfg)
+        return _DISPATCH[args.command](args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

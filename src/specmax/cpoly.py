@@ -21,7 +21,6 @@ __all__ = [
     "lex_key",
     "elementary",
     "taylor_coeff",
-    "taylor_inner",
     "roots",
     "active_set",
     "poly_root_max",
@@ -131,10 +130,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def trimmed(self, tol: float = 0.0) -> "Poly":
-        d = self.degree(tol)
-        return Poly(self.coeffs[: d + 1]) if d >= 0 else Poly((0j,))
-
     @staticmethod
     def zero(degree_bound: int = 0) -> "Poly":
         return Poly((0j,) * (degree_bound + 1))
@@ -163,16 +158,6 @@ def taylor_coeff(p: Poly, k: int, lam0: complex) -> complex:
     if k < 0 or k > p.degree_bound:
         raise ValueError(f"Taylor order {k} outside 0..{p.degree_bound}")
     return p.deriv(k)(lam0) / math.factorial(k)
-
-
-def taylor_inner(a: Poly, b: Poly, count: int, lam0: complex) -> complex:
-    """Complex inner product sum_{k<count} conj(tau_k(a)) * tau_k(b) at lam0."""
-    acc = 0j
-    for k in range(count):
-        ta = taylor_coeff(a.padded(max(a.degree_bound, k)), k, lam0) if k <= a.degree_bound else 0j
-        tb = taylor_coeff(b.padded(max(b.degree_bound, k)), k, lam0) if k <= b.degree_bound else 0j
-        acc += np.conj(ta) * tb
-    return complex(acc)
 
 
 @dataclass(frozen=True)

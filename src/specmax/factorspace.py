@@ -62,9 +62,6 @@ class FactorSpaceElem:
     def zero(base: RootCluster) -> "FactorSpaceElem":
         return FactorSpaceElem(base, 0j, tuple(Poly.zero(n - 1) for n in base.mults))
 
-    def dim(self) -> int:
-        return self.base.degree() + 1
-
 
 def _check_base(base: RootCluster, u: FactorSpaceElem):
     if u.base != base:
@@ -93,13 +90,9 @@ def _cofactors(base: RootCluster) -> list:
 
 
 def F_deriv0(base: RootCluster, w: FactorSpaceElem) -> Poly:
-    """Derivative of F at 0 applied to w: omega0 * p + sum_j r_j * w_j."""
-    _check_base(base, w)
-    ntilde = base.degree()
-    out = (w.mu0 * base.as_poly()).padded(ntilde)
-    for r_j, w_j in zip(_cofactors(base), w.factors):
-        out = out + (r_j * w_j).padded(ntilde)
-    return out
+    """Derivative of F at 0 applied to w: omega0 * p + sum_j r_j * w_j, the
+    coordinate matrix of F'(0) times the Taylor coordinates of w."""
+    return Poly(tuple(_coordinate_matrix(base) @ T_apply(base, w)))
 
 
 def _coordinate_matrix(base: RootCluster) -> np.ndarray:
@@ -178,6 +171,4 @@ def sp_inner(u: FactorSpaceElem, w: FactorSpaceElem) -> complex:
 def pn_inner(base: RootCluster, z: Poly, v: Poly) -> complex:
     """Inner product on degree-<= ntilde polynomials induced by pulling back
     through F'(0) into Taylor coordinates; <p, p> = 1 at the base polynomial."""
-    wz = F_deriv0_inv(base, z)
-    wv = F_deriv0_inv(base, v)
-    return sp_inner(wz, wv)
+    return complex(np.vdot(_solve_coords(base, z), _solve_coords(base, v)))

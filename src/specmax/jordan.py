@@ -10,6 +10,15 @@ with J_j the Jordan segment of eigenvalue j.  Numerical Jordan form
 recovery is ill-posed; a convenience constructor accepts a raw matrix only
 on the diagonalizable path with well separated eigenvalues.
 
+The derivative formulas are two maps.  The Taylor coordinates of the
+eigenvalue-j factor's derivative g_j'(X) Z are mu_js = -tr(N_j^(s-1) V_jj)
+with V = P Z P^{-1} (:func:`_factor_coords`); the derivative of the
+characteristic polynomial map is F'(0) of those coordinates
+(:func:`factorspace._coordinate_matrix`).  On a nonderogatory eigenvalue
+the coordinates are -R_j^* vec Z, with R_j the columns
+vec(P^* (N_j^(s-1))^* P^{-*}) of :func:`R_matrix`, the map the chain route
+inverts and the sampler pushes forward through.
+
 Specs and matrices are immutable after construction (derived factorizations
 are cached up front), so concurrent reads are safe.
 
@@ -20,13 +29,14 @@ spec is {"eigs": [{"lambda": [re, im], "blocks": [...]}, ...], "P": matrix,
 
 from __future__ import annotations
 
+import cmath
 import copy
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .cpoly import Poly, elementary, lex_key
+from .cpoly import Poly, RootCluster, lex_key
+from .factorspace import T_inverse, _coordinate_matrix
 from .generators import radius_transform
 
 __all__ = [
@@ -38,9 +48,7 @@ __all__ = [
     "char_poly",
     "char_poly_deriv_action",
     "gj_deriv",
-    "gj_deriv_adjoint",
     "det_expansion_residual",
-    "lambda_grad",
     "declared_active",
     "R_matrix",
     "matrix_to_json",
@@ -79,10 +87,17 @@ class JordanSpec:
     def __init__(self, eigs, P=None, B=None):
         parsed = []
         for lam, blocks in eigs:
-            blocks = tuple(int(b) for b in blocks)
-            if not blocks or any(b < 1 for b in blocks):
+            blocks = tuple(blocks)
+            try:  # 2.0 is a block size, 1.7 and inf are not
+                sizes = tuple(int(b) for b in blocks)
+            except (TypeError, ValueError, OverflowError):
+                sizes = ()
+            if not sizes or any(s < 1 or s != b for s, b in zip(sizes, blocks)):
                 raise ValueError("block sizes must be positive integers")
-            parsed.append((complex(lam), blocks))
+            lam = complex(lam)
+            if not cmath.isfinite(lam):
+                raise ValueError(f"eigenvalue must be finite, got {lam}")
+            parsed.append((lam, sizes))
         if not parsed and (B is None or np.asarray(B).size == 0):
             raise ValueError("a spec needs at least one eigenvalue or a rest block")
         self.eigs = tuple(parsed)
@@ -90,6 +105,8 @@ class JordanSpec:
         B = np.zeros((0, 0), dtype=complex) if B is None else np.asarray(B, dtype=complex)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("rest block must be square")
+        if B.size and not np.isfinite(B).all():
+            raise ValueError("rest block B must have finite entries")
         self.B = B
         self.n0 = B.shape[0]
         self.n = self.n0 + sum(sum(blocks) for _, blocks in self.eigs)
@@ -97,7 +114,10 @@ class JordanSpec:
         P = np.eye(self.n, dtype=complex) if P is None else np.asarray(P, dtype=complex)
         if P.shape != (self.n, self.n):
             raise ValueError(f"similarity must be {self.n}x{self.n}, got {P.shape}")
-        cond = np.linalg.cond(P)
+        try:
+            cond = np.linalg.cond(P)  # inf for an inf entry
+        except np.linalg.LinAlgError as exc:  # a NaN entry stops the SVD
+            raise ValueError(f"similarity P must be finite: {exc}") from exc
         if not np.isfinite(cond) or cond > self.MAX_CONDITION:
             raise ValueError(f"similarity condition number {cond:.2e} exceeds bound")
         self.P = P
@@ -200,16 +220,6 @@ class JordanSpec:
         """The base matrix P^{-1} Diag(B, J_1, ..., J_m) P."""
         return self.Pinv @ self.jordan_matrix() @ self.P
 
-    def nilpotent_bracket(self, j: int) -> np.ndarray:
-        """Diag of the sub-block nilpotents of eigenvalue j (n_j x n_j)."""
-        n_j = self.n_j(j)
-        N = np.zeros((n_j, n_j), dtype=complex)
-        pos = 0
-        for b in self.block_sizes(j):
-            N[pos: pos + b, pos: pos + b] = nilpotent(b)
-            pos += b
-        return N
-
     def embed_block(self, j: int, M: np.ndarray) -> np.ndarray:
         """Place an n_j x n_j matrix into eigenvalue j's slot of an n x n zero."""
         out = np.zeros((self.n, self.n), dtype=complex)
@@ -271,11 +281,35 @@ def char_poly(X) -> Poly:
     return Poly(tuple(cs[n - k] for k in range(n + 1)))
 
 
+def _lex_cluster(spec: JordanSpec, eigs) -> tuple:
+    """``(order, cluster)``: the declared eigenvalue indices ``eigs`` in lex
+    order of their values, and the monic factor they carry as a root
+    cluster, whose coordinates list the eigenvalues in that order."""
+    order = sorted(eigs, key=lambda j: lex_key(spec.eig_value(j)))
+    return order, RootCluster(tuple(spec.eig_value(j) for j in order),
+                              tuple(spec.n_j(j) for j in order))
+
+
+def _factor_coords(spec: JordanSpec, j: int, Z) -> np.ndarray:
+    """Taylor coordinates mu_j1..mu_jn_j of g_j'(X) Z, the derivative of the
+    eigenvalue-j monic factor map in direction Z:
+    mu_js = -tr(N_j^(s-1) V_jj) with V = P Z P^{-1}, the (s-1)-th
+    subdiagonals of V_jj summed over the sub-blocks.  Entries past m_j are
+    zero, so derogatory eigenvalues are covered."""
+    V = spec.P @ np.asarray(Z, dtype=complex) @ spec.Pinv
+    mu = np.zeros(spec.n_j(j), dtype=complex)
+    for sl, b in zip(spec.subblock_slices(j), spec.block_sizes(j)):
+        for s in range(b):
+            mu[s] -= np.trace(V[sl, sl], offset=-s)
+    return mu
+
+
 def char_poly_deriv_action(spec: JordanSpec, Z) -> Poly:
     """Action of the derivative of the characteristic polynomial map at the
-    base matrix on a direction Z, expressed through the declared structure:
-    the sum over eigenvalues j of r_j * gj_deriv(spec, j, Z), where r_j is
-    the product of the other eigenvalues' monic factors.
+    base matrix on a direction Z: F'(0) of the factorization space (the
+    coordinate matrix of :mod:`factorspace`) applied to the Taylor
+    coordinates of every eigenvalue's factor derivative, with mu0 = 0, so the
+    result has degree at most n - 1.
 
     Requires the spec to cover the whole spectrum (empty rest block).  Works
     for derogatory eigenvalues as well.
@@ -285,41 +319,18 @@ def char_poly_deriv_action(spec: JordanSpec, Z) -> Poly:
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (spec.n, spec.n):
         raise ValueError(f"direction must be {spec.n}x{spec.n}")
-    out = Poly.zero(max(spec.n - 1, 0))
-    for j in range(spec.num_eigs):
-        r_j = Poly.one()
-        for k in range(spec.num_eigs):
-            if k != j:
-                r_j = r_j * elementary(spec.n_j(k), spec.eig_value(k))
-        out = out + (r_j * gj_deriv(spec, j, Z)).padded(out.degree_bound)
-    return out
+    order, cluster = _lex_cluster(spec, range(spec.num_eigs))
+    mu = np.concatenate([_factor_coords(spec, j, Z) for j in order])
+    return Poly(tuple(_coordinate_matrix(cluster)[:spec.n, 1:] @ mu))
 
 
 def gj_deriv(spec: JordanSpec, j: int, Z) -> Poly:
-    """Derivative of the eigenvalue-j monic factor map in direction Z,
-    as a polynomial of degree <= n_j - 1."""
-    Z = np.asarray(Z, dtype=complex)
-    V = spec.P @ Z @ spec.Pinv
+    """Derivative of the eigenvalue-j monic factor map in direction Z, the
+    polynomial sum_s mu_js (lambda - lambda_j)^(n_j - s) of degree <= n_j - 1
+    with the Taylor coordinates of :func:`_factor_coords`."""
     lam, n_j = spec.eig_value(j), spec.n_j(j)
-    Vjj = V[spec.eig_slice(j), spec.eig_slice(j)]
-    Nb = spec.nilpotent_bracket(j)
-    out = Poly.zero(n_j - 1)
-    power = np.eye(n_j, dtype=complex)
-    for ell in range(1, spec.m_j(j) + 1):
-        out = out + (-np.trace(power @ Vjj)) * elementary(n_j - ell, lam, degree_bound=n_j - 1)
-        power = power @ Nb
-    return out
-
-
-def gj_deriv_adjoint(spec: JordanSpec, j: int, h: Poly) -> np.ndarray:
-    """Adjoint of :func:`gj_deriv` under the Taylor-coefficient inner product
-    of degree < n_j at the eigenvalue; needs a nonderogatory eigenvalue."""
-    from .cpoly import taylor_coeff
-
-    lam, n_j = spec.eig_value(j), spec.n_j(j)
-    h = h.padded(max(h.degree_bound, n_j - 1))
-    return -sum(taylor_coeff(h, n_j - s - 1, lam) * _R_column(spec, j, s)
-                for s in range(n_j))
+    coords = np.concatenate(([0j], _factor_coords(spec, j, Z)))
+    return T_inverse(RootCluster((lam,), (n_j,)), coords).factors[0]
 
 
 def det_expansion_residual(n: int, lam, xi_grid) -> float:
@@ -351,16 +362,6 @@ def det_expansion_residual(n: int, lam, xi_grid) -> float:
     return worst / norm
 
 
-def lambda_grad(spec: JordanSpec, j: int, s: int) -> np.ndarray:
-    """Gradient of the s-th local eigenvalue coefficient map at the base
-    matrix: (n_j - s)^{-1} P^* (N_j^s)^* P^{-*}; eigenvalue j must be a
-    single Jordan block."""
-    n_j = spec.n_j(j)
-    if not 0 <= s <= n_j - 1:
-        raise ValueError(f"coefficient index {s} outside 0..{n_j - 1}")
-    return _R_column(spec, j, s) / (n_j - s)
-
-
 def declared_active(spec: JordanSpec, f, tol: float = 1e-8) -> tuple:
     """The one active-set routine over declared structure.
 
@@ -389,27 +390,26 @@ def declared_active(spec: JordanSpec, f, tol: float = 1e-8) -> tuple:
     return g, rho, [j for j, v in enumerate(vals) if v >= value - tol]
 
 
-def _R_column(spec: JordanSpec, j: int, s: int) -> np.ndarray:
-    """P^* (N_j^s)^* P^{-*}: (N_j^s)^* has ones at (i + s, i) of eigenvalue
-    j's slot, so the product is the outer products of P^*'s columns i + s
-    with P^{-*}'s rows i.  Eigenvalue j must be a single Jordan block."""
-    if not spec.nonderogatory(j):
-        raise DerogatoryEigenvalue(
-            f"eigenvalue {spec.eig_value(j)} has {spec.q_j(j)} Jordan blocks"
-        )
-    sl = spec.eig_slice(j)
-    return spec.Pstar[:, sl.start + s: sl.stop] @ spec.Pinvstar[sl.start: sl.stop - s]
-
-
 def R_matrix(spec: JordanSpec, eigs=None) -> np.ndarray:
     """Stacked columns vec(P^* (N_j^s)^* P^{-*}), s = 0..n_j - 1, for the
     declared eigenvalues j listed in ``eigs``, in that order (all of them by
-    default): the linear map behind the matrix part of R.  A subset of the
+    default): the linear map behind the matrix part of R.  (N_j^s)^* has
+    ones at (i + s, i) of eigenvalue j's slot, so a column is the outer
+    products of P^*'s columns i + s with P^{-*}'s rows i.  A subset of the
     eigenvalues needs no re-laid-out spec, because a permutation of the
-    block layout cancels between P^* and P^{-*}."""
+    block layout cancels between P^* and P^{-*}.  Every listed eigenvalue
+    must be a single Jordan block."""
     eigs = range(spec.num_eigs) if eigs is None else eigs
-    return np.stack([_R_column(spec, j, s).ravel()
-                     for j in eigs for s in range(spec.n_j(j))], axis=1)
+    cols = []
+    for j in eigs:
+        if not spec.nonderogatory(j):
+            raise DerogatoryEigenvalue(
+                f"eigenvalue {spec.eig_value(j)} has {spec.q_j(j)} Jordan blocks"
+            )
+        sl = spec.eig_slice(j)
+        cols += [(spec.Pstar[:, sl.start + s: sl.stop] @ spec.Pinvstar[sl.start: sl.stop - s])
+                 .ravel() for s in range(spec.n_j(j))]
+    return np.stack(cols, axis=1)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cpoly import Poly, poly_root_max
 from .jordan import JordanSpec, nilpotent
-from .specsub import spectral_max
+from .specsub import _candidate, spectral_max
 
 __all__ = [
     "FDReport",
@@ -70,9 +70,6 @@ class FDReport:
     noise: float = 0.0
     formula_value: Optional[float] = None
     verdict: Optional[bool] = None
-
-    def slack(self, t: float) -> float:
-        return self.slack_coeff * t ** (1.0 / self.holder_order) + self.noise / t + ABS_SLACK
 
     def diverging(self) -> bool:
         return self.growth_exponent is not None and self.growth_exponent <= GROWTH_CUTOFF
@@ -129,6 +126,14 @@ def _extrapolate(steps, quotients) -> float:
     return q1 + (q1 - q2) * t1 / (t2 - t1)
 
 
+def _margin(quotients, coeff, steps, order: int, noise: float) -> np.ndarray:
+    """The quotients at ``steps`` (last axis) plus the slack
+    c * t^(1/order) + noise / t + ABS_SLACK that a formula value or a
+    subgradient pairing may exceed them by."""
+    powers = np.array([t ** (1.0 / order) for t in steps])
+    return quotients + coeff * powers + noise / np.asarray(steps, dtype=float) + ABS_SLACK
+
+
 def _build_report(steps, quotients, holder_order, formula, scale=1.0) -> FDReport:
     steps = tuple(float(t) for t in steps)
     quotients = tuple(float(q) for q in quotients)
@@ -140,10 +145,8 @@ def _build_report(steps, quotients, holder_order, formula, scale=1.0) -> FDRepor
         if math.isinf(formula):
             verdict = expo is not None and expo <= GROWTH_CUTOFF
         else:
-            verdict = all(
-                formula <= q + coeff * t ** (1.0 / holder_order) + noise / t + ABS_SLACK
-                for t, q in zip(steps, quotients)
-            )
+            verdict = bool(np.all(formula <= _margin(np.array(quotients), coeff, steps,
+                                                     holder_order, noise)))
     return FDReport(
         steps=steps,
         quotients=quotients,
@@ -237,7 +240,7 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     """Sampled test of Re<Y, Z> <= quotient(t) + slack(t) over seeded unit
     directions (plus structured probes), aggregating the worst violation."""
     X = spec.synth()
-    Y = np.asarray(Y, dtype=complex)
+    Y, _ = _candidate(spec, Y)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs)) if spec.num_eigs else 1
     probes = _structured_probes(spec) if include_probes else []
     D = np.empty((len(probes) + n_samples, spec.n, spec.n), dtype=complex)
@@ -254,8 +257,7 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
         stack = X + steps[:, None, None] * D[a:a + block, None]
         quotients[a:a + block] = (spectral_max(stack, f) - base) / steps
     coeff = slack_coefficient(radii, quotients, m_max)
-    margin = (quotients + coeff[:, None] * np.array([t ** (1.0 / m_max) for t in radii])
-              + noise / steps + ABS_SLACK)
+    margin = _margin(quotients, coeff[:, None], radii, m_max, noise)
     gap = (lhs[:, None] - margin).max(axis=1)
     positive = np.where(gap > 0, gap, 0.0)
     violations = int(np.count_nonzero(positive))

@@ -25,13 +25,14 @@ out freely across samples.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpoly import RootCluster, _cluster_rows, _fvalue, _row_cluster, active_set, lex_key
+from .cpoly import _cluster_rows, _fvalue, _row_cluster, active_set
 from .generators import Generator, UnsupportedGenerator, builtin
-from .jordan import JordanSpec, R_matrix, declared_active
+from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
 from .polysub import (
     Dp_horizon_membership,
     Dp_membership,
@@ -233,9 +234,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
     """
     if level not in ("limiting", "regular"):
         raise ValueError("level must be 'limiting' or 'regular'")
-    Y = np.asarray(Y, dtype=complex)
-    if Y.shape != (spec.n, spec.n):
-        raise ValueError(f"candidate must be {spec.n}x{spec.n}")
+    Y, norm = _candidate(spec, Y)
     W = spec.to_W(Y)
     residuals = []
     segments = _segments(spec)
@@ -274,7 +273,19 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
                                   (j, s)))
         theta[j] = vals
 
-    return ToeplitzParams(level, W, theta, residuals, tol, float(np.linalg.norm(Y)))
+    return ToeplitzParams(level, W, theta, residuals, tol, norm)
+
+
+def _candidate(spec: JordanSpec, Y) -> tuple:
+    """``(Y, |Y|)`` with Y as a complex array; ValueError unless Y is n x n
+    with a finite norm, which every tolerance scales with."""
+    Y = np.asarray(Y, dtype=complex)
+    if Y.shape != (spec.n, spec.n):
+        raise ValueError(f"candidate must be {spec.n}x{spec.n}")
+    norm = float(np.linalg.norm(Y))
+    if not math.isfinite(norm):
+        raise ValueError(f"candidate must be finite, got norm {norm}")
+    return Y, norm
 
 
 def _segments(spec: JordanSpec) -> list:
@@ -352,14 +363,6 @@ def rsd_recession_membership(spec: JordanSpec, f: Generator, Y,
     return _membership(spec, f, W_extract(spec, Y, "regular", tol), horizon=True)
 
 
-def _active_cluster(spec: JordanSpec, active) -> tuple:
-    """``(order, cluster)``: the active eigenvalue indices in lex order of
-    their values, and the monic factor they carry as a root cluster."""
-    order = sorted(active, key=lambda j: lex_key(spec.eig_value(j)))
-    return order, RootCluster(tuple(spec.eig_value(j) for j in order),
-                              tuple(spec.n_j(j) for j in order))
-
-
 def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
                seed: int = 0) -> np.ndarray:
     """Construct a regular subgradient: a point of the active factor's
@@ -374,7 +377,7 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
     nonderogatory; both regimes of f are supported.
     """
     g, rho, active = declared_active(spec, f)
-    order, cluster = _active_cluster(spec, active)
+    order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
     if gamma is not None:
         gamma = np.asarray(gamma, dtype=float).ravel()
@@ -406,14 +409,14 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
     nonderogatory active eigenvalues; supports both the smooth and the
     corner regime of f, and the spectral radius through its transform.
     """
+    Y, norm = _candidate(spec, Y)
     g, rho, active = declared_active(spec, f)
-    order, cluster = _active_cluster(spec, active)
+    order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
-    Y = np.asarray(Y, dtype=complex)
     rhs = -Y.ravel()
     v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     resid = float(np.linalg.norm(M @ v - rhs))
-    if resid > tol * max(1.0, float(np.linalg.norm(Y))):
+    if resid > tol * max(1.0, norm):
         return False
     c = rho * np.concatenate(([0.0 + 0.0j], v))
     member = Dp_horizon_membership if horizon else Dp_membership

@@ -108,6 +108,24 @@ class TestMembership:
         assert code == 0
 
 
+    @pytest.mark.parametrize("kind", ["recession", "limiting-structure", "rsd", "chain"])
+    def test_nan_candidate_exits_2(self, capsys, paths, kind):
+        # json reads a NaN literal, so the candidate file may carry one
+        spath = paths("A.json", spec_to_json(fixture_two_active()))
+        ypath = paths("N.json", matrix_to_json(np.full((3, 3), np.nan)))
+        code = main(["membership", spath, ypath, "--f", "abscissa", "--set", kind])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "candidate must be finite" in out.err
+
+    def test_wrong_size_candidate_exits_2(self, capsys, paths):
+        spath = paths("A.json", spec_to_json(fixture_two_active()))
+        ypath = paths("Y.json", matrix_to_json(np.eye(2)))
+        code = main(["membership", spath, ypath, "--f", "abscissa", "--set", "chain"])
+        assert code == 2
+        assert "candidate must be 3x3" in capsys.readouterr().err
+
+
 class TestSubderivative:
     def test_poly_variant(self, capsys, paths):
         ppath = paths("p.json", [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])  # lambda^2
@@ -233,6 +251,17 @@ class TestVerify:
         assert code == 2 and captured.out == ""
         assert "neither supported regime" in captured.err
 
+    @pytest.mark.parametrize("eig,message", [
+        ({"lambda": [0.0, 0.0], "blocks": [1.7]}, "block sizes must be positive integers"),
+        ({"lambda": [float("nan"), 0.0], "blocks": [1]}, "eigenvalue must be finite"),
+    ], ids=["fractional-block", "nan-eigenvalue"])
+    def test_invalid_declaration_exits_2(self, capsys, paths, eig, message):
+        spath = paths("S.json", {"eigs": [eig, {"lambda": [-1.0, 0.0], "blocks": [1]}]})
+        code = main(["verify", spath, "--f", "abscissa", "--samples", "10", "--json"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert message in out.err
+
     def test_bad_seed_type_exits_2(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         code, _ = run(capsys, ["verify", spath, "--f", "abscissa", "--seed", "x"])
@@ -323,6 +352,26 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True).stdout
         assert out.strip() == "[]"
+
+
+    def test_every_export_resolves(self):
+        # a fresh process, so a stale name in some __all__ cannot hide
+        # behind a module another test imported first
+        src = os.path.dirname(os.path.dirname(specmax.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import importlib, pkgutil, specmax\n"
+                "for m in pkgutil.iter_modules(specmax.__path__):\n"
+                "    mod = importlib.import_module('specmax.' + m.name)\n"
+                "    for name in getattr(mod, '__all__', ()):\n"
+                "        getattr(mod, name)\n"
+                "    print(m.name, len(getattr(mod, '__all__', ())))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        counts = dict(line.split() for line in out.stdout.splitlines())
+        assert {"cpoly", "factorspace", "jordan", "specsub", "cli"} <= counts.keys()
+        assert int(counts["jordan"]) > 0 and int(counts["cpoly"]) > 0
 
 
 class TestScripts:

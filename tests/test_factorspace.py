@@ -35,6 +35,29 @@ def random_elem(base, rng, scale=1.0):
     return FactorSpaceElem(base, scale * complex(rng.standard_normal(), rng.standard_normal()), factors)
 
 
+def _reference_F_deriv0(base, w):
+    """omega0 * p + sum_j r_j * w_j as a cofactor loop."""
+    ntilde = base.degree()
+    out = (w.mu0 * base.as_poly()).padded(ntilde)
+    for j, w_j in enumerate(w.factors):
+        r_j = Poly.one()
+        for k, (lam, n_k) in enumerate(zip(base.roots, base.mults)):
+            if k != j:
+                r_j = r_j * elementary(n_k, lam)
+        out = out + (r_j * w_j).padded(ntilde)
+    return out
+
+
+def _reference_pn_inner(base, z, v):
+    """<z, v> through factor-space elements: invert F'(0), then sp_inner."""
+    return sp_inner(F_deriv0_inv(base, z), F_deriv0_inv(base, v))
+
+
+def random_poly(rng, degree_bound):
+    return Poly(tuple(rng.standard_normal(degree_bound + 1)
+                      + 1j * rng.standard_normal(degree_bound + 1)))
+
+
 class TestFApply:
     def test_zero_perturbation_recovers_base(self):
         u = FactorSpaceElem.zero(LAM2)
@@ -74,6 +97,16 @@ class TestFDeriv0:
         # base lambda(lambda-1): perturbing the root-0 factor multiplies by (lambda - 1)
         w = FactorSpaceElem(LAM_LAM1, 0j, (Poly((1 + 0j,)), Poly((0j,))))
         assert np.allclose(F_deriv0(LAM_LAM1, w).array(), [-1, 1, 0])
+
+
+    def test_matches_the_cofactor_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            base = random_cluster(rng)
+            w = random_elem(base, rng)
+            got, ref = F_deriv0(base, w), _reference_F_deriv0(base, w)
+            assert got.degree_bound == ref.degree_bound == base.degree()
+            assert np.linalg.norm(got.array() - ref.array()) <= 1e-12 * max(1.0, ref.coeff_norm())
 
 
 class TestFDeriv0Inv:
@@ -148,6 +181,14 @@ class TestInnerProducts:
             lhs = pn_inner(base, F_deriv0(base, w), v)
             rhs = sp_inner(w, F_deriv0_inv(base, v))
             assert abs(lhs - rhs) < 1e-10 * max(1, abs(lhs))
+
+    def test_matches_the_factor_space_reference(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            base = random_cluster(rng)
+            z, v = random_poly(rng, base.degree()), random_poly(rng, base.degree())
+            ref = _reference_pn_inner(base, z, v)
+            assert abs(pn_inner(base, z, v) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_taylor_map_is_an_isometry(self):
         rng = np.random.default_rng(6)

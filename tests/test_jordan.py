@@ -1,22 +1,23 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
-from specmax.cpoly import Poly, RootCluster, elementary, lex_key, roots, taylor_coeff, taylor_inner
+from specmax.cli import main
+from specmax.cpoly import Poly, RootCluster, elementary, lex_key, roots, taylor_coeff
 from specmax.generators import builtin
 from specmax.jordan import (
     DerogatoryEigenvalue,
     JordanSpec,
     R_matrix,
+    _factor_coords,
     char_poly,
     char_poly_deriv_action,
     declared_active,
     det_expansion_residual,
     gj_deriv,
-    gj_deriv_adjoint,
-    lambda_grad,
     matrix_from_json,
     matrix_to_json,
     nilpotent,
@@ -24,6 +25,7 @@ from specmax.jordan import (
     spec_to_json,
     synth,
 )
+from specmax.polysub import subderivative_f
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -59,6 +61,46 @@ def random_spec(rng, n_max=6, derogatory_ok=True):
         return JordanSpec(eigs, P=random_P(rng, n))
 
 
+def random_direction(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+# -- reference copies of the derivative formulas as they were written before
+# they read Taylor coordinates: nilpotent-bracket powers and a cofactor loop
+
+
+def _reference_gj_deriv(spec, j, Z):
+    """sum_l -tr(N^(l-1) V_jj) (lambda - lambda_j)^(n_j - l), with N the
+    block diagonal of the sub-block nilpotents and its powers formed."""
+    V = spec.P @ np.asarray(Z, dtype=complex) @ spec.Pinv
+    lam, n_j = spec.eig_value(j), spec.n_j(j)
+    Vjj = V[spec.eig_slice(j), spec.eig_slice(j)]
+    Nb = np.zeros((n_j, n_j), dtype=complex)
+    pos = 0
+    for b in spec.block_sizes(j):
+        Nb[pos: pos + b, pos: pos + b] = nilpotent(b)
+        pos += b
+    out = Poly.zero(n_j - 1)
+    power = np.eye(n_j, dtype=complex)
+    for ell in range(1, spec.m_j(j) + 1):
+        out = out + (-np.trace(power @ Vjj)) * elementary(n_j - ell, lam, degree_bound=n_j - 1)
+        power = power @ Nb
+    return out
+
+
+def _reference_char_poly_deriv_action(spec, Z):
+    """sum_j r_j * gj_deriv(spec, j, Z), r_j the product of the other
+    eigenvalues' monic factors."""
+    out = Poly.zero(max(spec.n - 1, 0))
+    for j in range(spec.num_eigs):
+        r_j = Poly.one()
+        for k in range(spec.num_eigs):
+            if k != j:
+                r_j = r_j * elementary(spec.n_j(k), spec.eig_value(k))
+        out = out + (r_j * _reference_gj_deriv(spec, j, Z)).padded(out.degree_bound)
+    return out
+
+
 class TestSynth:
     def test_single_nilpotent_block(self):
         spec = JordanSpec([(0.0, (2,))])
@@ -83,6 +125,30 @@ class TestSynth:
         P = np.diag([1.0, 1e-12])
         with pytest.raises(ValueError):
             JordanSpec([(0.0, (2,))], P=P)
+
+
+class TestDeclarationChecks:
+    def test_integral_block_sizes_only(self):
+        assert JordanSpec([(0.0, (2.0, 1))]).block_sizes(0) == (2, 1)
+        for blocks in [(1.7,), (2, 0.5), (float("inf"),), (float("nan"),), ("2",), ()]:
+            with pytest.raises(ValueError, match="block sizes must be positive integers"):
+                JordanSpec([(0.0, blocks)])
+
+    def test_non_finite_eigenvalue_rejected(self):
+        for lam in [complex(np.nan, 0), complex(0, np.inf)]:
+            with pytest.raises(ValueError, match="eigenvalue must be finite"):
+                JordanSpec([(lam, (1,)), (1.0, (1,))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_similarity_rejected(self, bad):
+        P = np.eye(2)
+        P[0, 1] = bad
+        with pytest.raises(ValueError, match="similarity"):
+            JordanSpec([(0.0, (2,))], P=P)
+
+    def test_non_finite_rest_block_rejected(self):
+        with pytest.raises(ValueError, match="rest block B"):
+            JordanSpec([(0.0, (2,))], B=np.array([[np.inf]]))
 
 
 class TestCharPoly:
@@ -155,29 +221,91 @@ class TestCharPolyDerivAction:
         with pytest.raises(ValueError):
             char_poly_deriv_action(spec, np.zeros((3, 3)))
 
+    def test_matches_the_cofactor_reference(self):
+        rng = np.random.default_rng(15)
+        derogatory = 0
+        for _ in range(200):
+            spec = random_spec(rng)
+            Z = random_direction(rng, spec.n)
+            got = char_poly_deriv_action(spec, Z)
+            ref = _reference_char_poly_deriv_action(spec, Z)
+            assert got.degree_bound == ref.degree_bound == spec.n - 1
+            assert np.linalg.norm(got.array() - ref.array()) <= 1e-12 * max(1.0, ref.coeff_norm())
+            derogatory += any(spec.q_j(j) > 1 for j in range(spec.num_eigs))
+        assert derogatory >= 40
+
+    @pytest.mark.parametrize("name", ["abscissa", "radius2", "radius"])
+    def test_cli_subderivative_matches_the_reference(self, capsys, tmp_path, name):
+        # half of the directions keep V = P Z P^{-1} upper triangular, so the
+        # factor coordinates past the first vanish and the value is finite
+        rng = np.random.default_rng(16 + len(name))
+        f = builtin(name)
+        spec_path, z_path = tmp_path / "spec.json", tmp_path / "Z.json"
+        finite = 0
+        for k in range(60):
+            spec = random_spec(rng)
+            V = random_direction(rng, spec.n)
+            Z = spec.Pinv @ (np.triu(V) if k % 2 else V) @ spec.P
+            spec_path.write_text(json.dumps(spec_to_json(spec)))
+            z_path.write_text(json.dumps(matrix_to_json(Z)))
+            code = main(["subderivative", "matrix", str(spec_path), str(z_path), "--f", name])
+            got = json.loads(capsys.readouterr().out)["value"]
+            cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j))
+                                         for j in range(spec.num_eigs))
+            ref = subderivative_f(cluster, f, _reference_char_poly_deriv_action(spec, Z))
+            assert code == 0
+            if math.isinf(ref):
+                assert got == "inf"
+            else:
+                finite += 1
+                assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+        assert finite >= 20
+
 
 class TestGjDeriv:
     def test_adjoint_identity(self):
+        # on a single Jordan block the Taylor coordinates of g_j'(X) Z are
+        # -R_j^* vec Z, and they are gj_deriv's Taylor coefficients
         rng = np.random.default_rng(4)
-        for _ in range(20):
+        for _ in range(200):
             spec = random_spec(rng, derogatory_ok=False)
             j = int(rng.integers(spec.num_eigs))
             n_j, lam = spec.n_j(j), spec.eig_value(j)
-            Z = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
-            h = Poly(tuple(rng.standard_normal(n_j) + 1j * rng.standard_normal(n_j)))
-            lhs = np.real(np.trace(gj_deriv_adjoint(spec, j, h).conj().T @ Z))
-            rhs = np.real(taylor_inner(h, gj_deriv(spec, j, Z), n_j, lam))
-            assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+            Z = random_direction(rng, spec.n)
+            mu = _factor_coords(spec, j, Z)
+            expect = -R_matrix(spec, [j]).conj().T @ Z.ravel()
+            assert np.linalg.norm(mu - expect) <= 1e-12 * max(1.0, np.linalg.norm(expect))
+            g = gj_deriv(spec, j, Z)
+            taylor = [taylor_coeff(g, n_j - s, lam) for s in range(1, n_j + 1)]
+            assert np.linalg.norm(np.array(taylor) - mu) <= 1e-12 * max(1.0, np.linalg.norm(mu))
 
     def test_adjoint_is_injective(self):
+        # Z -> the coordinates of g_j'(X) Z is onto, so R_j has independent columns
         rng = np.random.default_rng(5)
         spec = JordanSpec([(0.5 + 0.5j, (3,))], P=random_P(rng, 3))
-        cols = []
-        for k in range(3):
-            h = Poly(tuple(1.0 + 0j if i == k else 0j for i in range(3)))
-            cols.append(gj_deriv_adjoint(spec, 0, h).ravel())
-        s = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+        rows = [_factor_coords(spec, 0, E.reshape(3, 3)) for E in np.eye(9)]
+        s = np.linalg.svd(np.stack(rows, axis=1), compute_uv=False)
         assert s.min() > 1e-8
+
+    def test_matches_the_nilpotent_power_reference(self):
+        rng = np.random.default_rng(17)
+        derogatory = 0
+        for _ in range(200):
+            spec = random_spec(rng)
+            Z = random_direction(rng, spec.n)
+            for j in range(spec.num_eigs):
+                got, ref = gj_deriv(spec, j, Z), _reference_gj_deriv(spec, j, Z)
+                assert got.degree_bound == ref.degree_bound == spec.n_j(j) - 1
+                assert (np.linalg.norm(got.array() - ref.array())
+                        <= 1e-12 * max(1.0, ref.coeff_norm()))
+                derogatory += spec.q_j(j) > 1
+        assert derogatory >= 40
+
+    def test_derogatory_coordinates_stop_at_the_largest_block(self):
+        # eigenvalue 0 with blocks (2, 1): mu_3 = 0, mu_1 sums both diagonals
+        spec = JordanSpec([(0.0, (2, 1))])
+        Z = np.arange(9, dtype=complex).reshape(3, 3)
+        assert np.allclose(_factor_coords(spec, 0, Z), [-(0 + 4 + 8), -3, 0])
 
 
 class TestDetExpansion:
@@ -218,22 +346,27 @@ class TestDetExpansion:
 
 
 class TestLambdaGrad:
+    """The columns of R: the gradient of the s-th local eigenvalue
+    coefficient map is column s over n_j - s."""
+
     def test_block_identity_coefficient(self):
         spec = JordanSpec([(0.0, (2,))])
-        assert np.allclose(lambda_grad(spec, 0, 0), 0.5 * np.eye(2))
+        assert np.allclose(R_matrix(spec)[:, 0].reshape(2, 2) / 2, 0.5 * np.eye(2))
 
     def test_nilpotent_coefficient(self):
         spec = JordanSpec([(0.0, (2,))])
-        assert np.allclose(lambda_grad(spec, 0, 1), nilpotent(2).conj().T)
+        assert np.allclose(R_matrix(spec)[:, 1].reshape(2, 2), nilpotent(2).conj().T)
 
     def test_derogatory_rejected(self):
-        spec = JordanSpec([(0.0, (1, 1))])
+        # only the listed eigenvalues need a single Jordan block
+        spec = JordanSpec([(0.0, (1, 1)), (1.0, (2,))])
+        assert R_matrix(spec, [1]).shape == (16, 2)
         with pytest.raises(DerogatoryEigenvalue):
-            lambda_grad(spec, 0, 0)
+            R_matrix(spec, [1, 0])
 
     def test_fd_against_active_factor_coefficients(self):
         # the degree-(n_j - s - 1) Taylor coefficient of the local monic
-        # factor moves at rate -(n_j - s) <grad, Z> along X + tZ
+        # factor moves at rate -<R column s, Z> = mu_j,s+1 along X + tZ
         rng = np.random.default_rng(8)
         for _ in range(10):
             lam0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -253,9 +386,9 @@ class TestLambdaGrad:
                 d1 = factor_coeff(t, s) / t
                 d2 = factor_coeff(2 * t, s) / (2 * t)
                 fd = 2 * d1 - d2
-                pairing = np.trace(lambda_grad(spec, 0, s).conj().T @ Z)
-                expect = -(2 - s) * pairing
+                expect = -np.vdot(R_matrix(spec)[:, s], Z.ravel())
                 assert abs(fd - expect) <= 1e-5 * max(1.0, abs(expect))
+                assert abs(_factor_coords(spec, 0, Z)[s] - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
 # -- the active factor as a re-laid-out spec ---------------------------------------

@@ -189,6 +189,12 @@ class TestInequalitySuite:
         rep2 = subgradient_inequality_suite(J2, ABSC, Y, n_samples=40, seed=11)
         assert rep1 == rep2
 
+    @pytest.mark.parametrize("Y", [np.full((2, 2), np.nan), np.eye(3)], ids=["nan", "3x3"])
+    def test_malformed_candidate_rejected(self, Y):
+        # a NaN pairing compares false everywhere, which read as 0 violations
+        with pytest.raises(ValueError, match="candidate"):
+            subgradient_inequality_suite(J2, ABSC, Y, n_samples=10)
+
 
 def _suite_one_direction_at_a_time(spec, f, Y, n_samples, radii=(1e-2, 1e-3, 1e-4),
                                    seed=0):

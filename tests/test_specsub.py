@@ -149,6 +149,16 @@ class TestWExtract:
         W[2, 1] = 0.1  # above the bottom-right diagonal of the 1x2 sub-block
         assert not W_extract(B_SPEC, B_SPEC.from_W(W), level="limiting").ok
 
+    @pytest.mark.parametrize("level", ["limiting", "regular"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_candidate_rejected(self, level, bad):
+        Y = np.eye(3, dtype=complex)
+        Y[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            W_extract(A_SPEC, Y, level=level)
+        with pytest.raises(ValueError, match="finite"):
+            rsd_recession_membership(A_SPEC, ABSC, np.full((3, 3), np.nan))
+
 
 class TestRsdMembership:
     def test_halfplane_on_the_subdiagonal(self):
@@ -290,6 +300,12 @@ class TestChainRule:
 
     def test_zero_fails(self):
         assert not chain_rule_membership(J2, ABSC, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("Y", [np.zeros((2, 2)), np.zeros(9), np.full((3, 3), np.nan)],
+                             ids=["2x2", "flat", "nan"])
+    def test_malformed_candidate_rejected(self, Y):
+        with pytest.raises(ValueError, match="candidate"):
+            chain_rule_membership(A_SPEC, ABSC, Y)
 
     def test_off_range_candidate_fails(self):
         rng = np.random.default_rng(5)

@@ -8,19 +8,14 @@ from .cpoly import (
     lex_leq,
     poly_from_json,
     poly_root_max,
-    poly_to_json,
     roots,
     taylor_coeff,
 )
 from .factorspace import (
-    F_apply,
     F_deriv0,
-    F_deriv0_inv,
     FactorSpaceElem,
     T_apply,
     T_inverse,
-    pn_inner,
-    sp_inner,
 )
 from .generators import (
     ConvexSet2D,
@@ -42,17 +37,14 @@ from .jordan import (
     matrix_to_json,
     spec_from_json,
     spec_to_json,
-    synth,
 )
 from .oracles import FDReport, fd_phi_quotient, fd_poly_quotient, subgradient_inequality_suite
 from .polysub import (
     Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
-    rsd_f_horizon_membership,
     rsd_f_membership,
     subderivative_f,
-    subderivative_radius,
 )
 from .specsub import (
     MembershipReport,

@@ -24,7 +24,6 @@ __all__ = [
     "roots",
     "active_set",
     "poly_root_max",
-    "poly_to_json",
     "poly_from_json",
 ]
 
@@ -312,10 +311,6 @@ def poly_root_max(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6) -> 
     """The root max function: max of f over the roots of p."""
     value, _ = active_set(p, f, active_tol=active_tol, cluster_tol=cluster_tol)
     return value
-
-
-def poly_to_json(p: Poly) -> list:
-    return [[c.real, c.imag] for c in p.coeffs]
 
 
 def poly_from_json(data: Sequence) -> Poly:

@@ -3,10 +3,13 @@
 A monic p with distinct roots lam_j of multiplicities n_j factors as
 prod_j (lambda - lam_j)**n_j.  Perturbations of p are coordinatized by a
 scalar mu0 (leading-coefficient direction) together with one polynomial of
-degree <= n_j - 1 per root.  This module implements that coordinate map, the
-derivative of the factored product at the base point, its inverse, the
-Taylor-coefficient isomorphism onto C^(ntilde+1), and the inner products
-these maps induce.  All values are immutable and every function is pure.
+degree <= n_j - 1 per root, and those by their Taylor coordinates in
+C^(ntilde+1).  The calculus works on Taylor coordinate vectors only: the
+derivative F'(0) of the factored product at the base point is a coordinate
+matrix (:func:`_coordinate_matrix`), and :func:`_solve_coords` inverts it.
+:class:`FactorSpaceElem` with :func:`T_apply` and :func:`T_inverse` is the
+polynomial view of a coordinate vector, and :func:`F_deriv0` applies F'(0)
+to it.  All values are immutable and every function is pure.
 """
 
 from __future__ import annotations
@@ -19,13 +22,9 @@ from .cpoly import Poly, RootCluster, elementary, taylor_coeff
 
 __all__ = [
     "FactorSpaceElem",
-    "F_apply",
     "F_deriv0",
-    "F_deriv0_inv",
     "T_apply",
     "T_inverse",
-    "sp_inner",
-    "pn_inner",
 ]
 
 
@@ -63,20 +62,6 @@ class FactorSpaceElem:
         return FactorSpaceElem(base, 0j, tuple(Poly.zero(n - 1) for n in base.mults))
 
 
-def _check_base(base: RootCluster, u: FactorSpaceElem):
-    if u.base != base:
-        raise ValueError("factor-space element belongs to a different base polynomial")
-
-
-def F_apply(base: RootCluster, u: FactorSpaceElem) -> Poly:
-    """(1 + mu0) * prod_j ((lambda - lam_j)**n_j + u_j); equals p at u = 0."""
-    _check_base(base, u)
-    p = Poly((1.0 + u.mu0,))
-    for (lam, n_j), q in zip(zip(base.roots, base.mults), u.factors):
-        p = p * (elementary(n_j, lam) + q.padded(n_j))
-    return p
-
-
 def _cofactors(base: RootCluster) -> list:
     """r_j = p / (lambda - lam_j)**n_j for each distinct root."""
     rs = []
@@ -109,7 +94,8 @@ def _coordinate_matrix(base: RootCluster) -> np.ndarray:
 def T_apply(base: RootCluster, u: FactorSpaceElem) -> np.ndarray:
     """Taylor coordinates [mu0, (mu_j1 .. mu_jn_j)_j] with
     mu_js = tau_(n_j - s, lam_j)(u_j)."""
-    _check_base(base, u)
+    if u.base != base:
+        raise ValueError("factor-space element belongs to a different base polynomial")
     out = [u.mu0]
     for (lam, n_j), q in zip(zip(base.roots, base.mults), u.factors):
         out.extend(taylor_coeff(q, n_j - s, lam) for s in range(1, n_j + 1))
@@ -154,21 +140,3 @@ def _solve_coords(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> np
     if resid > residual_tol * max(1.0, float(np.linalg.norm(rhs))):
         raise ValueError(f"factor coordinate solve residual {resid:.3e} too large")
     return coords
-
-
-def F_deriv0_inv(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> FactorSpaceElem:
-    """The unique w with F_deriv0(base, w) = v (see :func:`_solve_coords`)."""
-    return T_inverse(base, _solve_coords(base, v, residual_tol))
-
-
-def sp_inner(u: FactorSpaceElem, w: FactorSpaceElem) -> complex:
-    """Complex inner product on the factorization space (Taylor coordinates)."""
-    _check_base(u.base, w)
-    cu, cw = T_apply(u.base, u), T_apply(u.base, w)
-    return complex(np.vdot(cu, cw))
-
-
-def pn_inner(base: RootCluster, z: Poly, v: Poly) -> complex:
-    """Inner product on degree-<= ntilde polynomials induced by pulling back
-    through F'(0) into Taylor coordinates; <p, p> = 1 at the base polynomial."""
-    return complex(np.vdot(_solve_coords(base, z), _solve_coords(base, v)))

@@ -31,7 +31,6 @@ __all__ = [
     "builtin",
     "make_generator",
     "radius_transform",
-    "cip",
     "re_cip",
     "condition_check",
     "q_set",
@@ -55,14 +54,9 @@ class UnsupportedGenerator(ValueError):
     """Raised when a generator lies outside the supported calculus."""
 
 
-def cip(a: complex, b: complex) -> complex:
-    """Complex inner product conj(a) * b."""
-    return np.conj(complex(a)) * complex(b)
-
-
 def re_cip(a: complex, b: complex) -> float:
     """Real inner product Re(conj(a) * b) identifying C with R^2."""
-    return float(np.real(cip(a, b)))
+    return float(np.real(np.conj(complex(a)) * complex(b)))
 
 
 def _as_vec(z: complex) -> np.ndarray:
@@ -174,7 +168,7 @@ class ConvexSet2D:
             return re_cip(d, center) + radius * abs(d)
         if self.kind == "halfplane":
             normal, offset = self.data
-            t = cip(normal, d)  # d = (t / |n|^2)* n decomposition
+            t = np.conj(complex(normal)) * d  # d = (t / |n|^2)* n decomposition
             if abs(t.imag) > 0 or t.real > 0:
                 return math.inf
             return (t.real / abs(normal) ** 2) * offset if offset != 0 else 0.0

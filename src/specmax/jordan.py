@@ -35,8 +35,8 @@ import math
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, lex_key
-from .factorspace import T_inverse, _coordinate_matrix
+from .cpoly import Poly, RootCluster, _fvalue, lex_key
+from .factorspace import _coordinate_matrix
 from .generators import radius_transform
 
 __all__ = [
@@ -44,10 +44,8 @@ __all__ = [
     "DerogatoryEigenvalue",
     "DomainError",
     "nilpotent",
-    "synth",
     "char_poly",
     "char_poly_deriv_action",
-    "gj_deriv",
     "det_expansion_residual",
     "declared_active",
     "R_matrix",
@@ -259,10 +257,6 @@ class JordanSpec:
         return f"JordanSpec(n={self.n}, n0={self.n0}, eigs=[{parts}])"
 
 
-def synth(spec: JordanSpec) -> np.ndarray:
-    return spec.synth()
-
-
 def char_poly(X) -> Poly:
     """Characteristic polynomial det(lambda I - X) via the trace recursion.
 
@@ -324,15 +318,6 @@ def char_poly_deriv_action(spec: JordanSpec, Z) -> Poly:
     return Poly(tuple(_coordinate_matrix(cluster)[:spec.n, 1:] @ mu))
 
 
-def gj_deriv(spec: JordanSpec, j: int, Z) -> Poly:
-    """Derivative of the eigenvalue-j monic factor map in direction Z, the
-    polynomial sum_s mu_js (lambda - lambda_j)^(n_j - s) of degree <= n_j - 1
-    with the Taylor coordinates of :func:`_factor_coords`."""
-    lam, n_j = spec.eig_value(j), spec.n_j(j)
-    coords = np.concatenate(([0j], _factor_coords(spec, j, Z)))
-    return T_inverse(RootCluster((lam,), (n_j,)), coords).factors[0]
-
-
 def det_expansion_residual(n: int, lam, xi_grid) -> float:
     """Deviation of det(xi I - J - sum_s lam_s (J^*)^s) from its linearization
     xi^n - sum_s (n - s) lam_s xi^(n-s-1), maximized over the grid and scaled
@@ -374,7 +359,7 @@ def declared_active(spec: JordanSpec, f, tol: float = 1e-8) -> tuple:
     """
     lams = [lam for lam, _ in spec.eigs]
     g, rho = radius_transform(f, lams + list(spec.b_eigenvalues))
-    value_of = g.value if hasattr(g, "value") else g
+    value_of = _fvalue(g)
     vals = [float(value_of(lam)) for lam in lams]
     b_vals = [float(value_of(mu)) for mu in spec.b_eigenvalues]
     if any(math.isinf(v) for v in vals + b_vals):

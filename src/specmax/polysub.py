@@ -30,7 +30,6 @@ from .generators import (
     ConvexSet2D,
     Generator,
     UnsupportedGenerator,
-    builtin,
     condition_check,
     q_set,
     radius_transform,
@@ -42,9 +41,7 @@ __all__ = [
     "Dp_horizon_membership",
     "Dp_sample",
     "rsd_f_membership",
-    "rsd_f_horizon_membership",
     "subderivative_f",
-    "subderivative_radius",
     "SIMPLEX_TOL",
 ]
 
@@ -191,12 +188,14 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, active_tol: float
         raise ValueError(
             f"coordinate vector must have length {cluster.degree() + 1}, got {c.size}"
         )
+    scale = 1.0 + float(np.linalg.norm(c))
+    if not math.isfinite(scale):  # NaN passes every "> tol" test below
+        raise ValueError(f"coordinate vector must be finite, got norm {scale - 1.0}")
     _, active = active_set(cluster, f, active_tol=active_tol)
     if not active:
         raise ValueError("no active root")
     active = sorted(active)
     blocks = _split_blocks(cluster, c)
-    scale = 1.0 + float(np.linalg.norm(c))
     if abs(c[0]) > tol or any(np.linalg.norm(block) > tol * scale
                               for j, block in enumerate(blocks) if j not in active):
         return False
@@ -242,7 +241,8 @@ def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0,
     if gamma is None:
         gamma = rng.dirichlet(np.ones(len(active)))
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.size != len(active) or gamma.min() < 0 or abs(gamma.sum() - 1) > SIMPLEX_TOL:
+    if (gamma.size != len(active) or not gamma.min() >= 0
+            or not abs(gamma.sum() - 1) <= SIMPLEX_TOL):  # NaN fails both
         raise ValueError("weights must be a point of the active simplex")
     c = np.zeros(cluster.degree() + 1, dtype=complex)
     pos = 1
@@ -292,12 +292,6 @@ def rsd_f_membership(cluster: RootCluster, f: Generator, v: Poly,
     """Regular subgradient test for the root max function: pull v back
     through the factorization derivative and test the coordinate set."""
     return Dp_membership(cluster, f, _solve_coords(cluster, v), tol)
-
-
-def rsd_f_horizon_membership(cluster: RootCluster, f: Generator, v: Poly,
-                             tol: float = 1e-8) -> bool:
-    """Horizon subgradient test for the root max function."""
-    return Dp_horizon_membership(cluster, f, _solve_coords(cluster, v), tol)
 
 
 def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
@@ -360,13 +354,3 @@ def _generating_points(S: ConvexSet2D):
     raise UnsupportedGenerator(
         f"orthogonality test has no finite generator list for {S.kind!r}"
     )
-
-
-def subderivative_radius(cluster: RootCluster, v: Poly, tol: float = 1e-8,
-                         active_tol: float = 1e-8) -> float:
-    """Lower directional derivative of the root radius (max root modulus):
-    at radius rho > 0, :func:`subderivative_f` of radius2 divided by rho,
-    which is max over active roots of (|omega_j2| - Re(conj(lam_j) omega_j1))
-    / (rho n_j) when every omega_j2 lies in the closed cone spanned by
-    lam_j^2 and the deeper coordinates vanish, and inf otherwise."""
-    return subderivative_f(cluster, builtin("radius"), v, tol, active_tol)

@@ -34,8 +34,6 @@ from .cpoly import _cluster_rows, _fvalue, _row_cluster, active_set
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
 from .polysub import (
-    Dp_horizon_membership,
-    Dp_membership,
     Dp_sample,
     _ActiveBlock,
     _split_blocks,
@@ -405,7 +403,11 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
                           tol: float = 1e-8, horizon: bool = False) -> bool:
     """Membership via the polynomial route: invert the coordinate-to-matrix
     map R of the active eigenvalues on its range (least squares plus a
-    residual gate) and test the coordinate set of the active factor.  Needs
+    residual gate) and pass the Taylor coordinates of the active factor to
+    :func:`polysub.block_failures`.  The active set is decided once, by
+    :func:`jordan.declared_active`: the factor holds only the active
+    eigenvalues and its leading coordinate is zero by construction, so no
+    inactive block or leading coordinate is left to test.  Needs
     nonderogatory active eigenvalues; supports both the smooth and the
     corner regime of f, and the spectral radius through its transform.
     """
@@ -418,9 +420,9 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
     resid = float(np.linalg.norm(M @ v - rhs))
     if resid > tol * max(1.0, norm):
         return False
-    c = rho * np.concatenate(([0.0 + 0.0j], v))
-    member = Dp_horizon_membership if horizon else Dp_membership
-    return member(cluster, g, c, rho * tol)
+    data = [_ActiveBlock(g, lam, n_j) for lam, n_j in zip(cluster.roots, cluster.mults)]
+    blocks = _split_blocks(cluster, rho * np.concatenate(([0.0 + 0.0j], v)))
+    return not block_failures(data, blocks, rho * tol, horizon)[0]
 
 
 # -- spectral radius entry points -------------------------------------------------

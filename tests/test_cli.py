@@ -63,6 +63,13 @@ class TestEval:
         code, _ = run(capsys, ["eval", mpath, "--f", "nope"])
         assert code == 2
 
+    def test_non_square_matrix_exits_2(self, capsys, paths):
+        mpath = paths("R.json", matrix_to_json(np.ones((2, 3))))
+        code = main(["eval", mpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "square" in out.err
+
 
 class TestMembership:
     def test_derogatory_member_exit_zero(self, capsys, paths):
@@ -152,6 +159,15 @@ class TestSubderivative:
         # shifting by the identity moves every eigenvalue at unit speed
         assert json.loads(out)["value"] == pytest.approx(1.0)
 
+    def test_matrix_variant_with_a_rest_block_exits_2(self, capsys, paths):
+        spec = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}], "B": [[[-1.0, 0.0]]]}
+        spath = paths("S.json", spec)
+        zpath = paths("Z.json", matrix_to_json(np.eye(3)))
+        code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "full spectrum" in out.err
+
 
 class TestWorkedExamples:
     def test_all_pass(self, capsys):
@@ -217,7 +233,7 @@ class TestVerify:
         assert code == 0 and payload["ok"]
         assert payload["cross_route_failures"] == 0 and payload["violations"] == 0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the slack is calibrated from "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the slack is calibrated from "
                        "the maximizing branch only, so a second branch with the larger "
                        "derivative, which takes over only below t = 1e-4, is missed")
     def test_member_with_a_late_branch_passes(self, capsys, paths):

@@ -3,14 +3,11 @@ import pytest
 
 from specmax.cpoly import Poly, RootCluster, elementary
 from specmax.factorspace import (
-    F_apply,
     F_deriv0,
-    F_deriv0_inv,
     FactorSpaceElem,
     T_apply,
     T_inverse,
-    pn_inner,
-    sp_inner,
+    _solve_coords,
 )
 
 LAM2 = RootCluster((0j,), (2,))                      # lambda^2
@@ -48,9 +45,26 @@ def _reference_F_deriv0(base, w):
     return out
 
 
+def _reference_F_apply(base, u):
+    """(1 + mu0) * prod_j ((lambda - lam_j)**n_j + u_j): the factored
+    product itself, which equals p at u = 0."""
+    p = Poly((1.0 + u.mu0,))
+    for (lam, n_j), q in zip(zip(base.roots, base.mults), u.factors):
+        p = p * (elementary(n_j, lam) + q.padded(n_j))
+    return p
+
+
 def _reference_pn_inner(base, z, v):
-    """<z, v> through factor-space elements: invert F'(0), then sp_inner."""
-    return sp_inner(F_deriv0_inv(base, z), F_deriv0_inv(base, v))
+    """<z, v> through factor-space elements: rebuild each solve as an
+    element, then take the inner product of its Taylor coordinates."""
+    wz, wv = (T_inverse(base, _solve_coords(base, p)) for p in (z, v))
+    return complex(np.vdot(T_apply(base, wz), T_apply(base, wv)))
+
+
+def _pn_inner(base, z, v):
+    """The inner product on polynomials pulled back through F'(0): vdot of
+    their Taylor coordinates."""
+    return complex(np.vdot(_solve_coords(base, z), _solve_coords(base, v)))
 
 
 def random_poly(rng, degree_bound):
@@ -59,28 +73,34 @@ def random_poly(rng, degree_bound):
 
 
 class TestFApply:
+    """The factored product F against F'(0) on perturbations where F is
+    affine, so F(u) = p + F'(0) u holds exactly."""
+
     def test_zero_perturbation_recovers_base(self):
         u = FactorSpaceElem.zero(LAM2)
-        assert np.allclose(F_apply(LAM2, u).array(), LAM2.as_poly().array())
+        assert np.allclose(_reference_F_apply(LAM2, u).array(), LAM2.as_poly().array())
+        assert F_deriv0(LAM2, u).coeff_norm() == 0
 
     def test_single_factor_shift(self):
         # (lambda + eps)(lambda - 1) from perturbing the first factor of lambda(lambda-1)
         eps = 0.25
         u = FactorSpaceElem(LAM_LAM1, 0j, (Poly((eps + 0j,)), Poly((0j,))))
-        got = F_apply(LAM_LAM1, u)
         expect = Poly((eps + 0j, 1 + 0j)) * Poly((-1 + 0j, 1 + 0j))
+        got = _reference_F_apply(LAM_LAM1, u)
+        assert np.allclose(got.array(), expect.padded(got.degree_bound).array())
+        got = LAM_LAM1.as_poly() + F_deriv0(LAM_LAM1, u)
         assert np.allclose(got.array(), expect.padded(got.degree_bound).array())
 
     def test_leading_coefficient_perturbation(self):
         delta = 0.1 + 0.2j
         u = FactorSpaceElem(LAM2, delta, (Poly.zero(1),))
-        got = F_apply(LAM2, u)
-        assert np.allclose(got.array(), [(0j), 0j, 1 + delta])
+        assert np.allclose(_reference_F_apply(LAM2, u).array(), [(0j), 0j, 1 + delta])
+        assert np.allclose((LAM2.as_poly() + F_deriv0(LAM2, u)).array(), [(0j), 0j, 1 + delta])
 
     def test_wrong_base_rejected(self):
         u = FactorSpaceElem.zero(LAM2)
         with pytest.raises(ValueError):
-            F_apply(LAM_LAM1, u)
+            F_deriv0(LAM_LAM1, u)
 
 
 class TestFDeriv0:
@@ -110,19 +130,19 @@ class TestFDeriv0:
 
 
 class TestFDeriv0Inv:
+    """F'(0) inverted by the coordinate solve."""
+
     def test_base_polynomial_is_leading_coordinate(self):
-        w = F_deriv0_inv(LAM2, LAM2.as_poly())
-        assert w.mu0 == pytest.approx(1)
-        assert all(q.coeff_norm() < 1e-12 for q in w.factors)
+        coords = _solve_coords(LAM2, LAM2.as_poly())
+        assert coords[0] == pytest.approx(1)
+        assert np.linalg.norm(coords[1:]) < 1e-12
 
     def test_zero_maps_to_zero(self):
-        w = F_deriv0_inv(LAM2, Poly.zero(2))
-        assert abs(w.mu0) < 1e-15
+        assert np.linalg.norm(_solve_coords(LAM2, Poly.zero(2))) < 1e-15
 
     def test_linear_polynomial_coordinates(self):
         # base lambda^2, v = lambda: omega_11 = 1, omega_12 = 0
-        w = F_deriv0_inv(LAM2, Poly((0j, 1 + 0j, 0j)))
-        coords = T_apply(LAM2, w)
+        coords = _solve_coords(LAM2, Poly((0j, 1 + 0j, 0j)))
         assert np.allclose(coords, [0, 1, 0])
 
     def test_roundtrip_random(self):
@@ -130,9 +150,8 @@ class TestFDeriv0Inv:
         for _ in range(20):
             base = random_cluster(rng)
             w = random_elem(base, rng)
-            v = F_deriv0(base, w)
-            back = F_deriv0_inv(base, v)
-            assert np.linalg.norm(T_apply(base, back) - T_apply(base, w)) < 1e-9
+            back = _solve_coords(base, F_deriv0(base, w))
+            assert np.linalg.norm(back - T_apply(base, w)) < 1e-9
 
 
 class TestTaylorIso:
@@ -155,8 +174,11 @@ class TestTaylorIso:
 
 
 class TestInnerProducts:
+    """The inner products induced by Taylor coordinates: vdot of the
+    coordinates from the solve (polynomials) or from T_apply (elements)."""
+
     def test_base_polynomial_has_unit_norm(self):
-        assert pn_inner(LAM2, LAM2.as_poly(), LAM2.as_poly()) == pytest.approx(1)
+        assert _pn_inner(LAM2, LAM2.as_poly(), LAM2.as_poly()) == pytest.approx(1)
 
     def test_positive_definite(self):
         rng = np.random.default_rng(4)
@@ -164,11 +186,11 @@ class TestInnerProducts:
             base = random_cluster(rng)
             n = base.degree()
             z = Poly(tuple(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)))
-            val = pn_inner(base, z, z)
+            val = _pn_inner(base, z, z)
             assert val.real > 0 and abs(val.imag) < 1e-10 * val.real
 
     def test_distinct_coordinate_slots_are_orthogonal(self):
-        assert abs(pn_inner(LAM2, Poly((0j, 1 + 0j, 0j)), Poly((1 + 0j, 0j, 0j)))) < 1e-12
+        assert abs(_pn_inner(LAM2, Poly((0j, 1 + 0j, 0j)), Poly((1 + 0j, 0j, 0j)))) < 1e-12
 
     def test_adjoint_identity(self):
         # <F'(0) w, v>_(P, base) = <w, F'(0)^{-1} v>_(S, base)
@@ -178,8 +200,8 @@ class TestInnerProducts:
             n = base.degree()
             w = random_elem(base, rng)
             v = Poly(tuple(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)))
-            lhs = pn_inner(base, F_deriv0(base, w), v)
-            rhs = sp_inner(w, F_deriv0_inv(base, v))
+            lhs = _pn_inner(base, F_deriv0(base, w), v)
+            rhs = complex(np.vdot(T_apply(base, w), _solve_coords(base, v)))
             assert abs(lhs - rhs) < 1e-10 * max(1, abs(lhs))
 
     def test_matches_the_factor_space_reference(self):
@@ -188,14 +210,16 @@ class TestInnerProducts:
             base = random_cluster(rng)
             z, v = random_poly(rng, base.degree()), random_poly(rng, base.degree())
             ref = _reference_pn_inner(base, z, v)
-            assert abs(pn_inner(base, z, v) - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(_pn_inner(base, z, v) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_taylor_map_is_an_isometry(self):
+        # F'(0) carries the Taylor inner product of elements onto the
+        # pulled-back inner product of polynomials
         rng = np.random.default_rng(6)
         for _ in range(10):
             base = random_cluster(rng)
             u, w = random_elem(base, rng), random_elem(base, rng)
-            direct = sp_inner(u, w)
+            direct = _pn_inner(base, F_deriv0(base, u), F_deriv0(base, w))
             coords = np.vdot(T_apply(base, u), T_apply(base, w))
             assert abs(direct - coords) < 1e-12 * max(1, abs(direct))
 
@@ -213,8 +237,8 @@ class TestLocalDiffeomorphism:
             consts = []
             for s in (1e-2 / norm_u, 1e-3 / norm_u):
                 su = T_inverse(base, s * T_apply(base, u))
-                diff = F_apply(base, su) - base.as_poly().padded(base.degree())
-                got = T_apply(base, F_deriv0_inv(base, diff))
+                diff = _reference_F_apply(base, su) - base.as_poly().padded(base.degree())
+                got = _solve_coords(base, diff)
                 err = np.linalg.norm(got - s * T_apply(base, u))
                 consts.append(err / s ** 2)
             assert consts[1] <= 3 * consts[0] + 1e-6

@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from specmax.cpoly import Poly, RootCluster, poly_root_max
-from specmax.factorspace import F_deriv0, T_inverse, pn_inner
+from specmax.factorspace import F_deriv0, T_inverse, _solve_coords
 from specmax.generators import ConvexSet2D, builtin, make_generator
 from specmax.oracles import fd_poly_quotient
 from specmax.polysub import (
     Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
-    rsd_f_horizon_membership,
     rsd_f_membership,
     subderivative_f,
-    subderivative_radius,
 )
 
 ABSC = builtin("abscissa")
@@ -241,6 +239,24 @@ class TestHorizon:
                 assert Dp_membership(LAM2, ABSC, c0 + t * d)
 
 
+class TestNonFiniteInput:
+    """abs(nan) > tol is False, so a NaN would pass every check it met."""
+
+    @pytest.mark.parametrize("horizon", [False, True])
+    @pytest.mark.parametrize("c", [np.full(4, complex(np.nan)), [0, -0.5, np.nan, 0],
+                                   [0, -0.5, np.inf, 0]], ids=["all-nan", "nan", "inf"])
+    def test_coordinates_rejected(self, c, horizon):
+        cluster = RootCluster((1 + 0j, 1 + 1j), (2, 1))
+        member = Dp_horizon_membership if horizon else Dp_membership
+        with pytest.raises(ValueError, match="finite"):
+            member(cluster, ABSC, c)
+
+    @pytest.mark.parametrize("gamma", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]])
+    def test_weights_rejected(self, gamma):
+        with pytest.raises(ValueError, match="simplex"):
+            Dp_sample(RootCluster((1 + 0j, 1 + 1j), (2, 1)), ABSC, gamma=gamma)
+
+
 class TestRsdFMembership:
     def test_pushforward_of_a_coordinate_member(self):
         v = from_coords(LAM2, [0, -0.5, 0])
@@ -251,8 +267,8 @@ class TestRsdFMembership:
 
     def test_horizon_direction(self):
         v = from_coords(LAM2, [0, 0, -1])
-        assert rsd_f_horizon_membership(LAM2, ABSC, v)
-        assert not rsd_f_horizon_membership(LAM2, ABSC, LAM2.as_poly())
+        assert Dp_horizon_membership(LAM2, ABSC, _solve_coords(LAM2, v))
+        assert not Dp_horizon_membership(LAM2, ABSC, _solve_coords(LAM2, LAM2.as_poly()))
 
 
 class TestSubderivative:
@@ -353,7 +369,7 @@ class TestSubderivative:
             else:
                 z_coords = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             z = from_coords(LAM2, z_coords)
-            lhs = float(np.real(pn_inner(LAM2, v, z)))
+            lhs = float(np.real(np.vdot(_solve_coords(LAM2, v), _solve_coords(LAM2, z))))
             assert lhs <= subderivative_f(LAM2, ABSC, z) + 1e-10
 
 
@@ -394,27 +410,27 @@ class TestSubderivativeOracleConsistency:
 class TestSubderivativeRadius:
     def test_simple_root(self):
         base = RootCluster((1 + 0j,), (1,))
-        assert subderivative_radius(base, Poly((1 + 0j, 0j))) == pytest.approx(-1.0)
+        assert subderivative_f(base, RAD, Poly((1 + 0j, 0j))) == pytest.approx(-1.0)
 
     def test_double_root_cone_direction(self):
         base = RootCluster((1 + 0j,), (2,))
         v = from_coords(base, [0, 0, 2])
-        assert subderivative_radius(base, v) == pytest.approx(1.0)
+        assert subderivative_f(base, RAD, v) == pytest.approx(1.0)
 
     def test_cone_violation(self):
         base = RootCluster((1 + 0j,), (2,))
         v = from_coords(base, [0, 0, 1j])
-        assert subderivative_radius(base, v) == math.inf
+        assert subderivative_f(base, RAD, v) == math.inf
 
     def test_zero_radius_rejected(self):
         with pytest.raises(ValueError):
-            subderivative_radius(LAM2, Poly((1 + 0j, 0j, 0j)))
+            subderivative_f(LAM2, RAD, Poly((1 + 0j, 0j, 0j)))
 
     def test_leading_coordinate_is_ignored(self):
         base = RootCluster((1 + 0j,), (2,))
         v1 = from_coords(base, [0, 0.3, 2])
         v2 = from_coords(base, [5 - 2j, 0.3, 2])
-        assert subderivative_radius(base, v1) == pytest.approx(subderivative_radius(base, v2))
+        assert subderivative_f(base, RAD, v1) == pytest.approx(subderivative_f(base, RAD, v2))
 
     def test_matches_general_formula_on_simple_roots(self):
         rng = np.random.default_rng(5)
@@ -423,14 +439,14 @@ class TestSubderivativeRadius:
             base = RootCluster((lam,), (1,))
             om1 = complex(rng.standard_normal(), rng.standard_normal())
             v = from_coords(base, [0, om1])
-            got = subderivative_radius(base, v)
+            got = subderivative_f(base, RAD, v)
             expect = np.real(np.conj(lam / abs(lam)) * (-om1))
             assert got == pytest.approx(float(expect), rel=1e-10)
 
     def test_quotient_oracle_on_cone_directions(self):
         base = RootCluster((1 + 0j,), (2,))
         v = from_coords(base, [0, -0.4 + 0.1j, 1.5])
-        d = subderivative_radius(base, v)
+        d = subderivative_f(base, RAD, v)
         rep = fd_poly_quotient(base.as_poly(), RAD, v, t_grid=(1e-2, 1e-3, 1e-4),
                                holder_order=2, formula=d)
         assert rep.verdict

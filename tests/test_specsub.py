@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specmax import cpoly, polysub, specsub
 from specmax.generators import UnsupportedGenerator, builtin
 from specmax.jordan import DerogatoryEigenvalue, JordanSpec, declared_active, nilpotent
 from specmax.specsub import (
@@ -106,6 +107,37 @@ class TestSpectralMax:
             assert isinstance(single[0], float)
             assert stacked.ravel().tolist() == single
         assert math.isinf(spectral_max(X, half)[0, 0])
+
+
+class TestClusteringDefects:
+    """The two clustering defects of ROADMAP item 1, pinned until the
+    clustering scales with the matrix norm and the multiplicity."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the absolute cluster_tol "
+                       "merges eigenvalues of a matrix of norm 4e-7 into one cluster")
+    def test_small_scale_eigenvalues_stay_apart(self):
+        value, cluster, _ = spectral_active(1e-7 * np.diag([1, -2, 3 + 1j, 0.5j]), ABSC)
+        assert value == pytest.approx(3e-7, rel=1e-9)
+        assert cluster.mults == (1, 1, 1, 1)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: eigvals splits an m-fold "
+                       "defective eigenvalue by (eps |X|)^(1/m), more than the absolute "
+                       "cluster_tol once m >= 3")
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_defective_eigenvalue_is_one_cluster(self, m):
+        # X = P^-1 (J_m(1) + [-1]) P with a real P of condition at most 16
+        J = np.zeros((m + 1, m + 1))
+        J[:m, :m] = np.eye(m) + np.eye(m, k=1)
+        J[m, m] = -1.0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            P = rng.standard_normal((m + 1, m + 1))
+            while np.linalg.cond(P) > 16:
+                P = rng.standard_normal((m + 1, m + 1))
+            X = np.linalg.solve(P, J @ P)
+            value, cluster, active = spectral_active(X, ABSC)
+            assert abs(value - 1.0) <= 1e-9 * max(1.0, np.linalg.norm(X))
+            assert [cluster.mults[j] for j in active] == [m]
 
 
 class TestWExtract:
@@ -287,6 +319,11 @@ class TestRsdSample:
         with pytest.raises(DerogatoryEigenvalue):
             rsd_sample(B_SPEC, RAD2)
 
+    @pytest.mark.parametrize("gamma", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]])
+    def test_non_finite_weights_rejected(self, gamma):
+        with pytest.raises(ValueError, match="simplex"):
+            rsd_sample(A_SPEC, RAD2, gamma=gamma)
+
 
 class TestChainRule:
     def test_sampled_members_pass_both_routes(self):
@@ -348,6 +385,28 @@ def test_chain_route_and_sampler_build_no_spec(monkeypatch, f):
     assert chain_rule_membership(spec, f, Y)
     assert chain_rule_membership(spec, f, np.zeros_like(Y), horizon=True)
     assert built == []
+
+
+@pytest.mark.parametrize("f", [ABSC, RAD])
+def test_chain_route_decides_the_active_set_once(monkeypatch, f):
+    # declared_active picks the active eigenvalues; the factor built from
+    # them is not searched for its active roots a second time
+    rng = np.random.default_rng(6)
+    spec = JordanSpec([(1.0, (2,)), (-1.5j, (2,)), (0.2, (1,))], P=random_P(rng, 6),
+                      B=np.array([[-0.3]]))
+    Y = rsd_sample(spec, f, seed=3)
+    calls = []
+
+    def counting_active_set(*args, **kwargs):
+        calls.append(args)
+        return cpoly.active_set(*args, **kwargs)
+
+    for mod in (polysub, specsub):
+        monkeypatch.setattr(mod, "active_set", counting_active_set)
+    for horizon in (False, True):
+        for Z in (Y, 1.5 * Y, np.zeros_like(Y)):
+            chain_rule_membership(spec, f, Z, horizon=horizon)
+    assert calls == []
 
 
 class TestRadiusMembership:

@@ -2,8 +2,10 @@
 """Randomized verification sweep: sample Jordan specs, construct subgradients,
 and confirm that the explicit construction, the direct coordinate test, the
 chain route, and the sampled finite-difference inequalities all agree.
+On the polynomial route, points of the active roots' coordinate set drawn
+by ``Dp_sample`` must pass ``Dp_membership`` and fail it scaled by 1.5.
 The specs cycle through the abscissa, radius2 and the spectral radius, which
-both routes reach through its transform to radius2.  Every fourth spec gives
+every route reaches through its transform to radius2.  Every fourth spec gives
 its active eigenvalue a second Jordan block instead; there the sweep checks
 that the derogatory witness certifies the loss of regularity.
 
@@ -15,9 +17,11 @@ import sys
 
 import numpy as np
 
+from specmax.cpoly import RootCluster
 from specmax.generators import builtin
-from specmax.jordan import JordanSpec
+from specmax.jordan import JordanSpec, declared_active
 from specmax.oracles import subgradient_inequality_suite
+from specmax.polysub import Dp_membership, Dp_sample
 from specmax.specsub import (
     chain_rule_membership,
     derogatory_witness,
@@ -78,9 +82,14 @@ def main():
             print(f"spec {i:2d} (n={spec.n}, blocks {sizes}, {f.name:9s}): "
                   f"witness ok={report['ok']}  [{status}]")
             continue
+        _, _, active = declared_active(spec, f)
+        cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
         bad_routes = 0
         violations = 0
         for k in range(args.members):
+            c = Dp_sample(cluster, f, seed=args.seed + 97 * i + k)
+            if not Dp_membership(cluster, f, c) or Dp_membership(cluster, f, 1.5 * c):
+                bad_routes += 1
             Y = rsd_sample(spec, f, seed=args.seed + 97 * i + k)
             if not (rsd_membership(spec, f, Y).verdict and chain_rule_membership(spec, f, Y)):
                 bad_routes += 1

@@ -260,7 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "subderivatives, and verification suites.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")
+    common.add_argument("--tol", type=float, default=1e-8,
+                        help="active-set tolerance of eval, and the tolerance of "
+                             "membership --set chain and subderivative; others ignore it")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", type=str, default=None, help="write output to a file")

@@ -14,15 +14,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .generators import radius_transform
+
 __all__ = [
     "Poly",
     "RootCluster",
+    "DomainError",
     "lex_leq",
     "lex_key",
     "elementary",
     "taylor_coeff",
     "roots",
     "active_set",
+    "active_roots",
     "poly_root_max",
     "poly_from_json",
 ]
@@ -286,8 +290,23 @@ def roots(p: Poly, cluster_tol: float = 1e-6) -> RootCluster:
     return _row_cluster(means[0], mults[0])
 
 
+class DomainError(ValueError):
+    """A root or eigenvalue fell outside the domain of the generating function."""
+
+
+ACTIVE_TOL = 1e-8  # how far below the max a value of an active root may lie
+
+
+def _attaining(vals: list, tol: float) -> tuple:
+    """The max of vals and the indices of the values within tol of it; at
+    a max of +inf, exactly the infinite values."""
+    value = max(vals)
+    return value, [j for j, v in enumerate(vals) if v >= value - tol]
+
+
 def active_set(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):
-    """Max of f over the distinct roots and the indices attaining it.
+    """Max of f over the distinct roots and the indices attaining it, for
+    the evaluator.
 
     Accepts a Poly (roots are computed and clustered) or a RootCluster.
     Returns ``(value, indices)`` where indices refer to the lex-ordered
@@ -298,13 +317,37 @@ def active_set(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):
     if cluster.num_distinct == 0:
         raise ValueError("constant polynomial: no roots to maximize over")
     value_of = _fvalue(f)
-    vals = [float(value_of(r)) for r in cluster.roots]
-    value = max(vals)
-    if math.isinf(value):
-        idx = frozenset(j for j, v in enumerate(vals) if math.isinf(v))
-        return value, idx
-    idx = frozenset(j for j, v in enumerate(vals) if v >= value - active_tol)
-    return value, idx
+    value, idx = _attaining([float(value_of(r)) for r in cluster.roots], active_tol)
+    return value, frozenset(idx)
+
+
+def active_roots(f, roots, rest=()) -> tuple:
+    """The one active-set routine of the calculus, for the matrix and the
+    polynomial routes alike.
+
+    Returns ``(g, rho, active)``: the generator and factor of
+    :func:`generators.radius_transform` for f over ``roots`` and ``rest``
+    (values of unknown structure, such as a matrix's rest-block
+    eigenvalues), and the indices of the ``roots`` at which g attains its
+    max over both, within ACTIVE_TOL.  Raises :class:`DomainError` where g
+    is +inf, and ValueError when ``roots`` is empty, g is NaN at a value,
+    or a ``rest`` value attains the max.
+    """
+    roots, rest = list(roots), list(rest)
+    g, rho = radius_transform(f, roots + rest)
+    value_of = _fvalue(g)
+    vals = [float(value_of(z)) for z in roots + rest]
+    if any(math.isinf(v) for v in vals):
+        raise DomainError("an eigenvalue or root lies outside the domain of the generator")
+    if not roots:
+        raise ValueError("no root or declared eigenvalue to maximize over")
+    if any(math.isnan(v) for v in vals):  # NaN attains no max: max() would depend on order
+        raise ValueError("the generator is NaN at a root or eigenvalue")
+    _, active = _attaining(vals, ACTIVE_TOL)
+    if active[-1] >= len(roots):
+        raise ValueError("an eigenvalue of the rest block attains the max; its Jordan "
+                         "structure must be declared")
+    return g, rho, active
 
 
 def poly_root_max(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6) -> float:

@@ -68,9 +68,8 @@ class ConvexSet2D:
     """Closed convex subset of C in one of a few exact representations.
 
     kinds: point, segment, polygon (vertex loop), halfplane
-    {z : Re(conj(normal) z) <= offset}, line {t * direction}, plane, disk
-    (center + radius).  Membership and support queries are exact for the
-    finite representations.
+    {z : Re(conj(normal) z) <= offset}, plane, disk (center + radius).
+    Membership and support queries are exact for the finite representations.
     """
 
     kind: str
@@ -95,12 +94,6 @@ class ConvexSet2D:
         if normal == 0:
             raise ValueError("halfplane needs a nonzero normal")
         return ConvexSet2D("halfplane", (complex(normal), float(offset)))
-
-    @staticmethod
-    def line(direction: complex) -> "ConvexSet2D":
-        if direction == 0:
-            raise ValueError("line needs a nonzero direction")
-        return ConvexSet2D("line", (complex(direction),))
 
     @staticmethod
     def plane() -> "ConvexSet2D":
@@ -141,9 +134,6 @@ class ConvexSet2D:
         if self.kind == "halfplane":
             normal, offset = self.data
             return max(0.0, (re_cip(normal, z) - offset) / abs(normal))
-        if self.kind == "line":
-            d = self.data[0]
-            return abs(re_cip(1j * d, z)) / abs(d)
         if self.kind == "plane":
             return 0.0
         if self.kind == "disk":
@@ -168,12 +158,10 @@ class ConvexSet2D:
             return re_cip(d, center) + radius * abs(d)
         if self.kind == "halfplane":
             normal, offset = self.data
-            t = np.conj(complex(normal)) * d  # d = (t / |n|^2)* n decomposition
-            if abs(t.imag) > 0 or t.real > 0:
+            t = np.conj(complex(normal)) * d  # finite iff d = (t / |n|^2) n with t >= 0
+            if abs(t.imag) > 0 or t.real < 0:
                 return math.inf
             return (t.real / abs(normal) ** 2) * offset if offset != 0 else 0.0
-        if self.kind == "line":
-            return 0.0 if re_cip(self.data[0], d) == 0 else math.inf
         if self.kind == "plane":
             return 0.0 if d == 0 else math.inf
         raise ValueError(f"unknown set kind {self.kind!r}")
@@ -193,7 +181,7 @@ class ConvexSet2D:
         if self.kind == "halfplane":
             normal, offset = self.data
             return ConvexSet2D.halfplane(normal, t * offset)
-        if self.kind in ("line", "plane"):
+        if self.kind == "plane":
             return self
         if self.kind == "disk":
             center, radius = self.data
@@ -242,7 +230,7 @@ class ConvexSet2D:
         closed half circle: bounded sets must contain 0 other than as an
         extreme point, unbounded halfplanes always qualify.
         """
-        if self.kind in ("point", "segment", "line"):
+        if self.kind in ("point", "segment"):
             return False
         if self.kind == "polygon":
             vs = self.data

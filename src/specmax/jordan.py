@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import cmath
 import copy
-import math
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, _fvalue, lex_key
+from .cpoly import DomainError, Poly, RootCluster, active_roots, lex_key
 from .factorspace import _coordinate_matrix
-from .generators import radius_transform
 
 __all__ = [
     "JordanSpec",
@@ -58,10 +56,6 @@ __all__ = [
 
 class DerogatoryEigenvalue(ValueError):
     """An operation needing a single Jordan block met a derogatory eigenvalue."""
-
-
-class DomainError(ValueError):
-    """An eigenvalue fell outside the domain of the generating function."""
 
 
 def nilpotent(size: int) -> np.ndarray:
@@ -347,32 +341,11 @@ def det_expansion_residual(n: int, lam, xi_grid) -> float:
     return worst / norm
 
 
-def declared_active(spec: JordanSpec, f, tol: float = 1e-8) -> tuple:
-    """The one active-set routine over declared structure.
-
-    Returns ``(g, rho, active)``: the generator and factor of
-    :func:`generators.radius_transform` for f over the spectrum, and the
-    indices of the declared eigenvalues at which g attains its max.  Raises
-    :class:`DomainError` when an eigenvalue lies outside the domain, and
-    ValueError when no eigenvalue is declared or a rest-block eigenvalue
-    attains the max (its Jordan structure must then be declared).
-    """
-    lams = [lam for lam, _ in spec.eigs]
-    g, rho = radius_transform(f, lams + list(spec.b_eigenvalues))
-    value_of = _fvalue(g)
-    vals = [float(value_of(lam)) for lam in lams]
-    b_vals = [float(value_of(mu)) for mu in spec.b_eigenvalues]
-    if any(math.isinf(v) for v in vals + b_vals):
-        raise DomainError("an eigenvalue lies outside the domain of the generator")
-    if not vals:
-        raise ValueError("no declared eigenvalue is active: declare the maximizers")
-    value = max(vals + b_vals)
-    if any(v >= value - tol for v in b_vals):
-        raise ValueError(
-            "an eigenvalue of the rest block attains the max; its Jordan "
-            "structure must be declared"
-        )
-    return g, rho, [j for j, v in enumerate(vals) if v >= value - tol]
+def declared_active(spec: JordanSpec, f) -> tuple:
+    """``(g, rho, active)`` of :func:`cpoly.active_roots` over the declared
+    eigenvalues, which ``active`` indexes, with the rest-block spectrum as
+    the values of unknown structure (ValueError if one attains the max)."""
+    return active_roots(f, [lam for lam, _ in spec.eigs], spec.b_eigenvalues)
 
 
 def R_matrix(spec: JordanSpec, eigs=None) -> np.ndarray:

@@ -9,7 +9,9 @@ per-root building blocks; deeper coordinates are free.  A singleton
 subdifferential forces its root's weight through the first coordinate.
 Every other active root admits an interval of weights, because
 {(x, gamma) : x in gamma S} is a convex cone, so the split exists exactly
-when those intervals can share the remaining mass.
+when those intervals can share the remaining mass.  The active roots come
+from :func:`cpoly.active_roots`, as on the matrix routes, with its radius
+transform and domain check.
 
 All functions are pure; every set is handled through membership predicates
 and samplers rather than explicit geometry.
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, active_set
+from .cpoly import Poly, RootCluster, active_roots
 from .factorspace import _solve_coords
 from .generators import (
     COND14,
@@ -32,7 +34,6 @@ from .generators import (
     UnsupportedGenerator,
     condition_check,
     q_set,
-    radius_transform,
 )
 
 __all__ = [
@@ -179,10 +180,10 @@ def _split_blocks(cluster: RootCluster, c: np.ndarray) -> list:
     return blocks
 
 
-def _member(cluster: RootCluster, f: Generator, c, tol: float, active_tol: float,
-            horizon: bool) -> bool:
+def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) -> bool:
     """Whether the leading coordinate and the inactive blocks of c vanish
-    and its active blocks pass :func:`block_failures`."""
+    and its active blocks, as rho * c at tolerance rho * tol (the radius
+    transform of :func:`cpoly.active_roots`), pass :func:`block_failures`."""
     c = np.asarray(c, dtype=complex).ravel()
     if c.size != cluster.degree() + 1:
         raise ValueError(
@@ -191,24 +192,20 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, active_tol: float
     scale = 1.0 + float(np.linalg.norm(c))
     if not math.isfinite(scale):  # NaN passes every "> tol" test below
         raise ValueError(f"coordinate vector must be finite, got norm {scale - 1.0}")
-    _, active = active_set(cluster, f, active_tol=active_tol)
-    if not active:
-        raise ValueError("no active root")
-    active = sorted(active)
+    g, rho, active = active_roots(f, cluster.roots)
     blocks = _split_blocks(cluster, c)
     if abs(c[0]) > tol or any(np.linalg.norm(block) > tol * scale
                               for j, block in enumerate(blocks) if j not in active):
         return False
-    data = [_ActiveBlock(f, cluster.roots[j], cluster.mults[j]) for j in active]
-    return not block_failures(data, [blocks[j] for j in active], tol, horizon)[0]
+    data = [_ActiveBlock(g, cluster.roots[j], cluster.mults[j]) for j in active]
+    return not block_failures(data, [rho * blocks[j] for j in active], rho * tol, horizon)[0]
 
 
-def Dp_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8,
-                  active_tol: float = 1e-8) -> bool:
+def Dp_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8) -> bool:
     """Membership of a coordinate vector in the subgradient coordinate set:
     the leading coordinate and inactive blocks vanish, and the active
     blocks pass :func:`block_failures` at tolerance tol."""
-    return _member(cluster, f, c, tol, active_tol, horizon=False)
+    return _member(cluster, f, c, tol, horizon=False)
 
 
 def _spread(lo: np.ndarray, hi: np.ndarray, mass: float) -> np.ndarray:
@@ -224,20 +221,26 @@ def _spread(lo: np.ndarray, hi: np.ndarray, mass: float) -> np.ndarray:
     return lo + slack * room / room.sum()
 
 
-def Dp_horizon_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8,
-                          active_tol: float = 1e-8) -> bool:
+def Dp_horizon_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8) -> bool:
     """Membership in the horizon cone: zero leading coordinate and inactive
     blocks, zero first coordinate per active block, second coordinate in the
     squared-generator cone, deeper coordinates free."""
-    return _member(cluster, f, c, tol, active_tol, horizon=True)
+    return _member(cluster, f, c, tol, horizon=True)
 
 
-def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0,
-              active_tol: float = 1e-8) -> np.ndarray:
-    """A point of the subgradient coordinate set (always a member)."""
+def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0) -> np.ndarray:
+    """A point of the subgradient coordinate set (always a member); for the
+    radius, a point of the transformed generator's set divided by rho."""
+    g, rho, active = active_roots(f, cluster.roots)
+    # part by part: a complex division would flip signed zeros at rho = 1
+    return (_sample(cluster, g, active, gamma, seed).view(float) / rho).view(complex)
+
+
+def _sample(cluster: RootCluster, f: Generator, active: list, gamma, seed: int) -> np.ndarray:
+    """The body of :func:`Dp_sample` for a transformed generator f and its
+    active roots, the increasing indices ``active``; ``gamma`` are weights
+    over them (a random point of the simplex by default)."""
     rng = np.random.default_rng(seed)
-    _, active = active_set(cluster, f, active_tol=active_tol)
-    active = sorted(active)
     if gamma is None:
         gamma = rng.dirichlet(np.ones(len(active)))
     gamma = np.asarray(gamma, dtype=float)
@@ -282,8 +285,6 @@ def _sample_set(S: ConvexSet2D, rng, interior: bool = False) -> complex:
         return center + r * cmath.exp(1j * ang)
     if S.kind == "plane":
         return complex(rng.standard_normal(), rng.standard_normal())
-    if S.kind == "line":
-        return rng.standard_normal() * S.data[0]
     raise ValueError(f"cannot sample from set kind {S.kind!r}")
 
 
@@ -295,7 +296,7 @@ def rsd_f_membership(cluster: RootCluster, f: Generator, v: Poly,
 
 
 def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
-                    tol: float = 1e-8, active_tol: float = 1e-8) -> float:
+                    tol: float = 1e-8) -> float:
     """Lower directional derivative of the root max function at the cluster
     polynomial in direction v.
 
@@ -311,17 +312,13 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
     the whole bracket: a multiplicity-n root responds to a coefficient
     perturbation with the mean of its n split roots, and this normalization
     is the one under which the subgradient support inequality is tight.
-    The spectral radius goes through :func:`generators.radius_transform`.
+    The radius transform of :func:`cpoly.active_roots` divides the value of
+    the transformed generator by rho.
     """
-    g, rho = radius_transform(f, cluster.roots)
-    if g is not f:
-        return subderivative_f(cluster, g, v, tol, active_tol) / rho
-    _, active = active_set(cluster, f, active_tol=active_tol)
-    if not active:
-        raise ValueError("no active root")
+    f, rho, active = active_roots(f, cluster.roots)
     blocks = _split_blocks(cluster, _solve_coords(cluster, v))
     vals = []
-    for j in sorted(active):
+    for j in active:
         lam, n_j = cluster.roots[j], cluster.mults[j]
         cond = _regime(f, lam)
         block = blocks[j]
@@ -341,7 +338,7 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
         if any(abs(block[s]) > bound for s in range(2, n_j)):
             return math.inf
         vals.append((f.dirderiv(lam, -block[0]) + kappa) / n_j)
-    return max(vals)
+    return max(vals) / rho
 
 
 def _generating_points(S: ConvexSet2D):

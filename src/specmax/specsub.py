@@ -33,12 +33,7 @@ import numpy as np
 from .cpoly import _cluster_rows, _fvalue, _row_cluster, active_set
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
-from .polysub import (
-    Dp_sample,
-    _ActiveBlock,
-    _split_blocks,
-    block_failures,
-)
+from .polysub import _ActiveBlock, _sample, _split_blocks, block_failures
 
 __all__ = [
     "Violation",
@@ -364,8 +359,9 @@ def rsd_recession_membership(spec: JordanSpec, f: Generator, Y,
 def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
                seed: int = 0) -> np.ndarray:
     """Construct a regular subgradient: a point of the active factor's
-    coordinate set drawn by :func:`polysub.Dp_sample`, mapped through R and
-    divided by the factor of :func:`generators.radius_transform`.
+    coordinate set drawn by :func:`polysub.Dp_sample`'s sampler on the
+    active eigenvalues of :func:`jordan.declared_active`, mapped through R
+    and divided by the factor of :func:`generators.radius_transform`.
 
     ``gamma`` are convex weights over the active eigenvalues, listed in the
     spec's declared order (a random point of the simplex by default).
@@ -382,7 +378,7 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
         if gamma.size != len(active):
             raise ValueError("gamma needs one weight per active eigenvalue")
         gamma = gamma[[active.index(j) for j in order]]
-    c = Dp_sample(cluster, g, gamma, seed)
+    c = _sample(cluster, g, list(range(len(order))), gamma, seed)
     theta2 = dict(theta2 or {})
     for j, block in zip(order, _split_blocks(cluster, c)):
         if j in theta2 and len(block) >= 2:
@@ -484,7 +480,7 @@ def _split_spec(spec: JordanSpec, j: int, block_index: int, lam_new: complex):
 
 
 def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
-                       block_index: int = 0, active_tol: float = 1e-8):
+                       block_index: int = 0):
     """Construct the sequence certifying that derogatory active eigenvalues
     break regularity.
 
@@ -506,7 +502,7 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     """
     if count < 1:
         raise ValueError(f"the witness sequence needs at least one member, got {count}")
-    _, _, active = declared_active(spec, f, active_tol)
+    _, _, active = declared_active(spec, f)
     target = next((j for j in active if not spec.nonderogatory(j)), None)
     if target is None:
         raise ValueError("no derogatory active eigenvalue to witness")

@@ -12,6 +12,7 @@ from specmax.generators import (
     UnsupportedGenerator,
     builtin,
     condition_check,
+    make_generator,
     q_set,
     re_cip,
 )
@@ -166,8 +167,10 @@ class TestDSet:
         assert not self.member(RAD2, 1j, -0.501)
 
     def test_smooth_regime_required(self):
+        # ell1 at 1 is neither smooth nor a full-span corner
+        assert condition_check(ELL1, 1 + 0j) == NEITHER
         with pytest.raises(UnsupportedGenerator):
-            Dp_sample(RootCluster((1 + 0j,), (2,)), RAD)
+            Dp_sample(RootCluster((1 + 0j,), (2,)), ELL1)
 
 
 class TestGammaSet:
@@ -222,9 +225,9 @@ class TestGammaSet:
     def test_neither_regime_rejected(self):
         base = RootCluster((1 + 0j,), (2,))
         with pytest.raises(UnsupportedGenerator):
-            Dp_membership(base, RAD, [0, -0.5, 0])
+            Dp_membership(base, ELL1, [0, -0.5, 0])
         with pytest.raises(UnsupportedGenerator):
-            Dp_horizon_membership(base, RAD, [0, 0, 0])
+            Dp_horizon_membership(base, ELL1, [0, 0, 0])
 
 
 class TestConvexSet2D:
@@ -241,6 +244,19 @@ class TestConvexSet2D:
     def test_support_function_of_disk(self):
         D = ConvexSet2D.disk(2.0)
         assert D.support(3) == pytest.approx(6)
+
+    def test_support_function_of_halfplane(self):
+        # {Re z <= 2}: finite only along the outward normal +1
+        H = ConvexSet2D.halfplane(1.0, 2.0)
+        assert H.support(1) == 2 and H.support(3) == 6
+        assert H.support(-1) == math.inf and H.support(1 + 1j) == math.inf
+        assert H.support(0) == 0
+        # {Im z <= 2}, the same through a rotated normal
+        assert ConvexSet2D.halfplane(1j, 2.0).support(2j) == pytest.approx(4)
+        assert ConvexSet2D.halfplane(1j, 2.0).support(-1j) == math.inf
+        # a generator whose subdifferential is this halfplane reads it as f'(z; d)
+        f = make_generator("halfplane-subdiff", abs, subdiff=lambda z: H)
+        assert f.dirderiv(0, 1) == 2 and f.dirderiv(0, -1) == math.inf
 
     def test_halfplane_scaling(self):
         H = ConvexSet2D.halfplane(1.0, 1.0).scaled(0.5)

@@ -390,13 +390,13 @@ class TestLambdaGrad:
 # -- the active factor as a re-laid-out spec ---------------------------------------
 
 
-def _reference_active_factor(spec, f, tol=1e-8):
+def _reference_active_factor(spec, f):
     """``(cluster, active_spec)``: the lex-ordered root cluster of the active
     eigenvalues and a fresh spec declaring exactly them, everything else
     folded into its rest block.  This is how the chain route built its map
     before ``R_matrix`` took a list of eigenvalues; it is kept as the
     reference that the permutation cancels."""
-    _, _, active = declared_active(spec, f, tol)
+    _, _, active = declared_active(spec, f)
     inactive = [j for j in range(spec.num_eigs) if j not in active]
     cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
     active_sorted = sorted(active, key=lambda j: lex_key(spec.eig_value(j)))

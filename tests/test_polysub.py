@@ -7,6 +7,7 @@ import pytest
 from specmax.cpoly import Poly, RootCluster, poly_root_max
 from specmax.factorspace import F_deriv0, T_inverse, _solve_coords
 from specmax.generators import ConvexSet2D, builtin, make_generator
+from specmax.jordan import DomainError
 from specmax.oracles import fd_poly_quotient
 from specmax.polysub import (
     Dp_horizon_membership,
@@ -256,6 +257,15 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="simplex"):
             Dp_sample(RootCluster((1 + 0j, 1 + 1j), (2, 1)), ABSC, gamma=gamma)
 
+    def test_nan_root_rejected(self):
+        # RootCluster accepts a lone NaN root; a NaN value attains no max
+        cluster = RootCluster((complex(np.nan),), (1,))
+        for call in (lambda: Dp_membership(cluster, ABSC, [0, 0]),
+                     lambda: Dp_sample(cluster, ABSC),
+                     lambda: subderivative_f(cluster, ABSC, Poly((0j, 1 + 0j)))):
+            with pytest.raises(ValueError, match="NaN"):
+                call()
+
 
 class TestRsdFMembership:
     def test_pushforward_of_a_coordinate_member(self):
@@ -450,3 +460,79 @@ class TestSubderivativeRadius:
         rep = fd_poly_quotient(base.as_poly(), RAD, v, t_grid=(1e-2, 1e-3, 1e-4),
                                holder_order=2, formula=d)
         assert rep.verdict
+
+
+class TestActiveRoots:
+    """The polynomial route decides its active roots through the same
+    routine as the matrix routes, so the radius reaches it through the
+    radius transform and roots outside the domain are rejected."""
+
+    @staticmethod
+    def _clusters():
+        # the first has two active double roots of modulus one
+        rng = np.random.default_rng(21)
+        out = [RootCluster((-1 + 0j, 1 + 0j), (2, 2))]
+        for _ in range(8):
+            k = int(rng.integers(1, 4))
+            roots = rng.uniform(-2, 2, k) + 1j * rng.uniform(-2, 2, k)
+            tied = rng.uniform(size=k) < 0.5  # moved onto the first root's circle
+            roots[tied] *= abs(roots[0]) / np.abs(roots[tied])
+            out.append(RootCluster.sorted(zip(roots, rng.integers(1, 4, k))))
+        return out
+
+    def test_radius_is_radius2_on_rho_c(self):
+        rng = np.random.default_rng(22)
+        seen = set()
+        for cluster in self._clusters():
+            rho = max(abs(r) for r in cluster.roots)
+            for s in range(4):
+                c = Dp_sample(cluster, RAD2, seed=s) / rho
+                z = np.zeros_like(c)
+                z[2:] = rng.standard_normal(c.size - 2) + 1j * rng.standard_normal(c.size - 2)
+                inactive = c.copy()
+                inactive[1:] += 1e-3 * (c[1:] == 0)
+                for x in (c, 1.5 * c, inactive, c + 1e-3):
+                    verdict = Dp_membership(cluster, RAD, x)
+                    assert verdict == Dp_membership(cluster, RAD2, rho * x)
+                    seen.add(verdict)
+                for x in (z, c):
+                    verdict = Dp_horizon_membership(cluster, RAD, x)
+                    assert verdict == Dp_horizon_membership(cluster, RAD2, rho * x)
+                    seen.add(verdict)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_radius_at_the_nilpotent_origin_is_the_corner_block(self, n):
+        # the unit disk as subdifferential: |c_1| <= 1/n, deeper coordinates free
+        base = RootCluster((0j,), (n,))
+        tail = [5 - 2j] * (n - 1)
+        for angle in (0.0, 1.0, 3.0):
+            u = cmath.exp(1j * angle)
+            assert Dp_membership(base, RAD, [0, 0.99 * u / n] + tail)
+            assert not Dp_membership(base, RAD, [0, 1.01 * u / n] + tail)
+            assert not Dp_horizon_membership(base, RAD, [0, 0.01 * u] + tail)
+        assert not Dp_membership(base, RAD, [0.1, 0] + tail)
+        assert Dp_horizon_membership(base, RAD, [0, 0] + tail)
+
+    def test_radius_sample_is_radius2_sample_over_rho(self):
+        for cluster in self._clusters():
+            rho = max(abs(r) for r in cluster.roots)
+            for s in range(3):
+                c, c2 = Dp_sample(cluster, RAD, seed=s), Dp_sample(cluster, RAD2, seed=s)
+                assert c.tobytes() == (c2.view(float) / rho).view(complex).tobytes()
+                assert Dp_membership(cluster, RAD, c)
+
+    def test_roots_outside_the_domain_are_rejected(self):
+        # +inf at the inactive root 2, though tagged quadratic there
+        half = make_generator("half", lambda z: -z.real if z.real < 1.5 else math.inf,
+                              grad=lambda z: -1 + 0j, hess=lambda z: np.zeros((2, 2)),
+                              tag=lambda z: "quadratic")
+        base = RootCluster((0j, 2 + 0j), (1, 1))
+        with pytest.raises(DomainError):
+            Dp_membership(base, half, [0, 0, -1])
+        with pytest.raises(DomainError):
+            Dp_horizon_membership(base, half, [0, 0, 0])
+        with pytest.raises(DomainError):
+            Dp_sample(base, half)
+        with pytest.raises(DomainError):
+            subderivative_f(base, half, from_coords(base, [0, 1, 0]))

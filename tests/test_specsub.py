@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specmax import cpoly, polysub, specsub
+from specmax import cpoly, jordan, polysub
 from specmax.generators import UnsupportedGenerator, builtin
 from specmax.jordan import DerogatoryEigenvalue, JordanSpec, declared_active, nilpotent
 from specmax.specsub import (
@@ -387,26 +387,45 @@ def test_chain_route_and_sampler_build_no_spec(monkeypatch, f):
     assert built == []
 
 
+def _count_active_roots(monkeypatch) -> list:
+    """Record every call of the calculus' active-set routine."""
+    calls = []
+
+    def counting_active_roots(*args, **kwargs):
+        calls.append(args)
+        return cpoly.active_roots(*args, **kwargs)
+
+    for mod in (jordan, polysub):
+        monkeypatch.setattr(mod, "active_roots", counting_active_roots)
+    return calls
+
+
+def _spec_with_inactive_and_rest():
+    rng = np.random.default_rng(6)
+    return JordanSpec([(1.0, (2,)), (-1.5j, (2,)), (0.2, (1,))], P=random_P(rng, 6),
+                      B=np.array([[-0.3]]))
+
+
 @pytest.mark.parametrize("f", [ABSC, RAD])
 def test_chain_route_decides_the_active_set_once(monkeypatch, f):
     # declared_active picks the active eigenvalues; the factor built from
     # them is not searched for its active roots a second time
-    rng = np.random.default_rng(6)
-    spec = JordanSpec([(1.0, (2,)), (-1.5j, (2,)), (0.2, (1,))], P=random_P(rng, 6),
-                      B=np.array([[-0.3]]))
+    spec = _spec_with_inactive_and_rest()
     Y = rsd_sample(spec, f, seed=3)
-    calls = []
-
-    def counting_active_set(*args, **kwargs):
-        calls.append(args)
-        return cpoly.active_set(*args, **kwargs)
-
-    for mod in (polysub, specsub):
-        monkeypatch.setattr(mod, "active_set", counting_active_set)
+    calls = _count_active_roots(monkeypatch)
     for horizon in (False, True):
         for Z in (Y, 1.5 * Y, np.zeros_like(Y)):
             chain_rule_membership(spec, f, Z, horizon=horizon)
-    assert calls == []
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("f", [ABSC, RAD])
+def test_sampler_decides_the_active_set_once(monkeypatch, f):
+    spec = _spec_with_inactive_and_rest()
+    Y = rsd_sample(spec, f, seed=3)
+    calls = _count_active_roots(monkeypatch)
+    assert np.array_equal(rsd_sample(spec, f, seed=3), Y)
+    assert len(calls) == 1
 
 
 class TestRadiusMembership:

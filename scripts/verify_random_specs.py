@@ -3,7 +3,9 @@
 and confirm that the explicit construction, the direct coordinate test, the
 chain route, and the sampled finite-difference inequalities all agree.
 On the polynomial route, points of the active roots' coordinate set drawn
-by ``Dp_sample`` must pass ``Dp_membership`` and fail it scaled by 1.5.
+by ``Dp_sample`` must pass ``Dp_membership`` and fail it scaled by 1.5, and
+so must the polynomials the coordinate matrix maps them to under
+``rsd_f_membership``.
 The specs cycle through the abscissa, radius2 and the spectral radius, which
 every route reaches through its transform to radius2.  Every fourth spec gives
 its active eigenvalue a second Jordan block instead; there the sweep checks
@@ -17,11 +19,12 @@ import sys
 
 import numpy as np
 
-from specmax.cpoly import RootCluster
+from specmax.cpoly import Poly, RootCluster
+from specmax.factorspace import _coordinate_matrix
 from specmax.generators import builtin
 from specmax.jordan import JordanSpec, declared_active
 from specmax.oracles import subgradient_inequality_suite
-from specmax.polysub import Dp_membership, Dp_sample
+from specmax.polysub import Dp_membership, Dp_sample, rsd_f_membership
 from specmax.specsub import (
     chain_rule_membership,
     derogatory_witness,
@@ -84,11 +87,15 @@ def main():
             continue
         _, _, active = declared_active(spec, f)
         cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
+        M = _coordinate_matrix(cluster)
         bad_routes = 0
         violations = 0
         for k in range(args.members):
             c = Dp_sample(cluster, f, seed=args.seed + 97 * i + k)
             if not Dp_membership(cluster, f, c) or Dp_membership(cluster, f, 1.5 * c):
+                bad_routes += 1
+            v = Poly(tuple(M @ c))
+            if not rsd_f_membership(cluster, f, v) or rsd_f_membership(cluster, f, 1.5 * v):
                 bad_routes += 1
             Y = rsd_sample(spec, f, seed=args.seed + 97 * i + k)
             if not (rsd_membership(spec, f, Y).verdict and chain_rule_membership(spec, f, Y)):

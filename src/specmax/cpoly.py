@@ -350,9 +350,9 @@ def active_roots(f, roots, rest=()) -> tuple:
     return g, rho, active
 
 
-def poly_root_max(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6) -> float:
+def poly_root_max(p, f, cluster_tol: float = 1e-6) -> float:
     """The root max function: max of f over the roots of p."""
-    value, _ = active_set(p, f, active_tol=active_tol, cluster_tol=cluster_tol)
+    value, _ = active_set(p, f, cluster_tol=cluster_tol)
     return value
 
 

@@ -7,6 +7,8 @@ degree <= n_j - 1 per root, and those by their Taylor coordinates in
 C^(ntilde+1).  The calculus works on Taylor coordinate vectors only: the
 derivative F'(0) of the factored product at the base point is a coordinate
 matrix (:func:`_coordinate_matrix`), and :func:`_solve_coords` inverts it.
+It is convolved from one power table (lambda - lam_j)**k, k = 0..n_j, per
+root, with one finiteness check on the result.
 :class:`FactorSpaceElem` with :func:`T_apply` and :func:`T_inverse` is the
 polynomial view of a coordinate vector, and :func:`F_deriv0` applies F'(0)
 to it.  All values are immutable and every function is pure.
@@ -15,6 +17,8 @@ to it.  All values are immutable and every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,18 +66,6 @@ class FactorSpaceElem:
         return FactorSpaceElem(base, 0j, tuple(Poly.zero(n - 1) for n in base.mults))
 
 
-def _cofactors(base: RootCluster) -> list:
-    """r_j = p / (lambda - lam_j)**n_j for each distinct root."""
-    rs = []
-    for j in range(base.num_distinct):
-        r = Poly.one()
-        for k, (lam, n_k) in enumerate(zip(base.roots, base.mults)):
-            if k != j:
-                r = r * elementary(n_k, lam)
-        rs.append(r)
-    return rs
-
-
 def F_deriv0(base: RootCluster, w: FactorSpaceElem) -> Poly:
     """Derivative of F at 0 applied to w: omega0 * p + sum_j r_j * w_j, the
     coordinate matrix of F'(0) times the Taylor coordinates of w."""
@@ -82,13 +74,26 @@ def F_deriv0(base: RootCluster, w: FactorSpaceElem) -> Poly:
 
 def _coordinate_matrix(base: RootCluster) -> np.ndarray:
     """Columns are the monomial coefficients of F'(0) applied to each basis
-    coordinate of the factorization space (mu0 first, then Taylor slots)."""
+    coordinate of the factorization space (mu0 first, then Taylor slots):
+    p, then r_j * (lambda - lam_j)**(n_j - s) for s = 1..n_j with the
+    cofactor r_j = p / (lambda - lam_j)**n_j, each convolved from the power
+    tables in the order of the :class:`Poly` products it stands for."""
     ntilde = base.degree()
-    cols = [base.as_poly().padded(ntilde).array()]
-    for r_j, (lam, n_j) in zip(_cofactors(base), zip(base.roots, base.mults)):
+    one = np.ones(1, dtype=complex)
+    tables = [list(accumulate([np.array([-lam, 1.0 + 0j])] * n_j, np.convolve, initial=one))
+              for lam, n_j in zip(base.roots, base.mults)]  # tables[j][k] = (lambda - lam_j)**k
+    M = np.zeros((ntilde + 1, ntilde + 1), dtype=complex)
+    M[:, 0] = reduce(np.convolve, [t[-1] for t in tables], one)
+    col = 1
+    for j, n_j in enumerate(base.mults):
+        r_j = reduce(np.convolve, [t[-1] for t in tables[:j] + tables[j + 1:]], one)
         for s in range(1, n_j + 1):
-            cols.append((r_j * elementary(n_j - s, lam)).padded(ntilde).array())
-    return np.stack(cols, axis=1)
+            c = np.convolve(r_j, tables[j][n_j - s])
+            M[: c.size, col] = c
+            col += 1
+    if not np.isfinite(M).all():
+        raise ValueError("polynomial coefficients must be finite")
+    return M
 
 
 def T_apply(base: RootCluster, u: FactorSpaceElem) -> np.ndarray:

@@ -12,6 +12,12 @@ Complex inner-product inequalities throughout this module are read on the
 real part Re(conj(a) * b); an order on C itself would be meaningless and
 the real-part reading is the one under which all the identities close.
 
+The plane geometry multiplies out the parts of Python complex numbers:
+boxing a numpy scalar costs about 1 us, several times the arithmetic, and
+numpy's array kernels may fuse a multiply and an add, which moves the last
+ulp.  The results equal those of ``np.real(np.conj(a) * b)`` bit for bit,
+signed zeros and overflow included; only the sign bit of a NaN may differ.
+
 Generators are immutable after construction; user-supplied hooks must be
 pure, under which contract everything here is safe for concurrent use.
 """
@@ -56,7 +62,8 @@ class UnsupportedGenerator(ValueError):
 
 def re_cip(a: complex, b: complex) -> float:
     """Real inner product Re(conj(a) * b) identifying C with R^2."""
-    return float(np.real(np.conj(complex(a)) * complex(b)))
+    a, b = complex(a), complex(b)
+    return a.real * b.real + a.imag * b.imag
 
 
 def _as_vec(z: complex) -> np.ndarray:
@@ -158,10 +165,10 @@ class ConvexSet2D:
             return re_cip(d, center) + radius * abs(d)
         if self.kind == "halfplane":
             normal, offset = self.data
-            t = np.conj(complex(normal)) * d  # finite iff d = (t / |n|^2) n with t >= 0
-            if abs(t.imag) > 0 or t.real < 0:
-                return math.inf
-            return (t.real / abs(normal) ** 2) * offset if offset != 0 else 0.0
+            t = normal.real * d.real + normal.imag * d.imag  # Re(conj(normal) * d)
+            if abs(normal.real * d.imag - normal.imag * d.real) > 0 or t < 0:
+                return math.inf  # finite iff conj(normal) * d = t >= 0
+            return (t / abs(normal) ** 2) * offset if offset != 0 else 0.0
         if self.kind == "plane":
             return 0.0 if d == 0 else math.inf
         raise ValueError(f"unknown set kind {self.kind!r}")
@@ -201,19 +208,20 @@ class ConvexSet2D:
             return _disk_scales(z, *self.data, tol)
         if self.kind == "halfplane":
             normal, offset = self.data
-            bounds = [(normal / abs(normal), offset / abs(normal))]
+            bounds = [(re_cip(normal / abs(normal), z), offset / abs(normal))]
         elif self.kind in ("point", "segment", "polygon"):
             # along and across every edge, both signs (so the orientation of
             # the loop does not matter), or the axes for a point
             vs = self.data
             edges = [(b - a) / abs(b - a) for a, b in zip(vs, vs[1:] + vs[:1]) if a != b]
             normals = [k * e for e in edges for k in (1, -1, 1j, -1j)] or [1, -1, 1j, -1j]
-            bounds = [(a, self.support(a)) for a in normals]
+            bounds = [(a.real * z.real + a.imag * z.imag,  # Re(conj(a) z), support(a)
+                       max(a.real * v.real + a.imag * v.imag for v in vs)) for a in normals]
         else:
             raise UnsupportedGenerator(f"no scale interval for set kind {self.kind!r}")
         lo, hi = 0.0, math.inf
-        for a, s in bounds:
-            r = re_cip(a, z) - tol  # the bound reads t * s >= r
+        for az, s in bounds:
+            r = az - tol  # the bound reads t * s >= r
             if s > 0:
                 lo = max(lo, r / s)
             elif s < 0:
@@ -227,14 +235,14 @@ class ConvexSet2D:
 
         The span is a union of lines through the origin in the directions of
         the set, so it covers the plane exactly when those directions fill a
-        closed half circle: bounded sets must contain 0 other than as an
-        extreme point, unbounded halfplanes always qualify.
+        closed half circle: a bounded set off a line must contain 0 other
+        than as an extreme point; halfplanes always qualify.
         """
         if self.kind in ("point", "segment"):
             return False
         if self.kind == "polygon":
-            vs = self.data
-            return _polygon_contains(0j, vs) and all(v != 0 for v in vs)
+            vs = self.data  # a loop on a line through 0 spans only that line
+            return any(_edge_crosses(0j, vs)) and _polygon_contains(0j, vs) and 0 not in vs
         if self.kind == "plane":
             return True
         if self.kind == "disk":
@@ -272,18 +280,25 @@ def _disk_scales(z: complex, center: complex, radius: float, tol: float) -> tupl
     return 2 * c / (root - b), math.inf  # the positive root, stably
 
 
+def _edge_crosses(z: complex, vertices) -> list:
+    """Signed areas Im(conj(b - a) * (z - a)) over the edges a -> b of a loop."""
+    return [(b.real - a.real) * (z.imag - a.imag) - (b.imag - a.imag) * (z.real - a.real)
+            for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+
+
 def _polygon_contains(z: complex, vertices) -> bool:
-    """Point-in-convex-polygon via signed areas (vertices in a loop)."""
+    """Point-in-convex-polygon via signed areas (vertices in a loop).  A
+    loop whose signed areas all vanish lies on one line through z, and is
+    read as the segment between its extreme vertices."""
     n = len(vertices)
     if n == 1:
         return z == vertices[0]
     if n == 2:
         return _segment_distance(z, vertices[0], vertices[1]) <= 1e-14
-    signs = []
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        cross = np.imag(np.conj(b - a) * (z - a))
-        signs.append(cross)
+    signs = _edge_crosses(z, vertices)
+    if not any(signs):
+        ends = sorted(vertices, key=lambda v: (v.real, v.imag))
+        return _segment_distance(z, ends[0], ends[-1]) <= 1e-14
     return all(s >= -1e-14 for s in signs) or all(s <= 1e-14 for s in signs)
 
 
@@ -567,7 +582,7 @@ def q_set(f: Generator, lam: complex) -> ConvexSet2D:
         if g == 0:
             raise ValueError("q_set needs a subdifferential different from {0}")
         return ConvexSet2D.halfplane(g * g, 0.0)
-    if S.kind == "polygon" and _polygon_contains(0j, S.data):
+    if S.kind == "polygon" and any(_edge_crosses(0j, S.data)) and _polygon_contains(0j, S.data):
         return ConvexSet2D.plane()
     if S.kind == "disk":
         center, radius = S.data

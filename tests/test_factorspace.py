@@ -7,8 +7,11 @@ from specmax.factorspace import (
     FactorSpaceElem,
     T_apply,
     T_inverse,
+    _coordinate_matrix,
     _solve_coords,
 )
+from specmax.generators import builtin
+from specmax.polysub import rsd_f_membership
 
 LAM2 = RootCluster((0j,), (2,))                      # lambda^2
 LAM_LAM1 = RootCluster((0j, 1 + 0j), (1, 1))         # lambda (lambda - 1)
@@ -152,6 +155,61 @@ class TestFDeriv0Inv:
             w = random_elem(base, rng)
             back = _solve_coords(base, F_deriv0(base, w))
             assert np.linalg.norm(back - T_apply(base, w)) < 1e-9
+
+
+def _reference_coordinate_matrix(base):
+    """The coordinate matrix as Poly products with one cofactor per root,
+    as it was built before the power tables."""
+    ntilde = base.degree()
+    cols = [base.as_poly().padded(ntilde).array()]
+    for j, (lam, n_j) in enumerate(zip(base.roots, base.mults)):
+        r_j = Poly.one()
+        for k, (lam_k, n_k) in enumerate(zip(base.roots, base.mults)):
+            if k != j:
+                r_j = r_j * elementary(n_k, lam_k)
+        for s in range(1, n_j + 1):
+            cols.append((r_j * elementary(n_j - s, lam)).padded(ntilde).array())
+    return np.stack(cols, axis=1)
+
+
+def cluster_with_signed_zeros(rng, max_roots=4, max_mult=4):
+    """Up to max_roots roots at least 0.5 apart; each part is replaced by
+    +0.0 or -0.0 with probability 1/4."""
+    m = rng.integers(1, max_roots + 1)
+    pts = []
+    while len(pts) < m:
+        x, y = (rng.choice([0.0, -0.0]) if rng.uniform() < 0.25 else rng.uniform(-2, 2)
+                for _ in range(2))
+        if all(abs(complex(x, y) - w) > 0.5 for w in pts):
+            pts.append(complex(x, y))
+    return RootCluster.sorted((z, int(rng.integers(1, max_mult + 1))) for z in pts)
+
+
+class TestCoordinateMatrix:
+    def test_bytes_match_the_poly_product_reference(self):
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            base = cluster_with_signed_zeros(rng)
+            M = _coordinate_matrix(base)
+            assert M.tobytes() == _reference_coordinate_matrix(base).tobytes(), base
+
+    def test_solve_recovers_the_coordinates(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            base = cluster_with_signed_zeros(rng)
+            c = random_poly(rng, base.degree()).array()
+            back = _solve_coords(base, Poly(tuple(_coordinate_matrix(base) @ c)))
+            assert np.linalg.norm(back - c) <= 1e-7 * np.linalg.norm(c)
+
+    @pytest.mark.parametrize("base", [RootCluster((1, np.inf), (1, 2)),
+                                      RootCluster((0j, complex(1, np.nan)), (1, 2))],
+                             ids=["inf", "nan"])
+    def test_non_finite_roots_are_rejected(self, base):
+        v = Poly.zero(base.degree())
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            _solve_coords(base, v)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            rsd_f_membership(base, builtin("abscissa"), v)
 
 
 class TestTaylorIso:

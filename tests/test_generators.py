@@ -1,4 +1,6 @@
+import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from specmax.generators import (
     NEITHER,
     ConvexSet2D,
     UnsupportedGenerator,
+    _polygon_contains,
     builtin,
     condition_check,
     make_generator,
@@ -266,6 +269,26 @@ class TestConvexSet2D:
         S = ConvexSet2D.segment(1, 2).scaled(0.0)
         assert S.contains(0) and not S.contains(1)
 
+    def test_degenerate_polygon_is_its_segment(self):
+        # a loop on one line is the segment between its extreme vertices,
+        # which need not be the first and last of the loop
+        S = ConvexSet2D.polygon([0, 1, 2])
+        assert S.distance(5) == 3 and S.distance(-1) == 1 and S.distance(1.5) == 0
+        assert S.distance(1 + 1j) == 1 and not S.contains(2.5)
+        assert ConvexSet2D.polygon([1j, 0, 2j]).distance(5j) == 3
+        # its real span is a line, not the plane
+        assert not ConvexSet2D.polygon([-1, 1, 2]).rspan_is_plane()
+        assert not ConvexSet2D.polygon([-1, 1]).rspan_is_plane()
+        assert ConvexSet2D.polygon([-1, 1j, 2]).rspan_is_plane()
+
+    def test_degenerate_polygon_subdifferential_is_neither_regime(self):
+        f = make_generator("line corner", abs, subdiff=lambda z: ConvexSet2D.polygon([-1, 1, 2]))
+        assert condition_check(f, 0) == NEITHER
+        with pytest.raises(UnsupportedGenerator):
+            Dp_membership(RootCluster((0j,), (2,)), f, [0, -0.25, 0])
+        with pytest.raises(UnsupportedGenerator):
+            q_set(f, 0)
+
     def test_scale_interval(self):
         # 3 + 1.5i = t * (2 + i) only for t = 1.5; a disk away from the
         # origin is entered and left again; one around it is never left
@@ -291,3 +314,191 @@ class TestMidpointConvexity:
         from specmax.generators import midpoint_convexity_check
 
         assert not midpoint_convexity_check(lambda z: -abs(z) ** 2, seed=1)
+
+
+# -- the plane geometry with numpy scalars, as it was written before the
+# plain-float arithmetic; kept as the reference it must reproduce bit for bit
+
+
+def _ref_re_cip(a, b):
+    return float(np.real(np.conj(complex(a)) * complex(b)))
+
+
+def _ref_segment_distance(z, a, b):
+    if a == b:
+        return abs(z - a)
+    t = _ref_re_cip(b - a, z - a) / abs(b - a) ** 2
+    t = min(1.0, max(0.0, t))
+    return abs(z - (a + t * (b - a)))
+
+
+def _ref_polygon_contains(z, vertices):
+    n = len(vertices)
+    if n == 1:
+        return z == vertices[0]
+    if n == 2:
+        return _ref_segment_distance(z, vertices[0], vertices[1]) <= 1e-14
+    signs = []
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        signs.append(np.imag(np.conj(b - a) * (z - a)))
+    return all(s >= -1e-14 for s in signs) or all(s <= 1e-14 for s in signs)
+
+
+def _ref_disk_scales(z, center, radius, tol):
+    a = abs(center) ** 2 - radius ** 2
+    b = -2.0 * (_ref_re_cip(center, z) + radius * tol)
+    c = abs(z) ** 2 - tol ** 2
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return math.inf, 0.0
+    root = math.sqrt(disc)
+    if a > 0:
+        return max(0.0, (-b - root) / (2 * a)), (-b + root) / (2 * a)
+    if c <= 0:
+        return 0.0, math.inf
+    if root <= b:
+        return math.inf, 0.0
+    return 2 * c / (root - b), math.inf
+
+
+def _ref_support(S, direction):
+    d = complex(direction)
+    if S.kind == "point":
+        return _ref_re_cip(d, S.data[0])
+    if S.kind == "segment":
+        return max(_ref_re_cip(d, S.data[0]), _ref_re_cip(d, S.data[1]))
+    if S.kind == "polygon":
+        return max(_ref_re_cip(d, v) for v in S.data)
+    if S.kind == "disk":
+        center, radius = S.data
+        return _ref_re_cip(d, center) + radius * abs(d)
+    normal, offset = S.data  # halfplane
+    t = np.conj(complex(normal)) * d
+    if abs(t.imag) > 0 or t.real < 0:
+        return math.inf
+    return (t.real / abs(normal) ** 2) * offset if offset != 0 else 0.0
+
+
+def _ref_distance(S, z):
+    z = complex(z)
+    if S.kind == "point":
+        return abs(z - S.data[0])
+    if S.kind == "segment":
+        return _ref_segment_distance(z, *S.data)
+    if S.kind == "polygon":
+        vs = S.data
+        if _ref_polygon_contains(z, vs):
+            return 0.0
+        return min(_ref_segment_distance(z, vs[i], vs[(i + 1) % len(vs)])
+                   for i in range(len(vs)))
+    if S.kind == "halfplane":
+        normal, offset = S.data
+        return max(0.0, (_ref_re_cip(normal, z) - offset) / abs(normal))
+    center, radius = S.data  # disk
+    return max(0.0, abs(z - center) - radius)
+
+
+def _ref_scale_interval(S, z, tol=0.0):
+    z = complex(z)
+    if S.kind == "disk":
+        return _ref_disk_scales(z, *S.data, tol)
+    if S.kind == "halfplane":
+        normal, offset = S.data
+        bounds = [(normal / abs(normal), offset / abs(normal))]
+    else:
+        vs = S.data
+        edges = [(b - a) / abs(b - a) for a, b in zip(vs, vs[1:] + vs[:1]) if a != b]
+        normals = [k * e for e in edges for k in (1, -1, 1j, -1j)] or [1, -1, 1j, -1j]
+        bounds = [(a, _ref_support(S, a)) for a in normals]
+    lo, hi = 0.0, math.inf
+    for a, s in bounds:
+        r = _ref_re_cip(a, z) - tol
+        if s > 0:
+            lo = max(lo, r / s)
+        elif s < 0:
+            hi = min(hi, r / s)
+        elif r > 0:
+            return math.inf, 0.0
+    return lo, hi
+
+
+def _bits(x) -> bytes:
+    """The bytes of a float or a tuple of floats; every NaN reads alike, as
+    numpy's conj flips the sign bit of a NaN that the plain form keeps."""
+    xs = x if isinstance(x, tuple) else (x,)
+    return b"".join(b"nan" if math.isnan(v) else struct.pack("<d", v) for v in xs)
+
+
+SIGNED_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+def _random_sets(rng):
+    """Points, segments, convex polygons of 3-6 vertices in both orientations
+    (none on one line), halfplanes and disks, with signed zeros among the
+    coordinates."""
+    def rc(scale=2.0):
+        return complex(*rng.uniform(-scale, scale, 2))
+
+    sets = [ConvexSet2D.point(z) for z in SIGNED_ZEROS]
+    sets.append(ConvexSet2D.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]))  # ell1 at 0
+    for _ in range(40):
+        sets.append(ConvexSet2D.point(rc()))
+        a = rc()
+        sets.append(ConvexSet2D.segment(a, rng.choice([a, rc(), complex(-0.0, a.imag)])))
+        k = int(rng.integers(3, 7))
+        angles = np.sort(rng.uniform(0, 2 * np.pi, k))
+        while np.diff(np.r_[angles, angles[0] + 2 * np.pi]).min() < 0.2:
+            angles = np.sort(rng.uniform(0, 2 * np.pi, k))
+        center, radius = rc(1.0), rng.uniform(0.3, 2.0)
+        loop = [center + radius * complex(np.cos(t), np.sin(t)) for t in angles]
+        sets.append(ConvexSet2D.polygon(loop if rng.uniform() < 0.5 else loop[::-1]))
+        u, d, h = cmath.exp(1j * rng.uniform(0, 2 * np.pi)), rng.uniform(1, 2), rng.uniform(1, 2)
+        sets.append(ConvexSet2D.polygon([u * 1j * h, -u * 1j * h, u * (d - 1j * h), u * (d + 1j * h)]))
+        sets.append(ConvexSet2D.halfplane(rng.choice([rc(), 1j, -1.0, complex(-0.0, 2.0)]),
+                                          rng.choice([0.0, -0.0, rng.uniform(-2, 2)])))
+        sets.append(ConvexSet2D.disk(rng.choice([0.0, rng.uniform(0, 2)]),
+                                     rng.choice([0j, complex(-0.0, -0.0), rc()])))
+    return sets
+
+
+def _probes(rng, S):
+    """Random points, signed zeros, and points on the vertices and edges."""
+    zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(3)] + SIGNED_ZEROS
+    if S.kind in ("point", "segment", "polygon"):
+        vs = S.data
+        zs += list(vs)
+        zs += [a + rng.uniform() * (b - a) for a, b in zip(vs, vs[1:] + vs[:1])]
+    return zs
+
+
+class TestPlainFloatGeometry:
+    """The plain-float plane geometry equals the numpy-scalar reference bit
+    for bit, signed zeros and overflow included."""
+
+    def test_re_cip_matches_the_numpy_form(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((5000, 4)) * np.exp(rng.uniform(-40, 40, (5000, 4)))
+        special = [0.0, -0.0, 1.0, -1.5, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]
+        x = np.vstack([x, rng.choice(special, (5000, 4))])
+        with np.errstate(all="ignore"):
+            for ar, ai, br, bi in x.tolist():
+                a, b = complex(ar, ai), complex(br, bi)
+                assert _bits(re_cip(a, b)) == _bits(_ref_re_cip(a, b)), (a, b)
+
+    def test_support_distance_and_scale_interval_match_the_reference(self):
+        rng = np.random.default_rng(12)
+        for S in _random_sets(rng):
+            for z in _probes(rng, S):
+                assert _bits(S.support(z)) == _bits(_ref_support(S, z)), (S, z)
+                assert _bits(S.distance(z)) == _bits(_ref_distance(S, z)), (S, z)
+                for tol in (0.0, 1e-8, 1e-3):
+                    got, ref = S.scale_interval(z, tol), _ref_scale_interval(S, z, tol)
+                    assert _bits(got) == _bits(ref), (S, z, tol)
+
+    def test_polygon_membership_matches_the_reference(self):
+        rng = np.random.default_rng(13)
+        for S in _random_sets(rng):
+            if S.kind == "polygon":
+                for z in _probes(rng, S):
+                    assert _polygon_contains(z, S.data) == _ref_polygon_contains(z, S.data)

@@ -6,6 +6,9 @@ On the polynomial route, points of the active roots' coordinate set drawn
 by ``Dp_sample`` must pass ``Dp_membership`` and fail it scaled by 1.5, and
 so must the polynomials the coordinate matrix maps them to under
 ``rsd_f_membership``.
+Every regular spec is also rebuilt from its JSON text, as the CLI reads a
+spec, and ``rsd_membership`` must give the same report JSON on the rebuilt
+spec as on the original, for each member and for 1.5 times it.
 The specs cycle through the abscissa, radius2 and the spectral radius, which
 every route reaches through its transform to radius2.  Every fourth spec gives
 its active eigenvalue a second Jordan block instead; there the sweep checks
@@ -15,6 +18,7 @@ Prints one line per spec and a final tally; exits nonzero on any failure.
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -22,7 +26,7 @@ import numpy as np
 from specmax.cpoly import Poly, RootCluster
 from specmax.factorspace import _coordinate_matrix
 from specmax.generators import builtin
-from specmax.jordan import JordanSpec, declared_active
+from specmax.jordan import JordanSpec, declared_active, spec_from_json, spec_to_json
 from specmax.oracles import subgradient_inequality_suite
 from specmax.polysub import Dp_membership, Dp_sample, rsd_f_membership
 from specmax.specsub import (
@@ -88,6 +92,7 @@ def main():
         _, _, active = declared_active(spec, f)
         cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
         M = _coordinate_matrix(cluster)
+        fresh = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
         bad_routes = 0
         violations = 0
         for k in range(args.members):
@@ -100,10 +105,11 @@ def main():
             Y = rsd_sample(spec, f, seed=args.seed + 97 * i + k)
             if not (rsd_membership(spec, f, Y).verdict and chain_rule_membership(spec, f, Y)):
                 bad_routes += 1
-            if not rsd_membership(spec, f, 1.5 * Y).verdict:
-                pass  # scaled candidates must fail; count if they somehow pass
-            else:
-                bad_routes += 1
+            if rsd_membership(spec, f, 1.5 * Y).verdict:
+                bad_routes += 1  # scaled candidates must fail
+            for Z in (Y, 1.5 * Y):
+                if rsd_membership(fresh, f, Z).to_json() != rsd_membership(spec, f, Z).to_json():
+                    bad_routes += 1
             rep = subgradient_inequality_suite(spec, f, Y, n_samples=args.samples,
                                                seed=args.seed + i)
             violations += rep["violations"]

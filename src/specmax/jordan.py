@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import math
 
 import numpy as np
 
@@ -71,6 +72,13 @@ class JordanSpec:
 
     ``eigs`` is a sequence of (eigenvalue, block_sizes); declaration order
     fixes the block layout (B first, then each eigenvalue's blocks in order).
+
+    P must be finite with cond_2(P) <= MAX_CONDITION.  That is the gate;
+    the bound |P|_F |P^-1|_F <= MAX_CONDITION / 2 on the inverse, which the
+    refinement sweep needs anyway, is only a shortcut that accepts without
+    an SVD: it implies the gate.  Every other P goes to ``np.linalg.cond``,
+    so the accepted and the rejected similarities are those of the 2-norm
+    gate alone.
     """
 
     MIN_SEPARATION = 1e-8
@@ -107,13 +115,21 @@ class JordanSpec:
         if P.shape != (self.n, self.n):
             raise ValueError(f"similarity must be {self.n}x{self.n}, got {P.shape}")
         try:
-            cond = np.linalg.cond(P)  # inf for an inf entry
-        except np.linalg.LinAlgError as exc:  # a NaN entry stops the SVD
-            raise ValueError(f"similarity P must be finite: {exc}") from exc
-        if not np.isfinite(cond) or cond > self.MAX_CONDITION:
-            raise ValueError(f"similarity condition number {cond:.2e} exceeds bound")
+            Pinv = np.linalg.inv(P)
+            frob = math.sqrt(float(np.vdot(P, P).real) * float(np.vdot(Pinv, Pinv).real))
+        except np.linalg.LinAlgError:
+            frob = math.inf
+        # cond_2(P) <= |P|_F |P^-1|_F, and the factor 2 covers rounding in
+        # the inverse; a NaN or inf bound fails the test and goes to the SVD
+        if not frob <= self.MAX_CONDITION / 2:
+            try:
+                cond = np.linalg.cond(P)  # inf for an inf entry
+            except np.linalg.LinAlgError as exc:  # a NaN entry stops the SVD
+                raise ValueError(f"similarity P must be finite: {exc}") from exc
+            if not np.isfinite(cond) or cond > self.MAX_CONDITION:
+                raise ValueError(f"similarity condition number {cond:.2e} exceeds bound")
+            Pinv = np.linalg.inv(P)
         self.P = P
-        Pinv = np.linalg.inv(P)
         Pinv = Pinv + Pinv @ (np.eye(self.n) - P @ Pinv)  # one refinement sweep
         self.Pinv = Pinv
         self.Pstar = P.conj().T

@@ -85,7 +85,9 @@ class _ActiveBlock:
         """Weight forced by the first coordinate when the subdifferential is
         a singleton {g}: c1 = -gamma * g / n_j."""
         g = self.subdiff.the_point()
-        xi = -self.n_j * c1 / g
+        # numpy's complex division (times a reciprocal) rounds apart from
+        # Python's: divide as numpy does, whether the block is a list or an array
+        xi = -self.n_j * np.complex128(c1) / g
         return max(0.0, xi.real)
 
     def second_set(self, gamma: float) -> ConvexSet2D:
@@ -113,7 +115,7 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
     decision behind both membership routes.
 
     ``data`` are the :class:`_ActiveBlock` of the active roots and
-    ``blocks`` their coordinate blocks.  Returns ``(failed, gammas)``, with
+    ``blocks`` their coordinate blocks, lists or arrays of complex numbers.  Returns ``(failed, gammas)``, with
     ``failed`` the failed conditions as ``(condition, residual, i)`` (i the
     position of the block, None for the weight sum) and ``gammas`` the
     witness weights (None for the horizon cone).

@@ -224,47 +224,53 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
     sub-blocks to vanish and all diagonal sub-blocks of one eigenvalue to
     share their diagonal values.  Every check's residual is reported, and
     those above ``tol * max(1, |Y|)`` are the violations; nothing is raised.
+
+    The checks run on Python numbers: W read once by ``tolist()``, and its
+    moduli once as one ``np.abs(W)`` array, which the max-|.| checks of
+    whole sub-blocks read.  numpy's array modulus may differ from the scalar
+    ``abs`` in the last bit, so taking those maxima from the one array (and
+    every other modulus from ``abs``) keeps each residual bit-equal to the
+    block-by-block numpy reading.
     """
     if level not in ("limiting", "regular"):
         raise ValueError("level must be 'limiting' or 'regular'")
     Y, norm = _candidate(spec, Y)
     W = spec.to_W(Y)
+    L = W.tolist()
+    A = np.abs(W).tolist()
     residuals = []
     segments = _segments(spec)
     for a, (name_a, sl_a) in enumerate(segments):
         for b, (name_b, sl_b) in enumerate(segments):
             if a != b:
-                r = float(np.abs(W[sl_a, sl_b]).max()) if W[sl_a, sl_b].size else 0.0
-                residuals.append(("cross_block_zero", r, (name_a, name_b)))
+                residuals.append(("cross_block_zero", _block_max(A, sl_a, sl_b),
+                                  (name_a, name_b)))
 
+    regular = level == "regular"
     theta: dict = {}
     for j in range(spec.num_eigs):
         subs = spec.subblock_slices(j)
         sizes = spec.block_sizes(j)
         for r_i, (sl_r, m_r) in enumerate(zip(subs, sizes)):
             for s_i, (sl_s, m_s) in enumerate(zip(subs, sizes)):
-                blk = W[sl_r, sl_s]
-                if level == "regular" and r_i != s_i:
-                    residuals.append(("subblock_coupling_zero", float(np.abs(blk).max()),
+                if regular and r_i != s_i:
+                    residuals.append(("subblock_coupling_zero", _block_max(A, sl_r, sl_s),
                                       (j, r_i, s_i)))
                 else:
-                    residuals.append(("toeplitz", _rect_toeplitz_residual(blk, m_r, m_s),
-                                      (j, r_i, s_i)))
-        # diagonal values shared across diagonal sub-blocks
-        m_j = spec.m_j(j)
-        vals = np.zeros(m_j, dtype=complex)
-        for s in range(1, m_j + 1):
-            entries = []
-            for sl_k, m_k in zip(subs, sizes):
-                if m_k >= s:
-                    blk = W[sl_k, sl_k]
-                    entries.extend(blk[i + s - 1, i] for i in range(m_k - s + 1))
-            center = sum(entries) / len(entries)
-            vals[s - 1] = center
-            if level == "regular":
-                residuals.append(("equal_diagonals", max(abs(e - center) for e in entries),
-                                  (j, s)))
-        theta[j] = vals
+                    residuals.append(("toeplitz", _rect_toeplitz_residual(
+                        L, sl_r.start, sl_s.start, m_r, m_s), (j, r_i, s_i)))
+        # diagonal values shared across diagonal sub-blocks; a mean is the
+        # sum times 1 / k, as numpy divides a complex by a real
+        vals = []
+        for s in range(spec.m_j(j)):
+            entries = [L[sl.start + i + s][sl.start + i]
+                       for sl, m_k in zip(subs, sizes) for i in range(m_k - s)]
+            center = sum(entries) * (1.0 / len(entries))
+            vals.append(center)
+            if regular:
+                residuals.append(("equal_diagonals", max([abs(e - center) for e in entries]),
+                                  (j, s + 1)))
+        theta[j] = np.array(vals)
 
     return ToeplitzParams(level, W, theta, residuals, tol, norm)
 
@@ -287,22 +293,26 @@ def _segments(spec: JordanSpec) -> list:
     return rest + [(f"eig{j}", spec.eig_slice(j)) for j in range(spec.num_eigs)]
 
 
-def _rect_toeplitz_residual(blk: np.ndarray, m_r: int, m_s: int) -> float:
-    """Deviation from the rectangular lower-triangular Toeplitz pattern:
-    entries constant along diagonals, zero above the main diagonal drawn
-    from the top left or the bottom right of the block."""
-    res = 0.0
+def _block_max(A: list, rows: slice, cols: slice) -> float:
+    """Largest entry of the sub-block ``rows`` x ``cols`` of the rows ``A``."""
+    return max(max(row[cols]) for row in A[rows])
+
+
+def _rect_toeplitz_residual(L: list, r0: int, s0: int, m_r: int, m_s: int) -> float:
+    """Deviation from the rectangular lower-triangular Toeplitz pattern of
+    the m_r x m_s sub-block at row r0, column s0 of the rows ``L``: entries
+    constant along diagonals, zero above the main diagonal drawn from the
+    top left or the bottom right of the block."""
+    devs = []
     min_d = max(0, m_r - m_s)
     for d in range(-(m_s - 1), m_r):
-        entries = [blk[k, k - d] for k in range(max(d, 0), min(m_r, m_s + d))]
-        if not entries:
-            continue
+        entries = [L[r0 + k][s0 + k - d] for k in range(max(d, 0), min(m_r, m_s + d))]
         if d < min_d:
-            res = max(res, max(abs(e) for e in entries))
+            devs += map(abs, entries)
         else:
-            center = sum(entries) / len(entries)
-            res = max(res, max(abs(e - center) for e in entries))
-    return res
+            center = sum(entries) * (1.0 / len(entries))
+            devs += [abs(e - center) for e in entries]
+    return max(devs)
 
 
 # -- the direct route -------------------------------------------------------------
@@ -310,8 +320,8 @@ def _rect_toeplitz_residual(blk: np.ndarray, m_r: int, m_s: int) -> float:
 
 def _inactive_violations(spec: JordanSpec, W: np.ndarray, active, atol: float):
     kept = {f"eig{j}" for j in active}
-    res = [(name, float(np.abs(W[sl, sl]).max()))
-           for name, sl in _segments(spec) if name not in kept]
+    A = np.abs(W).tolist()  # the block maxima as W_extract reads them
+    res = [(name, _block_max(A, sl, sl)) for name, sl in _segments(spec) if name not in kept]
     return [Violation("inactive_block_zero", r, name) for name, r in res if r > atol]
 
 
@@ -328,8 +338,8 @@ def _membership(spec: JordanSpec, f, params: ToeplitzParams,
     failed = params.violations + _inactive_violations(spec, params.W, active,
                                                       params.tol * scale)
     data = [_ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
-    core, gammas = block_failures(data, [-rho * params.theta[j] for j in active],
-                                  rho * INEQ_SLACK * scale, horizon)
+    blocks = [[-rho * t for t in params.theta[j].tolist()] for j in active]
+    core, gammas = block_failures(data, blocks, rho * INEQ_SLACK * scale, horizon)
     failed += [Violation(c, r, "active" if i is None else f"eig{active[i]}")
                for c, r, i in core]
     details = {"active": active}

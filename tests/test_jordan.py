@@ -149,6 +149,74 @@ class TestDeclarationChecks:
             JordanSpec([(0.0, (2,))], B=np.array([[np.inf]]))
 
 
+def _reference_gate(P):
+    """The similarity gate as one ``np.linalg.cond`` call: the rejection
+    message, or None for an accepted P (read as complex, as the spec does)."""
+    try:
+        cond = np.linalg.cond(np.asarray(P, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        return f"similarity P must be finite: {exc}"
+    if not np.isfinite(cond) or cond > JordanSpec.MAX_CONDITION:
+        return f"similarity condition number {cond:.2e} exceeds bound"
+    return None
+
+
+def _gate(P):
+    try:
+        JordanSpec([(0.0, (P.shape[0],))], P=P)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _with_condition(rng, n, cond):
+    """Q1 diag(s) Q2 at a random scale, with unitary Q1, Q2 and singular
+    values s spanning a ratio of ``cond``."""
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    s = np.concatenate(([1.0, 1.0 / cond], cond ** -rng.uniform(0, 1, n - 2)))
+    return 10 ** rng.uniform(-3, 3) * unitary() @ np.diag(rng.permutation(s)) @ unitary()
+
+
+class TestConditionGate:
+    """The Frobenius shortcut accepts without an SVD, but the gate is still
+    cond_2(P) <= MAX_CONDITION with the messages of ``np.linalg.cond``."""
+
+    def test_same_decision_and_message_as_the_svd(self):
+        rng = np.random.default_rng(1402)
+        bound = JordanSpec.MAX_CONDITION
+        decisions = set()
+        for i in range(400):
+            n = int(rng.integers(2, 7))
+            if i % 2:  # within 1e-9 .. 1e-1 relative of the bound, both sides
+                cond = bound * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-9, -1))
+            else:
+                cond = 10 ** rng.uniform(6, 9)
+            P = _with_condition(rng, n, cond)
+            assert _gate(P) == _reference_gate(P)
+            decisions.add(_gate(P) is None)
+        assert decisions == {True, False}
+        nan, inf = np.eye(3), np.eye(3)
+        nan[0, 2], inf[1, 0] = np.nan, np.inf
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        for P in (nan, inf, singular, np.diag([1.0, 1e-12])):
+            assert _gate(P) == _reference_gate(P) is not None
+
+    def test_well_conditioned_similarity_needs_no_svd(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda P, *a: calls.append(P) or cond(P, *a))
+        rng = np.random.default_rng(1403)
+        for n in range(2, 9):
+            for c in (1.0, 1e3, 1e6):
+                JordanSpec([(0.0, (n,))], P=_with_condition(rng, n, c))
+            JordanSpec([(0.0, (n,))], P=random_P(rng, n))
+        assert calls == []
+        with pytest.raises(ValueError, match="exceeds bound"):
+            JordanSpec([(0.0, (2,))], P=np.diag([1.0, 1e-9]))
+        assert len(calls) == 1
+
+
 class TestCharPoly:
     def test_zero_matrix(self):
         assert np.allclose(char_poly(np.zeros((3, 3))).array(), [0, 0, 0, 1])

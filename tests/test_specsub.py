@@ -7,6 +7,11 @@ from specmax import cpoly, jordan, polysub
 from specmax.generators import UnsupportedGenerator, builtin
 from specmax.jordan import DerogatoryEigenvalue, JordanSpec, declared_active, nilpotent
 from specmax.specsub import (
+    INEQ_SLACK,
+    STRUCT_TOL,
+    MembershipReport,
+    ToeplitzParams,
+    Violation,
     W_extract,
     chain_rule_membership,
     derogatory_witness,
@@ -710,3 +715,166 @@ class TestSubgradientDefinition:
                 worst = max(worst, (gain - (spectral_max(X + D, ABSC) - base)) / r)
             rates.append(worst)
         assert rates[2] <= max(0.5 * rates[0], 1e-7)
+
+
+# -- W extraction as it read numpy sub-blocks -------------------------------------
+#
+# ``_ref_*`` are W_extract, its Toeplitz residual and the direct-route caller
+# of the core as they were written on numpy sub-blocks and scalars, kept as
+# the check that reading W as Python numbers changes no bit of a residual,
+# a diagonal value or a report.
+
+
+def _ref_rect_toeplitz_residual(blk, m_r, m_s):
+    res = 0.0
+    min_d = max(0, m_r - m_s)
+    for d in range(-(m_s - 1), m_r):
+        entries = [blk[k, k - d] for k in range(max(d, 0), min(m_r, m_s + d))]
+        if not entries:
+            continue
+        if d < min_d:
+            res = max(res, max(abs(e) for e in entries))
+        else:
+            center = sum(entries) / len(entries)
+            res = max(res, max(abs(e - center) for e in entries))
+    return res
+
+
+def _ref_segments(spec):
+    rest = [("rest", slice(0, spec.n0))] if spec.n0 else []
+    return rest + [(f"eig{j}", spec.eig_slice(j)) for j in range(spec.num_eigs)]
+
+
+def _ref_W_extract(spec, Y, level):
+    Y = np.asarray(Y, dtype=complex)
+    W = spec.to_W(Y)
+    residuals = []
+    segments = _ref_segments(spec)
+    for a, (name_a, sl_a) in enumerate(segments):
+        for b, (name_b, sl_b) in enumerate(segments):
+            if a != b:
+                residuals.append(("cross_block_zero", float(np.abs(W[sl_a, sl_b]).max()),
+                                  (name_a, name_b)))
+    theta = {}
+    for j in range(spec.num_eigs):
+        subs = spec.subblock_slices(j)
+        sizes = spec.block_sizes(j)
+        for r_i, (sl_r, m_r) in enumerate(zip(subs, sizes)):
+            for s_i, (sl_s, m_s) in enumerate(zip(subs, sizes)):
+                blk = W[sl_r, sl_s]
+                if level == "regular" and r_i != s_i:
+                    residuals.append(("subblock_coupling_zero", float(np.abs(blk).max()),
+                                      (j, r_i, s_i)))
+                else:
+                    residuals.append(("toeplitz", _ref_rect_toeplitz_residual(blk, m_r, m_s),
+                                      (j, r_i, s_i)))
+        m_j = spec.m_j(j)
+        vals = np.zeros(m_j, dtype=complex)
+        for s in range(1, m_j + 1):
+            entries = []
+            for sl_k, m_k in zip(subs, sizes):
+                if m_k >= s:
+                    blk = W[sl_k, sl_k]
+                    entries.extend(blk[i + s - 1, i] for i in range(m_k - s + 1))
+            center = sum(entries) / len(entries)
+            vals[s - 1] = center
+            if level == "regular":
+                residuals.append(("equal_diagonals", max(abs(e - center) for e in entries),
+                                  (j, s)))
+        theta[j] = vals
+    return ToeplitzParams(level, W, theta, residuals, STRUCT_TOL, float(np.linalg.norm(Y)))
+
+
+def _ref_membership(spec, f, params, horizon):
+    f, rho, active = declared_active(spec, f)
+    scale = max(1.0, params.norm)
+    kept = {f"eig{j}" for j in active}
+    inactive = [(name, float(np.abs(params.W[sl, sl]).max()))
+                for name, sl in _ref_segments(spec) if name not in kept]
+    failed = params.violations + [Violation("inactive_block_zero", r, name)
+                                  for name, r in inactive if r > params.tol * scale]
+    data = [polysub._ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
+    core, gammas = polysub.block_failures(data, [-rho * params.theta[j] for j in active],
+                                          rho * INEQ_SLACK * scale, horizon)
+    failed += [Violation(c, r, "active" if i is None else f"eig{active[i]}")
+               for c, r, i in core]
+    details = {"active": active}
+    if gammas is not None:
+        details["gamma"] = dict(zip(active, gammas.tolist()))
+    return MembershipReport(verdict=not failed, failed=failed, details=details)
+
+
+def _equivalence_spec(rng, derogatory, rest):
+    """A spec of size at most 8 whose first eigenvalue, of modulus 1.8 and
+    real part at least 1.4, is active for the abscissa, radius2 and the
+    radius; half the time its conjugate is a second active eigenvalue.  The
+    first eigenvalue carries the blocks (1, 1), (2, 1) or (3, 2) when
+    ``derogatory``; ``rest`` adds a 2x2 rest block of small spectrum."""
+    top = 1.8 * np.exp(1j * rng.choice([-1, 1]) * rng.uniform(0.2, 0.6))
+    blocks = [[(1, 1), (2, 1), (3, 2)][int(rng.integers(3))] if derogatory
+              else (int(rng.integers(1, 4)),)]
+    lams = [top]
+    left = 8 - 2 * rest - sum(blocks[0])
+    if left and rng.uniform() < 0.5:
+        blocks.append((int(rng.integers(1, min(2, left) + 1)),))
+        lams.append(top.conjugate())
+        left -= blocks[-1][0]
+    left = int(rng.integers(0, left + 1))
+    while left > 0:
+        k = int(rng.integers(1, left + 1))
+        z = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+        if abs(z) >= 0.4 and all(abs(z - w) > 0.3 for w in lams):
+            blocks.append((k,))
+            lams.append(z)
+            left -= k
+    B = 0.15 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) if rest else None
+    n = 2 * rest + sum(map(sum, blocks))
+    return JordanSpec(list(zip(lams, blocks)), P=random_P(rng, n), B=B)
+
+
+def _member(rng, spec, f):
+    """A member: from rsd_sample where the active eigenvalues allow it;
+    otherwise Toeplitz sub-blocks sharing their diagonals on the active
+    eigenvalues (equal weights, a zero subdiagonal and random deeper
+    diagonals) and zeros elsewhere."""
+    _, _, active = declared_active(spec, f)
+    if all(spec.nonderogatory(j) for j in active):
+        return rsd_sample(spec, f, seed=int(rng.integers(1 << 30)))
+    W = np.zeros((spec.n, spec.n), dtype=complex)
+    for j in active:
+        thetas = rng.standard_normal(spec.m_j(j)) + 1j * rng.standard_normal(spec.m_j(j))
+        thetas[0] = f.grad(spec.eig_value(j)) / (spec.n_j(j) * len(active))
+        thetas[1:2] = 0
+        for sl, m in zip(spec.subblock_slices(j), spec.block_sizes(j)):
+            W[sl, sl] = sum(t * np.eye(m, k=-s) for s, t in enumerate(thetas[:m]))
+    return spec.from_W(W)
+
+
+class TestWExtractionEquivalence:
+    @pytest.mark.parametrize("derogatory", [False, True])
+    @pytest.mark.parametrize("rest", [False, True])
+    def test_python_numbers_match_the_numpy_reading(self, derogatory, rest):
+        rng = np.random.default_rng(1400 + 2 * derogatory + rest)
+        cases = 0
+        for i in range(36):
+            f = (ABSC, RAD2, RAD)[i % 3]
+            spec = _equivalence_spec(rng, derogatory, rest)
+            member = _member(rng, spec, f)
+            noise = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
+            for Y0 in (member, member + 1e-11 * np.linalg.norm(member) * noise, noise):
+                for size in (1e-6, 1.0, 1e4):
+                    Y = size * Y0
+                    for level in ("regular", "limiting"):
+                        got, ref = W_extract(spec, Y, level), _ref_W_extract(spec, Y, level)
+                        assert got.residuals == ref.residuals
+                        assert {j: t.tolist() for j, t in got.theta.items()} == \
+                            {j: t.tolist() for j, t in ref.theta.items()}
+                        assert got.violations == ref.violations
+                        assert got.flags == ref.flags
+                        cases += 1
+                    ref = _ref_W_extract(spec, Y, "regular")
+                    assert rsd_membership(spec, f, Y).to_json() == \
+                        _ref_membership(spec, f, ref, horizon=False).to_json()
+                    assert rsd_recession_membership(spec, f, Y).to_json() == \
+                        _ref_membership(spec, f, ref, horizon=True).to_json()
+        assert cases == 36 * 3 * 3 * 2

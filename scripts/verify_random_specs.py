@@ -13,6 +13,9 @@ The specs cycle through the abscissa, radius2 and the spectral radius, which
 every route reaches through its transform to radius2.  Every fourth spec gives
 its active eigenvalue a second Jordan block instead; there the sweep checks
 that the derogatory witness certifies the loss of regularity.
+On every spec's base matrix, ``spectral_active`` must report the value
+``spectral_max`` returns, bit for bit; mismatches fail the spec and are
+counted in the final tally.
 
 Prints one line per spec and a final tally; exits nonzero on any failure.
 """
@@ -34,6 +37,8 @@ from specmax.specsub import (
     derogatory_witness,
     rsd_membership,
     rsd_sample,
+    spectral_active,
+    spectral_max,
 )
 
 
@@ -77,17 +82,22 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     failures = 0
+    eval_mismatches = 0
     for i in range(args.specs):
         f = builtin(("abscissa", "radius2", "radius")[i % 3])
         derogatory = i % 4 == 3
         spec = random_spec(rng, args.n_max, f, derogatory)
         sizes = "+".join("/".join(map(str, spec.block_sizes(j))) for j in range(spec.num_eigs))
+        X = spec.synth()
+        mismatch = (np.float64(spectral_active(X, f)[0]).tobytes()
+                    != np.float64(spectral_max(X, f)).tobytes())
+        eval_mismatches += mismatch
         if derogatory:
             _, _, report = derogatory_witness(spec, f, count=50)
-            status = "ok" if report["ok"] else "FAIL"
+            status = "ok" if report["ok"] and not mismatch else "FAIL"
             failures += status == "FAIL"
             print(f"spec {i:2d} (n={spec.n}, blocks {sizes}, {f.name:9s}): "
-                  f"witness ok={report['ok']}  [{status}]")
+                  f"witness ok={report['ok']}, eval mismatch={mismatch:d}  [{status}]")
             continue
         _, _, active = declared_active(spec, f)
         cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
@@ -113,11 +123,13 @@ def main():
             rep = subgradient_inequality_suite(spec, f, Y, n_samples=args.samples,
                                                seed=args.seed + i)
             violations += rep["violations"]
-        status = "ok" if bad_routes == 0 and violations == 0 else "FAIL"
+        status = "ok" if bad_routes == 0 and violations == 0 and not mismatch else "FAIL"
         failures += status == "FAIL"
         print(f"spec {i:2d} (n={spec.n}, blocks {sizes}, {f.name:9s}): "
-              f"routes bad={bad_routes}, fd violations={violations}  [{status}]")
-    print(f"{args.specs - failures}/{args.specs} specs clean")
+              f"routes bad={bad_routes}, fd violations={violations}, "
+              f"eval mismatch={mismatch:d}  [{status}]")
+    print(f"{args.specs - failures}/{args.specs} specs clean, "
+          f"{eval_mismatches} spectral_active/spectral_max mismatches")
     return 1 if failures else 0
 
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .cpoly import poly_from_json, roots
+from .cpoly import CLUSTER_TOL, poly_from_json, roots
 from .generators import UnsupportedGenerator, builtin
 from .jordan import (
     DomainError,
@@ -96,7 +96,7 @@ def _pairs(z: complex):
 def cmd_eval(args) -> int:
     f = _generator(args.f)
     X = matrix_from_json(_load_json(args.matrix))
-    value, cluster, active = spectral_active(X, f, active_tol=args.tol)
+    value, cluster, active = spectral_active(X, f)
     payload = {
         "value": value if math.isfinite(value) else "inf",
         "eigenvalues": [_pairs(r) for r in cluster.roots],
@@ -124,7 +124,7 @@ def cmd_membership(args) -> int:
         return EXIT_OK if params.ok else EXIT_NONMEMBER
 
     if args.set == "chain":
-        verdict = chain_rule_membership(spec, f, Y, tol=args.tol)
+        verdict = chain_rule_membership(spec, f, Y)
         _emit({"verdict": verdict, "route": "chain"}, args.out)
         return EXIT_OK if verdict else EXIT_NONMEMBER
 
@@ -142,13 +142,13 @@ def cmd_subderivative(args) -> int:
         p = poly_from_json(_load_json(args.base))
         v = poly_from_json(_load_json(args.direction))
         cluster = roots(p, cluster_tol=args.cluster_tol)
-        value = subderivative_f(cluster, f, v.padded(cluster.degree()), tol=args.tol)
+        value = subderivative_f(cluster, f, v.padded(cluster.degree()))
     else:
         spec = spec_from_json(_load_json(args.base))
         Z = matrix_from_json(_load_json(args.direction))
         action = char_poly_deriv_action(spec, Z)
         _, cluster = _lex_cluster(spec, range(spec.num_eigs))
-        value = subderivative_f(cluster, f, action, tol=args.tol)
+        value = subderivative_f(cluster, f, action)
     _emit({"value": value if math.isfinite(value) else "inf", "kind": args.kind}, args.out)
     return EXIT_OK
 
@@ -238,15 +238,15 @@ def cmd_stabilize(args) -> int:
 # -- argument plumbing ------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than ``low``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+def _at_least(low):
+    """argparse type: a finite number of the type of ``low``, no smaller than it."""
+    def parse(text: str):
+        value = type(low)(text)
+        if not low <= value < math.inf:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be at least {low} and finite, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = type(low).__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -260,9 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "subderivatives, and verification suites.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8,
-                        help="active-set tolerance of eval, and the tolerance of "
-                             "membership --set chain and subderivative; others ignore it")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", type=str, default=None, help="write output to a file")
@@ -286,18 +283,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("base", help="polynomial or Jordan spec JSON path")
     p.add_argument("direction", help="polynomial or matrix JSON path")
     p.add_argument("--f", required=True, help="generator name")
-    p.add_argument("--cluster-tol", type=float, default=1e-6)
+    p.add_argument("--cluster-tol", type=_at_least(0.0), default=CLUSTER_TOL,
+                   help="poly: base roots this close are one multiple root")
 
     p = sub.add_parser("paper-examples", parents=[common],
                        help="run the bundled worked examples")
-    p.add_argument("--nu", type=_int_at_least(1), default=100,
+    p.add_argument("--nu", type=_at_least(1), default=100,
                    help="perturbation sequence length")
 
     p = sub.add_parser("verify", parents=[common], help="run the oracle suites")
     p.add_argument("spec", help="Jordan spec JSON path")
     p.add_argument("--f", required=True, help="generator name")
-    p.add_argument("--samples", type=_int_at_least(0), default=200)
-    p.add_argument("--nu", type=_int_at_least(1), default=50)
+    p.add_argument("--samples", type=_at_least(0), default=200)
+    p.add_argument("--nu", type=_at_least(1), default=50)
 
     p = sub.add_parser("stabilize", parents=[common],
                        help="subgradient descent demo over an affine family")

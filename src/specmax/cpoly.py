@@ -4,6 +4,10 @@ Everything here is a plain immutable value; all functions are pure and safe
 to call concurrently.  Polynomial coefficients are indexed by power, so
 ``coeffs[k]`` multiplies ``lambda**k``.  The JSON wire format for a
 polynomial is a list of ``[re, im]`` pairs in the same order.
+
+Tolerances are the absolute constants CLUSTER_TOL (the diameter of a root
+cluster) and ACTIVE_TOL (the gap below the max of an active value); only
+:func:`roots` takes a cluster radius, the declared root structure of p.
 """
 
 from __future__ import annotations
@@ -75,15 +79,12 @@ class Poly:
     def degree_bound(self) -> int:
         return len(self.coeffs) - 1
 
-    def degree(self, tol: float = 0.0) -> int:
-        """Largest power with |coefficient| > tol, or -1 for the zero poly."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if abs(self.coeffs[k]) > tol:
-                return k
-        return -1
+    def degree(self) -> int:
+        """Largest power with a nonzero coefficient, or -1 for the zero poly."""
+        return max((k for k, c in enumerate(self.coeffs) if c), default=-1)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.degree(tol) < 0
+    def is_zero(self) -> bool:
+        return self.degree() < 0
 
     def coeff_norm(self) -> float:
         return float(np.linalg.norm(np.asarray(self.coeffs)))
@@ -203,6 +204,10 @@ class RootCluster:
         return p
 
 
+CLUSTER_TOL = 1e-6  # absolute: the largest diameter of a root cluster
+ACTIVE_TOL = 1e-8  # absolute: how far below the max a value of an active root may lie
+
+
 def _complete_linkage(row: list, tol: float) -> list:
     """Complete-linkage agglomeration of one row of points: merge the pair
     of clusters whose union has the smallest diameter (the first such pair
@@ -266,59 +271,77 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple:
     return means, mults
 
 
-def _row_cluster(means: np.ndarray, mults: np.ndarray) -> RootCluster:
-    """The clusters of one row of :func:`_cluster_rows`, padding dropped."""
-    return RootCluster.sorted((z, m) for z, m in zip(means.tolist(), mults.tolist()) if m)
+def _row_cluster(means: np.ndarray, mults: np.ndarray) -> tuple:
+    """``(cluster, order)``: a row of :func:`_cluster_rows` and its clusters' positions."""
+    zs, ms = means.tolist(), mults.tolist()
+    order = sorted((j for j, m in enumerate(ms) if m), key=lambda j: lex_key(zs[j]))
+    return RootCluster(tuple(zs[j] for j in order), tuple(ms[j] for j in order)), order
 
 
-def roots(p: Poly, cluster_tol: float = 1e-6) -> RootCluster:
-    """All roots of p via the balanced companion matrix, merged into clusters.
-
-    Clusters are grown greedily subject to diameter <= cluster_tol and each is
-    represented by the mean of its members (:func:`_cluster_rows`, which
-    :func:`specsub.spectral_max` shares), so the multiplicities always sum
-    to the (numerical) degree of p.
-    """
+def _clustered_roots(p: Poly, cluster_tol: float) -> tuple:
+    """The roots of p as the one row ``(means, mults)`` of :func:`_cluster_rows`."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined roots")
-    d = p.degree()
-    if d == 0:
-        return RootCluster((), ())
-    cs = p.array()[: d + 1]
-    rts = np.roots(cs[::-1])  # numpy wants the high-order coefficient first
-    means, mults = _cluster_rows(rts[None, :], cluster_tol)
-    return _row_cluster(means[0], mults[0])
+    cs = p.array()[: p.degree() + 1]
+    return _cluster_rows(np.roots(cs[::-1])[None, :], cluster_tol)  # high order first
+
+
+def roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootCluster:
+    """All roots of p via the balanced companion matrix, merged into clusters.
+
+    Clusters are grown greedily subject to diameter <= cluster_tol, which
+    declares the root structure of p, and each is represented by the mean of
+    its members (:func:`_cluster_rows`, which :func:`specsub.spectral_max`
+    shares), so the multiplicities always sum to the (numerical) degree of p.
+    """
+    means, mults = _clustered_roots(p, cluster_tol)
+    return _row_cluster(means[0], mults[0])[0]
 
 
 class DomainError(ValueError):
     """A root or eigenvalue fell outside the domain of the generating function."""
 
 
-ACTIVE_TOL = 1e-8  # how far below the max a value of an active root may lie
-
-
-def _attaining(vals: list, tol: float) -> tuple:
-    """The max of vals and the indices of the values within tol of it; at
-    a max of +inf, exactly the infinite values."""
+def _attaining(vals: list) -> list:
+    """The indices of the values within ACTIVE_TOL of the max of vals; at a
+    max of +inf, exactly the infinite values."""
     value = max(vals)
-    return value, [j for j, v in enumerate(vals) if v >= value - tol]
+    return [j for j, v in enumerate(vals) if v >= value - ACTIVE_TOL]
 
 
-def active_set(p, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):
-    """Max of f over the distinct roots and the indices attaining it, for
-    the evaluator.
-
-    Accepts a Poly (roots are computed and clustered) or a RootCluster.
-    Returns ``(value, indices)`` where indices refer to the lex-ordered
-    distinct roots; roots outside dom f make the value +inf and the index
-    set collects the offending roots.
-    """
-    cluster = p if isinstance(p, RootCluster) else roots(p, cluster_tol)
-    if cluster.num_distinct == 0:
-        raise ValueError("constant polynomial: no roots to maximize over")
+def _values(f, z: np.ndarray) -> np.ndarray:
+    """f at every entry of the complex array z, as floats of z's shape: one
+    call on the whole array when f accepts it and answers with an array of
+    that shape (the builtins are elementwise), otherwise one Python call per
+    entry through ``np.frompyfunc``, so scalar-only callables work too."""
     value_of = _fvalue(f)
-    value, idx = _attaining([float(value_of(r)) for r in cluster.roots], active_tol)
-    return value, frozenset(idx)
+    try:
+        out = np.asarray(value_of(z), dtype=float)
+        if out.shape == z.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.frompyfunc(value_of, 1, 1)(z).astype(float)
+
+
+def _reading(f, means: np.ndarray, mults: np.ndarray) -> tuple:
+    """``(value, cluster, active)`` of a (1, k) row of :func:`_cluster_rows`: the
+    max of f over its means as :func:`specsub.spectral_max` takes it, the
+    clusters, and those within ACTIVE_TOL of the max (at +inf, those off dom f)."""
+    cluster, order = _row_cluster(means[0], mults[0])
+    vals = _values(f, means)
+    active = _attaining(vals[0, order].tolist())
+    return float(vals.max(axis=-1)[0]), cluster, frozenset(active)
+
+
+def active_set(p: Poly, f) -> tuple:
+    """Max of f over the distinct roots of p and the indices attaining it:
+    ``(value, active)`` of :func:`_reading` on the roots of :func:`roots`."""
+    means, mults = _clustered_roots(p, CLUSTER_TOL)
+    if not means.size:
+        raise ValueError("constant polynomial: no roots to maximize over")
+    value, _, active = _reading(f, means, mults)
+    return value, active
 
 
 def active_roots(f, roots, rest=()) -> tuple:
@@ -343,17 +366,16 @@ def active_roots(f, roots, rest=()) -> tuple:
         raise ValueError("no root or declared eigenvalue to maximize over")
     if any(math.isnan(v) for v in vals):  # NaN attains no max: max() would depend on order
         raise ValueError("the generator is NaN at a root or eigenvalue")
-    _, active = _attaining(vals, ACTIVE_TOL)
+    active = _attaining(vals)
     if active[-1] >= len(roots):
         raise ValueError("an eigenvalue of the rest block attains the max; its Jordan "
                          "structure must be declared")
     return g, rho, active
 
 
-def poly_root_max(p, f, cluster_tol: float = 1e-6) -> float:
+def poly_root_max(p: Poly, f) -> float:
     """The root max function: max of f over the roots of p."""
-    value, _ = active_set(p, f, cluster_tol=cluster_tol)
-    return value
+    return active_set(p, f)[0]
 
 
 def poly_from_json(data: Sequence) -> Poly:

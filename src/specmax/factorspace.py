@@ -31,6 +31,8 @@ __all__ = [
     "T_inverse",
 ]
 
+SOLVE_TOL = 1e-10  # relative to max(1, |v|): the residual of the coordinate solve
+
 
 @dataclass(frozen=True)
 class FactorSpaceElem:
@@ -125,12 +127,12 @@ def T_inverse(base: RootCluster, coords: np.ndarray) -> FactorSpaceElem:
     return FactorSpaceElem(base, coords[0], tuple(factors))
 
 
-def _solve_coords(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> np.ndarray:
+def _solve_coords(base: RootCluster, v: Poly) -> np.ndarray:
     """The Taylor coordinates (omega_0, omega_11, ..., omega_mn_m) of the
     unique w with F_deriv0(base, w) = v, by a dense coordinate solve.
 
     The stacked coordinate matrix is nonsingular whenever the base roots are
-    distinct; the solve is guarded by an explicit residual check.
+    distinct; the solve is guarded by a residual check at SOLVE_TOL.
     """
     ntilde = base.degree()
     if v.degree() > ntilde:
@@ -142,6 +144,6 @@ def _solve_coords(base: RootCluster, v: Poly, residual_tol: float = 1e-10) -> np
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"factor coordinate system is singular: {exc}") from exc
     resid = float(np.linalg.norm(M @ coords - rhs))
-    if resid > residual_tol * max(1.0, float(np.linalg.norm(rhs))):
+    if resid > SOLVE_TOL * max(1.0, float(np.linalg.norm(rhs))):
         raise ValueError(f"factor coordinate solve residual {resid:.3e} too large")
     return coords

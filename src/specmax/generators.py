@@ -55,6 +55,10 @@ TAG_C2PD = "c2-positive-definite"
 TAG_FULLSPAN = "nonsmooth-fullspan"
 TAG_OTHER = "other"
 
+CONTAINS_TOL = 1e-10  # absolute: the distance within which a set contains a point
+POLYGON_TOL = 1e-14  # absolute: signed areas and segment distances of the polygon test
+CONVEXITY_SLACK = 1e-9  # relative to 1 + |f(a)| + |f(b)|: the midpoint convexity check
+
 
 class UnsupportedGenerator(ValueError):
     """Raised when a generator lies outside the supported calculus."""
@@ -148,8 +152,8 @@ class ConvexSet2D:
             return max(0.0, abs(z - center) - radius)
         raise ValueError(f"unknown set kind {self.kind!r}")
 
-    def contains(self, z: complex, tol: float = 1e-10) -> bool:
-        return self.distance(z) <= tol
+    def contains(self, z: complex) -> bool:
+        return self.distance(z) <= CONTAINS_TOL
 
     def support(self, direction: complex) -> float:
         """sup over the set of Re(conj(direction) * z)."""
@@ -294,12 +298,12 @@ def _polygon_contains(z: complex, vertices) -> bool:
     if n == 1:
         return z == vertices[0]
     if n == 2:
-        return _segment_distance(z, vertices[0], vertices[1]) <= 1e-14
+        return _segment_distance(z, vertices[0], vertices[1]) <= POLYGON_TOL
     signs = _edge_crosses(z, vertices)
     if not any(signs):
         ends = sorted(vertices, key=lambda v: (v.real, v.imag))
-        return _segment_distance(z, ends[0], ends[-1]) <= 1e-14
-    return all(s >= -1e-14 for s in signs) or all(s <= 1e-14 for s in signs)
+        return _segment_distance(z, ends[0], ends[-1]) <= POLYGON_TOL
+    return all(s >= -POLYGON_TOL for s in signs) or all(s <= POLYGON_TOL for s in signs)
 
 
 @dataclass(frozen=True)
@@ -355,9 +359,8 @@ class Generator:
         return f"Generator({self.name!r})"
 
 
-def midpoint_convexity_check(f, points=None, seed: int = 0, n_pairs: int = 200,
-                             tol: float = 1e-9) -> bool:
-    """Sampled sanity check of midpoint convexity: f((a+b)/2) <= (f(a)+f(b))/2.
+def midpoint_convexity_check(f, points=None, seed: int = 0, n_pairs: int = 200) -> bool:
+    """Sampled check of midpoint convexity: f((a+b)/2) <= (f(a)+f(b))/2 + slack.
 
     This is the only convexity verification offered for user generators: a
     grid test, not a proof.  Pairs with non-finite values are skipped.
@@ -371,7 +374,7 @@ def midpoint_convexity_check(f, points=None, seed: int = 0, n_pairs: int = 200,
         fa, fb = value(a), value(b)
         if not (math.isfinite(fa) and math.isfinite(fb)):
             continue
-        if value((a + b) / 2) > (fa + fb) / 2 + tol * (1 + abs(fa) + abs(fb)):
+        if value((a + b) / 2) > (fa + fb) / 2 + CONVEXITY_SLACK * (1 + abs(fa) + abs(fb)):
             return False
     return True
 
@@ -504,25 +507,21 @@ def _ell1() -> Generator:
     )
 
 
-_BUILTINS = {
-    "abscissa": _abscissa,
-    "radius": _radius,
-    "radius2": _radius2,
-    "ell1": _ell1,
-}
+# built once: the calculus recognizes the spectral radius by identity
+_BUILTINS = {g.name: g for g in (_abscissa(), _radius(), _radius2(), _ell1())}
 
 
 def builtin(name: str) -> Generator:
-    """One of the stock generators: abscissa, radius, radius2, ell1."""
+    """One of the stock generators (one object each): abscissa, radius, radius2, ell1."""
     try:
-        return _BUILTINS[name]()
+        return _BUILTINS[name]
     except KeyError:
         raise ValueError(
             f"unknown generator {name!r}; choose from {sorted(_BUILTINS)}"
         ) from None
 
 
-_RADIUS2 = _radius2()
+_RADIUS, _RADIUS2 = _BUILTINS["radius"], _BUILTINS["radius2"]
 # the modulus at the origin as a corner-regime generator; its subdifferential
 # is the unit disk only at 0, so it stands for the radius at a nilpotent base
 _NILPOTENT_ORIGIN = make_generator(
@@ -534,15 +533,16 @@ def radius_transform(f, eigenvalues) -> tuple:
     """``(g, rho)``: the generator the calculus runs on for f over the given
     spectrum, and the factor that carries a subgradient of f to one of g.
 
-    Every generator but the modulus maps to itself with factor 1.  The
-    spectral radius is the increasing transform rho = sqrt(2 phi_radius2),
-    so where rho > 0, Y is a regular subgradient (or recession direction)
-    of it iff rho * Y is one of phi_radius2, and its subderivative is that
-    of phi_radius2 divided by rho.  At rho = 0 it maps to the corner block of
-    the modulus at the origin, with factor 1: the unit disk as
-    subdifferential, so q_set is the whole plane.
+    Every generator but the builtin radius (recognized by identity, not by
+    name) maps to itself with factor 1.  The spectral radius is the
+    increasing transform rho = sqrt(2 phi_radius2), so where rho > 0, Y is a
+    regular subgradient (or recession direction) of it iff rho * Y is one of
+    phi_radius2, and its subderivative is that of phi_radius2 divided by
+    rho.  At rho = 0 it maps to the corner block of the modulus at the
+    origin, with factor 1: the unit disk as subdifferential, so q_set is the
+    whole plane.
     """
-    if getattr(f, "name", None) != "radius":
+    if f is not _RADIUS:
         return f, 1.0
     rho = max((abs(z) for z in eigenvalues), default=0.0)
     if rho > 0:

@@ -81,8 +81,9 @@ class JordanSpec:
     gate alone.
     """
 
-    MIN_SEPARATION = 1e-8
+    MIN_SEPARATION = 1e-8  # absolute: between declared eigenvalues
     MAX_CONDITION = 1e8
+    RAW_SEPARATION = 1e-4  # absolute: between the eigenvalues :meth:`from_matrix` accepts
 
     def __init__(self, eigs, P=None, B=None):
         parsed = []
@@ -246,13 +247,13 @@ class JordanSpec:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def from_matrix(X, min_separation: float = 1e-4) -> "JordanSpec":
-        """Diagonalizable path: simple, well separated eigenvalues only."""
+    def from_matrix(X) -> "JordanSpec":
+        """Diagonalizable path: simple eigenvalues over RAW_SEPARATION apart only."""
         X = np.asarray(X, dtype=complex)
         lams, V = np.linalg.eig(X)
         for i in range(len(lams)):
             for k in range(i + 1, len(lams)):
-                if abs(lams[i] - lams[k]) <= min_separation:
+                if abs(lams[i] - lams[k]) <= JordanSpec.RAW_SEPARATION:
                     raise ValueError(
                         "eigenvalues too close for structure-free construction; "
                         "declare the Jordan data explicitly"

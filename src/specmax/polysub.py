@@ -13,6 +13,10 @@ when those intervals can share the remaining mass.  The active roots come
 from :func:`cpoly.active_roots`, as on the matrix routes, with its radius
 transform and domain check.
 
+Tolerances are module constants: coordinates within the absolute
+COORD_TOL, which the matrix chain route shares, and the weight sum within
+SIMPLEX_TOL.
+
 All functions are pure; every set is handled through membership predicates
 and samplers rather than explicit geometry.
 """
@@ -44,9 +48,11 @@ __all__ = [
     "rsd_f_membership",
     "subderivative_f",
     "SIMPLEX_TOL",
+    "COORD_TOL",
 ]
 
-SIMPLEX_TOL = 1e-8
+SIMPLEX_TOL = 1e-8  # dimensionless: the weight sum
+COORD_TOL = 1e-8  # absolute: factor coordinates, here and on the matrix chain route
 
 
 def _regime(f: Generator, lam: complex) -> str:
@@ -203,11 +209,11 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) ->
     return not block_failures(data, [rho * blocks[j] for j in active], rho * tol, horizon)[0]
 
 
-def Dp_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8) -> bool:
+def Dp_membership(cluster: RootCluster, f: Generator, c) -> bool:
     """Membership of a coordinate vector in the subgradient coordinate set:
     the leading coordinate and inactive blocks vanish, and the active
-    blocks pass :func:`block_failures` at tolerance tol."""
-    return _member(cluster, f, c, tol, horizon=False)
+    blocks pass :func:`block_failures`, all within COORD_TOL."""
+    return _member(cluster, f, c, COORD_TOL, horizon=False)
 
 
 def _spread(lo: np.ndarray, hi: np.ndarray, mass: float) -> np.ndarray:
@@ -223,11 +229,11 @@ def _spread(lo: np.ndarray, hi: np.ndarray, mass: float) -> np.ndarray:
     return lo + slack * room / room.sum()
 
 
-def Dp_horizon_membership(cluster: RootCluster, f: Generator, c, tol: float = 1e-8) -> bool:
+def Dp_horizon_membership(cluster: RootCluster, f: Generator, c) -> bool:
     """Membership in the horizon cone: zero leading coordinate and inactive
     blocks, zero first coordinate per active block, second coordinate in the
-    squared-generator cone, deeper coordinates free."""
-    return _member(cluster, f, c, tol, horizon=True)
+    squared-generator cone, deeper coordinates free; all within COORD_TOL."""
+    return _member(cluster, f, c, COORD_TOL, horizon=True)
 
 
 def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0) -> np.ndarray:
@@ -290,23 +296,21 @@ def _sample_set(S: ConvexSet2D, rng, interior: bool = False) -> complex:
     raise ValueError(f"cannot sample from set kind {S.kind!r}")
 
 
-def rsd_f_membership(cluster: RootCluster, f: Generator, v: Poly,
-                     tol: float = 1e-8) -> bool:
+def rsd_f_membership(cluster: RootCluster, f: Generator, v: Poly) -> bool:
     """Regular subgradient test for the root max function: pull v back
     through the factorization derivative and test the coordinate set."""
-    return Dp_membership(cluster, f, _solve_coords(cluster, v), tol)
+    return Dp_membership(cluster, f, _solve_coords(cluster, v))
 
 
-def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
-                    tol: float = 1e-8) -> float:
+def subderivative_f(cluster: RootCluster, f: Generator, v: Poly) -> float:
     """Lower directional derivative of the root max function at the cluster
     polynomial in direction v.
 
     Finite exactly when, at every active root, sqrt(-omega_j2) is
     real-orthogonal to the whole subdifferential and the deeper coordinates
     vanish.  Orthogonality to a generating point g means that omega_j2 lies
-    on the ray through g^2, which is tested within tol * (1 + |block|) for
-    every nonzero g of the subdifferential's finite generator list.  The
+    on the ray through g^2, which is tested within COORD_TOL * (1 + |block|)
+    for every nonzero g of the subdifferential's finite generator list.  The
     value is then the max over active roots of
     (f'(lam_j; -omega_j1) + curvature term) / n_j, the curvature term being
     f''(lam_j; sqrt(-omega_j2), sqrt(-omega_j2)) in the smooth regime and
@@ -324,7 +328,7 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly,
         lam, n_j = cluster.roots[j], cluster.mults[j]
         cond = _regime(f, lam)
         block = blocks[j]
-        bound = tol * (1.0 + float(np.linalg.norm(block)))
+        bound = COORD_TOL * (1.0 + float(np.linalg.norm(block)))
         kappa = 0.0
         if n_j >= 2:
             # tested on omega_j2 itself: through its square root, rounding

@@ -14,9 +14,10 @@ active eigenvalues, and the two are used as mutual cross-checks; members
 are drawn in factor coordinates and pushed forward through the same map.
 The spectral radius enters through :func:`generators.radius_transform`.
 
-Tolerances: structural zeros are relative (1e-9 times max(1, |Y|)); the
-first and second coordinates of the active blocks are checked within
-1e-10 times max(1, |Y|), and the weight sum within 1e-8.
+Tolerances are module constants: structural zeros within STRUCT_TOL and
+the active blocks' coordinates within INEQ_SLACK, both times max(1, |Y|),
+the weight sum within polysub.SIMPLEX_TOL, and the chain route's
+coordinates within polysub.COORD_TOL.
 
 All operations are pure given an immutable spec; batch verification can fan
 out freely across samples.
@@ -30,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpoly import _cluster_rows, _fvalue, _row_cluster, active_set
+from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _values
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
-from .polysub import _ActiveBlock, _sample, _split_blocks, block_failures
+from .polysub import COORD_TOL, _ActiveBlock, _sample, _split_blocks, block_failures
 
 __all__ = [
     "Violation",
@@ -86,19 +87,18 @@ class ToeplitzParams:
     values theta_j1..theta_jm_j and the residual of every structure check
     made, as ``(condition, residual, at)`` in check order, with ``at`` the
     tuple the check's location is formatted from.  The violations are the
-    residuals above ``tol * max(1, norm)``, with ``norm`` = |Y|; the flags
-    and ``ok`` summarize them."""
+    residuals above ``STRUCT_TOL * max(1, norm)``, with ``norm`` = |Y|; the
+    flags and ``ok`` summarize them."""
 
     level: str
     W: np.ndarray
     theta: dict
     residuals: list
-    tol: float
     norm: float
     violations: list = field(init=False)
 
     def __post_init__(self):
-        atol = self.tol * max(1.0, self.norm)
+        atol = STRUCT_TOL * max(1.0, self.norm)
         self.violations = [Violation(c, r, _CHECKS[c][1].format(*at))
                            for c, r, at in self.residuals if r > atol]
 
@@ -121,8 +121,7 @@ class ToeplitzParams:
         size = abs(c)
         return ToeplitzParams(
             self.level, c * self.W, {j: c * t for j, t in self.theta.items()},
-            [(cond, size * r, at) for cond, r, at in self.residuals],
-            self.tol, size * self.norm)
+            [(cond, size * r, at) for cond, r, at in self.residuals], size * self.norm)
 
 
 @dataclass
@@ -143,10 +142,10 @@ class MembershipReport:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _clustered_spectra(X, cluster_tol: float) -> tuple:
+def _clustered_spectra(X) -> tuple:
     """Eigenvalues of every matrix of the stack X (..., n, n), one
     ``eigvals`` call for all of them, merged by :func:`cpoly._cluster_rows`
-    into clusters of diameter at most ``cluster_tol``.
+    into clusters of diameter at most CLUSTER_TOL.
 
     Returns the ``(means, mults)`` arrays of shape (matrices, n), one row
     per matrix in row-major order of the leading axes.  The mean of a
@@ -158,28 +157,10 @@ def _clustered_spectra(X, cluster_tol: float) -> tuple:
     n = X.shape[-1]
     if n == 0:
         raise ValueError("empty matrix: no eigenvalues to maximize over")
-    return _cluster_rows(np.linalg.eigvals(X).reshape(-1, n), cluster_tol)
+    return _cluster_rows(np.linalg.eigvals(X).reshape(-1, n), CLUSTER_TOL)
 
 
-def _values(f, z: np.ndarray) -> np.ndarray:
-    """f at every entry of the complex array z, as floats of z's shape.
-
-    One call on the whole array when f accepts it and answers with an
-    array of that shape (the builtins are elementwise); otherwise one
-    Python call per entry through ``np.frompyfunc``, so scalar-only
-    callables work too.
-    """
-    value_of = _fvalue(f)
-    try:
-        out = np.asarray(value_of(z), dtype=float)
-        if out.shape == z.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.frompyfunc(value_of, 1, 1)(z).astype(float)
-
-
-def spectral_max(X, f, cluster_tol: float = 1e-6):
+def spectral_max(X, f):
     """Max of f over the clustered spectrum of X, taken at the cluster means
     of backward-stable eigenvalues; +inf is returned (not raised) for
     spectra leaving the domain of f.
@@ -192,30 +173,26 @@ def spectral_max(X, f, cluster_tol: float = 1e-6):
     called once per mean with a Python complex instead.
     """
     X = np.asarray(X, dtype=complex)
-    means, _ = _clustered_spectra(X, cluster_tol)
+    means, _ = _clustered_spectra(X)
     values = _values(f, means).max(axis=-1)
     if X.ndim == 2:
         return float(values[0])
     return values.reshape(X.shape[:-2])
 
 
-def spectral_active(X, f, active_tol: float = 1e-8, cluster_tol: float = 1e-6):
+def spectral_active(X, f):
     """Value, clustered spectrum, and active indices of one matrix, for
-    reporting; the clusters are those :func:`spectral_max` maximizes over."""
+    reporting: the :func:`spectral_max` value of the clusters it maximizes over."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2:
         raise ValueError("spectral_active takes one square matrix")
-    means, mults = _clustered_spectra(X, cluster_tol)
-    cluster = _row_cluster(means[0], mults[0])
-    value, idx = active_set(cluster, f, active_tol=active_tol)
-    return value, cluster, idx
+    return _reading(f, *_clustered_spectra(X))
 
 
 # -- W structure ----------------------------------------------------------------
 
 
-def W_extract(spec: JordanSpec, Y, level: str = "regular",
-              tol: float = STRUCT_TOL) -> ToeplitzParams:
+def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
     """Form W = P^{-*} Y P^{*} and check its block structure.
 
     ``level="limiting"`` checks block diagonality across distinct eigenvalues
@@ -223,7 +200,8 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
     pair; ``level="regular"`` additionally requires the off-diagonal
     sub-blocks to vanish and all diagonal sub-blocks of one eigenvalue to
     share their diagonal values.  Every check's residual is reported, and
-    those above ``tol * max(1, |Y|)`` are the violations; nothing is raised.
+    those above ``STRUCT_TOL * max(1, |Y|)`` are the violations; nothing is
+    raised.
 
     The checks run on Python numbers: W read once by ``tolist()``, and its
     moduli once as one ``np.abs(W)`` array, which the max-|.| checks of
@@ -272,7 +250,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular",
                                   (j, s + 1)))
         theta[j] = np.array(vals)
 
-    return ToeplitzParams(level, W, theta, residuals, tol, norm)
+    return ToeplitzParams(level, W, theta, residuals, norm)
 
 
 def _candidate(spec: JordanSpec, Y) -> tuple:
@@ -336,7 +314,7 @@ def _membership(spec: JordanSpec, f, params: ToeplitzParams,
     f, rho, active = declared_active(spec, f)
     scale = max(1.0, params.norm)
     failed = params.violations + _inactive_violations(spec, params.W, active,
-                                                      params.tol * scale)
+                                                      STRUCT_TOL * scale)
     data = [_ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
     blocks = [[-rho * t for t in params.theta[j].tolist()] for j in active]
     core, gammas = block_failures(data, blocks, rho * INEQ_SLACK * scale, horizon)
@@ -348,22 +326,20 @@ def _membership(spec: JordanSpec, f, params: ToeplitzParams,
     return MembershipReport(verdict=not failed, failed=failed, details=details)
 
 
-def rsd_membership(spec: JordanSpec, f: Generator, Y,
-                   tol: float = STRUCT_TOL) -> MembershipReport:
+def rsd_membership(spec: JordanSpec, f: Generator, Y) -> MembershipReport:
     """Regular subgradient test through the transformed coordinates W: the
     regular W structure, vanishing inactive blocks, and weights gamma_j >= 0
     summing to one with theta_j1 in gamma_j / n_j times the subdifferential
     and, for blocks of size at least two, theta_j2 in the weighted halfplane
     Re<theta_j2, (grad f)^2> >= -gamma_j eta_j / n_j (smooth regime) or in
     -q_set (corner regime)."""
-    return _membership(spec, f, W_extract(spec, Y, "regular", tol), horizon=False)
+    return _membership(spec, f, W_extract(spec, Y), horizon=False)
 
 
-def rsd_recession_membership(spec: JordanSpec, f: Generator, Y,
-                             tol: float = STRUCT_TOL) -> MembershipReport:
+def rsd_recession_membership(spec: JordanSpec, f: Generator, Y) -> MembershipReport:
     """Recession-cone test: regular W structure, vanishing inactive blocks,
     zero diagonals on active blocks, and the subdiagonals in -q_set."""
-    return _membership(spec, f, W_extract(spec, Y, "regular", tol), horizon=True)
+    return _membership(spec, f, W_extract(spec, Y), horizon=True)
 
 
 def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
@@ -405,17 +381,16 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
 # -- chain rule route -----------------------------------------------------------
 
 
-def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
-                          tol: float = 1e-8, horizon: bool = False) -> bool:
+def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = False) -> bool:
     """Membership via the polynomial route: invert the coordinate-to-matrix
     map R of the active eigenvalues on its range (least squares plus a
     residual gate) and pass the Taylor coordinates of the active factor to
-    :func:`polysub.block_failures`.  The active set is decided once, by
-    :func:`jordan.declared_active`: the factor holds only the active
-    eigenvalues and its leading coordinate is zero by construction, so no
-    inactive block or leading coordinate is left to test.  Needs
-    nonderogatory active eigenvalues; supports both the smooth and the
-    corner regime of f, and the spectral radius through its transform.
+    :func:`polysub.block_failures`, both at COORD_TOL.  The active set is
+    decided once, by :func:`jordan.declared_active`: the factor holds only
+    the active eigenvalues and its leading coordinate is zero by
+    construction, so no inactive block or leading coordinate is left to
+    test.  Needs nonderogatory active eigenvalues; supports both the smooth
+    and the corner regime of f, and the spectral radius through its transform.
     """
     Y, norm = _candidate(spec, Y)
     g, rho, active = declared_active(spec, f)
@@ -424,34 +399,32 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y,
     rhs = -Y.ravel()
     v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     resid = float(np.linalg.norm(M @ v - rhs))
-    if resid > tol * max(1.0, norm):
+    if resid > COORD_TOL * max(1.0, norm):
         return False
     data = [_ActiveBlock(g, lam, n_j) for lam, n_j in zip(cluster.roots, cluster.mults)]
     blocks = _split_blocks(cluster, rho * np.concatenate(([0.0 + 0.0j], v)))
-    return not block_failures(data, blocks, rho * tol, horizon)[0]
+    return not block_failures(data, blocks, rho * COORD_TOL, horizon)[0]
 
 
 # -- spectral radius entry points -------------------------------------------------
 
 
-def radius_rsd_membership(spec: JordanSpec, Y, tol: float = STRUCT_TOL,
-                          horizon: bool = False) -> MembershipReport:
+def radius_rsd_membership(spec: JordanSpec, Y, horizon: bool = False) -> MembershipReport:
     """Regular subgradient (or recession direction) test for the spectral
     radius at a base point with positive radius: the test of radius2 on
     rho * Y."""
     if all(lam == 0 for lam, _ in spec.eigs) and not spec.b_eigenvalues.any():
         raise ValueError("zero spectral radius: use the origin-specific test")
-    return _membership(spec, _RADIUS, W_extract(spec, Y, "regular", tol), horizon)
+    return _membership(spec, _RADIUS, W_extract(spec, Y), horizon)
 
 
-def radius_rsd_zero(spec: JordanSpec, Y, tol: float = STRUCT_TOL,
-                    horizon: bool = False) -> MembershipReport:
+def radius_rsd_zero(spec: JordanSpec, Y, horizon: bool = False) -> MembershipReport:
     """Regular subgradient (or recession direction) test for the spectral
     radius at a nilpotent base point, the corner block of the modulus: |theta_1|
     at most 1/n (zero for the recession variant), theta_2 free."""
     if spec.n0 or spec.num_eigs != 1 or spec.eig_value(0) != 0:
         raise ValueError("origin test needs a single declared eigenvalue 0")
-    return _membership(spec, _RADIUS, W_extract(spec, Y, "regular", tol), horizon)
+    return _membership(spec, _RADIUS, W_extract(spec, Y), horizon)
 
 
 # -- regularity and the derogatory witness ---------------------------------------

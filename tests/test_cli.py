@@ -305,6 +305,44 @@ class TestCountFlags:
         assert code == 0 and json.loads(out)["ok"]
 
 
+class TestToleranceFlags:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "{m}", "--f", "abscissa"],
+        ["membership", "{s}", "{m}", "--f", "abscissa", "--set", "chain"],
+        ["subderivative", "poly", "{p}", "{p}", "--f", "abscissa"],
+        ["paper-examples"],
+        ["verify", "{s}", "--f", "abscissa"],
+        ["stabilize", "{fam}"],
+    ], ids=lambda argv: argv[0])
+    def test_tol_is_not_an_option(self, capsys, paths, argv):
+        files = {"m": paths("M.json", matrix_to_json(np.eye(3))),
+                 "s": paths("S.json", spec_to_json(fixture_two_active())),
+                 "p": paths("p.json", [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+                 "fam": paths("fam.json", {"A0": matrix_to_json(np.eye(2)), "directions": []})}
+        code = main([a.format(**files) for a in argv] + ["--tol", "1e-8"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_cluster_tol_must_be_finite_and_nonnegative(self, capsys, paths, value):
+        ppath = paths("p.json", [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])  # lambda^2 - 1
+        vpath = paths("v.json", [[1.0, 0.0]])
+        code = main(["subderivative", "poly", ppath, vpath, "--f", "abscissa",
+                     f"--cluster-tol={value}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "argument --cluster-tol: must be at least 0.0 and finite" in captured.err
+
+    def test_cluster_tol_declares_the_root_structure(self, capsys, paths):
+        ppath = paths("p.json", [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])  # lambda^2 - 1
+        vpath = paths("v.json", [[1.0, 0.0]])
+        for value in ("0", "1e-6"):
+            code, out = run(capsys, ["subderivative", "poly", ppath, vpath, "--f", "abscissa",
+                                     "--cluster-tol", value])
+            assert code == 0 and json.loads(out)["value"] == pytest.approx(-0.5)
+
+
 class TestParserReuse:
     def test_no_state_leaks_between_calls(self, capsys, paths, tmp_path):
         from specmax import cli

@@ -56,10 +56,10 @@ def _reference_active(values, b_values, active_tol=1e-8):
     return top, [j for j, v in enumerate(values) if v >= top - active_tol]
 
 
-def _reference_structure(spec, Y, active, tol):
+def _reference_structure(spec, Y, active):
     """Failed structure conditions: regular W level and zero inactive blocks."""
-    params = W_extract(spec, Y, level="regular", tol=tol)
-    atol = tol * max(1.0, float(np.linalg.norm(np.asarray(Y))))
+    params = W_extract(spec, Y, level="regular")
+    atol = STRUCT_TOL * max(1.0, float(np.linalg.norm(np.asarray(Y))))
     failed = [v.condition for v in params.violations]
     if spec.n0 and float(np.abs(params.W[: spec.n0, : spec.n0]).max()) > atol:
         failed.append("inactive_block_zero")
@@ -70,7 +70,7 @@ def _reference_structure(spec, Y, active, tol):
     return params, atol, failed
 
 
-def _reference_rsd(spec, f, Y, tol=STRUCT_TOL, horizon=False):
+def _reference_rsd(spec, f, Y, horizon=False):
     """rsd_membership / rsd_recession_membership (smooth regime)."""
     _, active = _reference_active([f.value(spec.eig_value(j)) for j in range(spec.num_eigs)],
                                   [f.value(mu) for mu in spec.b_eigenvalues])
@@ -78,7 +78,7 @@ def _reference_rsd(spec, f, Y, tol=STRUCT_TOL, horizon=False):
         lam = spec.eig_value(j)
         if condition_check(f, lam) != COND14 or not f.grad(lam):
             raise UnsupportedGenerator(f"{f.name} at {lam}")
-    params, atol, failed = _reference_structure(spec, Y, active, tol)
+    params, atol, failed = _reference_structure(spec, Y, active)
     if horizon:
         for j in active:
             if abs(params.theta_of(j, 1)) > atol:
@@ -107,11 +107,11 @@ def _reference_rsd(spec, f, Y, tol=STRUCT_TOL, horizon=False):
     return not failed
 
 
-def _reference_radius(spec, Y, tol=STRUCT_TOL, horizon=False):
+def _reference_radius(spec, Y, horizon=False):
     """radius_rsd_membership at a positive radius."""
     _, active = _reference_active([abs(spec.eig_value(j)) for j in range(spec.num_eigs)],
                                   [abs(mu) for mu in spec.b_eigenvalues])
-    params, atol, failed = _reference_structure(spec, Y, active, tol)
+    params, atol, failed = _reference_structure(spec, Y, active)
     if horizon:
         for j in active:
             if abs(params.theta_of(j, 1)) > atol:
@@ -139,9 +139,9 @@ def _reference_radius(spec, Y, tol=STRUCT_TOL, horizon=False):
     return not failed
 
 
-def _reference_radius_zero(spec, Y, tol=STRUCT_TOL, horizon=False):
+def _reference_radius_zero(spec, Y, horizon=False):
     """radius_rsd_zero: one declared eigenvalue 0."""
-    params, atol, failed = _reference_structure(spec, Y, [0], tol)
+    params, atol, failed = _reference_structure(spec, Y, [0])
     t1 = params.theta_of(0, 1)
     if horizon and abs(t1) > atol:
         failed.append("diagonal_zero")
@@ -352,6 +352,19 @@ class TestRadiusTransform:
         g, rho = radius_transform(RAD, [0j])
         assert rho == 1.0 and "nilpotent origin" in g.name
         assert g.subdiff(0).kind == "disk" and g.subdiff(0).data == (0j, 1.0)
+
+    def test_the_radius_is_recognized_by_identity_not_by_name(self):
+        assert builtin("radius") is RAD
+        named = make_generator("radius", ABSC.value, grad=ABSC.grad_fn, hess=ABSC.hess_fn,
+                               subdiff=ABSC.subdiff_fn, tag=ABSC.tag_fn)
+        assert radius_transform(named, [2.0, -3.0]) == (named, 1.0)
+        spec = JordanSpec([(2.0, (1,)), (-3.0, (1,))])
+        Y = np.diag([1.0, 0.0]).astype(complex)  # the gradient of the abscissa at 2
+        for f in (ABSC, named):
+            rep = rsd_membership(spec, f, Y)
+            assert rep.verdict and rep.details["active"] == [0], rep.failed
+            assert chain_rule_membership(spec, f, Y)
+        assert not rsd_membership(spec, RAD, Y).verdict
 
     @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
     def test_tolerances_do_not_move_with_the_radius(self, s):

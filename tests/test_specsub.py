@@ -113,6 +113,34 @@ class TestSpectralMax:
             assert stacked.ravel().tolist() == single
         assert math.isinf(spectral_max(X, half)[0, 0])
 
+    def test_active_value_is_the_spectral_max_bit_for_bit(self):
+        def hypot(z):  # scalar-only: an array argument would raise
+            return math.hypot(z.real, z.imag)
+
+        rng = np.random.default_rng(15)
+        mats = []
+        for i in range(120):
+            n = 2 + i % 5
+            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if i % 4 == 3:  # a planted double eigenvalue, merged into one cluster
+                P = random_P(rng, n)
+                X = np.linalg.inv(P) @ np.diag([X[0, 0]] + list(np.diag(X)[:-1])) @ P
+            mats.append(X)
+        merged = 0
+        for f in (ABSC, RAD, RAD2, builtin("ell1"), hypot):
+            for X in mats:
+                value, cluster, active = spectral_active(X, f)
+                expect = spectral_max(X, f)
+                assert np.float64(value).tobytes() == np.float64(expect).tobytes()
+                means, mults = cpoly._cluster_rows(np.linalg.eigvals(X)[None, :],
+                                                   cpoly.CLUSTER_TOL)
+                ref = cpoly.RootCluster.sorted(
+                    (z, m) for z, m in zip(means[0].tolist(), mults[0].tolist()) if m)
+                assert cluster == ref
+                assert active and max(active) < cluster.num_distinct
+                merged += cluster.num_distinct < len(X)
+        assert merged >= 100  # the planted pairs ran the agglomeration
+
 
 class TestClusteringDefects:
     """The two clustering defects of ROADMAP item 1, pinned until the
@@ -782,7 +810,7 @@ def _ref_W_extract(spec, Y, level):
                 residuals.append(("equal_diagonals", max(abs(e - center) for e in entries),
                                   (j, s)))
         theta[j] = vals
-    return ToeplitzParams(level, W, theta, residuals, STRUCT_TOL, float(np.linalg.norm(Y)))
+    return ToeplitzParams(level, W, theta, residuals, float(np.linalg.norm(Y)))
 
 
 def _ref_membership(spec, f, params, horizon):
@@ -792,7 +820,7 @@ def _ref_membership(spec, f, params, horizon):
     inactive = [(name, float(np.abs(params.W[sl, sl]).max()))
                 for name, sl in _ref_segments(spec) if name not in kept]
     failed = params.violations + [Violation("inactive_block_zero", r, name)
-                                  for name, r in inactive if r > params.tol * scale]
+                                  for name, r in inactive if r > STRUCT_TOL * scale]
     data = [polysub._ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
     core, gammas = polysub.block_failures(data, [-rho * params.theta[j] for j in active],
                                           rho * INEQ_SLACK * scale, horizon)

@@ -8,7 +8,8 @@ C^(ntilde+1).  The calculus works on Taylor coordinate vectors only: the
 derivative F'(0) of the factored product at the base point is a coordinate
 matrix (:func:`_coordinate_matrix`), and :func:`_solve_coords` inverts it.
 It is convolved from one power table (lambda - lam_j)**k, k = 0..n_j, per
-root, with one finiteness check on the result.
+root and the prefix products of the full powers, with one finiteness check
+on the result.
 :class:`FactorSpaceElem` with :func:`T_apply` and :func:`T_inverse` is the
 polynomial view of a coordinate vector, and :func:`F_deriv0` applies F'(0)
 to it.  All values are immutable and every function is pure.
@@ -79,16 +80,24 @@ def _coordinate_matrix(base: RootCluster) -> np.ndarray:
     coordinate of the factorization space (mu0 first, then Taylor slots):
     p, then r_j * (lambda - lam_j)**(n_j - s) for s = 1..n_j with the
     cofactor r_j = p / (lambda - lam_j)**n_j, each convolved from the power
-    tables in the order of the :class:`Poly` products it stands for."""
+    tables in the order of the :class:`Poly` products it stands for.
+
+    With T_k = (lambda - lam_k)**n_k, the prefix products
+    one * T_0 * ... * T_(j-1) are convolved once: the last is p, and r_j
+    continues the j-th with T_(j+1) ... T_(K-1).  Each product keeps its
+    order, so the bytes are those of one product per cofactor, from
+    K + K(K - 1)/2 convolutions instead of K^2."""
     ntilde = base.degree()
     one = np.ones(1, dtype=complex)
     tables = [list(accumulate([np.array([-lam, 1.0 + 0j])] * n_j, np.convolve, initial=one))
               for lam, n_j in zip(base.roots, base.mults)]  # tables[j][k] = (lambda - lam_j)**k
+    tops = [t[-1] for t in tables]
+    prefix = list(accumulate(tops, np.convolve, initial=one))  # one * T_0 * ... * T_(j-1)
     M = np.zeros((ntilde + 1, ntilde + 1), dtype=complex)
-    M[:, 0] = reduce(np.convolve, [t[-1] for t in tables], one)
+    M[:, 0] = prefix[-1]
     col = 1
     for j, n_j in enumerate(base.mults):
-        r_j = reduce(np.convolve, [t[-1] for t in tables[:j] + tables[j + 1:]], one)
+        r_j = reduce(np.convolve, tops[j + 1:], prefix[j])
         for s in range(1, n_j + 1):
             c = np.convolve(r_j, tables[j][n_j - s])
             M[: c.size, col] = c

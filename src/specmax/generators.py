@@ -206,6 +206,14 @@ class ConvexSet2D:
         halfplane Re(conj(a) z) <= t * support(a) of a point, segment or
         polygon, or a halfplane itself, bounds t linearly; a disk bounds it
         by the quadratic |z - t * center| <= t * radius + tol.
+
+        The normals of a point, segment or polygon are a = k * e for every
+        edge unit e and k in (1, -1, i, -i), or the axes for a point.  Their
+        supports come from the two projections x_v = Re(conj(e) v) and
+        y_v = Im(conj(e) v) of each vertex, one pass per edge: max x, -min x,
+        max y and -min y, equal to the support of each a up to the sign of a
+        zero, which no bound reads.  Re(conj(a) z) is taken from a itself:
+        the sign of a zero bound follows its parts.
         """
         z = complex(z)
         if self.kind == "disk":
@@ -219,8 +227,13 @@ class ConvexSet2D:
             vs = self.data
             edges = [(b - a) / abs(b - a) for a, b in zip(vs, vs[1:] + vs[:1]) if a != b]
             normals = [k * e for e in edges for k in (1, -1, 1j, -1j)] or [1, -1, 1j, -1j]
-            bounds = [(a.real * z.real + a.imag * z.imag,  # Re(conj(a) z), support(a)
-                       max(a.real * v.real + a.imag * v.imag for v in vs)) for a in normals]
+            supports = []
+            for e in edges or [1]:
+                xs = [e.real * v.real + e.imag * v.imag for v in vs]
+                ys = [e.real * v.imag - e.imag * v.real for v in vs]
+                supports += [max(xs), -min(xs), max(ys), -min(ys)]
+            bounds = [(a.real * z.real + a.imag * z.imag, s)  # Re(conj(a) z), support(a)
+                      for a, s in zip(normals, supports)]
         else:
             raise UnsupportedGenerator(f"no scale interval for set kind {self.kind!r}")
         lo, hi = 0.0, math.inf
@@ -576,7 +589,11 @@ def q_set(f: Generator, lam: complex) -> ConvexSet2D:
     generators cover all directions give the whole plane.  Other shapes are
     rejected: there is no finite recipe for them here.
     """
-    S = f.subdiff(lam)
+    return _squared_generator_cone(f.subdiff(lam))
+
+
+def _squared_generator_cone(S: ConvexSet2D) -> ConvexSet2D:
+    """The body of :func:`q_set` for the subdifferential S itself."""
     if S.is_singleton:
         g = S.the_point()
         if g == 0:

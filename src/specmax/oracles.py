@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 GROWTH_CUTOFF = -0.25  # log-log slope below which quotients are treated as divergent
+GROWTH_FLOOR = 1e-12  # absolute: quotients at or below it give no point of the growth fit
 ABS_SLACK = 1e-8
 EPS = float(np.finfo(float).eps)
 STACK_ENTRIES = 1 << 18  # matrix entries per spectral_max call (4 MB per complex copy)
@@ -77,7 +78,7 @@ class FDReport:
 
 def growth_exponent(steps: Sequence[float], quotients: Sequence[float]) -> Optional[float]:
     """Slope of log|quotient| against log step; needs at least three usable points."""
-    pts = [(t, abs(q)) for t, q in zip(steps, quotients) if abs(q) > 1e-12 and t > 0]
+    pts = [(t, abs(q)) for t, q in zip(steps, quotients) if abs(q) > GROWTH_FLOOR and t > 0]
     if len(pts) < 3:
         return None
     xs = np.log([t for t, _ in pts])

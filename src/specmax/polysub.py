@@ -17,8 +17,12 @@ Tolerances are module constants: coordinates within the absolute
 COORD_TOL, which the matrix chain route shares, and the weight sum within
 SIMPLEX_TOL.
 
-All functions are pure; every set is handled through membership predicates
-and samplers rather than explicit geometry.
+All functions are pure.  The sets are the exact shapes of
+:class:`generators.ConvexSet2D`: the weight split reads their scale
+intervals, the witness check their distances, and the sampler draws from
+them.  The split runs on Python floats, and its sums run in order from 0.0,
+as numpy sums fewer than eight terms, so the weights equal those of the
+array form bit for bit on up to seven active roots.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .generators import (
     Generator,
     UnsupportedGenerator,
     condition_check,
-    q_set,
+    _squared_generator_cone,
 )
 
 __all__ = [
@@ -84,7 +88,7 @@ class _ActiveBlock:
         else:
             self.w = None
             self.offset_rate = None
-            self.q = q_set(f, lam)
+            self.q = _squared_generator_cone(self.subdiff)
         self.determined = self.subdiff.is_singleton
 
     def gamma_from_first(self, c1: complex) -> float:
@@ -94,7 +98,7 @@ class _ActiveBlock:
         # numpy's complex division (times a reciprocal) rounds apart from
         # Python's: divide as numpy does, whether the block is a list or an array
         xi = -self.n_j * np.complex128(c1) / g
-        return max(0.0, xi.real)
+        return max(0.0, float(xi.real))
 
     def second_set(self, gamma: float) -> ConvexSet2D:
         """The set of the second coordinate at weight gamma; in the corner
@@ -121,10 +125,11 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
     decision behind both membership routes.
 
     ``data`` are the :class:`_ActiveBlock` of the active roots and
-    ``blocks`` their coordinate blocks, lists or arrays of complex numbers.  Returns ``(failed, gammas)``, with
-    ``failed`` the failed conditions as ``(condition, residual, i)`` (i the
-    position of the block, None for the weight sum) and ``gammas`` the
-    witness weights (None for the horizon cone).
+    ``blocks`` their coordinate blocks, lists (the fast form) or arrays of
+    complex numbers.  Returns ``(failed, gammas)``, with ``failed`` the
+    failed conditions as ``(condition, residual, i)`` (i the position of the
+    block, None for the weight sum) and ``gammas`` the list of witness
+    weights (None for the horizon cone).
 
     Regular subgradients: a singleton subdifferential forces its weight
     through the first coordinate.  Every other block admits the weights of
@@ -147,7 +152,7 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
                 failed.append(("subdiagonal_halfplane", r, i))
         return failed, None
 
-    gammas = np.zeros(len(data))
+    gammas = [0.0] * len(data)
     free_idx = []
     for i, (d, b) in enumerate(zip(data, blocks)):
         if d.determined:
@@ -155,19 +160,21 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
         else:
             free_idx.append(i)
     if free_idx:
-        bounds = np.array([data[i].weight_interval(blocks[i], tol) for i in free_idx])
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        failed = [("diagonal_in_subdifferential", lo[k] - hi[k], i)
-                  for k, i in enumerate(free_idx) if lo[k] > hi[k]]
-        mass = 1.0 - gammas.sum()
-        gap = max(lo.sum() - mass, mass - hi.sum())
+        lo, hi = zip(*[data[i].weight_interval(blocks[i], tol) for i in free_idx])
+        failed = [("diagonal_in_subdifferential", a - b, i)
+                  for a, b, i in zip(lo, hi, free_idx) if a > b]
+        mass = 1.0 - _sum(gammas)
+        lo_sum, hi_sum = _sum(lo), _sum(hi)
+        gap = max(lo_sum - mass, mass - hi_sum)
         if not failed and gap > SIMPLEX_TOL:
             failed = [("weight_sum_one", gap, None)]
         if failed:
             return failed, gammas
-        gammas[free_idx] = _spread(lo, hi, min(max(mass, lo.sum()), hi.sum()))
-    if abs(gammas.sum() - 1.0) > SIMPLEX_TOL:
-        failed.append(("weight_sum_one", abs(gammas.sum() - 1.0), None))
+        for i, g in zip(free_idx, _spread(lo, hi, min(max(mass, lo_sum), hi_sum))):
+            gammas[i] = g
+    total = _sum(gammas)
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        failed.append(("weight_sum_one", abs(total - 1.0), None))
     for i, (d, b, g) in enumerate(zip(data, blocks, gammas)):
         r = d.subdiff.scaled(g / d.n_j).distance(-b[0])
         if r > tol:
@@ -206,7 +213,8 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) ->
                               for j, block in enumerate(blocks) if j not in active):
         return False
     data = [_ActiveBlock(g, cluster.roots[j], cluster.mults[j]) for j in active]
-    return not block_failures(data, [rho * blocks[j] for j in active], rho * tol, horizon)[0]
+    scaled = [[rho * t for t in blocks[j].tolist()] for j in active]
+    return not block_failures(data, scaled, rho * tol, horizon)[0]
 
 
 def Dp_membership(cluster: RootCluster, f: Generator, c) -> bool:
@@ -216,17 +224,27 @@ def Dp_membership(cluster: RootCluster, f: Generator, c) -> bool:
     return _member(cluster, f, c, COORD_TOL, horizon=False)
 
 
-def _spread(lo: np.ndarray, hi: np.ndarray, mass: float) -> np.ndarray:
+def _spread(lo, hi, mass: float):
     """Weights in [lo, hi] summing to mass, with sum(lo) <= mass <= sum(hi).
 
     Each block takes a share of the slack mass - sum(lo) in proportion to
     its room min(hi - lo, slack), so every block with room ends strictly
     inside its interval unless the mass pins the split to the endpoints."""
-    slack = mass - lo.sum()
-    room = np.minimum(hi - lo, slack)
-    if room.sum() <= 0:
+    slack = mass - _sum(lo)
+    room = [min(b - a, slack) for a, b in zip(lo, hi)]
+    total = _sum(room)
+    if total <= 0:
         return lo
-    return lo + slack * room / room.sum()
+    return [a + slack * r / total for a, r in zip(lo, room)]
+
+
+def _sum(xs) -> float:
+    """0.0 + x_0 + x_1 + ... in order: numpy's sum of fewer than eight
+    floats.  Python's own sum is compensated from 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def Dp_horizon_membership(cluster: RootCluster, f: Generator, c) -> bool:

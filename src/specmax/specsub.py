@@ -322,7 +322,7 @@ def _membership(spec: JordanSpec, f, params: ToeplitzParams,
                for c, r, i in core]
     details = {"active": active}
     if gammas is not None:
-        details["gamma"] = dict(zip(active, gammas.tolist()))
+        details["gamma"] = dict(zip(active, gammas))
     return MembershipReport(verdict=not failed, failed=failed, details=details)
 
 

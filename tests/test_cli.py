@@ -9,7 +9,9 @@ import pytest
 import specmax
 from specmax.cli import main
 from specmax.fixtures import fixture_derogatory, fixture_two_active
+from specmax.generators import builtin
 from specmax.jordan import matrix_to_json, spec_to_json
+from specmax.oracles import fd_phi_quotient
 
 
 @pytest.fixture
@@ -157,6 +159,21 @@ class TestSubderivative:
                                  "--f", "abscissa"])
         assert code == 0
         # shifting by the identity moves every eigenvalue at unit speed
+        assert json.loads(out)["value"] == pytest.approx(1.0)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: at a derogatory active "
+                       "eigenvalue the verb reads the root max function's subderivative "
+                       "along F'(X)Z, which misses the Taylor coordinates past m_j and is "
+                       "only a lower bound: 0.0 here, where the subderivative is 1")
+    def test_derogatory_eigenvalue_in_the_matrix_variant(self, capsys, paths):
+        # X = 0 with blocks (1, 1): phi(tZ) = t max Re lambda(Z), so the value is 1
+        spath = paths("S.json", {"eigs": [{"lambda": [0, 0], "blocks": [1, 1]}]})
+        Z = np.diag([1.0, -1.0])
+        zpath = paths("Z.json", matrix_to_json(Z))
+        fd = fd_phi_quotient(np.zeros((2, 2)), builtin("abscissa"), Z)
+        assert np.allclose(fd.quotients, 1.0)
+        code, out = run(capsys, ["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
+        assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0)
 
     def test_matrix_variant_with_a_rest_block_exits_2(self, capsys, paths):

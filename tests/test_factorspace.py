@@ -192,6 +192,11 @@ class TestCoordinateMatrix:
             base = cluster_with_signed_zeros(rng)
             M = _coordinate_matrix(base)
             assert M.tobytes() == _reference_coordinate_matrix(base).tobytes(), base
+        # up to 6 roots: the more roots, the more prefix products the cofactors share
+        for _ in range(200):
+            base = cluster_with_signed_zeros(rng, max_roots=6, max_mult=3)
+            M = _coordinate_matrix(base)
+            assert M.tobytes() == _reference_coordinate_matrix(base).tobytes(), base
 
     def test_solve_recovers_the_coordinates(self):
         rng = np.random.default_rng(15)

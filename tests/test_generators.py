@@ -318,6 +318,35 @@ class TestConvexSet2D:
         with pytest.raises(UnsupportedGenerator):
             ConvexSet2D.plane().scale_interval(1)
 
+    def test_scale_interval_matches_a_scan_of_distances(self):
+        # formula-free: z lies in t * S exactly for t in [lo, hi], read off
+        # the distances of a scan over t in [0, 8], away from the endpoints.
+        # z is a random point or a scaled point of S off its vertices: on an
+        # edge through the origin, the rounding of a zero support decides at
+        # tol = 0, and it does so for every z at scales near 1e16
+        rng = np.random.default_rng(16)
+        margin, floor = 1e-4, 1e-12
+        nonempty = 0
+        for S in _random_sets(rng):
+            if S.kind not in ("point", "segment", "polygon"):
+                continue
+            vs = S.data
+            inner = complex(np.dot(rng.dirichlet(np.ones(len(vs))), vs))
+            t0 = rng.uniform(0.2, 3.0)
+            for z in (complex(*rng.uniform(-3, 3, 2)), t0 * inner):
+                lo, hi = S.scale_interval(z)
+                nonempty += lo <= hi
+                ts = np.r_[np.linspace(0.0, 8.0, 201), lo + 2 * margin * np.array([-1, 1]),
+                           hi + 2 * margin * np.array([-1, 1])]
+                for t in ts[(ts >= 0) & (ts <= 8.0)]:
+                    d = S.scaled(t).distance(z)
+                    pad = margin * (1.0 + t)
+                    if lo + pad < t < hi - pad:
+                        assert d <= floor * (1.0 + abs(z)), (S, z, t, lo, hi, d)
+                    elif t < lo - pad or t > hi + pad:
+                        assert d > floor * (1.0 + abs(z)), (S, z, t, lo, hi, d)
+        assert nonempty >= 100
+
 
 class TestMidpointConvexity:
     def test_builtins_pass(self):

@@ -405,7 +405,7 @@ class TestBlockFailures:
         data = [_ActiveBlock(ABSC, 0.0, 2), _ActiveBlock(ABSC, 1j, 1)]
         blocks = [np.array([-0.25, -0.1]), np.array([-0.5])]  # the blocks are -theta
         failed, gammas = block_failures(data, blocks, 1e-10)
-        assert gammas.tolist() == [0.5, 0.5] and failed == []
+        assert gammas == [0.5, 0.5] and failed == []
         blocks[0][1] = 0.1  # Re(theta_2) < 0 with eta = 0
         failed, _ = block_failures(data, blocks, 1e-10)
         assert [(c, i) for c, _, i in failed] == [("subdiagonal_halfplane", 0)]

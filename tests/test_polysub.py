@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from specmax.generators import ConvexSet2D, builtin, make_generator
 from specmax.jordan import DomainError
 from specmax.oracles import fd_poly_quotient
 from specmax.polysub import (
+    SIMPLEX_TOL,
     Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
+    _ActiveBlock,
+    _split_blocks,
+    block_failures,
     rsd_f_membership,
     subderivative_f,
 )
@@ -217,6 +222,130 @@ class TestWeightFeasibility:
             assert Dp_membership(cluster, f, c) == truth
             verdicts.append(truth)
         assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+# -- the weight split on numpy arrays, as it was written before the Python
+# floats; kept as the reference it must reproduce bit for bit
+
+
+def _ref_spread(lo, hi, mass):
+    slack = mass - lo.sum()
+    room = np.minimum(hi - lo, slack)
+    if room.sum() <= 0:
+        return lo
+    return lo + slack * room / room.sum()
+
+
+def _ref_block_failures(data, blocks, tol, horizon=False):
+    failed = []
+    if horizon:
+        for i, (d, b) in enumerate(zip(data, blocks)):
+            if abs(b[0]) > tol:
+                failed.append(("diagonal_zero", abs(b[0]), i))
+            if len(b) >= 2 and (r := d.q.distance(b[1])) > tol:
+                failed.append(("subdiagonal_halfplane", r, i))
+        return failed, None
+
+    gammas = np.zeros(len(data))
+    free_idx = []
+    for i, (d, b) in enumerate(zip(data, blocks)):
+        if d.determined:
+            gammas[i] = d.gamma_from_first(b[0])
+        else:
+            free_idx.append(i)
+    if free_idx:
+        bounds = np.array([data[i].weight_interval(blocks[i], tol) for i in free_idx])
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        failed = [("diagonal_in_subdifferential", lo[k] - hi[k], i)
+                  for k, i in enumerate(free_idx) if lo[k] > hi[k]]
+        mass = 1.0 - gammas.sum()
+        gap = max(lo.sum() - mass, mass - hi.sum())
+        if not failed and gap > SIMPLEX_TOL:
+            failed = [("weight_sum_one", gap, None)]
+        if failed:
+            return failed, gammas
+        gammas[free_idx] = _ref_spread(lo, hi, min(max(mass, lo.sum()), hi.sum()))
+    if abs(gammas.sum() - 1.0) > SIMPLEX_TOL:
+        failed.append(("weight_sum_one", abs(gammas.sum() - 1.0), None))
+    for i, (d, b, g) in enumerate(zip(data, blocks, gammas)):
+        r = d.subdiff.scaled(g / d.n_j).distance(-b[0])
+        if r > tol:
+            failed.append(("diagonal_in_subdifferential", r, i))
+        if len(b) >= 2:
+            r = d.second_set(g).distance(b[1])
+            if r > tol:
+                failed.append(("subdiagonal_halfplane", r, i))
+    return failed, gammas
+
+
+def _split_bits(failed, gammas):
+    """The conditions, positions and the bytes of every residual and weight."""
+    def bits(x):
+        return struct.pack("<d", float(x))
+    return ([(c, bits(r), i) for c, r, i in failed],
+            None if gammas is None else [bits(g) for g in gammas])
+
+
+class TestWeightSplitEquivalence:
+    """block_failures on Python floats equals the numpy form above bit for
+    bit: the same failed conditions, residuals and witness weights."""
+
+    @staticmethod
+    def _feasibility_cases():
+        """TestWeightFeasibility's cases, determined and not."""
+        grid = TestWeightFeasibility()
+        for determined in (False, True):
+            rng = np.random.default_rng(21 + determined)
+            for _ in range(60):
+                cluster, f, _, c = grid._case(rng, determined)
+                yield ([_ActiveBlock(f, lam, n) for lam, n in zip(cluster.roots, cluster.mults)],
+                       _split_blocks(cluster, c))
+
+    @staticmethod
+    def _rectangle_cases():
+        """2 to 6 roots on the unit circle, each with a rectangle that has
+        the origin inside one edge (the corner regime, no weight forced),
+        and first coordinates whose weight intervals sum below and above 1,
+        or, in a quarter of the cases, vanish (the horizon's candidates)."""
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            K = int(rng.integers(2, 7))
+            roots = [cmath.exp(1j * (2 * math.pi * k / K + rng.uniform(-0.3, 0.3)))
+                     for k in range(K)]
+            mults = [int(m) for m in rng.choice([1, 1, 2, 3], K)]
+            polys = {}
+            for z in roots:
+                d, h = rng.uniform(1.5, 2.5), rng.uniform(1.0, 2.0)
+                polys[z] = ConvexSet2D.polygon([z * 1j * h, -z * 1j * h, z * (d - 1j * h),
+                                                z * (d + 1j * h)])
+            f = make_generator("corners", abs, subdiff=lambda z: polys[z],
+                               tag=lambda z: "nonsmooth-fullspan")
+            total = rng.uniform(0.3, 1.6)
+            vanish = rng.uniform() < 0.25
+            blocks = []
+            for z, n_j, share in zip(roots, mults, rng.dirichlet(np.full(K, 3.0))):
+                t = total * share / n_j
+                # p < 0 leaves the rectangle's cone: an empty weight interval
+                p, q = t * rng.uniform(-0.3, 2.5), t * rng.uniform(-2.0, 2.0)
+                first = 0j if vanish else -z * complex(p, q)
+                blocks.append(np.r_[first, 0.5 * (rng.standard_normal(n_j - 1)
+                                                  + 1j * rng.standard_normal(n_j - 1))])
+            yield [_ActiveBlock(f, z, n) for z, n in zip(roots, mults)], blocks
+
+    @pytest.mark.parametrize("horizon", [False, True])
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-3])
+    def test_matches_the_numpy_form(self, tol, horizon):
+        outcomes = set()
+        for data, blocks in (*self._feasibility_cases(), *self._rectangle_cases()):
+            ref = _split_bits(*_ref_block_failures(data, blocks, tol, horizon))
+            lists = [b.tolist() for b in blocks]
+            assert _split_bits(*block_failures(data, lists, tol, horizon)) == ref, blocks
+            assert _split_bits(*block_failures(data, blocks, tol, horizon)) == ref, blocks
+            outcomes.add(tuple(sorted({c for c, _, _ in ref[0]})))
+        # horizon: members, and one or both conditions failed; otherwise splits found,
+        # intervals empty and sums out of reach
+        assert ({(), ("diagonal_zero",), ("diagonal_zero", "subdiagonal_halfplane")} if horizon else
+                {(), ("diagonal_in_subdifferential",), ("weight_sum_one",)}) <= outcomes
 
 
 class TestHorizon:

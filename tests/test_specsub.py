@@ -828,7 +828,7 @@ def _ref_membership(spec, f, params, horizon):
                for c, r, i in core]
     details = {"active": active}
     if gammas is not None:
-        details["gamma"] = dict(zip(active, gammas.tolist()))
+        details["gamma"] = dict(zip(active, gammas))
     return MembershipReport(verdict=not failed, failed=failed, details=details)
 
 

@@ -13,6 +13,10 @@ The specs cycle through the abscissa, radius2 and the spectral radius, which
 every route reaches through its transform to radius2.  Every fourth spec gives
 its active eigenvalue a second Jordan block instead; there the sweep checks
 that the derogatory witness certifies the loss of regularity.
+Along one random direction per spec, the matrix subderivative
+(``specsub.subderivative``) must return a float (inf included) on every
+regular spec, and raise ``DerogatoryEigenvalue`` on every derogatory one,
+where the chain rule through the characteristic polynomial does not hold.
 On every spec's base matrix, ``spectral_active`` must report the value
 ``spectral_max`` returns, bit for bit; mismatches fail the spec and are
 counted in the final tally.
@@ -22,6 +26,7 @@ Prints one line per spec and a final tally; exits nonzero on any failure.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,7 +34,13 @@ import numpy as np
 from specmax.cpoly import Poly, RootCluster
 from specmax.factorspace import _coordinate_matrix
 from specmax.generators import builtin
-from specmax.jordan import JordanSpec, declared_active, spec_from_json, spec_to_json
+from specmax.jordan import (
+    DerogatoryEigenvalue,
+    JordanSpec,
+    declared_active,
+    spec_from_json,
+    spec_to_json,
+)
 from specmax.oracles import subgradient_inequality_suite
 from specmax.polysub import Dp_membership, Dp_sample, rsd_f_membership
 from specmax.specsub import (
@@ -39,6 +50,7 @@ from specmax.specsub import (
     rsd_sample,
     spectral_active,
     spectral_max,
+    subderivative,
 )
 
 
@@ -71,6 +83,19 @@ def random_spec(rng, n_max, f, derogatory=False):
     return JordanSpec(list(zip(lams, blocks)), P=P)
 
 
+def subderivative_reading(spec, f, seed):
+    """What the matrix subderivative gives along a random direction drawn
+    from ``seed``: "value" for a float that is not NaN, "refused" for
+    DerogatoryEigenvalue."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
+    try:
+        d = subderivative(spec, f, Z)
+    except DerogatoryEigenvalue:
+        return "refused"
+    return "value" if isinstance(d, float) and not math.isnan(d) else repr(d)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--specs", type=int, default=10)
@@ -92,12 +117,15 @@ def main():
         mismatch = (np.float64(spectral_active(X, f)[0]).tobytes()
                     != np.float64(spectral_max(X, f)).tobytes())
         eval_mismatches += mismatch
+        subderiv = subderivative_reading(spec, f, args.seed + i)
         if derogatory:
             _, _, report = derogatory_witness(spec, f, count=50)
-            status = "ok" if report["ok"] and not mismatch else "FAIL"
+            ok = report["ok"] and subderiv == "refused" and not mismatch
+            status = "ok" if ok else "FAIL"
             failures += status == "FAIL"
             print(f"spec {i:2d} (n={spec.n}, blocks {sizes}, {f.name:9s}): "
-                  f"witness ok={report['ok']}, eval mismatch={mismatch:d}  [{status}]")
+                  f"witness ok={report['ok']}, subderivative {subderiv}, "
+                  f"eval mismatch={mismatch:d}  [{status}]")
             continue
         _, _, active = declared_active(spec, f)
         cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
@@ -123,11 +151,12 @@ def main():
             rep = subgradient_inequality_suite(spec, f, Y, n_samples=args.samples,
                                                seed=args.seed + i)
             violations += rep["violations"]
-        status = "ok" if bad_routes == 0 and violations == 0 and not mismatch else "FAIL"
+        ok = bad_routes == 0 and violations == 0 and subderiv == "value" and not mismatch
+        status = "ok" if ok else "FAIL"
         failures += status == "FAIL"
         print(f"spec {i:2d} (n={spec.n}, blocks {sizes}, {f.name:9s}): "
               f"routes bad={bad_routes}, fd violations={violations}, "
-              f"eval mismatch={mismatch:d}  [{status}]")
+              f"subderivative {subderiv}, eval mismatch={mismatch:d}  [{status}]")
     print(f"{args.specs - failures}/{args.specs} specs clean, "
           f"{eval_mismatches} spectral_active/spectral_max mismatches")
     return 1 if failures else 0

@@ -11,12 +11,6 @@ from .cpoly import (
     roots,
     taylor_coeff,
 )
-from .factorspace import (
-    F_deriv0,
-    FactorSpaceElem,
-    T_apply,
-    T_inverse,
-)
 from .generators import (
     ConvexSet2D,
     Generator,
@@ -30,9 +24,6 @@ from .jordan import (
     DerogatoryEigenvalue,
     DomainError,
     JordanSpec,
-    char_poly,
-    char_poly_deriv_action,
-    det_expansion_residual,
     matrix_from_json,
     matrix_to_json,
     spec_from_json,
@@ -54,13 +45,13 @@ from .specsub import (
     chain_rule_membership,
     derogatory_witness,
     radius_rsd_membership,
-    radius_rsd_zero,
     regularity_verdict,
     rsd_membership,
     rsd_recession_membership,
     rsd_sample,
     spectral_active,
     spectral_max,
+    subderivative,
 )
 from .stabilize import spectral_subgradient, stabilize
 

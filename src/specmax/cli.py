@@ -22,13 +22,7 @@ import numpy as np
 from . import fixtures
 from .cpoly import CLUSTER_TOL, poly_from_json, roots
 from .generators import UnsupportedGenerator, builtin
-from .jordan import (
-    DomainError,
-    _lex_cluster,
-    char_poly_deriv_action,
-    matrix_from_json,
-    spec_from_json,
-)
+from .jordan import DomainError, matrix_from_json, spec_from_json
 from .oracles import subgradient_inequality_suite
 from .polysub import subderivative_f
 from .specsub import (
@@ -40,6 +34,7 @@ from .specsub import (
     rsd_recession_membership,
     rsd_sample,
     spectral_active,
+    subderivative,
 )
 from .stabilize import stabilize
 
@@ -146,9 +141,7 @@ def cmd_subderivative(args) -> int:
     else:
         spec = spec_from_json(_load_json(args.base))
         Z = matrix_from_json(_load_json(args.direction))
-        action = char_poly_deriv_action(spec, Z)
-        _, cluster = _lex_cluster(spec, range(spec.num_eigs))
-        value = subderivative_f(cluster, f, action)
+        value = subderivative(spec, f, Z)
     _emit({"value": value if math.isfinite(value) else "inf", "kind": args.kind}, args.out)
     return EXIT_OK
 

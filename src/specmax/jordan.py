@@ -10,12 +10,13 @@ with J_j the Jordan segment of eigenvalue j.  Numerical Jordan form
 recovery is ill-posed; a convenience constructor accepts a raw matrix only
 on the diagonalizable path with well separated eigenvalues.
 
-The derivative formulas are two maps.  The Taylor coordinates of the
-eigenvalue-j factor's derivative g_j'(X) Z are mu_js = -tr(N_j^(s-1) V_jj)
-with V = P Z P^{-1} (:func:`_factor_coords`); the derivative of the
-characteristic polynomial map is F'(0) of those coordinates
-(:func:`factorspace._coordinate_matrix`).  On a nonderogatory eigenvalue
-the coordinates are -R_j^* vec Z, with R_j the columns
+The matrix-side derivative formulas read the Taylor coordinates of the
+eigenvalue-j factor's derivative g_j'(X) Z, mu_js = -tr(N_j^(s-1) V_jj)
+with V = P Z P^{-1} (:func:`_factor_coords`).  The derivative of the
+characteristic polynomial map takes (0, mu) through F'(0), the coordinate
+matrix of :mod:`factorspace`; the calculus stays in the coordinates and
+never forms that polynomial.  On a nonderogatory eigenvalue the
+coordinates are -R_j^* vec Z, with R_j the columns
 vec(P^* (N_j^(s-1))^* P^{-*}) of :func:`R_matrix`, the map the chain route
 inverts and the sampler pushes forward through.
 
@@ -35,17 +36,13 @@ import math
 
 import numpy as np
 
-from .cpoly import DomainError, Poly, RootCluster, active_roots, lex_key
-from .factorspace import _coordinate_matrix
+from .cpoly import DomainError, RootCluster, active_roots, lex_key
 
 __all__ = [
     "JordanSpec",
     "DerogatoryEigenvalue",
     "DomainError",
     "nilpotent",
-    "char_poly",
-    "char_poly_deriv_action",
-    "det_expansion_residual",
     "declared_active",
     "R_matrix",
     "matrix_to_json",
@@ -268,24 +265,6 @@ class JordanSpec:
         return f"JordanSpec(n={self.n}, n0={self.n0}, eigs=[{parts}])"
 
 
-def char_poly(X) -> Poly:
-    """Characteristic polynomial det(lambda I - X) via the trace recursion.
-
-    Exact in rational arithmetic terms for integer inputs at desk scale;
-    coefficients are returned lowest power first.
-    """
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = X.shape[0]
-    M = np.zeros_like(X)
-    cs = [1.0 + 0j]
-    for k in range(1, n + 1):
-        M = X @ M + cs[-1] * np.eye(n)
-        cs.append(-np.trace(X @ M) / k)
-    return Poly(tuple(cs[n - k] for k in range(n + 1)))
-
-
 def _lex_cluster(spec: JordanSpec, eigs) -> tuple:
     """``(order, cluster)``: the declared eigenvalue indices ``eigs`` in lex
     order of their values, and the monic factor they carry as a root
@@ -307,55 +286,6 @@ def _factor_coords(spec: JordanSpec, j: int, Z) -> np.ndarray:
         for s in range(b):
             mu[s] -= np.trace(V[sl, sl], offset=-s)
     return mu
-
-
-def char_poly_deriv_action(spec: JordanSpec, Z) -> Poly:
-    """Action of the derivative of the characteristic polynomial map at the
-    base matrix on a direction Z: F'(0) of the factorization space (the
-    coordinate matrix of :mod:`factorspace`) applied to the Taylor
-    coordinates of every eigenvalue's factor derivative, with mu0 = 0, so the
-    result has degree at most n - 1.
-
-    Requires the spec to cover the whole spectrum (empty rest block).  Works
-    for derogatory eigenvalues as well.
-    """
-    if spec.n0 != 0:
-        raise ValueError("derivative action needs the full spectrum declared")
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape != (spec.n, spec.n):
-        raise ValueError(f"direction must be {spec.n}x{spec.n}")
-    order, cluster = _lex_cluster(spec, range(spec.num_eigs))
-    mu = np.concatenate([_factor_coords(spec, j, Z) for j in order])
-    return Poly(tuple(_coordinate_matrix(cluster)[:spec.n, 1:] @ mu))
-
-
-def det_expansion_residual(n: int, lam, xi_grid) -> float:
-    """Deviation of det(xi I - J - sum_s lam_s (J^*)^s) from its linearization
-    xi^n - sum_s (n - s) lam_s xi^(n-s-1), maximized over the grid and scaled
-    by ||lam||.  Vanishes linearly as lam -> 0.
-
-    The determinant is evaluated by the exact first-column cofactor recursion
-    for the banded Toeplitz-plus-superdiagonal form, not by a generic solver.
-    """
-    lam = np.asarray(lam, dtype=complex).ravel()
-    if lam.size != n:
-        raise ValueError(f"need {n} shift coefficients, got {lam.size}")
-    norm = float(np.linalg.norm(lam))
-    if norm == 0.0:
-        return 0.0
-    worst = 0.0
-    for xi in xi_grid:
-        xi = complex(xi)
-        a = np.empty(n, dtype=complex)
-        a[0] = xi - lam[0]
-        if n > 1:
-            a[1:] = -lam[1:]
-        dets = [1.0 + 0j]  # det of the empty minor
-        for s in range(1, n + 1):
-            dets.append(sum(a[s - 1 - k] * dets[k] for k in range(s)))
-        linear = xi ** n - sum((n - s) * lam[s] * xi ** (n - s - 1) for s in range(n))
-        worst = max(worst, abs(dets[n] - linear))
-    return worst / norm
 
 
 def declared_active(spec: JordanSpec, f) -> tuple:

@@ -322,7 +322,19 @@ def rsd_f_membership(cluster: RootCluster, f: Generator, v: Poly) -> bool:
 
 def subderivative_f(cluster: RootCluster, f: Generator, v: Poly) -> float:
     """Lower directional derivative of the root max function at the cluster
-    polynomial in direction v.
+    polynomial in direction v: :func:`_subderivative` of the Taylor
+    coordinates of v, one coordinate solve, on the active roots of
+    :func:`cpoly.active_roots`, whose radius transform divides it by rho."""
+    f, rho, active = active_roots(f, cluster.roots)
+    blocks = _split_blocks(cluster, _solve_coords(cluster, v))
+    return _subderivative(f, [(cluster.roots[j], cluster.mults[j], blocks[j])
+                              for j in active]) / rho
+
+
+def _subderivative(f: Generator, active) -> float:
+    """The subderivative read off the Taylor coordinates of the active
+    roots, given as ``(lam_j, n_j, omega_j)`` with omega_j the root's
+    coordinate block; f is the transformed generator.
 
     Finite exactly when, at every active root, sqrt(-omega_j2) is
     real-orthogonal to the whole subdifferential and the deeper coordinates
@@ -336,16 +348,10 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly) -> float:
     the whole bracket: a multiplicity-n root responds to a coefficient
     perturbation with the mean of its n split roots, and this normalization
     is the one under which the subgradient support inequality is tight.
-    The radius transform of :func:`cpoly.active_roots` divides the value of
-    the transformed generator by rho.
     """
-    f, rho, active = active_roots(f, cluster.roots)
-    blocks = _split_blocks(cluster, _solve_coords(cluster, v))
     vals = []
-    for j in active:
-        lam, n_j = cluster.roots[j], cluster.mults[j]
+    for lam, n_j, block in active:
         cond = _regime(f, lam)
-        block = blocks[j]
         bound = COORD_TOL * (1.0 + float(np.linalg.norm(block)))
         kappa = 0.0
         if n_j >= 2:
@@ -362,7 +368,7 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly) -> float:
         if any(abs(block[s]) > bound for s in range(2, n_j)):
             return math.inf
         vals.append((f.dirderiv(lam, -block[0]) + kappa) / n_j)
-    return max(vals) / rho
+    return max(vals)
 
 
 def _generating_points(S: ConvexSet2D):

@@ -12,6 +12,8 @@ route reaches the same set through the factor coordinates of the active
 factor, pulled back through the one map :func:`jordan.R_matrix` of the
 active eigenvalues, and the two are used as mutual cross-checks; members
 are drawn in factor coordinates and pushed forward through the same map.
+The subderivative along a direction Z reads the same factor coordinates of
+Z, at nonderogatory active eigenvalues.
 The spectral radius enters through :func:`generators.radius_transform`.
 
 Tolerances are module constants: structural zeros within STRUCT_TOL and
@@ -33,8 +35,22 @@ import numpy as np
 
 from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _values
 from .generators import Generator, UnsupportedGenerator, builtin
-from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
-from .polysub import COORD_TOL, _ActiveBlock, _sample, _split_blocks, block_failures
+from .jordan import (
+    DerogatoryEigenvalue,
+    JordanSpec,
+    R_matrix,
+    _factor_coords,
+    _lex_cluster,
+    declared_active,
+)
+from .polysub import (
+    COORD_TOL,
+    _ActiveBlock,
+    _sample,
+    _split_blocks,
+    _subderivative,
+    block_failures,
+)
 
 __all__ = [
     "Violation",
@@ -46,9 +62,9 @@ __all__ = [
     "rsd_membership",
     "rsd_recession_membership",
     "rsd_sample",
+    "subderivative",
     "chain_rule_membership",
     "radius_rsd_membership",
-    "radius_rsd_zero",
     "regularity_verdict",
     "derogatory_witness",
     "STRUCT_TOL",
@@ -406,7 +422,33 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     return not block_failures(data, blocks, rho * COORD_TOL, horizon)[0]
 
 
-# -- spectral radius entry points -------------------------------------------------
+def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
+    """Subderivative of phi_f at the base matrix in direction Z, by the
+    chain rule through the characteristic polynomial map: the root max
+    function's subderivative (:func:`polysub._subderivative`) read off the
+    factor coordinates mu of Z (:func:`jordan._factor_coords`), no solve.
+    The chain rule needs F'(X) onto, so every active eigenvalue
+    nonderogatory: at a derogatory one the value would only be a lower
+    bound, and DerogatoryEigenvalue is raised.  The spec must declare the
+    whole spectrum (no rest block), and Z must be a finite n x n matrix."""
+    if spec.n0 != 0:
+        raise ValueError("derivative action needs the full spectrum declared")
+    Z = np.asarray(Z, dtype=complex)
+    if Z.shape != (spec.n, spec.n):
+        raise ValueError(f"direction must be {spec.n}x{spec.n}")
+    if not np.isfinite(Z).all():
+        raise ValueError("direction must be finite")
+    g, rho, active = declared_active(spec, f)
+    for j in active:
+        if not spec.nonderogatory(j):
+            raise DerogatoryEigenvalue(
+                f"active eigenvalue {spec.eig_value(j)} has {spec.q_j(j)} Jordan blocks: "
+                "the subderivative needs nonderogatory active eigenvalues")
+    return _subderivative(g, [(spec.eig_value(j), spec.n_j(j), _factor_coords(spec, j, Z))
+                              for j in active]) / rho
+
+
+# -- the spectral radius entry point ----------------------------------------------
 
 
 def radius_rsd_membership(spec: JordanSpec, Y, horizon: bool = False) -> MembershipReport:
@@ -414,16 +456,7 @@ def radius_rsd_membership(spec: JordanSpec, Y, horizon: bool = False) -> Members
     radius at a base point with positive radius: the test of radius2 on
     rho * Y."""
     if all(lam == 0 for lam, _ in spec.eigs) and not spec.b_eigenvalues.any():
-        raise ValueError("zero spectral radius: use the origin-specific test")
-    return _membership(spec, _RADIUS, W_extract(spec, Y), horizon)
-
-
-def radius_rsd_zero(spec: JordanSpec, Y, horizon: bool = False) -> MembershipReport:
-    """Regular subgradient (or recession direction) test for the spectral
-    radius at a nilpotent base point, the corner block of the modulus: |theta_1|
-    at most 1/n (zero for the recession variant), theta_2 free."""
-    if spec.n0 or spec.num_eigs != 1 or spec.eig_value(0) != 0:
-        raise ValueError("origin test needs a single declared eigenvalue 0")
+        raise ValueError("zero spectral radius: use rsd_membership with the radius")
     return _membership(spec, _RADIUS, W_extract(spec, Y), horizon)
 
 

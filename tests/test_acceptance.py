@@ -10,20 +10,23 @@ import numpy as np
 import pytest
 
 from specmax.cpoly import Poly, RootCluster
-from specmax.factorspace import F_deriv0, T_inverse
+from specmax.factorspace import _coordinate_matrix
 from specmax.generators import builtin
-from specmax.jordan import JordanSpec, char_poly, char_poly_deriv_action, det_expansion_residual
-from specmax.oracles import fd_poly_quotient, subgradient_inequality_suite
+from specmax.jordan import JordanSpec
+from specmax.oracles import fd_phi_quotient, fd_poly_quotient, subgradient_inequality_suite
 from specmax.polysub import subderivative_f
 from specmax.specsub import (
     chain_rule_membership,
     derogatory_witness,
     radius_rsd_membership,
-    radius_rsd_zero,
     regularity_verdict,
     rsd_membership,
+    rsd_recession_membership,
     rsd_sample,
+    subderivative,
 )
+
+from charpoly_lemmas import char_poly, char_poly_deriv_action, det_expansion_residual
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -132,11 +135,11 @@ def test_criterion_03_origin_boundary():
             W[1, 0] = W[2, 1] = 0.2 * phase
             return W
 
-        ok &= radius_rsd_zero(spec, Y(phase / 3)).verdict
-        ok &= radius_rsd_zero(spec, Y((1 / 3 - 1e-9) * phase)).verdict
-        ok &= not radius_rsd_zero(spec, Y((1 / 3 + 1e-9) * phase)).verdict
-        ok &= radius_rsd_zero(spec, Y(0.0), horizon=True).verdict
-        ok &= not radius_rsd_zero(spec, Y(1e-6 * phase), horizon=True).verdict
+        ok &= rsd_membership(spec, RAD, Y(phase / 3)).verdict
+        ok &= rsd_membership(spec, RAD, Y((1 / 3 - 1e-9) * phase)).verdict
+        ok &= not rsd_membership(spec, RAD, Y((1 / 3 + 1e-9) * phase)).verdict
+        ok &= rsd_recession_membership(spec, RAD, Y(0.0)).verdict
+        ok &= not rsd_recession_membership(spec, RAD, Y(1e-6 * phase)).verdict
     report(3, "origin boundary |theta1| = 1/3 on 64 phases", ok)
 
 
@@ -257,7 +260,7 @@ def test_criterion_07_subderivative_oracle():
         coords = np.zeros(n_j + 1, dtype=complex)
         coords[1] = complex(rng.standard_normal(), rng.standard_normal())
         coords[2] = abs(rng.standard_normal()) * g * g
-        v = F_deriv0(base, T_inverse(base, coords))
+        v = Poly(tuple(_coordinate_matrix(base) @ coords))
         d = subderivative_f(base, f, v)
         rep = fd_poly_quotient(base.as_poly(), f, v, t_grid=(1e-2, 1e-3, 1e-4),
                                holder_order=n_j, formula=d)
@@ -268,7 +271,7 @@ def test_criterion_07_subderivative_oracle():
         lam = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
         base = RootCluster((lam,), (2,))
         coords = np.array([0, 0, 1j * lam * lam], dtype=complex)  # leaves the cone
-        v = F_deriv0(base, T_inverse(base, coords))
+        v = Poly(tuple(_coordinate_matrix(base) @ coords))
         rep = fd_poly_quotient(base.as_poly(), RAD, v,
                                t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
         growth_ok += rep.growth_exponent is not None and rep.growth_exponent <= -0.4
@@ -276,6 +279,48 @@ def test_criterion_07_subderivative_oracle():
     ok = equal_ok == 50 and bound_ok == 50 and growth_ok == 10
     report(7, f"subderivative oracle: {equal_ok}/50 equalities, "
               f"{bound_ok}/50 bounds, {growth_ok}/10 divergences", ok)
+
+
+def test_criterion_07_matrix_subderivative_oracle():
+    """Criterion 7 at matrix level, for specsub.subderivative: equality with
+    the spectral max quotients at a simple active eigenvalue, and
+    divergence at an active J_2 along a direction that leaves the cone."""
+    rng = np.random.default_rng(48)
+    gens = (ABSC, RAD2, RAD)
+
+    equal_ok = 0
+    checked = trials = 0
+    while checked < 60 and trials < 1000:
+        trials += 1
+        f = gens[checked % 3]
+        spec = random_nonderogatory_spec(rng)
+        vals = sorted((f.value(spec.eig_value(j)), spec.n_j(j)) for j in range(spec.num_eigs))
+        if vals[-1][1] != 1 or (len(vals) > 1 and vals[-1][0] - vals[-2][0] < 0.3):
+            continue
+        Z = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
+        d = subderivative(spec, f, Z)
+        if not math.isfinite(d) or abs(d) < 0.05:
+            continue
+        checked += 1
+        rep = fd_phi_quotient(spec.synth(), f, Z, t_grid=(1e-3, 1e-4, 1e-5))
+        equal_ok += abs(rep.extrapolated - d) <= 1e-3 * abs(d)
+
+    growth_ok = 0
+    for k in range(15):
+        f = gens[k % 3]
+        lam = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        spec = JordanSpec([(lam, (2,)), (0.2 * lam, (1,))], P=random_P(rng, 3))
+        V = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        g = f.grad(lam)
+        V[1, 0] = -1j * g * g  # mu_2 = i g^2 leaves the cone
+        Z = spec.Pinv @ V @ spec.P
+        rep = fd_phi_quotient(spec.synth(), f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+        growth_ok += (subderivative(spec, f, Z) == math.inf and rep.growth_exponent is not None
+                      and rep.growth_exponent <= -0.4)
+
+    ok = equal_ok == 60 and growth_ok == 15
+    report(7, f"matrix subderivative oracle: {equal_ok}/60 equalities, "
+              f"{growth_ok}/15 divergences", ok)
 
 
 def test_criterion_08_inequality_suite():

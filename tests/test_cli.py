@@ -10,7 +10,7 @@ import specmax
 from specmax.cli import main
 from specmax.fixtures import fixture_derogatory, fixture_two_active
 from specmax.generators import builtin
-from specmax.jordan import matrix_to_json, spec_to_json
+from specmax.jordan import JordanSpec, matrix_to_json, spec_to_json
 from specmax.oracles import fd_phi_quotient
 
 
@@ -161,20 +161,44 @@ class TestSubderivative:
         # shifting by the identity moves every eigenvalue at unit speed
         assert json.loads(out)["value"] == pytest.approx(1.0)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: at a derogatory active "
-                       "eigenvalue the verb reads the root max function's subderivative "
-                       "along F'(X)Z, which misses the Taylor coordinates past m_j and is "
-                       "only a lower bound: 0.0 here, where the subderivative is 1")
     def test_derogatory_eigenvalue_in_the_matrix_variant(self, capsys, paths):
-        # X = 0 with blocks (1, 1): phi(tZ) = t max Re lambda(Z), so the value is 1
+        # X = 0 with blocks (1, 1): phi(tZ) = t max Re lambda(Z), so the
+        # subderivative is 1, which the factor coordinates cannot reach
         spath = paths("S.json", {"eigs": [{"lambda": [0, 0], "blocks": [1, 1]}]})
         Z = np.diag([1.0, -1.0])
         zpath = paths("Z.json", matrix_to_json(Z))
         fd = fd_phi_quotient(np.zeros((2, 2)), builtin("abscissa"), Z)
         assert np.allclose(fd.quotients, 1.0)
-        code, out = run(capsys, ["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
-        assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(1.0)
+        code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "eigenvalue 0j has 2 Jordan blocks" in out.err
+
+    def test_derogatory_eigenvalue_beside_an_inactive_one_exits_2(self, capsys, paths):
+        # lambda = 1 with blocks (1, 1) and -1 with (1), V = P Z P^{-1} =
+        # [[1, .5], [0, -1]] + [0]: phi(X + tZ) = 1 + t, so the subderivative is 1
+        spec = JordanSpec([(1.0, (1, 1)), (-1.0, (1,))],
+                          P=np.eye(3) + 0.25 * np.random.default_rng(10).standard_normal((3, 3)))
+        V = np.zeros((3, 3), dtype=complex)
+        V[:2, :2] = [[1.0, 0.5], [0.0, -1.0]]
+        Z = spec.Pinv @ V @ spec.P
+        fd = fd_phi_quotient(spec.synth(), builtin("abscissa"), Z)
+        assert np.allclose(fd.quotients, 1.0)
+        spath, zpath = paths("S.json", spec_to_json(spec)), paths("Z.json", matrix_to_json(Z))
+        code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "eigenvalue (1+0j) has 2 Jordan blocks" in out.err
+
+    def test_matrix_variant_with_a_nan_direction_exits_2(self, capsys, paths):
+        spath = paths("A.json", spec_to_json(fixture_two_active()))
+        Z = np.eye(3)
+        Z[1, 0] = np.nan
+        zpath = paths("Z.json", matrix_to_json(Z))
+        code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "direction must be finite" in out.err
 
     def test_matrix_variant_with_a_rest_block_exits_2(self, capsys, paths):
         spec = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}], "B": [[[-1.0, 0.0]]]}

@@ -1,15 +1,13 @@
+"""The factor space in Taylor coordinates: F'(0) is the coordinate matrix
+and its inverse the coordinate solve.  The references rebuild the factor
+polynomials from the coordinates with ``cpoly.elementary`` and read
+coordinates off polynomials with ``cpoly.taylor_coeff``."""
+
 import numpy as np
 import pytest
 
-from specmax.cpoly import Poly, RootCluster, elementary
-from specmax.factorspace import (
-    F_deriv0,
-    FactorSpaceElem,
-    T_apply,
-    T_inverse,
-    _coordinate_matrix,
-    _solve_coords,
-)
+from specmax.cpoly import Poly, RootCluster, elementary, taylor_coeff
+from specmax.factorspace import _coordinate_matrix, _solve_coords
 from specmax.generators import builtin
 from specmax.polysub import rsd_f_membership
 
@@ -27,19 +25,52 @@ def random_cluster(rng, max_roots=3, max_mult=3):
     return RootCluster.sorted((z, int(rng.integers(1, max_mult + 1))) for z in pts)
 
 
+def taylor_coords(base, mu0, factors):
+    """[mu0, (mu_j1 .. mu_jn_j)_j] with mu_js = tau_(n_j - s, lam_j)(u_j)
+    for factor perturbations u_j of degree <= n_j - 1."""
+    out = [complex(mu0)]
+    for lam, n_j, q in zip(base.roots, base.mults, factors):
+        q = q.padded(n_j - 1)
+        out.extend(taylor_coeff(q, n_j - s, lam) for s in range(1, n_j + 1))
+    return np.asarray(out, dtype=complex)
+
+
+def factor_polys(base, coords):
+    """``(mu0, factors)`` rebuilt from Taylor coordinates:
+    u_j = sum_s mu_js (lambda - lam_j)**(n_j - s)."""
+    factors = []
+    pos = 1
+    for lam, n_j in zip(base.roots, base.mults):
+        q = Poly.zero(n_j - 1)
+        for s in range(1, n_j + 1):
+            q = q + coords[pos] * elementary(n_j - s, lam, degree_bound=n_j - 1)
+            pos += 1
+        factors.append(q)
+    return coords[0], factors
+
+
 def random_elem(base, rng, scale=1.0):
+    """Taylor coordinates of a random element: one random polynomial of
+    degree <= n_j - 1 per root, then mu0."""
     factors = tuple(
         Poly(tuple(scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))))
         for n in base.mults
     )
-    return FactorSpaceElem(base, scale * complex(rng.standard_normal(), rng.standard_normal()), factors)
+    return taylor_coords(base, scale * complex(rng.standard_normal(), rng.standard_normal()),
+                         factors)
+
+
+def deriv0(base, coords):
+    """F'(0) applied to a Taylor coordinate vector."""
+    return Poly(tuple(_coordinate_matrix(base) @ np.asarray(coords, dtype=complex)))
 
 
 def _reference_F_deriv0(base, w):
     """omega0 * p + sum_j r_j * w_j as a cofactor loop."""
     ntilde = base.degree()
-    out = (w.mu0 * base.as_poly()).padded(ntilde)
-    for j, w_j in enumerate(w.factors):
+    mu0, factors = factor_polys(base, w)
+    out = (mu0 * base.as_poly()).padded(ntilde)
+    for j, w_j in enumerate(factors):
         r_j = Poly.one()
         for k, (lam, n_k) in enumerate(zip(base.roots, base.mults)):
             if k != j:
@@ -51,17 +82,18 @@ def _reference_F_deriv0(base, w):
 def _reference_F_apply(base, u):
     """(1 + mu0) * prod_j ((lambda - lam_j)**n_j + u_j): the factored
     product itself, which equals p at u = 0."""
-    p = Poly((1.0 + u.mu0,))
-    for (lam, n_j), q in zip(zip(base.roots, base.mults), u.factors):
+    mu0, factors = factor_polys(base, u)
+    p = Poly((1.0 + mu0,))
+    for (lam, n_j), q in zip(zip(base.roots, base.mults), factors):
         p = p * (elementary(n_j, lam) + q.padded(n_j))
     return p
 
 
 def _reference_pn_inner(base, z, v):
-    """<z, v> through factor-space elements: rebuild each solve as an
-    element, then take the inner product of its Taylor coordinates."""
-    wz, wv = (T_inverse(base, _solve_coords(base, p)) for p in (z, v))
-    return complex(np.vdot(T_apply(base, wz), T_apply(base, wv)))
+    """<z, v> through the factor polynomials: rebuild each solve as factor
+    polynomials, then take the inner product of their Taylor coordinates."""
+    wz, wv = (taylor_coords(base, *factor_polys(base, _solve_coords(base, p))) for p in (z, v))
+    return complex(np.vdot(wz, wv))
 
 
 def _pn_inner(base, z, v):
@@ -80,46 +112,50 @@ class TestFApply:
     affine, so F(u) = p + F'(0) u holds exactly."""
 
     def test_zero_perturbation_recovers_base(self):
-        u = FactorSpaceElem.zero(LAM2)
+        u = np.zeros(3, dtype=complex)
         assert np.allclose(_reference_F_apply(LAM2, u).array(), LAM2.as_poly().array())
-        assert F_deriv0(LAM2, u).coeff_norm() == 0
+        assert deriv0(LAM2, u).coeff_norm() == 0
 
     def test_single_factor_shift(self):
         # (lambda + eps)(lambda - 1) from perturbing the first factor of lambda(lambda-1)
         eps = 0.25
-        u = FactorSpaceElem(LAM_LAM1, 0j, (Poly((eps + 0j,)), Poly((0j,))))
+        u = taylor_coords(LAM_LAM1, 0j, (Poly((eps + 0j,)), Poly((0j,))))
         expect = Poly((eps + 0j, 1 + 0j)) * Poly((-1 + 0j, 1 + 0j))
         got = _reference_F_apply(LAM_LAM1, u)
         assert np.allclose(got.array(), expect.padded(got.degree_bound).array())
-        got = LAM_LAM1.as_poly() + F_deriv0(LAM_LAM1, u)
+        got = LAM_LAM1.as_poly() + deriv0(LAM_LAM1, u)
         assert np.allclose(got.array(), expect.padded(got.degree_bound).array())
 
     def test_leading_coefficient_perturbation(self):
         delta = 0.1 + 0.2j
-        u = FactorSpaceElem(LAM2, delta, (Poly.zero(1),))
+        u = taylor_coords(LAM2, delta, (Poly.zero(1),))
         assert np.allclose(_reference_F_apply(LAM2, u).array(), [(0j), 0j, 1 + delta])
-        assert np.allclose((LAM2.as_poly() + F_deriv0(LAM2, u)).array(), [(0j), 0j, 1 + delta])
+        assert np.allclose((LAM2.as_poly() + deriv0(LAM2, u)).array(), [(0j), 0j, 1 + delta])
 
     def test_wrong_base_rejected(self):
-        u = FactorSpaceElem.zero(LAM2)
+        # coordinates of lambda^3's space do not fit lambda (lambda - 1)'s
+        # F'(0), nor does a cubic its coordinate solve
+        u = np.zeros(4, dtype=complex)
         with pytest.raises(ValueError):
-            F_deriv0(LAM_LAM1, u)
+            deriv0(LAM_LAM1, u)
+        with pytest.raises(ValueError, match="degree of v exceeds 2"):
+            _solve_coords(LAM_LAM1, deriv0(RootCluster((0j,), (3,)), [1, 0, 0, 0]))
 
 
 class TestFDeriv0:
     def test_linearity_at_zero(self):
-        v = F_deriv0(LAM2, FactorSpaceElem.zero(LAM2))
+        v = deriv0(LAM2, np.zeros(3, dtype=complex))
         assert v.coeff_norm() < 1e-15
 
     def test_cofactor_of_single_root(self):
         # base lambda^2: cofactor is 1, so w = (0, [1]) maps to the constant 1
-        w = FactorSpaceElem(LAM2, 0j, (Poly((1 + 0j,)),))
-        assert np.allclose(F_deriv0(LAM2, w).array(), [1, 0, 0])
+        w = taylor_coords(LAM2, 0j, (Poly((1 + 0j,)),))
+        assert np.allclose(deriv0(LAM2, w).array(), [1, 0, 0])
 
     def test_cofactor_of_two_roots(self):
         # base lambda(lambda-1): perturbing the root-0 factor multiplies by (lambda - 1)
-        w = FactorSpaceElem(LAM_LAM1, 0j, (Poly((1 + 0j,)), Poly((0j,))))
-        assert np.allclose(F_deriv0(LAM_LAM1, w).array(), [-1, 1, 0])
+        w = taylor_coords(LAM_LAM1, 0j, (Poly((1 + 0j,)), Poly((0j,))))
+        assert np.allclose(deriv0(LAM_LAM1, w).array(), [-1, 1, 0])
 
 
     def test_matches_the_cofactor_reference(self):
@@ -127,7 +163,7 @@ class TestFDeriv0:
         for _ in range(200):
             base = random_cluster(rng)
             w = random_elem(base, rng)
-            got, ref = F_deriv0(base, w), _reference_F_deriv0(base, w)
+            got, ref = deriv0(base, w), _reference_F_deriv0(base, w)
             assert got.degree_bound == ref.degree_bound == base.degree()
             assert np.linalg.norm(got.array() - ref.array()) <= 1e-12 * max(1.0, ref.coeff_norm())
 
@@ -153,8 +189,8 @@ class TestFDeriv0Inv:
         for _ in range(20):
             base = random_cluster(rng)
             w = random_elem(base, rng)
-            back = _solve_coords(base, F_deriv0(base, w))
-            assert np.linalg.norm(back - T_apply(base, w)) < 1e-9
+            back = _solve_coords(base, deriv0(base, w))
+            assert np.linalg.norm(back - w) < 1e-9
 
 
 def _reference_coordinate_matrix(base):
@@ -218,27 +254,30 @@ class TestCoordinateMatrix:
 
 
 class TestTaylorIso:
+    """Factor polynomials and Taylor coordinates: taylor_coeff one way,
+    elementary the other, and the coordinate solve of r_j u_j."""
+
     def test_zero(self):
-        assert np.allclose(T_apply(LAM2, FactorSpaceElem.zero(LAM2)), 0)
+        assert np.allclose(taylor_coords(LAM2, 0j, (Poly.zero(1),)), 0)
 
     def test_coordinates_at_zero_base(self):
         # u_1 = 2 lambda + 3 at base lambda^2: mu_11 = tau_1 = 2, mu_12 = tau_0 = 3
-        u = FactorSpaceElem(LAM2, 0j, (Poly((3 + 0j, 2 + 0j)),))
-        assert np.allclose(T_apply(LAM2, u), [0, 2, 3])
+        assert np.allclose(taylor_coords(LAM2, 0j, (Poly((3 + 0j, 2 + 0j)),)), [0, 2, 3])
+        # the cofactor of the one root is 1, so F'(0) (0, u_1) = u_1
+        assert np.allclose(_solve_coords(LAM2, Poly((3 + 0j, 2 + 0j, 0j))), [0, 2, 3])
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             base = random_cluster(rng)
-            u = random_elem(base, rng)
-            coords = T_apply(base, u)
-            back = T_apply(base, T_inverse(base, coords))
+            coords = random_elem(base, rng)
+            back = taylor_coords(base, *factor_polys(base, coords))
             assert np.linalg.norm(back - coords) < 1e-12 * max(1, np.linalg.norm(coords))
 
 
 class TestInnerProducts:
     """The inner products induced by Taylor coordinates: vdot of the
-    coordinates from the solve (polynomials) or from T_apply (elements)."""
+    coordinates from the solve (polynomials) or of the elements themselves."""
 
     def test_base_polynomial_has_unit_norm(self):
         assert _pn_inner(LAM2, LAM2.as_poly(), LAM2.as_poly()) == pytest.approx(1)
@@ -263,8 +302,8 @@ class TestInnerProducts:
             n = base.degree()
             w = random_elem(base, rng)
             v = Poly(tuple(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)))
-            lhs = _pn_inner(base, F_deriv0(base, w), v)
-            rhs = complex(np.vdot(T_apply(base, w), _solve_coords(base, v)))
+            lhs = _pn_inner(base, deriv0(base, w), v)
+            rhs = complex(np.vdot(w, _solve_coords(base, v)))
             assert abs(lhs - rhs) < 1e-10 * max(1, abs(lhs))
 
     def test_matches_the_factor_space_reference(self):
@@ -282,8 +321,8 @@ class TestInnerProducts:
         for _ in range(10):
             base = random_cluster(rng)
             u, w = random_elem(base, rng), random_elem(base, rng)
-            direct = _pn_inner(base, F_deriv0(base, u), F_deriv0(base, w))
-            coords = np.vdot(T_apply(base, u), T_apply(base, w))
+            direct = _pn_inner(base, deriv0(base, u), deriv0(base, w))
+            coords = np.vdot(u, w)
             assert abs(direct - coords) < 1e-12 * max(1, abs(direct))
 
 
@@ -294,14 +333,13 @@ class TestLocalDiffeomorphism:
         for _ in range(10):
             base = random_cluster(rng)
             u = random_elem(base, rng, scale=1.0)
-            norm_u = np.linalg.norm(T_apply(base, u))
+            norm_u = np.linalg.norm(u)
             if norm_u == 0:
                 continue
             consts = []
             for s in (1e-2 / norm_u, 1e-3 / norm_u):
-                su = T_inverse(base, s * T_apply(base, u))
-                diff = _reference_F_apply(base, su) - base.as_poly().padded(base.degree())
+                diff = _reference_F_apply(base, s * u) - base.as_poly().padded(base.degree())
                 got = _solve_coords(base, diff)
-                err = np.linalg.norm(got - s * T_apply(base, u))
+                err = np.linalg.norm(got - s * u)
                 consts.append(err / s ** 2)
             assert consts[1] <= 3 * consts[0] + 1e-6

@@ -297,6 +297,24 @@ class TestConvexSet2D:
             wrong += abs(S.distance(a + 5 * u) - (5 - ts.max())) > 1e-12
         assert wrong == 0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the support of the outward "
+                       "normal of an edge through the origin, 0 in truth, reads as its "
+                       "rounding residue; where that is positive (about 1e-17), a point "
+                       "across the edge gets the scales (~1e16, inf) instead of none")
+    def test_point_across_an_edge_through_the_origin_has_no_scale(self):
+        # rectangles 0, w u, (w + ih) u, ih u; the points (a - ib) u with
+        # a, b > 0 lie across the edge from 0 to w u, in no t * rectangle
+        rng = np.random.default_rng(0)
+        wrong = 0
+        for _ in range(2000):
+            u = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            w, h = rng.uniform(0.5, 2, 2)
+            S = ConvexSet2D.polygon([0j, w * u, (w + 1j * h) * u, 1j * h * u])
+            a, b = rng.uniform(0.1, 1, 2)
+            lo, hi = S.scale_interval((a - 1j * b) * u)
+            wrong += lo <= hi
+        assert wrong == 0
+
     def test_degenerate_polygon_subdifferential_is_neither_regime(self):
         f = make_generator("line corner", abs, subdiff=lambda z: ConvexSet2D.polygon([-1, 1, 2]))
         assert condition_check(f, 0) == NEITHER

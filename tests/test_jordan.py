@@ -13,10 +13,7 @@ from specmax.jordan import (
     JordanSpec,
     R_matrix,
     _factor_coords,
-    char_poly,
-    char_poly_deriv_action,
     declared_active,
-    det_expansion_residual,
     matrix_from_json,
     matrix_to_json,
     nilpotent,
@@ -24,6 +21,9 @@ from specmax.jordan import (
     spec_to_json,
 )
 from specmax.polysub import subderivative_f
+from specmax.specsub import subderivative
+
+from charpoly_lemmas import char_poly, char_poly_deriv_action, det_expansion_residual
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -283,9 +283,10 @@ class TestCharPolyDerivAction:
             assert np.linalg.norm(got - fd[: len(got)]) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
     def test_rest_block_rejected(self):
+        # the full-spectrum check is the matrix subderivative's
         spec = JordanSpec([(0.0, (2,))], B=np.array([[5.0]]))
-        with pytest.raises(ValueError):
-            char_poly_deriv_action(spec, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="full spectrum"):
+            subderivative(spec, ABSC, np.zeros((3, 3)))
 
     def test_matches_the_cofactor_reference(self):
         rng = np.random.default_rng(15)
@@ -303,11 +304,12 @@ class TestCharPolyDerivAction:
     @pytest.mark.parametrize("name", ["abscissa", "radius2", "radius"])
     def test_cli_subderivative_matches_the_reference(self, capsys, tmp_path, name):
         # half of the directions keep V = P Z P^{-1} upper triangular, so the
-        # factor coordinates past the first vanish and the value is finite
+        # factor coordinates past the first vanish and the value is finite;
+        # a derogatory active eigenvalue is refused with exit 2
         rng = np.random.default_rng(16 + len(name))
         f = builtin(name)
         spec_path, z_path = tmp_path / "spec.json", tmp_path / "Z.json"
-        finite = 0
+        finite = refused = 0
         for k in range(60):
             spec = random_spec(rng)
             V = random_direction(rng, spec.n)
@@ -315,7 +317,13 @@ class TestCharPolyDerivAction:
             spec_path.write_text(json.dumps(spec_to_json(spec)))
             z_path.write_text(json.dumps(matrix_to_json(Z)))
             code = main(["subderivative", "matrix", str(spec_path), str(z_path), "--f", name])
-            got = json.loads(capsys.readouterr().out)["value"]
+            out = capsys.readouterr()
+            _, _, active = declared_active(spec, f)
+            if not all(spec.nonderogatory(j) for j in active):
+                assert code == 2 and out.out == "" and "Jordan blocks" in out.err
+                refused += 1
+                continue
+            got = json.loads(out.out)["value"]
             cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j))
                                          for j in range(spec.num_eigs))
             ref = subderivative_f(cluster, f, _reference_char_poly_deriv_action(spec, Z))
@@ -325,7 +333,7 @@ class TestCharPolyDerivAction:
             else:
                 finite += 1
                 assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
-        assert finite >= 20
+        assert finite >= 20 and refused > 0
 
 
 class TestGjDeriv:

@@ -28,7 +28,6 @@ from specmax.specsub import (
     W_extract,
     chain_rule_membership,
     radius_rsd_membership,
-    radius_rsd_zero,
     rsd_membership,
     rsd_recession_membership,
     rsd_sample,
@@ -140,7 +139,7 @@ def _reference_radius(spec, Y, horizon=False):
 
 
 def _reference_radius_zero(spec, Y, horizon=False):
-    """radius_rsd_zero: one declared eigenvalue 0."""
+    """The radius at one declared eigenvalue 0."""
     params, atol, failed = _reference_structure(spec, Y, [0])
     t1 = params.theta_of(0, 1)
     if horizon and abs(t1) > atol:
@@ -273,10 +272,9 @@ class TestReferenceAgreement:
                 W[1, 0] += 0.3  # breaks the Toeplitz pattern
             Y = spec.from_W(W)
             for horizon in (False, True):
-                got = radius_rsd_zero(spec, Y, horizon=horizon).verdict
-                assert got == _reference_radius_zero(spec, Y, horizon=horizon)
                 test = rsd_recession_membership if horizon else rsd_membership
-                assert test(spec, RAD, Y).verdict == got
+                got = test(spec, RAD, Y).verdict
+                assert got == _reference_radius_zero(spec, Y, horizon=horizon)
                 counts[got] += 1
         assert min(counts.values()) >= 20
 
@@ -394,7 +392,7 @@ class TestRadiusTransform:
             W[1, 0] = W[2, 1] = -2.0 + 1j
             Y = spec.from_W(W)
             assert chain_rule_membership(spec, RAD, Y) == expect
-            assert radius_rsd_zero(spec, Y).verdict == expect
+            assert rsd_membership(spec, RAD, Y).verdict == expect
 
 
 # -- the shared decision -------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specmax.cpoly import Poly, RootCluster, poly_root_max
-from specmax.factorspace import F_deriv0, T_inverse, _solve_coords
+from specmax.factorspace import _coordinate_matrix, _solve_coords
 from specmax.generators import ConvexSet2D, builtin, make_generator
 from specmax.jordan import DomainError
 from specmax.oracles import fd_poly_quotient
@@ -32,7 +32,8 @@ TWO_SIMPLE = RootCluster((0j, 1 + 0j), (1, 1))
 
 
 def from_coords(base, coords):
-    return F_deriv0(base, T_inverse(base, coords))
+    """F'(0) of a Taylor coordinate vector: the polynomial it maps to."""
+    return Poly(tuple(_coordinate_matrix(base) @ np.asarray(coords, dtype=complex)))
 
 
 class TestDpMembership:

@@ -16,7 +16,6 @@ from specmax.specsub import (
     chain_rule_membership,
     derogatory_witness,
     radius_rsd_membership,
-    radius_rsd_zero,
     regularity_verdict,
     rsd_membership,
     rsd_recession_membership,
@@ -499,26 +498,31 @@ class TestRadiusMembership:
 
 
 class TestRadiusZero:
+    """The radius at the nilpotent origin, through the one membership core:
+    |theta_1| at most 1/n (zero for the recession cone), theta_2 free."""
+
     def test_boundary_diagonal(self):
         spec = JordanSpec([(0.0, (3,))])
-        assert radius_rsd_zero(spec, np.eye(3) / 3).verdict
-        assert not radius_rsd_zero(spec, np.eye(3) / 2).verdict
+        assert rsd_membership(spec, RAD, np.eye(3) / 3).verdict
+        assert not rsd_membership(spec, RAD, np.eye(3) / 2).verdict
 
     def test_nilpotent_direction_is_member_and_horizon(self):
         spec = JordanSpec([(0.0, (3,))])
         Y = nilpotent(3).T.astype(complex)
-        assert radius_rsd_zero(spec, Y).verdict
-        assert radius_rsd_zero(spec, Y, horizon=True).verdict
-        assert not radius_rsd_zero(spec, np.eye(3) / 3, horizon=True).verdict
+        assert rsd_membership(spec, RAD, Y).verdict
+        assert rsd_recession_membership(spec, RAD, Y).verdict
+        assert not rsd_recession_membership(spec, RAD, np.eye(3) / 3).verdict
 
     def test_nonzero_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            radius_rsd_zero(A_SPEC, np.eye(3))
+        # one entry point serves every radius: I is no subgradient of the
+        # radius at A, whose eigenvalues are nonzero
+        assert not rsd_membership(A_SPEC, RAD, np.eye(3)).verdict
+        assert not radius_rsd_membership(A_SPEC, np.eye(3)).verdict
 
     def test_derogatory_origin(self):
         spec = JordanSpec([(0.0, (2, 1))])
-        assert radius_rsd_zero(spec, np.eye(3) / 3).verdict
-        assert not radius_rsd_zero(spec, np.diag([1 / 3, 1 / 3, 0.0]).astype(complex)).verdict
+        assert rsd_membership(spec, RAD, np.eye(3) / 3).verdict
+        assert not rsd_membership(spec, RAD, np.diag([1 / 3, 1 / 3, 0.0]).astype(complex)).verdict
 
 
 class TestScalingEquivalence:

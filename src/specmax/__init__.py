@@ -9,7 +9,6 @@ from .cpoly import (
     poly_from_json,
     poly_root_max,
     roots,
-    taylor_coeff,
 )
 from .generators import (
     ConvexSet2D,

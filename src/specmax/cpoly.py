@@ -27,7 +27,6 @@ __all__ = [
     "lex_leq",
     "lex_key",
     "elementary",
-    "taylor_coeff",
     "roots",
     "active_set",
     "active_roots",
@@ -92,22 +91,13 @@ class Poly:
     def array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
 
-    # -- evaluation and calculus -------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z: complex) -> complex:
         acc = 0.0 + 0.0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def deriv(self, order: int = 1) -> "Poly":
-        cs = self.array()
-        for _ in range(order):
-            if len(cs) == 1:
-                cs = np.zeros(1, dtype=complex)
-                continue
-            cs = cs[1:] * np.arange(1, len(cs))
-        return Poly(tuple(cs))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -157,13 +147,6 @@ def elementary(ell: int, lam0: complex, degree_bound: int | None = None) -> Poly
     return p
 
 
-def taylor_coeff(p: Poly, k: int, lam0: complex) -> complex:
-    """k-th Taylor coefficient of p at lam0, i.e. p^(k)(lam0) / k!."""
-    if k < 0 or k > p.degree_bound:
-        raise ValueError(f"Taylor order {k} outside 0..{p.degree_bound}")
-    return p.deriv(k)(lam0) / math.factorial(k)
-
-
 @dataclass(frozen=True)
 class RootCluster:
     """Distinct roots in lexicographic order with their multiplicities."""
@@ -188,10 +171,6 @@ class RootCluster:
     def sorted(pairs: Iterable[tuple]) -> "RootCluster":
         pairs = sorted(pairs, key=lambda rm: lex_key(rm[0]))
         return RootCluster(tuple(r for r, _ in pairs), tuple(m for _, m in pairs))
-
-    @property
-    def num_distinct(self) -> int:
-        return len(self.roots)
 
     def degree(self) -> int:
         return sum(self.mults)

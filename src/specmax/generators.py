@@ -2,7 +2,9 @@
 
 A generator f is a proper convex lsc function on C with access to values,
 gradients, a real 2x2 Hessian form where twice differentiable, and a
-subdifferential set.  Two pointwise regimes drive the calculus downstream:
+subdifferential set, a :class:`ConvexSet2D`: every finite one is the convex
+hull of a vertex loop (a point is one vertex, a segment two).  Two
+pointwise regimes drive the calculus downstream:
 
 * smooth regime: f is quadratic, or C^2 with positive definite Hessian;
 * corner regime: the real linear span of the subdifferential is all of C
@@ -55,9 +57,7 @@ TAG_C2PD = "c2-positive-definite"
 TAG_FULLSPAN = "nonsmooth-fullspan"
 TAG_OTHER = "other"
 
-CONTAINS_TOL = 1e-10  # absolute: the distance within which a set contains a point
-POLYGON_TOL = 1e-14  # absolute: signed areas and segment distances of the polygon test
-CONVEXITY_SLACK = 1e-9  # relative to 1 + |f(a)| + |f(b)|: the midpoint convexity check
+POLYGON_TOL = 1e-14  # absolute: the polygon test of a loop of three or more vertices
 
 
 class UnsupportedGenerator(ValueError):
@@ -78,9 +78,10 @@ def _as_vec(z: complex) -> np.ndarray:
 class ConvexSet2D:
     """Closed convex subset of C in one of a few exact representations.
 
-    kinds: point, segment, polygon (vertex loop), halfplane
-    {z : Re(conj(normal) z) <= offset}, plane, disk (center + radius).
-    Membership and support queries are exact for the finite representations.
+    kinds: polygon (the convex hull of a vertex loop: one vertex is a point,
+    two a segment), halfplane {z : Re(conj(normal) z) <= offset}, plane,
+    disk (center + radius).  Distance and support queries are exact for the
+    finite representations.
     """
 
     kind: str
@@ -90,11 +91,11 @@ class ConvexSet2D:
 
     @staticmethod
     def point(z: complex) -> "ConvexSet2D":
-        return ConvexSet2D("point", (complex(z),))
+        return ConvexSet2D("polygon", (complex(z),))
 
     @staticmethod
     def segment(a: complex, b: complex) -> "ConvexSet2D":
-        return ConvexSet2D("segment", (complex(a), complex(b)))
+        return ConvexSet2D("polygon", (complex(a), complex(b)))
 
     @staticmethod
     def polygon(vertices) -> "ConvexSet2D":
@@ -120,9 +121,9 @@ class ConvexSet2D:
 
     @property
     def is_singleton(self) -> bool:
-        return self.kind == "point" or (
-            self.kind == "segment" and self.data[0] == self.data[1]
-        )
+        """One vertex, or two equal ones; a longer loop is never read as a point."""
+        vs = self.data
+        return self.kind == "polygon" and (len(vs) == 1 or len(vs) == 2 and vs[0] == vs[1])
 
     def the_point(self) -> complex:
         if not self.is_singleton:
@@ -131,12 +132,12 @@ class ConvexSet2D:
 
     def distance(self, z: complex) -> float:
         z = complex(z)
-        if self.kind == "point":
-            return abs(z - self.data[0])
-        if self.kind == "segment":
-            return _segment_distance(z, self.data[0], self.data[1])
         if self.kind == "polygon":
             vs = self.data
+            if len(vs) == 1:
+                return abs(z - vs[0])
+            if len(vs) == 2:
+                return _segment_distance(z, vs[0], vs[1])
             if _polygon_contains(z, vs):
                 return 0.0
             return min(
@@ -152,16 +153,9 @@ class ConvexSet2D:
             return max(0.0, abs(z - center) - radius)
         raise ValueError(f"unknown set kind {self.kind!r}")
 
-    def contains(self, z: complex) -> bool:
-        return self.distance(z) <= CONTAINS_TOL
-
     def support(self, direction: complex) -> float:
         """sup over the set of Re(conj(direction) * z)."""
         d = complex(direction)
-        if self.kind == "point":
-            return re_cip(d, self.data[0])
-        if self.kind == "segment":
-            return max(re_cip(d, self.data[0]), re_cip(d, self.data[1]))
         if self.kind == "polygon":
             return max(re_cip(d, v) for v in self.data)
         if self.kind == "disk":
@@ -183,12 +177,11 @@ class ConvexSet2D:
             raise ValueError("scaling factor must be nonnegative")
         if t == 0:
             return ConvexSet2D.point(0j)
-        if self.kind == "point":
-            return ConvexSet2D.point(t * self.data[0])
-        if self.kind == "segment":
-            return ConvexSet2D.segment(t * self.data[0], t * self.data[1])
         if self.kind == "polygon":
-            return ConvexSet2D.polygon(tuple(t * v for v in self.data))
+            vs = self.data
+            if len(vs) == 1:  # every membership query scales a point per active block
+                return ConvexSet2D("polygon", (complex(t * vs[0]),))
+            return ConvexSet2D("polygon", tuple([complex(t * v) for v in vs]))
         if self.kind == "halfplane":
             normal, offset = self.data
             return ConvexSet2D.halfplane(normal, t * offset)
@@ -203,13 +196,13 @@ class ConvexSet2D:
         """Interval (lo, hi) of the scales t >= 0 with z in t * set, each
         bound relaxed by tol; lo > hi when there is none.  It is an interval
         because {(z, t) : z in t * set} is a convex cone.  Each supporting
-        halfplane Re(conj(a) z) <= t * support(a) of a point, segment or
-        polygon, or a halfplane itself, bounds t linearly; a disk bounds it
-        by the quadratic |z - t * center| <= t * radius + tol.
+        halfplane Re(conj(a) z) <= t * support(a) of a polygon, or a
+        halfplane itself, bounds t linearly; a disk bounds it by the
+        quadratic |z - t * center| <= t * radius + tol.
 
-        The normals of a point, segment or polygon are a = k * e for every
-        edge unit e and k in (1, -1, i, -i), or the axes for a point.  Their
-        supports come from the two projections x_v = Re(conj(e) v) and
+        The normals of a polygon are a = k * e for every edge unit e and k
+        in (1, -1, i, -i), or the axes when all its vertices are equal.
+        Their supports come from the two projections x_v = Re(conj(e) v) and
         y_v = Im(conj(e) v) of each vertex, one pass per edge: max x, -min x,
         max y and -min y, equal to the support of each a up to the sign of a
         zero, which no bound reads.  Re(conj(a) z) is taken from a itself:
@@ -221,7 +214,7 @@ class ConvexSet2D:
         if self.kind == "halfplane":
             normal, offset = self.data
             bounds = [(re_cip(normal / abs(normal), z), offset / abs(normal))]
-        elif self.kind in ("point", "segment", "polygon"):
+        elif self.kind == "polygon":
             # along and across every edge, both signs (so the orientation of
             # the loop does not matter), or the axes for a point
             vs = self.data
@@ -255,11 +248,8 @@ class ConvexSet2D:
         closed half circle: a bounded set off a line must contain 0 other
         than as an extreme point; halfplanes always qualify.
         """
-        if self.kind in ("point", "segment"):
-            return False
         if self.kind == "polygon":
-            vs = self.data  # a loop on a line through 0 spans only that line
-            return any(_edge_crosses(0j, vs)) and _polygon_contains(0j, vs) and 0 not in vs
+            return _loop_surrounds_origin(self.data) and 0 not in self.data
         if self.kind == "plane":
             return True
         if self.kind == "disk":
@@ -304,19 +294,21 @@ def _edge_crosses(z: complex, vertices) -> list:
 
 
 def _polygon_contains(z: complex, vertices) -> bool:
-    """Point-in-convex-polygon via signed areas (vertices in a loop).  A
-    loop whose signed areas all vanish lies on one line through z, and is
-    read as the segment between its extreme vertices."""
-    n = len(vertices)
-    if n == 1:
-        return z == vertices[0]
-    if n == 2:
-        return _segment_distance(z, vertices[0], vertices[1]) <= POLYGON_TOL
+    """Point-in-convex-polygon via signed areas (a loop of three or more
+    vertices).  A loop whose signed areas all vanish lies on one line
+    through z, and is read as the segment between its extreme vertices."""
     signs = _edge_crosses(z, vertices)
     if not any(signs):
         ends = sorted(vertices, key=lambda v: (v.real, v.imag))
         return _segment_distance(z, ends[0], ends[-1]) <= POLYGON_TOL
     return all(s >= -POLYGON_TOL for s in signs) or all(s <= POLYGON_TOL for s in signs)
+
+
+def _loop_surrounds_origin(vertices) -> bool:
+    """Whether a loop has three or more vertices, not all on one line
+    through 0, and holds 0: a point or a segment never spans the plane."""
+    return (len(vertices) > 2 and any(_edge_crosses(0j, vertices))
+            and _polygon_contains(0j, vertices))
 
 
 @dataclass(frozen=True)
@@ -370,26 +362,6 @@ class Generator:
 
     def __repr__(self) -> str:
         return f"Generator({self.name!r})"
-
-
-def midpoint_convexity_check(f, points=None, seed: int = 0, n_pairs: int = 200) -> bool:
-    """Sampled check of midpoint convexity: f((a+b)/2) <= (f(a)+f(b))/2 + slack.
-
-    This is the only convexity verification offered for user generators: a
-    grid test, not a proof.  Pairs with non-finite values are skipped.
-    """
-    value = f.value if hasattr(f, "value") else f
-    if points is None:
-        rng = np.random.default_rng(seed)
-        points = [complex(a, b) for a, b in rng.uniform(-5, 5, size=(2 * n_pairs, 2))]
-    pts = list(points)
-    for a, b in zip(pts[0::2], pts[1::2]):
-        fa, fb = value(a), value(b)
-        if not (math.isfinite(fa) and math.isfinite(fb)):
-            continue
-        if value((a + b) / 2) > (fa + fb) / 2 + CONVEXITY_SLACK * (1 + abs(fa) + abs(fb)):
-            return False
-    return True
 
 
 def make_generator(name, value, grad=None, hess=None, subdiff=None, tag=None) -> Generator:
@@ -599,7 +571,7 @@ def _squared_generator_cone(S: ConvexSet2D) -> ConvexSet2D:
         if g == 0:
             raise ValueError("q_set needs a subdifferential different from {0}")
         return ConvexSet2D.halfplane(g * g, 0.0)
-    if S.kind == "polygon" and any(_edge_crosses(0j, S.data)) and _polygon_contains(0j, S.data):
+    if S.kind == "polygon" and _loop_surrounds_origin(S.data):
         return ConvexSet2D.plane()
     if S.kind == "disk":
         center, radius = S.data

@@ -7,18 +7,17 @@ untyped block B for the remaining spectrum, the base matrix is
     X = P^{-1} Diag(B, J_1, ..., J_m) P,
 
 with J_j the Jordan segment of eigenvalue j.  Numerical Jordan form
-recovery is ill-posed; a convenience constructor accepts a raw matrix only
-on the diagonalizable path with well separated eigenvalues.
+recovery is ill-posed, so no constructor takes a raw matrix.
 
 The matrix-side derivative formulas read the Taylor coordinates of the
 eigenvalue-j factor's derivative g_j'(X) Z, mu_js = -tr(N_j^(s-1) V_jj)
-with V = P Z P^{-1} (:func:`_factor_coords`).  The derivative of the
-characteristic polynomial map takes (0, mu) through F'(0), the coordinate
-matrix of :mod:`factorspace`; the calculus stays in the coordinates and
-never forms that polynomial.  On a nonderogatory eigenvalue the
-coordinates are -R_j^* vec Z, with R_j the columns
-vec(P^* (N_j^(s-1))^* P^{-*}) of :func:`R_matrix`, the map the chain route
-inverts and the sampler pushes forward through.
+with V = P Z P^{-1}.  The derivative of the characteristic polynomial map
+takes (0, mu) through F'(0), the coordinate matrix of :mod:`factorspace`;
+the calculus stays in the coordinates and never forms that polynomial.  On
+a nonderogatory eigenvalue the coordinates are -R_j^* vec Z, with R_j the
+columns vec(P^* (N_j^(s-1))^* P^{-*}) of :func:`R_matrix`: the one
+factor-coordinate map, which the chain route inverts, the sampler pushes
+forward through and the subderivative applies.
 
 Specs and matrices are immutable after construction (derived factorizations
 are cached up front), so concurrent reads are safe.
@@ -80,7 +79,6 @@ class JordanSpec:
 
     MIN_SEPARATION = 1e-8  # absolute: between declared eigenvalues
     MAX_CONDITION = 1e8
-    RAW_SEPARATION = 1e-4  # absolute: between the eigenvalues :meth:`from_matrix` accepts
 
     def __init__(self, eigs, P=None, B=None):
         parsed = []
@@ -204,10 +202,6 @@ class JordanSpec:
         return self._subblock_slices[j]
 
     @property
-    def declared_degree(self) -> int:
-        return self.n - self.n0
-
-    @property
     def b_eigenvalues(self) -> np.ndarray:
         return self._b_eigs
 
@@ -241,25 +235,6 @@ class JordanSpec:
         """Inverse of :meth:`to_W`: Y = P^{*} W P^{-*}."""
         return self.Pstar @ np.asarray(W, dtype=complex) @ self.Pinvstar
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def from_matrix(X) -> "JordanSpec":
-        """Diagonalizable path: simple eigenvalues over RAW_SEPARATION apart only."""
-        X = np.asarray(X, dtype=complex)
-        lams, V = np.linalg.eig(X)
-        for i in range(len(lams)):
-            for k in range(i + 1, len(lams)):
-                if abs(lams[i] - lams[k]) <= JordanSpec.RAW_SEPARATION:
-                    raise ValueError(
-                        "eigenvalues too close for structure-free construction; "
-                        "declare the Jordan data explicitly"
-                    )
-        order = sorted(range(len(lams)), key=lambda i: lex_key(lams[i]))
-        V = V[:, order]
-        lams = lams[order]
-        return JordanSpec([(lam, (1,)) for lam in lams], P=np.linalg.inv(V))
-
     def __repr__(self) -> str:
         parts = ", ".join(f"{lam}:{list(blocks)}" for lam, blocks in self.eigs)
         return f"JordanSpec(n={self.n}, n0={self.n0}, eigs=[{parts}])"
@@ -272,20 +247,6 @@ def _lex_cluster(spec: JordanSpec, eigs) -> tuple:
     order = sorted(eigs, key=lambda j: lex_key(spec.eig_value(j)))
     return order, RootCluster(tuple(spec.eig_value(j) for j in order),
                               tuple(spec.n_j(j) for j in order))
-
-
-def _factor_coords(spec: JordanSpec, j: int, Z) -> np.ndarray:
-    """Taylor coordinates mu_j1..mu_jn_j of g_j'(X) Z, the derivative of the
-    eigenvalue-j monic factor map in direction Z:
-    mu_js = -tr(N_j^(s-1) V_jj) with V = P Z P^{-1}, the (s-1)-th
-    subdiagonals of V_jj summed over the sub-blocks.  Entries past m_j are
-    zero, so derogatory eigenvalues are covered."""
-    V = spec.P @ np.asarray(Z, dtype=complex) @ spec.Pinv
-    mu = np.zeros(spec.n_j(j), dtype=complex)
-    for sl, b in zip(spec.subblock_slices(j), spec.block_sizes(j)):
-        for s in range(b):
-            mu[s] -= np.trace(V[sl, sl], offset=-s)
-    return mu
 
 
 def declared_active(spec: JordanSpec, f) -> tuple:

@@ -72,9 +72,6 @@ class FDReport:
     formula_value: Optional[float] = None
     verdict: Optional[bool] = None
 
-    def diverging(self) -> bool:
-        return self.growth_exponent is not None and self.growth_exponent <= GROWTH_CUTOFF
-
 
 def growth_exponent(steps: Sequence[float], quotients: Sequence[float]) -> Optional[float]:
     """Slope of log|quotient| against log step; needs at least three usable points."""

@@ -289,15 +289,15 @@ def _sample(cluster: RootCluster, f: Generator, active: list, gamma, seed: int) 
 
 
 def _sample_set(S: ConvexSet2D, rng, interior: bool = False) -> complex:
-    if S.kind == "point":
-        return S.data[0]
-    if S.kind == "segment":
-        t = rng.uniform()
-        return S.data[0] + t * (S.data[1] - S.data[0])
-    if S.kind == "polygon":
-        ws = rng.uniform(size=len(S.data))
+    if S.kind == "polygon":  # a point takes no draw, a segment one uniform
+        vs = S.data
+        if len(vs) == 1:
+            return vs[0]
+        if len(vs) == 2:
+            return vs[0] + rng.uniform() * (vs[1] - vs[0])
+        ws = rng.uniform(size=len(vs))
         ws /= ws.sum()
-        return complex(np.dot(ws, np.asarray(S.data)))
+        return complex(np.dot(ws, np.asarray(vs)))
     if S.kind == "halfplane":
         normal, offset = S.data
         slack = abs(rng.standard_normal()) + (0.1 if interior else 0.0)
@@ -338,10 +338,10 @@ def _subderivative(f: Generator, active) -> float:
 
     Finite exactly when, at every active root, sqrt(-omega_j2) is
     real-orthogonal to the whole subdifferential and the deeper coordinates
-    vanish.  Orthogonality to a generating point g means that omega_j2 lies
-    on the ray through g^2, which is tested within COORD_TOL * (1 + |block|)
-    for every nonzero g of the subdifferential's finite generator list.  The
-    value is then the max over active roots of
+    vanish.  Orthogonality to a vertex g means that omega_j2 lies on the
+    ray through g^2, which is tested within COORD_TOL * (1 + |block|) for
+    every nonzero vertex of the subdifferential, a polygon (other kinds are
+    rejected).  The value is then the max over active roots of
     (f'(lam_j; -omega_j1) + curvature term) / n_j, the curvature term being
     f''(lam_j; sqrt(-omega_j2), sqrt(-omega_j2)) in the smooth regime and
     zero in the corner regime.  The division by the multiplicity applies to
@@ -357,7 +357,11 @@ def _subderivative(f: Generator, active) -> float:
         if n_j >= 2:
             # tested on omega_j2 itself: through its square root, rounding
             # noise of size eps would become noise of size sqrt(eps)
-            for g in _generating_points(f.subdiff(lam)):
+            S = f.subdiff(lam)
+            if S.kind != "polygon":
+                raise UnsupportedGenerator(
+                    f"orthogonality test has no finite generator list for {S.kind!r}")
+            for g in S.data:
                 if g == 0:
                     continue
                 t = (g * g).conjugate() * block[1] / abs(g * g)  # on the ray iff t >= 0
@@ -369,15 +373,3 @@ def _subderivative(f: Generator, active) -> float:
             return math.inf
         vals.append((f.dirderiv(lam, -block[0]) + kappa) / n_j)
     return max(vals)
-
-
-def _generating_points(S: ConvexSet2D):
-    if S.kind == "point":
-        return [S.data[0]]
-    if S.kind == "segment":
-        return list(S.data)
-    if S.kind == "polygon":
-        return list(S.data)
-    raise UnsupportedGenerator(
-        f"orthogonality test has no finite generator list for {S.kind!r}"
-    )

@@ -12,8 +12,8 @@ route reaches the same set through the factor coordinates of the active
 factor, pulled back through the one map :func:`jordan.R_matrix` of the
 active eigenvalues, and the two are used as mutual cross-checks; members
 are drawn in factor coordinates and pushed forward through the same map.
-The subderivative along a direction Z reads the same factor coordinates of
-Z, at nonderogatory active eigenvalues.
+The subderivative along a direction Z reads the factor coordinates of Z
+through the adjoint of that map, at nonderogatory active eigenvalues.
 The spectral radius enters through :func:`generators.radius_transform`.
 
 Tolerances are module constants: structural zeros within STRUCT_TOL and
@@ -35,14 +35,7 @@ import numpy as np
 
 from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _values
 from .generators import Generator, UnsupportedGenerator, builtin
-from .jordan import (
-    DerogatoryEigenvalue,
-    JordanSpec,
-    R_matrix,
-    _factor_coords,
-    _lex_cluster,
-    declared_active,
-)
+from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
 from .polysub import (
     COORD_TOL,
     _ActiveBlock,
@@ -106,7 +99,6 @@ class ToeplitzParams:
     residuals above ``STRUCT_TOL * max(1, norm)``, with ``norm`` = |Y|; the
     flags and ``ok`` summarize them."""
 
-    level: str
     W: np.ndarray
     theta: dict
     residuals: list
@@ -127,16 +119,12 @@ class ToeplitzParams:
         failed = {v.condition for v in self.violations}
         return {flag: c not in failed for c, (flag, _) in _CHECKS.items()}
 
-    def theta_of(self, j: int, s: int) -> complex:
-        """theta_{j,s} with s starting at 1 (diagonal)."""
-        return self.theta[j][s - 1]
-
     def scaled(self, c: complex) -> "ToeplitzParams":
         """The extraction of c * Y read off this one of Y: W and theta scale
         by c, every residual by |c|, and the tolerance moves with |c| |Y|."""
         size = abs(c)
         return ToeplitzParams(
-            self.level, c * self.W, {j: c * t for j, t in self.theta.items()},
+            c * self.W, {j: c * t for j, t in self.theta.items()},
             [(cond, size * r, at) for cond, r, at in self.residuals], size * self.norm)
 
 
@@ -266,7 +254,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
                                   (j, s + 1)))
         theta[j] = np.array(vals)
 
-    return ToeplitzParams(level, W, theta, residuals, norm)
+    return ToeplitzParams(W, theta, residuals, norm)
 
 
 def _candidate(spec: JordanSpec, Y) -> tuple:
@@ -426,11 +414,12 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
     """Subderivative of phi_f at the base matrix in direction Z, by the
     chain rule through the characteristic polynomial map: the root max
     function's subderivative (:func:`polysub._subderivative`) read off the
-    factor coordinates mu of Z (:func:`jordan._factor_coords`), no solve.
-    The chain rule needs F'(X) onto, so every active eigenvalue
-    nonderogatory: at a derogatory one the value would only be a lower
-    bound, and DerogatoryEigenvalue is raised.  The spec must declare the
-    whole spectrum (no rest block), and Z must be a finite n x n matrix."""
+    factor coordinates mu = -R^* vec Z of the active eigenvalues
+    (:func:`jordan.R_matrix`), no solve.  The chain rule needs F'(X) onto,
+    so every active eigenvalue nonderogatory: at a derogatory one the value
+    would only be a lower bound, and R_matrix raises DerogatoryEigenvalue.
+    The spec must declare the whole spectrum (no rest block), and Z must be
+    a finite n x n matrix."""
     if spec.n0 != 0:
         raise ValueError("derivative action needs the full spectrum declared")
     Z = np.asarray(Z, dtype=complex)
@@ -439,13 +428,11 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
     if not np.isfinite(Z).all():
         raise ValueError("direction must be finite")
     g, rho, active = declared_active(spec, f)
-    for j in active:
-        if not spec.nonderogatory(j):
-            raise DerogatoryEigenvalue(
-                f"active eigenvalue {spec.eig_value(j)} has {spec.q_j(j)} Jordan blocks: "
-                "the subderivative needs nonderogatory active eigenvalues")
-    return _subderivative(g, [(spec.eig_value(j), spec.n_j(j), _factor_coords(spec, j, Z))
-                              for j in active]) / rho
+    sizes = [spec.n_j(j) for j in active]
+    mu = -(R_matrix(spec, active).conj().T @ Z.ravel())
+    blocks = np.split(mu, np.cumsum(sizes)[:-1])
+    return _subderivative(g, [(spec.eig_value(j), n_j, block) for j, n_j, block
+                              in zip(active, sizes, blocks)]) / rho
 
 
 # -- the spectral radius entry point ----------------------------------------------

@@ -1,8 +1,9 @@
-"""Test-side machinery of the characteristic-polynomial lemmas.
+"""Test-side machinery of the characteristic-polynomial lemmas and the
+Taylor-coordinate references.
 
 The calculus never forms the characteristic polynomial: the matrix
-subderivative reads the factor coordinates of a direction straight off
-``jordan._factor_coords``.  The lemmas behind that route are checked here,
+subderivative reads the factor coordinates of a direction through
+``jordan.R_matrix``.  The lemmas behind that route are checked here,
 against finite differences of the characteristic polynomial itself
 (criteria 5 and 6, ``test_jordan``):
 
@@ -10,13 +11,45 @@ against finite differences of the characteristic polynomial itself
 - :func:`char_poly_deriv_action`, F'(X) Z as the coordinate matrix of
   ``factorspace`` applied to (0, mu), mu the factor coordinates of Z;
 - :func:`det_expansion_residual`, the first-order determinant expansion.
+
+The references for the coordinates themselves:
+
+- :func:`factor_coords`, mu_j by traces of sub-blocks, which covers
+  derogatory eigenvalues, where R_matrix refuses;
+- :func:`taylor_coeff`, a Taylor coefficient by repeated differentiation.
 """
+
+import math
 
 import numpy as np
 
 from specmax.cpoly import Poly
 from specmax.factorspace import _coordinate_matrix
-from specmax.jordan import _factor_coords, _lex_cluster
+from specmax.jordan import _lex_cluster
+
+
+def taylor_coeff(p: Poly, k: int, lam0: complex) -> complex:
+    """k-th Taylor coefficient of p at lam0, i.e. p^(k)(lam0) / k!."""
+    if k < 0 or k > p.degree_bound:
+        raise ValueError(f"Taylor order {k} outside 0..{p.degree_bound}")
+    cs = p.array()
+    for _ in range(k):
+        cs = cs[1:] * np.arange(1, len(cs))
+    return Poly(tuple(cs))(lam0) / math.factorial(k)
+
+
+def factor_coords(spec, j: int, Z) -> np.ndarray:
+    """Taylor coordinates mu_j1..mu_jn_j of g_j'(X) Z, the derivative of the
+    eigenvalue-j monic factor map in direction Z:
+    mu_js = -tr(N_j^(s-1) V_jj) with V = P Z P^{-1}, the (s-1)-th
+    subdiagonals of V_jj summed over the sub-blocks.  Entries past m_j are
+    zero, so derogatory eigenvalues are covered."""
+    V = spec.P @ np.asarray(Z, dtype=complex) @ spec.Pinv
+    mu = np.zeros(spec.n_j(j), dtype=complex)
+    for sl, b in zip(spec.subblock_slices(j), spec.block_sizes(j)):
+        for s in range(b):
+            mu[s] -= np.trace(V[sl, sl], offset=-s)
+    return mu
 
 
 def char_poly(X) -> Poly:
@@ -40,7 +73,7 @@ def char_poly_deriv_action(spec, Z) -> Poly:
     must cover the whole spectrum (empty rest block); derogatory
     eigenvalues are covered."""
     order, cluster = _lex_cluster(spec, range(spec.num_eigs))
-    mu = np.concatenate([_factor_coords(spec, j, Z) for j in order])
+    mu = np.concatenate([factor_coords(spec, j, Z) for j in order])
     return Poly(tuple(_coordinate_matrix(cluster)[:spec.n, 1:] @ mu))
 
 

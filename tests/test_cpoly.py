@@ -16,10 +16,11 @@ from specmax.cpoly import (
     poly_from_json,
     poly_root_max,
     roots,
-    taylor_coeff,
 )
 from specmax.generators import builtin, make_generator
 from specmax.specsub import spectral_max
+
+from charpoly_lemmas import taylor_coeff
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 cplx = st.builds(complex, finite, finite)

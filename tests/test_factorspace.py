@@ -1,15 +1,17 @@
 """The factor space in Taylor coordinates: F'(0) is the coordinate matrix
 and its inverse the coordinate solve.  The references rebuild the factor
 polynomials from the coordinates with ``cpoly.elementary`` and read
-coordinates off polynomials with ``cpoly.taylor_coeff``."""
+coordinates off polynomials with ``charpoly_lemmas.taylor_coeff``."""
 
 import numpy as np
 import pytest
 
-from specmax.cpoly import Poly, RootCluster, elementary, taylor_coeff
+from specmax.cpoly import Poly, RootCluster, elementary
 from specmax.factorspace import _coordinate_matrix, _solve_coords
 from specmax.generators import builtin
 from specmax.polysub import rsd_f_membership
+
+from charpoly_lemmas import taylor_coeff
 
 LAM2 = RootCluster((0j,), (2,))                      # lambda^2
 LAM_LAM1 = RootCluster((0j, 1 + 0j), (1, 1))         # lambda (lambda - 1)

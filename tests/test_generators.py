@@ -19,7 +19,7 @@ from specmax.generators import (
     q_set,
     re_cip,
 )
-from specmax.polysub import Dp_horizon_membership, Dp_membership, Dp_sample, _member
+from specmax.polysub import Dp_horizon_membership, Dp_membership, Dp_sample, _member, _sample_set
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -123,11 +123,12 @@ class TestConditionCheck:
 class TestQSet:
     def test_abscissa_left_halfplane(self):
         Q = q_set(ABSC, 0)
-        assert Q.contains(-1 + 5j) and Q.contains(0) and not Q.contains(0.1)
+        assert Q.distance(-1 + 5j) <= 1e-10 and Q.distance(0) <= 1e-10
+        assert Q.distance(0.1) > 1e-10
 
     def test_radius2_same_halfplane_at_one(self):
         Q = q_set(RAD2, 1.0)
-        assert Q.contains(-2 - 7j) and not Q.contains(1e-6)
+        assert Q.distance(-2 - 7j) <= 1e-10 and Q.distance(1e-6) > 1e-10
 
     def test_ell1_origin_full_plane(self):
         assert q_set(ELL1, 0).kind == "plane"
@@ -137,9 +138,9 @@ class TestQSet:
         rng = np.random.default_rng(3)
         for _ in range(50):
             z = complex(rng.standard_normal(), rng.standard_normal())
-            if Q.contains(z):
+            if Q.distance(z) <= 1e-10:
                 for t in (0.5, 2.0, 10.0):
-                    assert Q.contains(t * z)
+                    assert Q.distance(t * z) <= 1e-10
 
     def test_zero_subdifferential_rejected(self):
         assert RAD2.grad(0) == 0
@@ -242,8 +243,8 @@ class TestConvexSet2D:
 
     def test_polygon_contains_interior(self):
         square = ConvexSet2D.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
-        assert square.contains(0.3 - 0.7j)
-        assert not square.contains(1.2)
+        assert square.distance(0.3 - 0.7j) <= 1e-10
+        assert square.distance(1.2) > 1e-10
 
     def test_support_function_of_disk(self):
         D = ConvexSet2D.disk(2.0)
@@ -264,18 +265,18 @@ class TestConvexSet2D:
 
     def test_halfplane_scaling(self):
         H = ConvexSet2D.halfplane(1.0, 1.0).scaled(0.5)
-        assert H.contains(0.5) and not H.contains(0.5 + 1e-8)
+        assert H.distance(0.5) <= 1e-10 and H.distance(0.5 + 1e-8) > 1e-10
 
     def test_scaling_by_zero_collapses(self):
         S = ConvexSet2D.segment(1, 2).scaled(0.0)
-        assert S.contains(0) and not S.contains(1)
+        assert S.distance(0) <= 1e-10 and S.distance(1) > 1e-10
 
     def test_degenerate_polygon_is_its_segment(self):
         # a loop on one line is the segment between its extreme vertices,
         # which need not be the first and last of the loop
         S = ConvexSet2D.polygon([0, 1, 2])
         assert S.distance(5) == 3 and S.distance(-1) == 1 and S.distance(1.5) == 0
-        assert S.distance(1 + 1j) == 1 and not S.contains(2.5)
+        assert S.distance(1 + 1j) == 1 and S.distance(2.5) > 1e-10
         assert ConvexSet2D.polygon([1j, 0, 2j]).distance(5j) == 3
         # its real span is a line, not the plane
         assert not ConvexSet2D.polygon([-1, 1, 2]).rspan_is_plane()
@@ -346,7 +347,7 @@ class TestConvexSet2D:
         margin, floor = 1e-4, 1e-12
         nonempty = 0
         for S in _random_sets(rng):
-            if S.kind not in ("point", "segment", "polygon"):
+            if S.kind != "polygon":
                 continue
             vs = S.data
             inner = complex(np.dot(rng.dirichlet(np.ones(len(vs))), vs))
@@ -364,19 +365,6 @@ class TestConvexSet2D:
                     elif t < lo - pad or t > hi + pad:
                         assert d > floor * (1.0 + abs(z)), (S, z, t, lo, hi, d)
         assert nonempty >= 100
-
-
-class TestMidpointConvexity:
-    def test_builtins_pass(self):
-        from specmax.generators import midpoint_convexity_check
-
-        for name in ("abscissa", "radius", "radius2", "ell1"):
-            assert midpoint_convexity_check(builtin(name), seed=1)
-
-    def test_nonconvex_sample_fails(self):
-        from specmax.generators import midpoint_convexity_check
-
-        assert not midpoint_convexity_check(lambda z: -abs(z) ** 2, seed=1)
 
 
 # -- the plane geometry with numpy scalars, as it was written before the
@@ -397,10 +385,6 @@ def _ref_segment_distance(z, a, b):
 
 def _ref_polygon_contains(z, vertices):
     n = len(vertices)
-    if n == 1:
-        return z == vertices[0]
-    if n == 2:
-        return _ref_segment_distance(z, vertices[0], vertices[1]) <= 1e-14
     signs = []
     for i in range(n):
         a, b = vertices[i], vertices[(i + 1) % n]
@@ -427,12 +411,13 @@ def _ref_disk_scales(z, center, radius, tol):
 
 def _ref_support(S, direction):
     d = complex(direction)
-    if S.kind == "point":
-        return _ref_re_cip(d, S.data[0])
-    if S.kind == "segment":
-        return max(_ref_re_cip(d, S.data[0]), _ref_re_cip(d, S.data[1]))
     if S.kind == "polygon":
-        return max(_ref_re_cip(d, v) for v in S.data)
+        vs = S.data
+        if len(vs) == 1:
+            return _ref_re_cip(d, vs[0])
+        if len(vs) == 2:
+            return max(_ref_re_cip(d, vs[0]), _ref_re_cip(d, vs[1]))
+        return max(_ref_re_cip(d, v) for v in vs)
     if S.kind == "disk":
         center, radius = S.data
         return _ref_re_cip(d, center) + radius * abs(d)
@@ -445,12 +430,12 @@ def _ref_support(S, direction):
 
 def _ref_distance(S, z):
     z = complex(z)
-    if S.kind == "point":
-        return abs(z - S.data[0])
-    if S.kind == "segment":
-        return _ref_segment_distance(z, *S.data)
     if S.kind == "polygon":
         vs = S.data
+        if len(vs) == 1:
+            return abs(z - vs[0])
+        if len(vs) == 2:
+            return _ref_segment_distance(z, *vs)
         if _ref_polygon_contains(z, vs):
             return 0.0
         return min(_ref_segment_distance(z, vs[i], vs[(i + 1) % len(vs)])
@@ -528,7 +513,7 @@ def _random_sets(rng):
 def _probes(rng, S):
     """Random points, signed zeros, and points on the vertices and edges."""
     zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(3)] + SIGNED_ZEROS
-    if S.kind in ("point", "segment", "polygon"):
+    if S.kind == "polygon":
         vs = S.data
         zs += list(vs)
         zs += [a + rng.uniform() * (b - a) for a, b in zip(vs, vs[1:] + vs[:1])]
@@ -562,6 +547,38 @@ class TestPlainFloatGeometry:
     def test_polygon_membership_matches_the_reference(self):
         rng = np.random.default_rng(13)
         for S in _random_sets(rng):
-            if S.kind == "polygon":
+            if S.kind == "polygon" and len(S.data) > 2:
                 for z in _probes(rng, S):
                     assert _polygon_contains(z, S.data) == _ref_polygon_contains(z, S.data)
+
+    def test_one_and_two_vertex_loops_are_the_point_and_the_segment(self):
+        # a loop of one vertex is a point and one of two a segment, bit for
+        # bit: singleton exactly when the vertices are equal, the exact
+        # distance (no snap of small ones to 0), and a sample that takes no
+        # draw or one uniform
+        rng = np.random.default_rng(18)
+        loops = [S.data for S in _random_sets(rng) if S.kind not in ("halfplane", "disk")
+                 and len(S.data) <= 2]
+        assert len(loops) >= 80
+        for vs in loops:
+            P = ConvexSet2D.polygon(vs)
+            a, b = vs[0], vs[-1]
+            assert P.is_singleton == (a == b)
+            for z in _probes(rng, P):
+                ref = abs(z - a) if len(vs) == 1 else _ref_segment_distance(z, a, b)
+                assert _bits(P.distance(z)) == _bits(ref), (vs, z)
+                ref = max(_ref_re_cip(z, v) for v in vs)
+                assert _bits(P.support(z)) == _bits(ref), (vs, z)
+                for tol in (0.0, 1e-8, 1e-3):
+                    got, ref = P.scale_interval(z, tol), _ref_scale_interval(P, z, tol)
+                    assert _bits(got) == _bits(ref), (vs, z, tol)
+            for t in (0.0, 0.3, 2.0):
+                got = P.scaled(t).data
+                ref = (0j,) if t == 0 else tuple(complex(t * v) for v in vs)
+                assert _bits(tuple(x for v in got for x in (v.real, v.imag))) == \
+                    _bits(tuple(x for v in ref for x in (v.real, v.imag))), (vs, t)
+            draws, ref = np.random.default_rng(5), np.random.default_rng(5)
+            got = _sample_set(P, draws)
+            expect = a if len(vs) == 1 else a + ref.uniform() * (b - a)
+            assert _bits((got.real, got.imag)) == _bits((expect.real, expect.imag)), vs
+            assert draws.uniform() == ref.uniform()  # no draw beyond these

@@ -80,16 +80,16 @@ def _reference_rsd(spec, f, Y, horizon=False):
     params, atol, failed = _reference_structure(spec, Y, active)
     if horizon:
         for j in active:
-            if abs(params.theta_of(j, 1)) > atol:
+            if abs(params.theta[j][0]) > atol:
                 failed.append("diagonal_zero")
             if spec.m_j(j) >= 2:
                 g = f.grad(spec.eig_value(j))
-                if re_cip(params.theta_of(j, 2), g * g) < -INEQ_SLACK:
+                if re_cip(params.theta[j][1], g * g) < -INEQ_SLACK:
                     failed.append("subdiagonal_halfplane")
         return not failed
     sigma, total = {}, 0.0
     for j in active:
-        s = params.theta_of(j, 1) / f.grad(spec.eig_value(j))
+        s = params.theta[j][0] / f.grad(spec.eig_value(j))
         sigma[j] = s
         total += spec.n_j(j) * s
         if abs(s.imag) > WEIGHT_TOL or s.real < -WEIGHT_TOL:
@@ -100,7 +100,7 @@ def _reference_rsd(spec, f, Y, horizon=False):
         if spec.m_j(j) >= 2:
             lam = spec.eig_value(j)
             g = f.grad(lam)
-            lhs = re_cip(params.theta_of(j, 2), g * g)
+            lhs = re_cip(params.theta[j][1], g * g)
             if lhs < -max(sigma[j].real, 0.0) * f.eta(lam) - INEQ_SLACK:
                 failed.append("subdiagonal_halfplane")
     return not failed
@@ -113,15 +113,15 @@ def _reference_radius(spec, Y, horizon=False):
     params, atol, failed = _reference_structure(spec, Y, active)
     if horizon:
         for j in active:
-            if abs(params.theta_of(j, 1)) > atol:
+            if abs(params.theta[j][0]) > atol:
                 failed.append("diagonal_zero")
             lam = spec.eig_value(j)
-            if spec.m_j(j) >= 2 and re_cip(params.theta_of(j, 2), lam * lam) < -INEQ_SLACK:
+            if spec.m_j(j) >= 2 and re_cip(params.theta[j][1], lam * lam) < -INEQ_SLACK:
                 failed.append("subdiagonal_halfplane")
         return not failed
     total = 0.0
     for j in active:
-        lam, t1 = spec.eig_value(j), params.theta_of(j, 1)
+        lam, t1 = spec.eig_value(j), params.theta[j][0]
         ray = t1 / lam
         total += spec.n_j(j) * t1 * abs(lam) / lam
         if abs(ray.imag) > WEIGHT_TOL or ray.real < -WEIGHT_TOL:
@@ -131,8 +131,8 @@ def _reference_radius(spec, Y, horizon=False):
     for j in active:
         if spec.m_j(j) >= 2:
             lam = spec.eig_value(j)
-            lhs = re_cip(params.theta_of(j, 2), lam * lam)
-            rhs = -np.real(params.theta_of(j, 1) * abs(lam) ** 2 / lam)
+            lhs = re_cip(params.theta[j][1], lam * lam)
+            rhs = -np.real(params.theta[j][0] * abs(lam) ** 2 / lam)
             if lhs < rhs - INEQ_SLACK:
                 failed.append("subdiagonal_halfplane")
     return not failed
@@ -141,7 +141,7 @@ def _reference_radius(spec, Y, horizon=False):
 def _reference_radius_zero(spec, Y, horizon=False):
     """The radius at one declared eigenvalue 0."""
     params, atol, failed = _reference_structure(spec, Y, [0])
-    t1 = params.theta_of(0, 1)
+    t1 = params.theta[0][0]
     if horizon and abs(t1) > atol:
         failed.append("diagonal_zero")
     if not horizon and abs(t1) > 1.0 / spec.n + INEQ_SLACK:

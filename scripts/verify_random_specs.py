@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from specmax.cpoly import Poly, RootCluster
-from specmax.factorspace import _coordinate_matrix
+from specmax.polysub import _coordinate_matrix
 from specmax.generators import builtin
 from specmax.jordan import (
     DerogatoryEigenvalue,

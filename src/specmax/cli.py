@@ -57,21 +57,11 @@ class SystemExit2(Exception):
 
 
 def _emit(payload, out) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _generator(name: str):

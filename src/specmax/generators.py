@@ -295,13 +295,19 @@ def _edge_crosses(z: complex, vertices) -> list:
 
 def _polygon_contains(z: complex, vertices) -> bool:
     """Point-in-convex-polygon via signed areas (a loop of three or more
-    vertices).  A loop whose signed areas all vanish lies on one line
-    through z, and is read as the segment between its extreme vertices."""
+    vertices).  A loop whose vertices lie exactly on one line (its signed
+    areas at its own first vertex all vanish) is read as the segment between
+    its extreme vertices: a point close to that line passes the sign test
+    wherever along the line it lies."""
     signs = _edge_crosses(z, vertices)
-    if not any(signs):
-        ends = sorted(vertices, key=lambda v: (v.real, v.imag))
-        return _segment_distance(z, ends[0], ends[-1]) <= POLYGON_TOL
-    return all(s >= -POLYGON_TOL for s in signs) or all(s <= POLYGON_TOL for s in signs)
+    if not (all(s >= -POLYGON_TOL for s in signs) or all(s <= POLYGON_TOL for s in signs)):
+        return False
+    v0 = vertices[0]
+    for a, b in zip(vertices[1:-1], vertices[2:]):  # the first and last edges meet v0
+        if (b.real - a.real) * (v0.imag - a.imag) - (b.imag - a.imag) * (v0.real - a.real):
+            return True
+    ends = sorted(vertices, key=lambda v: (v.real, v.imag))
+    return _segment_distance(z, ends[0], ends[-1]) <= POLYGON_TOL
 
 
 def _loop_surrounds_origin(vertices) -> bool:
@@ -416,9 +422,14 @@ def _abscissa() -> Generator:
 
 def _radius2() -> Generator:
     identity_form = np.eye(2)
+
+    def value(z):
+        a = abs(z)
+        return 0.5 * (a * a)  # overflows to inf where a Python float's a ** 2 raises
+
     return Generator(
         "radius2",
-        value=lambda z: 0.5 * abs(z) ** 2,
+        value=value,
         grad_fn=lambda z: z,
         hess_fn=lambda z: identity_form,
         subdiff_fn=lambda z: ConvexSet2D.point(z),

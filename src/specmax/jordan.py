@@ -12,7 +12,7 @@ recovery is ill-posed, so no constructor takes a raw matrix.
 The matrix-side derivative formulas read the Taylor coordinates of the
 eigenvalue-j factor's derivative g_j'(X) Z, mu_js = -tr(N_j^(s-1) V_jj)
 with V = P Z P^{-1}.  The derivative of the characteristic polynomial map
-takes (0, mu) through F'(0), the coordinate matrix of :mod:`factorspace`;
+takes (0, mu) through F'(0), the coordinate matrix of :mod:`polysub`;
 the calculus stays in the coordinates and never forms that polynomial.  On
 a nonderogatory eigenvalue the coordinates are -R_j^* vec Z, with R_j the
 columns vec(P^* (N_j^(s-1))^* P^{-*}) of :func:`R_matrix`: the one

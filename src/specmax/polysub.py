@@ -1,21 +1,29 @@
-"""Subdifferential and subderivative calculus for root max functions.
+"""Factor coordinates and the subdifferential calculus of root max functions.
+
+A monic p with distinct roots lam_j of multiplicities n_j factors as
+prod_j (lambda - lam_j)**n_j.  A perturbation of p has Taylor coordinates in
+C^(ntilde+1): mu0 (the leading-coefficient direction), then
+mu_js = tau_(n_j - s, lam_j)(u_j) for s = 1..n_j, with u_j its polynomial of
+degree <= n_j - 1 at root j.  The derivative F'(0) of the factored product
+is the coordinate matrix (:func:`_coordinate_matrix`), and
+:func:`_solve_coords` inverts it.
 
 The subgradient set of a root max function at a monic polynomial is
-described in the Taylor coordinates of the local factorization: the leading
-coordinate vanishes, inactive root blocks vanish, and each active block is
-constrained through a convex-weight family (weights gamma_j >= 0 summing to
-one across the active roots) scaling the first two coordinates of the
-per-root building blocks; deeper coordinates are free.  A singleton
-subdifferential forces its root's weight through the first coordinate.
-Every other active root admits an interval of weights, because
-{(x, gamma) : x in gamma S} is a convex cone, so the split exists exactly
-when those intervals can share the remaining mass.  The active roots come
-from :func:`cpoly.active_roots`, as on the matrix routes, with its radius
-transform and domain check.
+described in these coordinates: the leading coordinate vanishes, inactive
+root blocks vanish, and each active block is constrained through a
+convex-weight family (weights gamma_j >= 0 summing to one across the active
+roots) scaling the first two coordinates of the per-root building blocks;
+deeper coordinates are free.  A singleton subdifferential forces its root's
+weight through the first coordinate.  Every other active root admits an
+interval of weights, because {(x, gamma) : x in gamma S} is a convex cone,
+so the split exists exactly when those intervals can share the remaining
+mass.  The active roots come from :func:`cpoly.active_roots`, as on the
+matrix routes, with its radius transform and domain check, and every route
+reaches the per-root decision through :func:`_active_failures`.
 
 Tolerances are module constants: coordinates within the absolute
-COORD_TOL, which the matrix chain route shares, and the weight sum within
-SIMPLEX_TOL.
+COORD_TOL, which the matrix chain route shares, the weight sum within
+SIMPLEX_TOL, and the residual of the coordinate solve within SOLVE_TOL.
 
 All functions are pure.  The sets are the exact shapes of
 :class:`generators.ConvexSet2D`: the weight split reads their scale
@@ -29,11 +37,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
 from .cpoly import Poly, RootCluster, active_roots
-from .factorspace import _solve_coords
 from .generators import (
     COND14,
     COND15,
@@ -53,10 +62,72 @@ __all__ = [
     "subderivative_f",
     "SIMPLEX_TOL",
     "COORD_TOL",
+    "SOLVE_TOL",
 ]
 
 SIMPLEX_TOL = 1e-8  # dimensionless: the weight sum
 COORD_TOL = 1e-8  # absolute: factor coordinates, here and on the matrix chain route
+SOLVE_TOL = 1e-10  # relative to max(1, |v|): the residual of the coordinate solve
+
+
+def _coordinate_matrix(base: RootCluster) -> np.ndarray:
+    """Columns are the monomial coefficients of F'(0) applied to each basis
+    coordinate of the factorization space (mu0 first, then Taylor slots):
+    p, then r_j * (lambda - lam_j)**(n_j - s) for s = 1..n_j with the
+    cofactor r_j = p / (lambda - lam_j)**n_j, each convolved from the power
+    tables in the order of the :class:`Poly` products it stands for.
+
+    With T_k = (lambda - lam_k)**n_k, the prefix products
+    one * T_0 * ... * T_(j-1) are convolved once: the last is p, and r_j
+    continues the j-th with T_(j+1) ... T_(K-1).  Each product keeps its
+    order, so the bytes are those of one product per cofactor, from
+    K + K(K - 1)/2 convolutions instead of K^2."""
+    ntilde = base.degree()
+    one = np.ones(1, dtype=complex)
+    tables = [list(accumulate([np.array([-lam, 1.0 + 0j])] * n_j, np.convolve, initial=one))
+              for lam, n_j in zip(base.roots, base.mults)]  # tables[j][k] = (lambda - lam_j)**k
+    tops = [t[-1] for t in tables]
+    prefix = list(accumulate(tops, np.convolve, initial=one))  # one * T_0 * ... * T_(j-1)
+    M = np.zeros((ntilde + 1, ntilde + 1), dtype=complex)
+    M[:, 0] = prefix[-1]
+    col = 1
+    for j, n_j in enumerate(base.mults):
+        r_j = reduce(np.convolve, tops[j + 1:], prefix[j])
+        for s in range(1, n_j + 1):
+            c = np.convolve(r_j, tables[j][n_j - s])
+            M[: c.size, col] = c
+            col += 1
+    if not np.isfinite(M).all():
+        raise ValueError("polynomial coefficients must be finite")
+    return M
+
+
+def _solve_coords(base: RootCluster, v: Poly) -> np.ndarray:
+    """The Taylor coordinates (omega_0, omega_11, ..., omega_mn_m) of the
+    unique w with F'(0) w = v, by a dense solve with the coordinate matrix.
+
+    The stacked coordinate matrix is nonsingular whenever the base roots are
+    distinct; the solve is guarded by a residual check at SOLVE_TOL.
+    """
+    ntilde = base.degree()
+    if v.degree() > ntilde:
+        raise ValueError(f"degree of v exceeds {ntilde}")
+    M = _coordinate_matrix(base)
+    rhs = v.padded(ntilde).array()
+    try:
+        coords = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"factor coordinate system is singular: {exc}") from exc
+    resid = float(np.linalg.norm(M @ coords - rhs))
+    if resid > SOLVE_TOL * max(1.0, float(np.linalg.norm(rhs))):
+        raise ValueError(f"factor coordinate solve residual {resid:.3e} too large")
+    return coords
+
+
+def _split_blocks(mults, coords) -> list:
+    """The per-root blocks, as slices, of the Taylor coordinates that
+    follow the leading one, for roots of the multiplicities ``mults``."""
+    return [coords[end - n_j: end] for n_j, end in zip(mults, accumulate(mults))]
 
 
 def _regime(f: Generator, lam: complex) -> str:
@@ -186,19 +257,22 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
     return failed, gammas
 
 
-def _split_blocks(cluster: RootCluster, c: np.ndarray) -> list:
-    blocks = []
-    pos = 1
-    for n_j in cluster.mults:
-        blocks.append(c[pos: pos + n_j])
-        pos += n_j
-    return blocks
+def _active_failures(g: Generator, rho: float, active: list, tol: float,
+                     horizon: bool) -> tuple:
+    """:func:`block_failures` on the active roots, given as
+    ``(lam_j, n_j, block_j)`` with ``(g, rho)`` of :func:`cpoly.active_roots`:
+    the one entry of every membership route to the per-root decision.  The
+    radius transform scales the blocks and the tolerance by rho alike, so
+    the residuals for the radius are those of rho times the candidate under
+    radius2."""
+    data = [_ActiveBlock(g, lam, n_j) for lam, n_j, _ in active]
+    blocks = [[rho * t for t in block] for _, _, block in active]
+    return block_failures(data, blocks, rho * tol, horizon)
 
 
 def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) -> bool:
     """Whether the leading coordinate and the inactive blocks of c vanish
-    and its active blocks, as rho * c at tolerance rho * tol (the radius
-    transform of :func:`cpoly.active_roots`), pass :func:`block_failures`."""
+    and its active blocks pass :func:`_active_failures`."""
     c = np.asarray(c, dtype=complex).ravel()
     if c.size != cluster.degree() + 1:
         raise ValueError(
@@ -208,13 +282,12 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) ->
     if not math.isfinite(scale):  # NaN passes every "> tol" test below
         raise ValueError(f"coordinate vector must be finite, got norm {scale - 1.0}")
     g, rho, active = active_roots(f, cluster.roots)
-    blocks = _split_blocks(cluster, c)
+    blocks = _split_blocks(cluster.mults, c[1:])
     if abs(c[0]) > tol or any(np.linalg.norm(block) > tol * scale
                               for j, block in enumerate(blocks) if j not in active):
         return False
-    data = [_ActiveBlock(g, cluster.roots[j], cluster.mults[j]) for j in active]
-    scaled = [[rho * t for t in blocks[j].tolist()] for j in active]
-    return not block_failures(data, scaled, rho * tol, horizon)[0]
+    triples = [(cluster.roots[j], cluster.mults[j], blocks[j].tolist()) for j in active]
+    return not _active_failures(g, rho, triples, tol, horizon)[0]
 
 
 def Dp_membership(cluster: RootCluster, f: Generator, c) -> bool:
@@ -274,17 +347,15 @@ def _sample(cluster: RootCluster, f: Generator, active: list, gamma, seed: int) 
             or not abs(gamma.sum() - 1) <= SIMPLEX_TOL):  # NaN fails both
         raise ValueError("weights must be a point of the active simplex")
     c = np.zeros(cluster.degree() + 1, dtype=complex)
-    pos = 1
-    for j, n_j in enumerate(cluster.mults):
-        if j in active:
-            g = gamma[active.index(j)]
-            d = _ActiveBlock(f, cluster.roots[j], n_j)
-            c[pos] = -_sample_set(d.subdiff.scaled(g / n_j), rng)
-            if n_j >= 2:
-                c[pos + 1] = _sample_set(d.second_set(g), rng, interior=True)
-            if n_j >= 3:
-                c[pos + 2: pos + n_j] = rng.standard_normal(n_j - 2) + 1j * rng.standard_normal(n_j - 2)
-        pos += n_j
+    blocks = _split_blocks(cluster.mults, c[1:])  # views into c
+    for j, g in zip(active, gamma):
+        n_j, block = cluster.mults[j], blocks[j]
+        d = _ActiveBlock(f, cluster.roots[j], n_j)
+        block[0] = -_sample_set(d.subdiff.scaled(g / n_j), rng)
+        if n_j >= 2:
+            block[1] = _sample_set(d.second_set(g), rng, interior=True)
+        if n_j >= 3:
+            block[2:] = rng.standard_normal(n_j - 2) + 1j * rng.standard_normal(n_j - 2)
     return c
 
 
@@ -324,17 +395,19 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly) -> float:
     """Lower directional derivative of the root max function at the cluster
     polynomial in direction v: :func:`_subderivative` of the Taylor
     coordinates of v, one coordinate solve, on the active roots of
-    :func:`cpoly.active_roots`, whose radius transform divides it by rho."""
-    f, rho, active = active_roots(f, cluster.roots)
-    blocks = _split_blocks(cluster, _solve_coords(cluster, v))
-    return _subderivative(f, [(cluster.roots[j], cluster.mults[j], blocks[j])
-                              for j in active]) / rho
+    :func:`cpoly.active_roots`."""
+    g, rho, active = active_roots(f, cluster.roots)
+    blocks = _split_blocks(cluster.mults, _solve_coords(cluster, v)[1:])
+    return _subderivative(g, rho, [(cluster.roots[j], cluster.mults[j], blocks[j])
+                                   for j in active])
 
 
-def _subderivative(f: Generator, active) -> float:
+def _subderivative(f: Generator, rho: float, active) -> float:
     """The subderivative read off the Taylor coordinates of the active
     roots, given as ``(lam_j, n_j, omega_j)`` with omega_j the root's
-    coordinate block; f is the transformed generator.
+    coordinate block; f and rho are the transformed generator and the
+    factor of :func:`cpoly.active_roots`, whose radius transform divides
+    the value by rho.
 
     Finite exactly when, at every active root, sqrt(-omega_j2) is
     real-orthogonal to the whole subdifferential and the deeper coordinates
@@ -372,4 +445,4 @@ def _subderivative(f: Generator, active) -> float:
         if any(abs(block[s]) > bound for s in range(2, n_j)):
             return math.inf
         vals.append((f.dirderiv(lam, -block[0]) + kappa) / n_j)
-    return max(vals)
+    return max(vals) / rho

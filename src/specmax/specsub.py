@@ -36,14 +36,7 @@ import numpy as np
 from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _values
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
-from .polysub import (
-    COORD_TOL,
-    _ActiveBlock,
-    _sample,
-    _split_blocks,
-    _subderivative,
-    block_failures,
-)
+from .polysub import COORD_TOL, _active_failures, _sample, _split_blocks, _subderivative
 
 __all__ = [
     "Violation",
@@ -311,17 +304,15 @@ def _membership(spec: JordanSpec, f, params: ToeplitzParams,
                 horizon: bool) -> MembershipReport:
     """One active set, the regular W structure of the candidate Y (already
     extracted into ``params``), vanishing inactive blocks, and the active
-    blocks -theta_j through :func:`polysub.block_failures` at
-    INEQ_SLACK * max(1, |Y|).  The radius transform scales the blocks and
-    that tolerance by rho alike, so the core's residuals for the radius are
-    those of rho * Y under radius2."""
-    f, rho, active = declared_active(spec, f)
+    blocks -theta_j through :func:`polysub._active_failures` at
+    INEQ_SLACK * max(1, |Y|)."""
+    g, rho, active = declared_active(spec, f)
     scale = max(1.0, params.norm)
     failed = params.violations + _inactive_violations(spec, params.W, active,
                                                       STRUCT_TOL * scale)
-    data = [_ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
-    blocks = [[-rho * t for t in params.theta[j].tolist()] for j in active]
-    core, gammas = block_failures(data, blocks, rho * INEQ_SLACK * scale, horizon)
+    triples = [(spec.eig_value(j), spec.n_j(j), [-t for t in params.theta[j].tolist()])
+               for j in active]
+    core, gammas = _active_failures(g, rho, triples, INEQ_SLACK * scale, horizon)
     failed += [Violation(c, r, "active" if i is None else f"eig{active[i]}")
                for c, r, i in core]
     details = {"active": active}
@@ -370,9 +361,10 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
         gamma = gamma[[active.index(j) for j in order]]
     c = _sample(cluster, g, list(range(len(order))), gamma, seed)
     theta2 = dict(theta2 or {})
-    for j, block in zip(order, _split_blocks(cluster, c)):
+    for j, block in zip(order, _split_blocks(cluster.mults, c[1:])):
         if j in theta2 and len(block) >= 2:
-            block[1] = -complex(theta2[j])  # block is a view into c
+            t = complex(theta2[j])  # block is a view into c, which Y divides by rho
+            block[1] = complex(-rho * t.real, -rho * t.imag)
     Y = -(M @ c[1:]).reshape(spec.n, spec.n) / rho
     if theta2:
         report = rsd_membership(spec, f, Y)
@@ -389,7 +381,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     """Membership via the polynomial route: invert the coordinate-to-matrix
     map R of the active eigenvalues on its range (least squares plus a
     residual gate) and pass the Taylor coordinates of the active factor to
-    :func:`polysub.block_failures`, both at COORD_TOL.  The active set is
+    :func:`polysub._active_failures`, both at COORD_TOL.  The active set is
     decided once, by :func:`jordan.declared_active`: the factor holds only
     the active eigenvalues and its leading coordinate is zero by
     construction, so no inactive block or leading coordinate is left to
@@ -405,9 +397,8 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     resid = float(np.linalg.norm(M @ v - rhs))
     if resid > COORD_TOL * max(1.0, norm):
         return False
-    data = [_ActiveBlock(g, lam, n_j) for lam, n_j in zip(cluster.roots, cluster.mults)]
-    blocks = _split_blocks(cluster, rho * np.concatenate(([0.0 + 0.0j], v)))
-    return not block_failures(data, blocks, rho * COORD_TOL, horizon)[0]
+    triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v)))
+    return not _active_failures(g, rho, triples, COORD_TOL, horizon)[0]
 
 
 def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
@@ -430,9 +421,8 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
     g, rho, active = declared_active(spec, f)
     sizes = [spec.n_j(j) for j in active]
     mu = -(R_matrix(spec, active).conj().T @ Z.ravel())
-    blocks = np.split(mu, np.cumsum(sizes)[:-1])
-    return _subderivative(g, [(spec.eig_value(j), n_j, block) for j, n_j, block
-                              in zip(active, sizes, blocks)]) / rho
+    return _subderivative(g, rho, [(spec.eig_value(j), n_j, block) for j, n_j, block
+                                   in zip(active, sizes, _split_blocks(sizes, mu))])
 
 
 # -- the spectral radius entry point ----------------------------------------------

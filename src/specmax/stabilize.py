@@ -1,9 +1,9 @@
 """Subgradient descent demo over affine matrix families.
 
 Iterates of a descent run are generic, so the spectral max is handled on
-the structure-free path: eigenvalues are assumed simple (with a clustering
-fallback only for reporting) and the subgradient at a simple active
-eigenvalue is assembled from its left/right eigenvectors.  This is a
+the structure-free path: eigenvalues are assumed simple, and the
+subgradient at a simple active eigenvalue is assembled from its left/right
+eigenvectors.  This is a
 heuristic demonstration driver, not a certified minimizer.
 """
 

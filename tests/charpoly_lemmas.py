@@ -9,7 +9,7 @@ against finite differences of the characteristic polynomial itself
 
 - :func:`char_poly`, det(lambda I - X) by the trace recursion;
 - :func:`char_poly_deriv_action`, F'(X) Z as the coordinate matrix of
-  ``factorspace`` applied to (0, mu), mu the factor coordinates of Z;
+  ``polysub`` applied to (0, mu), mu the factor coordinates of Z;
 - :func:`det_expansion_residual`, the first-order determinant expansion.
 
 The references for the coordinates themselves:
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from specmax.cpoly import Poly
-from specmax.factorspace import _coordinate_matrix
+from specmax.polysub import _coordinate_matrix
 from specmax.jordan import _lex_cluster
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specmax.cpoly import Poly, RootCluster
-from specmax.factorspace import _coordinate_matrix
+from specmax.polysub import _coordinate_matrix
 from specmax.generators import builtin
 from specmax.jordan import JordanSpec
 from specmax.oracles import fd_phi_quotient, fd_poly_quotient, subgradient_inequality_suite

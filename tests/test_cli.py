@@ -210,6 +210,21 @@ class TestSubderivative:
         assert "full spectrum" in out.err
 
 
+class TestDomainErrors:
+    @pytest.mark.parametrize("f", ["radius2", "radius"])
+    @pytest.mark.parametrize("verb", [["membership"], ["verify"], ["subderivative", "matrix"]])
+    def test_modulus_past_the_square_range_exits_3(self, capsys, paths, verb, f):
+        # |lambda|^2 / 2 overflows to inf, outside the domain of radius2,
+        # which the radius reaches through its transform
+        spath = paths("S.json", {"eigs": [{"lambda": [1e155, 0.0], "blocks": [1]}]})
+        ypath = paths("Y.json", matrix_to_json(np.eye(1)))
+        argv = verb + [spath] + ([] if verb == ["verify"] else [ypath]) + ["--f", f]
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert out.err.startswith("domain error")
+
+
 class TestWorkedExamples:
     def test_all_pass(self, capsys):
         code, out = run(capsys, ["paper-examples", "--nu", "10"])
@@ -465,7 +480,7 @@ class TestImport:
                              text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         counts = dict(line.split() for line in out.stdout.splitlines())
-        assert {"cpoly", "factorspace", "jordan", "specsub", "cli"} <= counts.keys()
+        assert {"cpoly", "polysub", "jordan", "specsub", "cli"} <= counts.keys()
         assert int(counts["jordan"]) > 0 and int(counts["cpoly"]) > 0
 
 

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from specmax.cpoly import Poly, RootCluster, elementary
-from specmax.factorspace import _coordinate_matrix, _solve_coords
 from specmax.generators import builtin
-from specmax.polysub import rsd_f_membership
+from specmax.polysub import _coordinate_matrix, _solve_coords, rsd_f_membership
 
 from charpoly_lemmas import taylor_coeff
 

@@ -53,6 +53,7 @@ class TestBuiltinValuesAndGradients:
     def test_radius2_point(self):
         assert RAD2.value(3 + 4j) == pytest.approx(12.5)
         assert RAD2.grad(3 + 4j) == 3 + 4j
+        assert RAD2.value(1e155) == math.inf  # overflows as the array form does
 
     def test_radius_curvature_orthogonal_to_gradient(self):
         # curvature along i * grad equals 1/|z|
@@ -278,6 +279,15 @@ class TestConvexSet2D:
         assert S.distance(5) == 3 and S.distance(-1) == 1 and S.distance(1.5) == 0
         assert S.distance(1 + 1j) == 1 and S.distance(2.5) > 1e-10
         assert ConvexSet2D.polygon([1j, 0, 2j]).distance(5j) == 3
+        # exactly collinear loops, points 1e-15 off their line: the signed
+        # areas there are tiny but not zero, and the loop is still its segment
+        for loop, z, d in (([0, 0.5, 1], 3 + 1e-15j, 2.0),
+                           ([0, 0.5j, 1j], 3j + 1e-15, 2.0),
+                           ([0, 0.5 + 0.5j, 1 + 1j], 3 + 3j + 1e-15j, 2 * math.sqrt(2))):
+            ends = sorted(loop, key=lambda v: (v.real, v.imag))
+            assert ConvexSet2D.polygon(loop).distance(z) == pytest.approx(d, rel=1e-15)
+            assert ConvexSet2D.polygon(loop).distance(z) == ConvexSet2D.segment(
+                ends[0], ends[-1]).distance(z)
         # its real span is a line, not the plane
         assert not ConvexSet2D.polygon([-1, 1, 2]).rspan_is_plane()
         assert not ConvexSet2D.polygon([-1, 1]).rspan_is_plane()

@@ -624,3 +624,11 @@ def test_spec_json_roundtrip():
     with pytest.raises(ValueError):
         matrix_from_json([[1, 2], [3]])
 
+    # a rest block travels as "B"
+    B = np.array([[-1.0, 0.5], [0.0, -2.0j]])
+    spec = JordanSpec([(1.0, (2,))], P=random_P(rng, 4, 0.2), B=B)
+    data = spec_to_json(spec)
+    back = spec_from_json(data)
+    assert "B" in data and np.array_equal(back.B, B)
+    assert back.eigs == spec.eigs and back.n0 == 2
+    assert np.allclose(back.P, spec.P)

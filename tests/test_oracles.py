@@ -6,7 +6,7 @@ import pytest
 
 from specmax import oracles
 from specmax.cpoly import Poly, RootCluster
-from specmax.generators import builtin
+from specmax.generators import builtin, make_generator
 from specmax.jordan import JordanSpec
 from specmax.oracles import (
     ABS_SLACK,
@@ -25,6 +25,11 @@ from specmax.specsub import rsd_sample, spectral_max
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
 RAD2 = builtin("radius2")
+# |z|^4 / 4 from value, gradient and Hessian alone: make_generator's default
+# tag classifies it, C^2 with a positive definite Hessian away from 0
+QUARTIC = make_generator(
+    "quartic", lambda z: abs(z) ** 4 / 4, grad=lambda z: abs(z) ** 2 * z,
+    hess=lambda z: abs(z) ** 2 * np.eye(2) + 2 * np.outer([z.real, z.imag], [z.real, z.imag]))
 
 J2 = JordanSpec([(0.0, (2,))])
 SPEC32 = JordanSpec([(1.0 + 0.5j, (3,)), (-0.5 + 0.2j, (2,))],
@@ -226,6 +231,7 @@ class TestBatchedSuite:
         (J2, ABSC, 1.0), (J2, ABSC, 1.5),
         (SPEC32, ABSC, 1.0), (SPEC32, ABSC, 1.5),
         (SPEC32, RAD2, 1.0), (SPEC32, RAD2, 1.5),
+        (SPEC32, QUARTIC, 1.0), (SPEC32, QUARTIC, 1.5),
     ])
     def test_matches_one_direction_at_a_time(self, spec, f, scale):
         Y = scale * rsd_sample(spec, f, seed=2)

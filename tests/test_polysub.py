@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from specmax.cpoly import Poly, RootCluster, poly_root_max
-from specmax.factorspace import _coordinate_matrix, _solve_coords
 from specmax.generators import ConvexSet2D, builtin, make_generator
 from specmax.jordan import DomainError
 from specmax.oracles import fd_poly_quotient
@@ -16,6 +15,8 @@ from specmax.polysub import (
     Dp_membership,
     Dp_sample,
     _ActiveBlock,
+    _coordinate_matrix,
+    _solve_coords,
     _split_blocks,
     block_failures,
     rsd_f_membership,
@@ -300,7 +301,7 @@ class TestWeightSplitEquivalence:
             for _ in range(60):
                 cluster, f, _, c = grid._case(rng, determined)
                 yield ([_ActiveBlock(f, lam, n) for lam, n in zip(cluster.roots, cluster.mults)],
-                       _split_blocks(cluster, c))
+                       _split_blocks(cluster.mults, c[1:]))
 
     @staticmethod
     def _rectangle_cases():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specmax import cpoly, jordan, polysub
-from specmax.generators import UnsupportedGenerator, builtin
+from specmax.generators import UnsupportedGenerator, builtin, make_generator
 from specmax.jordan import DerogatoryEigenvalue, JordanSpec, declared_active, nilpotent
 from specmax.specsub import (
     INEQ_SLACK,
@@ -27,6 +27,11 @@ from specmax.specsub import (
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
 RAD2 = builtin("radius2")
+# |z|^4 / 4 from value, gradient and Hessian alone: make_generator's default
+# tag classifies it, C^2 with a positive definite Hessian away from 0
+QUARTIC = make_generator(
+    "quartic", lambda z: abs(z) ** 4 / 4, grad=lambda z: abs(z) ** 2 * z,
+    hess=lambda z: abs(z) ** 2 * np.eye(2) + 2 * np.outer([z.real, z.imag], [z.real, z.imag]))
 
 A_SPEC = JordanSpec([(1.0, (2,)), (-1.0, (1,))])
 B_SPEC = JordanSpec([(1.0, (2, 1))])
@@ -320,6 +325,12 @@ class TestRsdSample:
     def test_explicit_single_block(self):
         Y = rsd_sample(J2, ABSC, gamma=[1.0], theta2={0: 0.0})
         assert np.allclose(Y, np.eye(2) / 2)
+        # under the radius the override is W's own subdiagonal at rho = 2,
+        # not one of radius2's coordinates divided by rho
+        spec = JordanSpec([(2.0, (2,)), (-0.5, (1,))])
+        for f in (RAD, RAD2):
+            W = spec.to_W(rsd_sample(spec, f, gamma=[1.0], theta2={0: 0.1}))
+            assert W[1, 0] == pytest.approx(0.1, abs=1e-14)
 
     def test_two_active_modulus_squared_diagonals(self):
         # gamma follows the declared order: eigenvalue 1 first, then -1
@@ -346,6 +357,11 @@ class TestRsdSample:
     def test_invalid_subdiagonal_rejected(self):
         with pytest.raises(ValueError):
             rsd_sample(J2, ABSC, gamma=[1.0], theta2={0: -0.5})
+        # the radius's halfplane at lambda = 2 ends at theta_2 = -1/4; read
+        # as a radius2 coordinate, -0.3 would land inside it at -0.15
+        with pytest.raises(ValueError):
+            rsd_sample(JordanSpec([(2.0, (2,)), (-0.5, (1,))]), RAD, gamma=[1.0],
+                       theta2={0: -0.3})
 
     def test_derogatory_active_rejected(self):
         with pytest.raises(DerogatoryEigenvalue):
@@ -366,6 +382,13 @@ class TestChainRule:
                 Y = rsd_sample(spec, f, seed=int(rng.integers(1000)))
                 assert chain_rule_membership(spec, f, Y)
                 assert rsd_membership(spec, f, Y).verdict
+        for _ in range(5):
+            spec = random_nonderogatory_spec(rng)
+            Y = rsd_sample(spec, QUARTIC, seed=int(rng.integers(1000)))
+            assert chain_rule_membership(spec, QUARTIC, Y)
+            assert rsd_membership(spec, QUARTIC, Y).verdict
+            assert not chain_rule_membership(spec, QUARTIC, 1.5 * Y)
+            assert not rsd_membership(spec, QUARTIC, 1.5 * Y).verdict
 
     def test_zero_fails(self):
         assert not chain_rule_membership(J2, ABSC, np.zeros((2, 2)))

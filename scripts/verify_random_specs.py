@@ -12,7 +12,9 @@ spec as on the original, for each member and for 1.5 times it.
 The specs cycle through the abscissa, radius2 and the spectral radius, which
 every route reaches through its transform to radius2.  Every fourth spec gives
 its active eigenvalue a second Jordan block instead; there the sweep checks
-that the derogatory witness certifies the loss of regularity.
+that the derogatory witness certifies the loss of regularity, and that each
+of its per-nu verdicts is the one ``rsd_membership`` gives on that nu's
+(spec, subgradient) pair.
 Along one random direction per spec, the matrix subderivative
 (``specsub.subderivative``) must return a float (inf included) on every
 regular spec, and raise ``DerogatoryEigenvalue`` on every derogatory one,
@@ -119,13 +121,14 @@ def main():
         eval_mismatches += mismatch
         subderiv = subderivative_reading(spec, f, args.seed + i)
         if derogatory:
-            _, _, report = derogatory_witness(spec, f, count=50)
-            ok = report["ok"] and subderiv == "refused" and not mismatch
+            wits, _, report = derogatory_witness(spec, f, count=50)
+            per_nu = [rsd_membership(s, f, Y).verdict for s, Y in wits] == report["per_nu"]
+            ok = report["ok"] and per_nu and subderiv == "refused" and not mismatch
             status = "ok" if ok else "FAIL"
             failures += status == "FAIL"
             print(f"spec {i:2d} (n={spec.n}, blocks {sizes}, {f.name:9s}): "
-                  f"witness ok={report['ok']}, subderivative {subderiv}, "
-                  f"eval mismatch={mismatch:d}  [{status}]")
+                  f"witness ok={report['ok']}, per-nu verdicts match={per_nu:d}, "
+                  f"subderivative {subderiv}, eval mismatch={mismatch:d}  [{status}]")
             continue
         _, _, active = declared_active(spec, f)
         cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)

@@ -30,7 +30,6 @@ spec is {"eigs": [{"lambda": [re, im], "blocks": [...]}, ...], "P": matrix,
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 
 import numpy as np
@@ -162,13 +161,15 @@ class JordanSpec:
         """This spec with eigenvalue j moved to ``lam``.
 
         The copy shares P, its inverse and the block layout, which do not
-        depend on the eigenvalues; only the moved eigenvalue's separation
-        from the others and from the rest block is checked again.
+        depend on the eigenvalues, through a copy of the attribute dict;
+        only the moved eigenvalue's separation from the others and from the
+        rest block is checked again.
         """
         lam = complex(lam)
         self._check_separation(lam, [mu for i, (mu, _) in enumerate(self.eigs) if i != j])
-        moved = copy.copy(self)
-        moved.eigs = self.eigs[:j] + ((lam, self.eigs[j][1]),) + self.eigs[j + 1:]
+        moved = object.__new__(type(self))
+        moved.__dict__ = {**self.__dict__,
+                          "eigs": self.eigs[:j] + ((lam, self.eigs[j][1]),) + self.eigs[j + 1:]}
         return moved
 
     # -- structure queries ----------------------------------------------------

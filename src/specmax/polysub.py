@@ -343,7 +343,7 @@ def _sample(cluster: RootCluster, f: Generator, active: list, gamma, seed: int) 
     if gamma is None:
         gamma = rng.dirichlet(np.ones(len(active)))
     gamma = np.asarray(gamma, dtype=float)
-    if (gamma.size != len(active) or not gamma.min() >= 0
+    if (gamma.shape != (len(active),) or not gamma.min() >= 0
             or not abs(gamma.sum() - 1) <= SIMPLEX_TOL):  # NaN fails both
         raise ValueError("weights must be a point of the active simplex")
     c = np.zeros(cluster.degree() + 1, dtype=complex)

@@ -86,9 +86,11 @@ _CHECKS = {
 @dataclass
 class ToeplitzParams:
     """Extracted Toeplitz data of W = P^{-*} Y P^{*}: per-eigenvalue diagonal
-    values theta_j1..theta_jm_j and the residual of every structure check
+    values theta_j1..theta_jm_j, the residual of every structure check
     made, as ``(condition, residual, at)`` in check order, with ``at`` the
-    tuple the check's location is formatted from.  The violations are the
+    tuple the check's location is formatted from, and the largest modulus
+    in each segment's diagonal block, by segment name ("rest", "eig0",
+    ...), which the inactive-block test reads.  The violations are the
     residuals above ``STRUCT_TOL * max(1, norm)``, with ``norm`` = |Y|; the
     flags and ``ok`` summarize them."""
 
@@ -96,6 +98,7 @@ class ToeplitzParams:
     theta: dict
     residuals: list
     norm: float
+    segment_max: dict
     violations: list = field(init=False)
 
     def __post_init__(self):
@@ -111,14 +114,6 @@ class ToeplitzParams:
     def flags(self) -> dict:
         failed = {v.condition for v in self.violations}
         return {flag: c not in failed for c, (flag, _) in _CHECKS.items()}
-
-    def scaled(self, c: complex) -> "ToeplitzParams":
-        """The extraction of c * Y read off this one of Y: W and theta scale
-        by c, every residual by |c|, and the tolerance moves with |c| |Y|."""
-        size = abs(c)
-        return ToeplitzParams(
-            c * self.W, {j: c * t for j, t in self.theta.items()},
-            [(cond, size * r, at) for cond, r, at in self.residuals], size * self.norm)
 
 
 @dataclass
@@ -202,10 +197,11 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
 
     The checks run on Python numbers: W read once by ``tolist()``, and its
     moduli once as one ``np.abs(W)`` array, which the max-|.| checks of
-    whole sub-blocks read.  numpy's array modulus may differ from the scalar
-    ``abs`` in the last bit, so taking those maxima from the one array (and
-    every other modulus from ``abs``) keeps each residual bit-equal to the
-    block-by-block numpy reading.
+    whole sub-blocks and the segments' diagonal-block maxima read.  numpy's
+    array modulus may differ from the scalar ``abs`` in the last bit, so
+    taking those maxima from the one array (and every other modulus from
+    ``abs``) keeps each residual bit-equal to the block-by-block numpy
+    reading.
     """
     if level not in ("limiting", "regular"):
         raise ValueError("level must be 'limiting' or 'regular'")
@@ -215,6 +211,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
     A = np.abs(W).tolist()
     residuals = []
     segments = _segments(spec)
+    segment_max = {name: _block_max(A, sl, sl) for name, sl in segments}
     for a, (name_a, sl_a) in enumerate(segments):
         for b, (name_b, sl_b) in enumerate(segments):
             if a != b:
@@ -247,7 +244,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
                                   (j, s + 1)))
         theta[j] = np.array(vals)
 
-    return ToeplitzParams(W, theta, residuals, norm)
+    return ToeplitzParams(W, theta, residuals, norm, segment_max)
 
 
 def _candidate(spec: JordanSpec, Y) -> tuple:
@@ -293,23 +290,25 @@ def _rect_toeplitz_residual(L: list, r0: int, s0: int, m_r: int, m_s: int) -> fl
 # -- the direct route -------------------------------------------------------------
 
 
-def _inactive_violations(spec: JordanSpec, W: np.ndarray, active, atol: float):
+def _inactive(params: ToeplitzParams, active) -> list:
+    """``(name, max |W|)`` of the diagonal blocks of the segments outside
+    the active eigenvalues ``active``, in segment order."""
     kept = {f"eig{j}" for j in active}
-    A = np.abs(W).tolist()  # the block maxima as W_extract reads them
-    res = [(name, _block_max(A, sl, sl)) for name, sl in _segments(spec) if name not in kept]
-    return [Violation("inactive_block_zero", r, name) for name, r in res if r > atol]
+    return [(name, r) for name, r in params.segment_max.items() if name not in kept]
 
 
-def _membership(spec: JordanSpec, f, params: ToeplitzParams,
+def _membership(spec: JordanSpec, declared: tuple, params: ToeplitzParams,
                 horizon: bool) -> MembershipReport:
-    """One active set, the regular W structure of the candidate Y (already
-    extracted into ``params``), vanishing inactive blocks, and the active
-    blocks -theta_j through :func:`polysub._active_failures` at
-    INEQ_SLACK * max(1, |Y|)."""
-    g, rho, active = declared_active(spec, f)
+    """The verdict on a candidate Y, already extracted into ``params``, at
+    the active set ``declared`` = ``(g, rho, active)`` of
+    :func:`jordan.declared_active`: the regular W structure, vanishing
+    inactive blocks, and the active blocks -theta_j through
+    :func:`polysub._active_failures` at INEQ_SLACK * max(1, |Y|)."""
+    g, rho, active = declared
     scale = max(1.0, params.norm)
-    failed = params.violations + _inactive_violations(spec, params.W, active,
-                                                      STRUCT_TOL * scale)
+    failed = params.violations + [Violation("inactive_block_zero", r, name)
+                                  for name, r in _inactive(params, active)
+                                  if r > STRUCT_TOL * scale]
     triples = [(spec.eig_value(j), spec.n_j(j), [-t for t in params.theta[j].tolist()])
                for j in active]
     core, gammas = _active_failures(g, rho, triples, INEQ_SLACK * scale, horizon)
@@ -328,13 +327,15 @@ def rsd_membership(spec: JordanSpec, f: Generator, Y) -> MembershipReport:
     and, for blocks of size at least two, theta_j2 in the weighted halfplane
     Re<theta_j2, (grad f)^2> >= -gamma_j eta_j / n_j (smooth regime) or in
     -q_set (corner regime)."""
-    return _membership(spec, f, W_extract(spec, Y), horizon=False)
+    params = W_extract(spec, Y)
+    return _membership(spec, declared_active(spec, f), params, horizon=False)
 
 
 def rsd_recession_membership(spec: JordanSpec, f: Generator, Y) -> MembershipReport:
     """Recession-cone test: regular W structure, vanishing inactive blocks,
     zero diagonals on active blocks, and the subdiagonals in -q_set."""
-    return _membership(spec, f, W_extract(spec, Y), horizon=True)
+    params = W_extract(spec, Y)
+    return _membership(spec, declared_active(spec, f), params, horizon=True)
 
 
 def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
@@ -434,7 +435,8 @@ def radius_rsd_membership(spec: JordanSpec, Y, horizon: bool = False) -> Members
     rho * Y."""
     if all(lam == 0 for lam, _ in spec.eigs) and not spec.b_eigenvalues.any():
         raise ValueError("zero spectral radius: use rsd_membership with the radius")
-    return _membership(spec, _RADIUS, W_extract(spec, Y), horizon)
+    params = W_extract(spec, Y)
+    return _membership(spec, declared_active(spec, _RADIUS), params, horizon)
 
 
 # -- regularity and the derogatory witness ---------------------------------------
@@ -472,6 +474,13 @@ def _split_spec(spec: JordanSpec, j: int, block_index: int, lam_new: complex):
     return JordanSpec(eigs, P=Pi @ spec.P, B=spec.B if spec.n0 else None)
 
 
+def _scaled_within_tol(r: float, size: float, norm: float) -> bool:
+    """Whether a structure residual r of a candidate Y of norm ``norm``
+    passes for size * Y: size * r within STRUCT_TOL * max(1, size |Y|),
+    the test :func:`W_extract` makes on size * Y, without forming it."""
+    return not size * r > STRUCT_TOL * max(1.0, size * norm)
+
+
 def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
                        block_index: int = 0):
     """Construct the sequence certifying that derogatory active eigenvalues
@@ -486,16 +495,21 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     of (spec_nu, Y_nu) pairs.
 
     All Y_nu are multiples c_nu * Y_basis of one matrix under one
-    similarity, so W is formed and its structure checked once, on Y_basis;
-    each nu's residuals are |c_nu| times those, judged at its own tolerance
-    STRUCT_TOL * max(1, |c_nu| |Y_basis|).  The verdict is still given per
-    nu: each runs its own active set and active-block decision, and gets the
-    verdict :func:`rsd_membership` gives on (spec_nu, Y_nu), up to rounding
-    in forming W.
+    similarity, so everything but the moved eigenvalue and c_nu is done
+    once: W is formed and its structure checked on Y_basis, which gives the
+    largest structure residual, each segment's diagonal-block maximum and
+    the diagonal values theta as Python numbers.  Each nu then makes its
+    own active set and its own active-block decision on c_nu * theta, and
+    judges the largest of the structure residuals and the inactive blocks'
+    maxima, times |c_nu|, at its own tolerance STRUCT_TOL * max(1, |c_nu|
+    |Y_basis|).  So it gets the verdict :func:`rsd_membership` gives on
+    (spec_nu, Y_nu), up to rounding in forming W.  The limit's test at the
+    base point reuses the active set that picks the derogatory eigenvalue.
     """
     if count < 1:
         raise ValueError(f"the witness sequence needs at least one member, got {count}")
-    _, _, active = declared_active(spec, f)
+    declared = declared_active(spec, f)
+    active = declared[2]
     target = next((j for j in active if not spec.nonderogatory(j)), None)
     if target is None:
         raise ValueError("no derogatory active eigenvalue to witness")
@@ -523,6 +537,8 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     Y_basis = split.from_W(split.embed_block(idx, np.eye(m_k)))
 
     basis = W_extract(split, Y_basis)
+    struct = max(r for _, r, _ in basis.residuals)
+    thetas = {j: t.tolist() for j, t in basis.theta.items()}
     witnesses = []
     per_nu = []
     for nu in range(1, count + 1):
@@ -530,13 +546,20 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
         spec_nu = split.with_eigenvalue(idx, lam_nu)
         c = f.grad(lam_nu) / m_k
         witnesses.append((spec_nu, c * Y_basis))
-        per_nu.append(_membership(spec_nu, f, basis.scaled(c), horizon=False).verdict)
+        g_nu, rho, active_nu = declared_active(spec_nu, f)
+        size = abs(c)
+        triples = [(spec_nu.eig_value(j), spec_nu.n_j(j), [-(c * t) for t in thetas[j]])
+                   for j in active_nu]
+        core, _ = _active_failures(g_nu, rho, triples,
+                                   INEQ_SLACK * max(1.0, size * basis.norm), False)
+        worst = max([struct] + [r for _, r in _inactive(basis, active_nu)])
+        per_nu.append(not core and _scaled_within_tol(worst, size, basis.norm))
 
     E = np.zeros((spec.n, spec.n), dtype=complex)
     sl = spec.subblock_slices(target)[block_index]
     E[sl, sl] = np.eye(m_k)
     M = (g / m_k) * spec.from_W(E)
-    base_rep = rsd_membership(spec, f, M)
+    base_rep = _membership(spec, declared, W_extract(spec, M), horizon=False)
 
     report = {
         "per_nu": per_nu,

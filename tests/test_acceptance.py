@@ -323,6 +323,29 @@ def test_criterion_07_matrix_subderivative_oracle():
               f"{growth_ok}/15 divergences", ok)
 
 
+def test_criterion_07_matrix_one_sided_bound():
+    """Criterion 7's one-sided bound at matrix level: at an active J_2
+    beside an inactive simple eigenvalue, along directions whose second
+    factor coordinate mu_2 lies on the ray through g^2, the subderivative
+    is finite and no larger than the spectral max quotients allow."""
+    rng = np.random.default_rng(49)
+    gens = (ABSC, RAD2, RAD)
+    bound_ok = 0
+    for k in range(30):
+        f = gens[k % 3]
+        lam = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        spec = JordanSpec([(lam, (2,)), (0.2 * lam, (1,))], P=random_P(rng, 3))
+        V = 0.3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        g = f.grad(lam)
+        V[1, 0] = -rng.uniform(0.2, 1.0) * g * g  # mu_2 = s g^2 with s in [0.2, 1]
+        Z = spec.Pinv @ V @ spec.P
+        d = subderivative(spec, f, Z)
+        rep = fd_phi_quotient(spec.synth(), f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
+                              holder_order=2, formula=d)
+        bound_ok += math.isfinite(d) and bool(rep.verdict)
+    report(7, f"matrix subderivative one-sided bound: {bound_ok}/30", bound_ok == 30)
+
+
 def test_criterion_08_inequality_suite():
     """500 seeded directions per member: no violation beyond the slack model."""
     runs = []

@@ -154,6 +154,22 @@ class TestDeclarationChecks:
             JordanSpec([(0.0, (2,))], B=np.array([[np.inf]]))
 
 
+def test_with_eigenvalue_shares_everything_but_the_moved_eigenvalue():
+    spec = JordanSpec([(1.0, (2, 1)), (-0.5j, (1,))], P=random_P(np.random.default_rng(3), 6),
+                      B=np.array([[0.1, 0.2], [0.0, -0.2]]))
+    before = dict(vars(spec))
+    moved = spec.with_eigenvalue(1, 0.4 + 0.25j)
+    assert type(moved) is JordanSpec
+    assert vars(spec).keys() == before.keys()
+    assert all(vars(spec)[k] is v for k, v in before.items())  # spec itself untouched
+    assert moved.eigs == ((1.0, (2, 1)), (0.4 + 0.25j, (1,)))
+    assert vars(moved).keys() == vars(spec).keys()
+    assert all(vars(moved)[k] is v for k, v in vars(spec).items() if k != "eigs")
+    assert np.array_equal(moved.synth(), JordanSpec(moved.eigs, P=spec.P, B=spec.B).synth())
+    with pytest.raises(ValueError, match="distinct"):
+        spec.with_eigenvalue(1, 1.0)
+
+
 def _reference_gate(P):
     """The similarity gate as one ``np.linalg.cond`` call: the rejection
     message, or None for an accepted P (read as complex, as the spec does)."""

@@ -388,6 +388,12 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="simplex"):
             Dp_sample(RootCluster((1 + 0j, 1 + 1j), (2, 1)), ABSC, gamma=gamma)
 
+    @pytest.mark.parametrize("gamma", [[[1.0]], np.array(1.0)], ids=["2-d", "0-d"])
+    def test_weights_of_another_shape_rejected(self, gamma):
+        # one active root: the weight count matches, the shape does not
+        with pytest.raises(ValueError, match="simplex"):
+            Dp_sample(RootCluster((1.0,), (2,)), RAD2, gamma=gamma)
+
     def test_nan_root_rejected(self):
         # RootCluster accepts a lone NaN root; a NaN value attains no max
         cluster = RootCluster((complex(np.nan),), (1,))

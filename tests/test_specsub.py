@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specmax import cpoly, jordan, polysub
+from specmax import cpoly, jordan, polysub, specsub
 from specmax.generators import UnsupportedGenerator, builtin, make_generator
 from specmax.jordan import DerogatoryEigenvalue, JordanSpec, declared_active, nilpotent
 from specmax.specsub import (
@@ -372,6 +372,14 @@ class TestRsdSample:
         with pytest.raises(ValueError, match="simplex"):
             rsd_sample(A_SPEC, RAD2, gamma=gamma)
 
+    def test_weights_of_any_shape_are_flattened(self):
+        Y = rsd_sample(A_SPEC, RAD2, gamma=[0.3, 0.7], seed=4)
+        assert np.array_equal(rsd_sample(A_SPEC, RAD2, gamma=[[0.3, 0.7]], seed=4), Y)
+        one = JordanSpec([(1.0, (2,)), (0.2, (1,))])
+        Y = rsd_sample(one, RAD2, gamma=[1.0], seed=4)
+        for gamma in ([[1.0]], np.array(1.0)):
+            assert np.array_equal(rsd_sample(one, RAD2, gamma=gamma, seed=4), Y)
+
 
 class TestChainRule:
     def test_sampled_members_pass_both_routes(self):
@@ -720,26 +728,30 @@ class TestWitnessFormsWOnce:
         failing = set()
         for size in (0.01, 0.5, 3.0, 200.0):  # |c| |Y| below and above 1
             c = size / norm * np.exp(0.7j)
-            got = base.scaled(c)
             ref = W_extract(spec, c * Y, level=level)
-            assert [(v.condition, v.where) for v in got.violations] == \
-                [(v.condition, v.where) for v in ref.violations]
-            assert got.flags == ref.flags and got.ok == ref.ok
-            assert [(cond, at) for cond, _, at in got.residuals] == \
+            # the witness reads c Y's checks off Y's: each residual and
+            # diagonal-block maximum times |c|, at the tolerance of c Y
+            within = specsub._scaled_within_tol
+            assert [not within(r, abs(c), base.norm) for _, r, _ in base.residuals] == \
+                [r > STRUCT_TOL * max(1.0, ref.norm) for _, r, _ in ref.residuals]
+            assert {name: within(r, abs(c), base.norm)
+                    for name, r in base.segment_max.items()} == \
+                {name: r <= STRUCT_TOL * max(1.0, ref.norm) for name, r in ref.segment_max.items()}
+            assert [(cond, at) for cond, _, at in base.residuals] == \
                 [(cond, at) for cond, _, at in ref.residuals]
             # rounding in forming W is relative to |c Y|, not to a small residual
-            for (_, a, _), (_, b, _) in zip(got.residuals, ref.residuals):
-                assert abs(a - b) <= 1e-12 * max(b, size)
+            for (_, a, _), (_, b, _) in zip(base.residuals, ref.residuals):
+                assert abs(abs(c) * a - b) <= 1e-12 * max(b, size)
+            for name, r in ref.segment_max.items():
+                assert abs(abs(c) * base.segment_max[name] - r) <= 1e-12 * max(r, size)
             for j, t in ref.theta.items():
-                assert np.abs(got.theta[j] - t).max() <= 1e-12 * size
-            assert np.abs(got.W - ref.W).max() <= 1e-12 * size
+                scaled = np.array([c * x for x in base.theta[j].tolist()])
+                assert np.abs(scaled - t).max() <= 1e-12 * size
             failing.add(len(ref.violations))
             assert 0 < len(ref.violations) < len(ref.residuals)
         assert len(failing) > 1  # the tolerance switch changes what fails
 
     def test_one_extraction_for_the_whole_sequence(self, monkeypatch):
-        from specmax import specsub
-
         calls = []
         extract = specsub.W_extract
 
@@ -751,6 +763,185 @@ class TestWitnessFormsWOnce:
         _, _, report = derogatory_witness(B_SPEC, RAD, count=50)
         assert report["ok"] and len(report["per_nu"]) == 50
         assert len(calls) <= 2  # the basis of the sequence, and the limit at the base
+
+
+def _ref_scaled(params, c):
+    """ToeplitzParams.scaled as the witness once called it on every nu: the
+    extraction of c * Y read off that of Y.  W and theta scale by c, every
+    residual by |c|; :func:`_ref_membership` reads the inactive blocks off
+    the scaled W, so no segment maxima are carried."""
+    size = abs(c)
+    return ToeplitzParams(c * params.W, {j: c * t for j, t in params.theta.items()},
+                          [(cond, size * r, at) for cond, r, at in params.residuals],
+                          size * params.norm, None)
+
+
+def _ref_witness(spec, f, count, block_index=0):
+    """derogatory_witness as it ran the whole direct-route test on every nu:
+    the basis extraction scaled by c_nu, then the active set, the structure
+    and inactive checks at the scaled tolerance and the active blocks'
+    decision, each nu through :func:`_ref_membership`."""
+    _, _, active = declared_active(spec, f)
+    target = next(j for j in active if not spec.nonderogatory(j))
+    lam = spec.eig_value(target)
+    m_k = spec.block_sizes(target)[block_index]
+    g = f.grad(lam)
+    if g is None:
+        g = f.grad(lam + 1.0)
+    direction = g / abs(g)
+    seps = [abs(lam - spec.eig_value(i)) for i in range(spec.num_eigs) if i != target]
+    seps += [abs(lam - mu) for mu in spec.b_eigenvalues]
+    step0 = min([1.0] + [s / 4 for s in seps])
+    split = specsub._split_spec(spec, target, block_index, lam + step0 * direction)
+    idx = target + 1
+    Y_basis = split.from_W(split.embed_block(idx, np.eye(m_k)))
+    basis = specsub.W_extract(split, Y_basis)
+    witnesses, per_nu = [], []
+    for nu in range(1, count + 1):
+        lam_nu = lam + (step0 / nu) * direction
+        spec_nu = split.with_eigenvalue(idx, lam_nu)
+        c = f.grad(lam_nu) / m_k
+        witnesses.append((spec_nu, c * Y_basis))
+        per_nu.append(_ref_membership(spec_nu, f, _ref_scaled(basis, c), horizon=False).verdict)
+    E = np.zeros((spec.n, spec.n), dtype=complex)
+    sl = spec.subblock_slices(target)[block_index]
+    E[sl, sl] = np.eye(m_k)
+    M = (g / m_k) * spec.from_W(E)
+    base_rep = rsd_membership(spec, f, M)
+    report = {
+        "per_nu": per_nu,
+        "limit_is_regular_subgradient_at_base": base_rep.verdict,
+        "base_failures": [v.to_json() for v in base_rep.failed],
+        "ok": all(per_nu) and not base_rep.verdict,
+    }
+    return witnesses, M, report
+
+
+def _spec_bytes(spec):
+    return {k: (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+            for k, v in vars(spec).items()}
+
+
+def _assert_same_witness(spec, f, block_index, count):
+    wits, M, report = derogatory_witness(spec, f, count=count, block_index=block_index)
+    ref_wits, ref_M, ref_report = _ref_witness(spec, f, count, block_index)
+    assert report == ref_report
+    assert M.tobytes() == ref_M.tobytes()
+    assert len(wits) == len(ref_wits) == count
+    for (s, Y), (s_ref, Y_ref) in zip(wits, ref_wits):
+        assert Y.tobytes() == Y_ref.tobytes()
+        assert _spec_bytes(s) == _spec_bytes(s_ref)
+    return report
+
+
+# derogatory block sizes of at most six
+_DEROGATORY_BLOCKS = [(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2), (3, 1), (1, 3), (2, 1, 1),
+                      (3, 2), (2, 2, 2), (1, 1, 1, 1)]
+
+
+def _random_derogatory_spec(rng, f, rest, origin):
+    """A spec of size at most 6 whose first eigenvalue is derogatory and
+    the only active one under the abscissa, radius2 and the radius.
+    ``origin`` makes it the nilpotent origin alone; otherwise it lies at
+    modulus 1.6 with real part at least 1.4, the other eigenvalues within
+    modulus 1, and ``rest`` adds a 1x1 or 2x2 rest block of small spectrum."""
+    room = 6 - (int(rng.integers(1, 3)) if rest else 0)
+    blocks = [b for b in _DEROGATORY_BLOCKS if sum(b) <= room]
+    top_blocks = blocks[int(rng.integers(len(blocks)))]
+    if origin:
+        return JordanSpec([(0.0, top_blocks)], P=random_P(rng, sum(top_blocks)))
+    eigs = [(1.6 * np.exp(1j * rng.uniform(-0.5, 0.5)), top_blocks)]
+    left = int(rng.integers(0, room - sum(top_blocks) + 1))
+    while left > 0:
+        z = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(z - w) > 0.3 for w, _ in eigs):
+            k = int(rng.integers(1, left + 1))
+            sizes = (k,) if k == 1 or rng.uniform() < 0.5 else (k - 1, 1)
+            eigs.append((z, sizes))
+            left -= k
+    n0 = 6 - room
+    B = (0.15 * (rng.standard_normal((n0, n0)) + 1j * rng.standard_normal((n0, n0)))
+         if rest else None)
+    n = n0 + sum(sum(b) for _, b in eigs)
+    return JordanSpec(eigs, P=random_P(rng, n), B=B)
+
+
+class TestWitnessLoop:
+    """The nu loop against a copy of the loop that made the whole
+    direct-route test on every nu: the same verdicts, report, limit and
+    witness pairs, bit for bit."""
+
+    @pytest.mark.parametrize("spec,f,block_index", WITNESS_CASES)
+    def test_matches_the_per_nu_membership_loop(self, spec, f, block_index):
+        assert _assert_same_witness(spec, f, block_index, count=30)["ok"]
+
+    def test_matches_it_on_random_derogatory_specs(self):
+        rng = np.random.default_rng(2000)
+        seen, verdicts = set(), set()
+        for i in range(48):
+            f = (ABSC, RAD2, RAD)[i % 3]
+            rest, origin = (i // 3) % 2 == 1, f is RAD and (i // 3) % 4 == 2
+            spec = _random_derogatory_spec(rng, f, rest and not origin, origin)
+            specs = [spec]
+            if i % 4 == 3:  # cond(P) near 1e6: rounding in W fails the structure on some
+                Q = [np.linalg.qr(rng.standard_normal((spec.n, spec.n)) + 1j
+                                  * rng.standard_normal((spec.n, spec.n)))[0] for _ in range(2)]
+                P = Q[0] @ np.diag(np.geomspace(1.0, 10 ** -rng.uniform(5, 6.5), spec.n)) @ Q[1]
+                specs.append(JordanSpec(spec.eigs, P=P, B=spec.B if spec.n0 else None))
+            for s in specs:
+                for block_index in range(s.q_j(0)):
+                    report = _assert_same_witness(s, f, block_index, count=20)
+                    seen.add((f.name, s.n0 > 0, origin, report["ok"]))
+                    verdicts.update(report["per_nu"])
+        assert {(g, r, False, True) for g in ("abscissa", "radius2", "radius")
+                for r in (False, True)} | {("radius", False, True, True)} <= seen
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("where", ["inactive_block", "cross_block"])
+    @pytest.mark.parametrize("spec,f,block_index", WITNESS_CASES)
+    def test_matches_it_where_the_basis_fails_one_check(self, monkeypatch, spec, f,
+                                                        block_index, where):
+        """A defect of 1e-4 |Y_basis| put into the basis W fails every nu
+        on one check alone: the kept part of the derogatory eigenvalue, an
+        inactive segment, as a multiple of the identity (so only the
+        inactive-block test sees it), or one entry coupling it to the moved
+        block (only the cross-block test)."""
+        target = declared_active(spec, f)[2][0]
+        extract = specsub.W_extract
+
+        def defective(s, Y, level="regular"):
+            if s.num_eigs == spec.num_eigs:  # the limit at the base point
+                return extract(s, Y, level)
+            D = np.zeros((s.n, s.n), dtype=complex)
+            kept, moved = s.eig_slice(target), s.eig_slice(target + 1)
+            if where == "inactive_block":
+                D[kept, kept] = np.eye(s.n_j(target))
+            else:
+                D[moved.start, kept.start] = 1.0
+            return extract(s, Y + 1e-4 * max(1.0, np.linalg.norm(Y)) * s.from_W(D), level)
+
+        monkeypatch.setattr(specsub, "W_extract", defective)
+        report = _assert_same_witness(spec, f, block_index, count=20)
+        assert not any(report["per_nu"])
+
+    def test_one_decision_and_one_active_set_per_nu(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(jordan, "active_roots")
+        counted(specsub, "_active_failures")
+        for spec, f, block_index in WITNESS_CASES:
+            calls.clear()
+            derogatory_witness(spec, f, count=40, block_index=block_index)
+            # once per nu, and once for the limit at the base point
+            assert calls.count("active_roots") == calls.count("_active_failures") == 41
 
 
 class TestSubgradientDefinition:
@@ -837,7 +1028,8 @@ def _ref_W_extract(spec, Y, level):
                 residuals.append(("equal_diagonals", max(abs(e - center) for e in entries),
                                   (j, s)))
         theta[j] = vals
-    return ToeplitzParams(W, theta, residuals, float(np.linalg.norm(Y)))
+    segment_max = {name: float(np.abs(W[sl, sl]).max()) for name, sl in segments}
+    return ToeplitzParams(W, theta, residuals, float(np.linalg.norm(Y)), segment_max)
 
 
 def _ref_membership(spec, f, params, horizon):
@@ -926,6 +1118,7 @@ class TestWExtractionEquivalence:
                             {j: t.tolist() for j, t in ref.theta.items()}
                         assert got.violations == ref.violations
                         assert got.flags == ref.flags
+                        assert got.segment_max == ref.segment_max
                         cases += 1
                     ref = _ref_W_extract(spec, Y, "regular")
                     assert rsd_membership(spec, f, Y).to_json() == \

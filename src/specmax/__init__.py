@@ -5,7 +5,6 @@ from .cpoly import (
     RootCluster,
     active_set,
     elementary,
-    lex_leq,
     poly_from_json,
     poly_root_max,
     roots,
@@ -52,6 +51,5 @@ from .specsub import (
     spectral_max,
     subderivative,
 )
-from .stabilize import spectral_subgradient, stabilize
 
 __version__ = "0.1.0"

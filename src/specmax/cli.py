@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: eval, membership, subderivative (matrix and poly variants),
-paper-examples, verify, stabilize.  Complex numbers travel as [re, im]
-pairs everywhere; results print as JSON (sorted keys, so identical inputs
-and seeds give byte-identical output).
+paper-examples, verify.  Complex numbers travel as [re, im] pairs
+everywhere; results print as JSON (sorted keys, so identical inputs and
+seeds give byte-identical output).
 
 Exit codes: 0 success or member, 1 non-member / failed checks, 2 usage or
 parse error, 3 domain error.
@@ -36,7 +36,6 @@ from .specsub import (
     spectral_active,
     subderivative,
 )
-from .stabilize import stabilize
 
 EXIT_OK = 0
 EXIT_NONMEMBER = 1
@@ -81,6 +80,8 @@ def _pairs(z: complex):
 def cmd_eval(args) -> int:
     f = _generator(args.f)
     X = matrix_from_json(_load_json(args.matrix))
+    if not np.isfinite(X).all():  # not in spectral_max, which the oracle suite calls per stack
+        raise SystemExit2("matrix must be finite")
     value, cluster, active = spectral_active(X, f)
     payload = {
         "value": value if math.isfinite(value) else "inf",
@@ -195,29 +196,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict_ok else EXIT_NONMEMBER
 
 
-def cmd_stabilize(args) -> int:
-    f = _generator(args.f)
-    data = _load_json(args.family)
-    try:
-        A0 = matrix_from_json(data["A0"])
-        directions = [matrix_from_json(D) for D in data["directions"]]
-        theta0 = data.get("theta0")
-    except (KeyError, TypeError) as exc:
-        raise SystemExit2(f"malformed family JSON: {exc}")
-    traj = stabilize(A0, directions, f, theta0=theta0, iters=args.iters,
-                     step=args.step, step_rule=args.step_rule)
-    lines = ["iter,phi," + ",".join(f"theta{i}" for i in range(len(directions)))]
-    for row in traj.rows():
-        lines.append(",".join(repr(x) for x in row))
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_OK
-
-
 # -- argument plumbing ------------------------------------------------------------
 
 
@@ -280,14 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(0), default=200)
     p.add_argument("--nu", type=_at_least(1), default=50)
 
-    p = sub.add_parser("stabilize", parents=[common],
-                       help="subgradient descent demo over an affine family")
-    p.add_argument("family", help="family JSON path: {A0, directions, theta0?}")
-    p.add_argument("--f", default="abscissa", help="generator name")
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--step-rule", default="diminishing", choices=["diminishing", "const"])
-
     return parser
 
 
@@ -297,7 +267,6 @@ _DISPATCH = {
     "subderivative": cmd_subderivative,
     "paper-examples": cmd_paper_examples,
     "verify": cmd_verify,
-    "stabilize": cmd_stabilize,
 }
 
 

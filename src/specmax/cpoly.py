@@ -24,7 +24,6 @@ __all__ = [
     "Poly",
     "RootCluster",
     "DomainError",
-    "lex_leq",
     "lex_key",
     "elementary",
     "roots",
@@ -35,16 +34,9 @@ __all__ = [
 ]
 
 
-def lex_leq(a: complex, b: complex) -> bool:
-    """Lexicographic total order on C: compare real parts, then imaginary."""
-    a, b = complex(a), complex(b)
-    if a.real != b.real:
-        return a.real < b.real
-    return a.imag <= b.imag
-
-
 def lex_key(z: complex):
-    """Sort key inducing the same order as :func:`lex_leq`."""
+    """Sort key of the lexicographic total order on C: compare real parts,
+    then imaginary."""
     z = complex(z)
     return (z.real, z.imag)
 
@@ -162,7 +154,7 @@ class RootCluster:
         if any(m < 1 for m in ms):
             raise ValueError("multiplicities must be positive")
         for r, s in zip(rs, rs[1:]):
-            if not (lex_leq(r, s) and r != s):
+            if not lex_key(r) < lex_key(s):
                 raise ValueError("roots must be strictly increasing in lex order")
         object.__setattr__(self, "roots", rs)
         object.__setattr__(self, "mults", ms)

@@ -72,6 +72,15 @@ class TestEval:
         assert code == 2 and out.out == ""
         assert "square" in out.err
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_matrix_exits_2(self, capsys, paths, entry):
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = entry
+        code = main(["eval", paths("M.json", matrix_to_json(M)), "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "matrix must be finite" in out.err
+
 
 class TestMembership:
     def test_derogatory_member_exit_zero(self, capsys, paths):
@@ -368,13 +377,11 @@ class TestToleranceFlags:
         ["subderivative", "poly", "{p}", "{p}", "--f", "abscissa"],
         ["paper-examples"],
         ["verify", "{s}", "--f", "abscissa"],
-        ["stabilize", "{fam}"],
     ], ids=lambda argv: argv[0])
     def test_tol_is_not_an_option(self, capsys, paths, argv):
         files = {"m": paths("M.json", matrix_to_json(np.eye(3))),
                  "s": paths("S.json", spec_to_json(fixture_two_active())),
-                 "p": paths("p.json", [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
-                 "fam": paths("fam.json", {"A0": matrix_to_json(np.eye(2)), "directions": []})}
+                 "p": paths("p.json", [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])}
         code = main([a.format(**files) for a in argv] + ["--tol", "1e-8"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -397,6 +404,14 @@ class TestToleranceFlags:
             code, out = run(capsys, ["subderivative", "poly", ppath, vpath, "--f", "abscissa",
                                      "--cluster-tol", value])
             assert code == 0 and json.loads(out)["value"] == pytest.approx(-0.5)
+
+
+class TestVerbs:
+    def test_stabilize_is_an_invalid_choice(self, capsys, paths):
+        code = main(["stabilize", paths("fam.json", {})])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "invalid choice: 'stabilize'" in captured.err
 
 
 class TestParserReuse:
@@ -427,29 +442,6 @@ class TestParserReuse:
         run(capsys, plain)
         assert not out_file.exists()
         assert "PASS" in reused[2][1]  # text, not --json
-
-
-class TestStabilizeCommand:
-    def test_trajectory_csv(self, capsys, paths, tmp_path):
-        family = {
-            "A0": matrix_to_json(np.array([[1.0, 2.0], [0.0, 0.5]])),
-            "directions": [matrix_to_json(np.diag([1.0, 0.0])),
-                           matrix_to_json(np.diag([0.0, 1.0]))],
-        }
-        fpath = paths("fam.json", family)
-        out_csv = tmp_path / "traj.csv"
-        code, _ = run(capsys, ["stabilize", fpath, "--f", "abscissa",
-                               "--iters", "100", "--out", str(out_csv)])
-        assert code == 0
-        lines = out_csv.read_text().strip().splitlines()
-        assert lines[0] == "iter,phi,theta0,theta1"
-        phis = [float(l.split(",")[1]) for l in lines[1:]]
-        assert min(phis) < phis[0] - 0.3
-
-    def test_malformed_family_exits_2(self, capsys, paths):
-        fpath = paths("fam.json", {"A0": matrix_to_json(np.eye(2))})
-        code, _ = run(capsys, ["stabilize", fpath])
-        assert code == 2
 
 
 class TestImport:

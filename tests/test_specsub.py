@@ -1,11 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from specmax import cpoly, jordan, polysub, specsub
+from specmax.cli import main
 from specmax.generators import UnsupportedGenerator, builtin, make_generator
-from specmax.jordan import DerogatoryEigenvalue, JordanSpec, declared_active, nilpotent
+from specmax.jordan import (
+    DerogatoryEigenvalue,
+    JordanSpec,
+    declared_active,
+    nilpotent,
+    spec_to_json,
+)
+from specmax.oracles import subgradient_inequality_suite
 from specmax.specsub import (
     INEQ_SLACK,
     STRUCT_TOL,
@@ -175,6 +184,101 @@ class TestClusteringDefects:
             value, cluster, active = spectral_active(X, ABSC)
             assert abs(value - 1.0) <= 1e-9 * max(1.0, np.linalg.norm(X))
             assert [cluster.mults[j] for j in active] == [m]
+
+
+def _small_pair(s=1.0):
+    """Two simple eigenvalues of moduli 1.12e-4·s and 2.24e-5·s, P = I."""
+    return JordanSpec([(s * (1e-4 + 5e-5j), (1,)), (s * (2e-5 + 1e-5j), (1,))])
+
+
+def _gradient_at_the_lower_eigenvalue(f, s=1.0):
+    """``(spec, Y)`` with ``Y = diag(0, λ₂)``, radius2's gradient at λ₂, the
+    eigenvalue that does not attain the max; under the radius ``Y`` is that
+    divided by ρ = |λ₁|, which the radius transform tests as radius2's."""
+    spec = _small_pair(s)
+    lam1, lam2 = spec.eig_value(0), spec.eig_value(1)
+    return spec, np.diag([0, lam2 / abs(lam1) if f is RAD else lam2])
+
+
+ITEM_13 = ("ROADMAP item 13: ACTIVE_TOL = 1e-8 is absolute on the generator's value, "
+           "so at moduli 1.1e-4 and 2.2e-5 radius2's values 6.25e-9 and 2.5e-10 tie")
+
+
+class TestScaleCovarianceDefects:
+    """The false "yes" of ROADMAP item 13 at small scale, pinned until the
+    tie rule scales; at larger scales the same candidate is rejected."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=ITEM_13 + ", and both routes accept")
+    @pytest.mark.parametrize("f", [RAD, RAD2], ids=["radius", "radius2"])
+    def test_gradient_at_an_inactive_eigenvalue_is_rejected(self, f):
+        spec, Y = _gradient_at_the_lower_eigenvalue(f)
+        assert not rsd_membership(spec, f, Y).verdict
+        assert not chain_rule_membership(spec, f, Y)
+
+    @pytest.mark.parametrize("s", [10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("f", [RAD, RAD2], ids=["radius", "radius2"])
+    def test_gradient_at_an_inactive_eigenvalue_is_rejected_at_larger_scale(self, f, s):
+        spec, Y = _gradient_at_the_lower_eigenvalue(f, s)
+        assert not rsd_membership(spec, f, Y).verdict
+        assert not chain_rule_membership(spec, f, Y)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=ITEM_13 + " in the calculus, while the evaluator compares "
+                       "the moduli and finds one active eigenvalue")
+    def test_evaluator_and_calculus_share_the_active_set(self):
+        spec = _small_pair()
+        _, cluster, active = spectral_active(spec.synth(), RAD)
+        _, _, declared = declared_active(spec, RAD)
+        evaluated = sorted((cluster.roots[j] for j in active), key=cpoly.lex_key)
+        assert evaluated == pytest.approx(sorted((spec.eig_value(j) for j in declared),
+                                                 key=cpoly.lex_key))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 13: the suite's radii 1e-2..1e-4 "
+                       "are absolute and move X of norm 1.1e-4 by up to 100 times its size")
+    def test_suite_sees_the_false_member(self):
+        spec, Y = _gradient_at_the_lower_eigenvalue(RAD)
+        assert subgradient_inequality_suite(spec, RAD, Y, n_samples=200, seed=1)["violations"] >= 1
+
+
+def _ill_conditioned(c, k=4):
+    """J_3(1+0.5i) ⊕ J_2(0.2-0.3i) under P = U diag(logspace(0, log10 c, 5)) V,
+    U and V unitaries drawn with seed [k, 7].  At k = 4 the direct route's
+    weight sum misses 1 by about 4e-8 at c = 1e5, four times SIMPLEX_TOL."""
+    rng = np.random.default_rng([k, 7])
+    U, V = (np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+            for _ in range(2))
+    return JordanSpec([(1 + 0.5j, (3,)), (0.2 - 0.3j, (2,))],
+                      P=U @ np.diag(np.logspace(0, np.log10(c), 5)) @ V)
+
+
+ITEM_14 = pytest.mark.xfail(strict=True, raises=AssertionError,
+                            reason="ROADMAP item 14: at cond(P) >= 1e5 the direct route "
+                            "reads the weight sum of a sampled member through rounding of "
+                            "about eps cond(P) |Y| and rejects it on weight_sum_one; the "
+                            "chain route accepts it")
+CONDITIONS = [1e4, pytest.param(1e5, marks=ITEM_14), pytest.param(1e6, marks=ITEM_14)]
+
+
+class TestResolutionDefects:
+    """The route split of ROADMAP item 14, pinned at cond(P) = 1e5 and 1e6
+    until each verdict carries a rounding band; at 1e4 the routes agree."""
+
+    @pytest.mark.parametrize("c", CONDITIONS)
+    def test_routes_agree_on_a_sampled_member(self, c):
+        spec = _ill_conditioned(c)
+        Y = rsd_sample(spec, ABSC, seed=4)
+        assert rsd_membership(spec, ABSC, Y).verdict == chain_rule_membership(spec, ABSC, Y)
+
+    @pytest.mark.parametrize("c", CONDITIONS)
+    def test_verify_passes(self, capsys, tmp_path, c):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(_ill_conditioned(c))))
+        code = main(["verify", str(path), "--f", "abscissa", "--samples", "100", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["violations"] == 0
+        assert code == 0 and payload["cross_route_failures"] == 0
 
 
 class TestWExtract:

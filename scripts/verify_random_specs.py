@@ -130,7 +130,7 @@ def main():
                   f"witness ok={report['ok']}, per-nu verdicts match={per_nu:d}, "
                   f"subderivative {subderiv}, eval mismatch={mismatch:d}  [{status}]")
             continue
-        _, _, active = declared_active(spec, f)
+        _, active = declared_active(spec, f)
         cluster = RootCluster.sorted((spec.eig_value(j), spec.n_j(j)) for j in active)
         M = _coordinate_matrix(cluster)
         fresh = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))

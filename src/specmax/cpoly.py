@@ -231,7 +231,8 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple:
     # the pairs a < b, as lists: np.triu_indices costs more than a one-row test
     i = [a for a in range(k) for _ in range(a + 1, k)]
     j = [b for a in range(k) for b in range(a + 1, k)]
-    close = np.abs(points[:, i] - points[:, j]).min(axis=1, initial=np.inf) <= tol
+    with np.errstate(over="ignore"):  # an overflowing distance is not close
+        close = np.abs(points[:, i] - points[:, j]).min(axis=1, initial=np.inf) <= tol
     means = points.astype(complex)
     mults = np.ones(points.shape, dtype=int)
     for r in np.flatnonzero(close).tolist():
@@ -319,7 +320,7 @@ def active_roots(f, roots, rest=()) -> tuple:
     """The one active-set routine of the calculus, for the matrix and the
     polynomial routes alike.
 
-    Returns ``(g, rho, active)``: the generator and factor of
+    Returns ``(g, active)``: the generator of
     :func:`generators.radius_transform` for f over ``roots`` and ``rest``
     (values of unknown structure, such as a matrix's rest-block
     eigenvalues), and the indices of the ``roots`` at which g attains its
@@ -328,7 +329,7 @@ def active_roots(f, roots, rest=()) -> tuple:
     or a ``rest`` value attains the max.
     """
     roots, rest = list(roots), list(rest)
-    g, rho = radius_transform(f, roots + rest)
+    g = radius_transform(f, roots + rest)
     value_of = _fvalue(g)
     vals = [float(value_of(z)) for z in roots + rest]
     if any(math.isinf(v) for v in vals):
@@ -341,7 +342,7 @@ def active_roots(f, roots, rest=()) -> tuple:
     if active[-1] >= len(roots):
         raise ValueError("an eigenvalue of the rest block attains the max; its Jordan "
                          "structure must be declared")
-    return g, rho, active
+    return g, active
 
 
 def poly_root_max(p: Poly, f) -> float:

@@ -270,7 +270,12 @@ def _segment_distance(z: complex, a: complex, b: complex) -> float:
 
 def _disk_scales(z: complex, center: complex, radius: float, tol: float) -> tuple:
     """Scales t >= 0 with |z - t * center| <= t * radius + tol.  Both sides
-    are nonnegative, so squaring gives a t^2 + b t + c <= 0."""
+    are nonnegative, so squaring gives a t^2 + b t + c <= 0; where |z| or
+    tol would overflow it, the scales of z / s and tol / s, times s."""
+    s = max(abs(z), tol)
+    if s > 1e150:
+        lo, hi = _disk_scales(z / s, center, radius, tol / s)
+        return lo * s, hi * s
     a = abs(center) ** 2 - radius ** 2
     b = -2.0 * (re_cip(center, z) + radius * tol)
     c = abs(z) ** 2 - tol ** 2
@@ -420,19 +425,23 @@ def _abscissa() -> Generator:
     )
 
 
-def _radius2() -> Generator:
-    identity_form = np.eye(2)
+def _modulus_squared(name: str, rho: float) -> Generator:
+    """|z|^2 / (2 rho): radius2 at rho = 1, the radius's image at rho > 0."""
+    form = np.eye(2) / rho
 
     def value(z):
         a = abs(z)
-        return 0.5 * (a * a)  # overflows to inf where a Python float's a ** 2 raises
+        return 0.5 * (a * (a / rho))  # finite where a <= rho; radius2 overflows to inf
+
+    def grad(z):
+        return complex(z.real / rho, z.imag / rho)  # part by part: z's bits at rho = 1
 
     return Generator(
-        "radius2",
+        name,
         value=value,
-        grad_fn=lambda z: z,
-        hess_fn=lambda z: identity_form,
-        subdiff_fn=lambda z: ConvexSet2D.point(z),
+        grad_fn=grad,
+        hess_fn=lambda z: form,
+        subdiff_fn=lambda z: ConvexSet2D.point(grad(z)),
         tag_fn=lambda z: TAG_QUADRATIC,
     )
 
@@ -504,7 +513,8 @@ def _ell1() -> Generator:
 
 
 # built once: the calculus recognizes the spectral radius by identity
-_BUILTINS = {g.name: g for g in (_abscissa(), _radius(), _radius2(), _ell1())}
+_BUILTINS = {g.name: g for g in
+             (_abscissa(), _radius(), _modulus_squared("radius2", 1.0), _ell1())}
 
 
 def builtin(name: str) -> Generator:
@@ -517,7 +527,7 @@ def builtin(name: str) -> Generator:
         ) from None
 
 
-_RADIUS, _RADIUS2 = _BUILTINS["radius"], _BUILTINS["radius2"]
+_RADIUS = _BUILTINS["radius"]
 # the modulus at the origin as a corner-regime generator; its subdifferential
 # is the unit disk only at 0, so it stands for the radius at a nilpotent base
 _NILPOTENT_ORIGIN = make_generator(
@@ -525,25 +535,23 @@ _NILPOTENT_ORIGIN = make_generator(
     subdiff=lambda z: ConvexSet2D.disk(1.0), tag=lambda z: TAG_FULLSPAN)
 
 
-def radius_transform(f, eigenvalues) -> tuple:
-    """``(g, rho)``: the generator the calculus runs on for f over the given
-    spectrum, and the factor that carries a subgradient of f to one of g.
+def radius_transform(f, eigenvalues) -> Generator:
+    """The generator the calculus runs on for f over the given spectrum.
 
     Every generator but the builtin radius (recognized by identity, not by
-    name) maps to itself with factor 1.  The spectral radius is the
-    increasing transform rho = sqrt(2 phi_radius2), so where rho > 0, Y is a
-    regular subgradient (or recession direction) of it iff rho * Y is one of
-    phi_radius2, and its subderivative is that of phi_radius2 divided by
-    rho.  At rho = 0 it maps to the corner block of the modulus at the
-    origin, with factor 1: the unit disk as subdifferential, so q_set is the
-    whole plane.
+    name) maps to itself.  At rho = max |lambda| > 0 the spectral radius is
+    sqrt(2 rho phi_g) for g(z) = |z|^2 / (2 rho), an increasing transform
+    with slope 1 at the base, so the two share their regular subgradients,
+    recession directions and subderivative there, in the radius's own units.
+    At rho = 0 it maps to the corner block of the modulus at the origin:
+    the unit disk as subdifferential, so q_set is the whole plane.
     """
     if f is not _RADIUS:
-        return f, 1.0
+        return f
     rho = max((abs(z) for z in eigenvalues), default=0.0)
     if rho > 0:
-        return _RADIUS2, rho
-    return _NILPOTENT_ORIGIN, 1.0
+        return _modulus_squared("radius", rho)
+    return _NILPOTENT_ORIGIN
 
 
 # -- condition classification and derived sets --------------------------------

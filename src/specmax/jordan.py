@@ -123,7 +123,6 @@ class JordanSpec:
                 raise ValueError(f"similarity P must be finite: {exc}") from exc
             if not np.isfinite(cond) or cond > self.MAX_CONDITION:
                 raise ValueError(f"similarity condition number {cond:.2e} exceeds bound")
-            Pinv = np.linalg.inv(P)
         self.P = P
         Pinv = Pinv + Pinv @ (np.eye(self.n) - P @ Pinv)  # one refinement sweep
         self.Pinv = Pinv
@@ -251,7 +250,7 @@ def _lex_cluster(spec: JordanSpec, eigs) -> tuple:
 
 
 def declared_active(spec: JordanSpec, f) -> tuple:
-    """``(g, rho, active)`` of :func:`cpoly.active_roots` over the declared
+    """``(g, active)`` of :func:`cpoly.active_roots` over the declared
     eigenvalues, which ``active`` indexes, with the rest-block spectrum as
     the values of unknown structure (ValueError if one attains the max)."""
     return active_roots(f, [lam for lam, _ in spec.eigs], spec.b_eigenvalues)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cpoly import Poly, poly_root_max
+from .cpoly import DomainError, Poly, poly_root_max
 from .jordan import JordanSpec, nilpotent
 from .specsub import _candidate, spectral_max
 
@@ -236,7 +236,8 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
                                  radii=(1e-2, 1e-3, 1e-4), seed: int = 0,
                                  include_probes: bool = True) -> dict:
     """Sampled test of Re<Y, Z> <= quotient(t) + slack(t) over seeded unit
-    directions (plus structured probes), aggregating the worst violation."""
+    directions (plus structured probes), aggregating the worst violation.
+    Raises :class:`DomainError` where |X|, and so the noise term, is inf."""
     X = spec.synth()
     Y, _ = _candidate(spec, Y)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs)) if spec.num_eigs else 1
@@ -247,7 +248,11 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
 
     steps = np.asarray(radii, dtype=float)
     base = spectral_max(X, f)
-    noise = eval_noise_floor(m_max, max(1.0, abs(base), float(np.linalg.norm(X))))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused, not warned of
+        norm = float(np.linalg.norm(X))
+    if not math.isfinite(norm):
+        raise DomainError(f"the suite's noise term needs a finite |X|, got {norm}")
+    noise = eval_noise_floor(m_max, max(1.0, abs(base), norm))
     lhs = np.einsum("ki,dki->d", Y.conj(), D).real
     quotients = np.empty((len(D), len(steps)))
     block = max(1, STACK_ENTRIES // (len(steps) * spec.n ** 2))

@@ -257,17 +257,13 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
     return failed, gammas
 
 
-def _active_failures(g: Generator, rho: float, active: list, tol: float,
-                     horizon: bool) -> tuple:
+def _active_failures(g: Generator, active: list, tol: float, horizon: bool) -> tuple:
     """:func:`block_failures` on the active roots, given as
-    ``(lam_j, n_j, block_j)`` with ``(g, rho)`` of :func:`cpoly.active_roots`:
-    the one entry of every membership route to the per-root decision.  The
-    radius transform scales the blocks and the tolerance by rho alike, so
-    the residuals for the radius are those of rho times the candidate under
-    radius2."""
+    ``(lam_j, n_j, block_j)`` with g the generator of
+    :func:`cpoly.active_roots`: the one entry of every membership route to
+    the per-root decision."""
     data = [_ActiveBlock(g, lam, n_j) for lam, n_j, _ in active]
-    blocks = [[rho * t for t in block] for _, _, block in active]
-    return block_failures(data, blocks, rho * tol, horizon)
+    return block_failures(data, [list(block) for _, _, block in active], tol, horizon)
 
 
 def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) -> bool:
@@ -281,13 +277,13 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) ->
     scale = 1.0 + float(np.linalg.norm(c))
     if not math.isfinite(scale):  # NaN passes every "> tol" test below
         raise ValueError(f"coordinate vector must be finite, got norm {scale - 1.0}")
-    g, rho, active = active_roots(f, cluster.roots)
+    g, active = active_roots(f, cluster.roots)
     blocks = _split_blocks(cluster.mults, c[1:])
     if abs(c[0]) > tol or any(np.linalg.norm(block) > tol * scale
                               for j, block in enumerate(blocks) if j not in active):
         return False
     triples = [(cluster.roots[j], cluster.mults[j], blocks[j].tolist()) for j in active]
-    return not _active_failures(g, rho, triples, tol, horizon)[0]
+    return not _active_failures(g, triples, tol, horizon)[0]
 
 
 def Dp_membership(cluster: RootCluster, f: Generator, c) -> bool:
@@ -328,11 +324,9 @@ def Dp_horizon_membership(cluster: RootCluster, f: Generator, c) -> bool:
 
 
 def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0) -> np.ndarray:
-    """A point of the subgradient coordinate set (always a member); for the
-    radius, a point of the transformed generator's set divided by rho."""
-    g, rho, active = active_roots(f, cluster.roots)
-    # part by part: a complex division would flip signed zeros at rho = 1
-    return (_sample(cluster, g, active, gamma, seed).view(float) / rho).view(complex)
+    """A point of the subgradient coordinate set (always a member)."""
+    g, active = active_roots(f, cluster.roots)
+    return _sample(cluster, g, active, gamma, seed)
 
 
 def _sample(cluster: RootCluster, f: Generator, active: list, gamma, seed: int) -> np.ndarray:
@@ -396,18 +390,16 @@ def subderivative_f(cluster: RootCluster, f: Generator, v: Poly) -> float:
     polynomial in direction v: :func:`_subderivative` of the Taylor
     coordinates of v, one coordinate solve, on the active roots of
     :func:`cpoly.active_roots`."""
-    g, rho, active = active_roots(f, cluster.roots)
+    g, active = active_roots(f, cluster.roots)
     blocks = _split_blocks(cluster.mults, _solve_coords(cluster, v)[1:])
-    return _subderivative(g, rho, [(cluster.roots[j], cluster.mults[j], blocks[j])
-                                   for j in active])
+    return _subderivative(g, [(cluster.roots[j], cluster.mults[j], blocks[j])
+                              for j in active])
 
 
-def _subderivative(f: Generator, rho: float, active) -> float:
+def _subderivative(f: Generator, active) -> float:
     """The subderivative read off the Taylor coordinates of the active
     roots, given as ``(lam_j, n_j, omega_j)`` with omega_j the root's
-    coordinate block; f and rho are the transformed generator and the
-    factor of :func:`cpoly.active_roots`, whose radius transform divides
-    the value by rho.
+    coordinate block; f is the generator of :func:`cpoly.active_roots`.
 
     Finite exactly when, at every active root, sqrt(-omega_j2) is
     real-orthogonal to the whole subdifferential and the deeper coordinates
@@ -445,4 +437,4 @@ def _subderivative(f: Generator, rho: float, active) -> float:
         if any(abs(block[s]) > bound for s in range(2, n_j)):
             return math.inf
         vals.append((f.dirderiv(lam, -block[0]) + kappa) / n_j)
-    return max(vals) / rho
+    return max(vals)

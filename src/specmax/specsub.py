@@ -253,7 +253,11 @@ def _candidate(spec: JordanSpec, Y) -> tuple:
     Y = np.asarray(Y, dtype=complex)
     if Y.shape != (spec.n, spec.n):
         raise ValueError(f"candidate must be {spec.n}x{spec.n}")
-    norm = float(np.linalg.norm(Y))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(Y))
+    if norm == math.inf and np.isfinite(Y).all():  # numpy squares past the float range
+        top = float(np.abs(Y).max())
+        norm = top * float(np.linalg.norm(Y / top))
     if not math.isfinite(norm):
         raise ValueError(f"candidate must be finite, got norm {norm}")
     return Y, norm
@@ -300,18 +304,18 @@ def _inactive(params: ToeplitzParams, active) -> list:
 def _membership(spec: JordanSpec, declared: tuple, params: ToeplitzParams,
                 horizon: bool) -> MembershipReport:
     """The verdict on a candidate Y, already extracted into ``params``, at
-    the active set ``declared`` = ``(g, rho, active)`` of
+    the active set ``declared`` = ``(g, active)`` of
     :func:`jordan.declared_active`: the regular W structure, vanishing
     inactive blocks, and the active blocks -theta_j through
     :func:`polysub._active_failures` at INEQ_SLACK * max(1, |Y|)."""
-    g, rho, active = declared
+    g, active = declared
     scale = max(1.0, params.norm)
     failed = params.violations + [Violation("inactive_block_zero", r, name)
                                   for name, r in _inactive(params, active)
                                   if r > STRUCT_TOL * scale]
     triples = [(spec.eig_value(j), spec.n_j(j), [-t for t in params.theta[j].tolist()])
                for j in active]
-    core, gammas = _active_failures(g, rho, triples, INEQ_SLACK * scale, horizon)
+    core, gammas = _active_failures(g, triples, INEQ_SLACK * scale, horizon)
     failed += [Violation(c, r, "active" if i is None else f"eig{active[i]}")
                for c, r, i in core]
     details = {"active": active}
@@ -342,8 +346,7 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
                seed: int = 0) -> np.ndarray:
     """Construct a regular subgradient: a point of the active factor's
     coordinate set drawn by :func:`polysub.Dp_sample`'s sampler on the
-    active eigenvalues of :func:`jordan.declared_active`, mapped through R
-    and divided by the factor of :func:`generators.radius_transform`.
+    active eigenvalues of :func:`jordan.declared_active`, mapped through R.
 
     ``gamma`` are convex weights over the active eigenvalues, listed in the
     spec's declared order (a random point of the simplex by default).
@@ -352,7 +355,7 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
     fails :func:`rsd_membership`.  The active eigenvalues must be
     nonderogatory; both regimes of f are supported.
     """
-    g, rho, active = declared_active(spec, f)
+    g, active = declared_active(spec, f)
     order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
     if gamma is not None:
@@ -364,9 +367,8 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
     theta2 = dict(theta2 or {})
     for j, block in zip(order, _split_blocks(cluster.mults, c[1:])):
         if j in theta2 and len(block) >= 2:
-            t = complex(theta2[j])  # block is a view into c, which Y divides by rho
-            block[1] = complex(-rho * t.real, -rho * t.imag)
-    Y = -(M @ c[1:]).reshape(spec.n, spec.n) / rho
+            block[1] = -complex(theta2[j])  # block is a view into c
+    Y = -(M @ c[1:]).reshape(spec.n, spec.n)
     if theta2:
         report = rsd_membership(spec, f, Y)
         if not report.verdict:
@@ -390,7 +392,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     and the corner regime of f, and the spectral radius through its transform.
     """
     Y, norm = _candidate(spec, Y)
-    g, rho, active = declared_active(spec, f)
+    g, active = declared_active(spec, f)
     order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
     rhs = -Y.ravel()
@@ -399,7 +401,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     if resid > COORD_TOL * max(1.0, norm):
         return False
     triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v)))
-    return not _active_failures(g, rho, triples, COORD_TOL, horizon)[0]
+    return not _active_failures(g, triples, COORD_TOL, horizon)[0]
 
 
 def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
@@ -419,11 +421,11 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
         raise ValueError(f"direction must be {spec.n}x{spec.n}")
     if not np.isfinite(Z).all():
         raise ValueError("direction must be finite")
-    g, rho, active = declared_active(spec, f)
+    g, active = declared_active(spec, f)
     sizes = [spec.n_j(j) for j in active]
     mu = -(R_matrix(spec, active).conj().T @ Z.ravel())
-    return _subderivative(g, rho, [(spec.eig_value(j), n_j, block) for j, n_j, block
-                                   in zip(active, sizes, _split_blocks(sizes, mu))])
+    return _subderivative(g, [(spec.eig_value(j), n_j, block) for j, n_j, block
+                              in zip(active, sizes, _split_blocks(sizes, mu))])
 
 
 # -- the spectral radius entry point ----------------------------------------------
@@ -431,8 +433,8 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
 
 def radius_rsd_membership(spec: JordanSpec, Y, horizon: bool = False) -> MembershipReport:
     """Regular subgradient (or recession direction) test for the spectral
-    radius at a base point with positive radius: the test of radius2 on
-    rho * Y."""
+    radius at a base point with positive radius: the test of its image
+    under :func:`generators.radius_transform` on Y."""
     if all(lam == 0 for lam, _ in spec.eigs) and not spec.b_eigenvalues.any():
         raise ValueError("zero spectral radius: use rsd_membership with the radius")
     params = W_extract(spec, Y)
@@ -444,7 +446,7 @@ def radius_rsd_membership(spec: JordanSpec, Y, horizon: bool = False) -> Members
 
 def regularity_verdict(spec: JordanSpec, f) -> str:
     """"regular" iff every active eigenvalue is a single Jordan block."""
-    _, _, active = declared_active(spec, f)
+    _, active = declared_active(spec, f)
     ok = all(spec.nonderogatory(j) for j in active)
     return "regular" if ok else "not_regular"
 
@@ -509,7 +511,7 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     if count < 1:
         raise ValueError(f"the witness sequence needs at least one member, got {count}")
     declared = declared_active(spec, f)
-    active = declared[2]
+    active = declared[1]
     target = next((j for j in active if not spec.nonderogatory(j)), None)
     if target is None:
         raise ValueError("no derogatory active eigenvalue to witness")
@@ -546,12 +548,12 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
         spec_nu = split.with_eigenvalue(idx, lam_nu)
         c = f.grad(lam_nu) / m_k
         witnesses.append((spec_nu, c * Y_basis))
-        g_nu, rho, active_nu = declared_active(spec_nu, f)
+        g_nu, active_nu = declared_active(spec_nu, f)
         size = abs(c)
         triples = [(spec_nu.eig_value(j), spec_nu.n_j(j), [-(c * t) for t in thetas[j]])
                    for j in active_nu]
-        core, _ = _active_failures(g_nu, rho, triples,
-                                   INEQ_SLACK * max(1.0, size * basis.norm), False)
+        core, _ = _active_failures(g_nu, triples, INEQ_SLACK * max(1.0, size * basis.norm),
+                                   False)
         worst = max([struct] + [r for _, r in _inactive(basis, active_nu)])
         per_nu.append(not core and _scaled_within_tol(worst, size, basis.norm))
 

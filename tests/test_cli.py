@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,11 +49,18 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_diagonal_abscissa(self, capsys, paths):
         mpath = paths("D.json", matrix_to_json(np.diag([2.0, 1j])))
         code, out = run(capsys, ["eval", mpath, "--f", "abscissa"])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(2.0)
+        # eigenvalues whose difference overflows are far apart, not a warning
+        mpath = paths("H.json", matrix_to_json(np.array([[1e308, 1e308], [1e308, 1.0]])))
+        code = main(["eval", mpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        assert json.loads(out.out)["multiplicities"] == [1, 1]
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -135,6 +143,19 @@ class TestMembership:
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
         assert "candidate must be finite" in out.err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f,lam", [("abscissa", 1.0), ("radius2", 1.0), ("radius", 0.0)])
+    def test_finite_candidate_whose_norm_overflows_is_judged(self, capsys, paths, f, lam):
+        # numpy's Frobenius norm of [[1e160]] overflows; the candidate is finite
+        spath = paths("S.json", {"eigs": [{"lambda": [lam, 0.0], "blocks": [1]}]})
+        code = main(["membership", spath, paths("Y.json", [[[1e160, 0.0]]]), "--f", f])
+        out = capsys.readouterr()
+        assert code == 1 and out.err == ""
+        assert json.loads(out.out)["verdict"] is False
+        code = main(["membership", spath, paths("I.json", [[[math.inf, 0.0]]]), "--f", f])
+        out = capsys.readouterr()
+        assert code == 2 and "candidate must be finite" in out.err
 
     def test_wrong_size_candidate_exits_2(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
@@ -220,15 +241,44 @@ class TestSubderivative:
 
 
 class TestDomainErrors:
-    @pytest.mark.parametrize("f", ["radius2", "radius"])
-    @pytest.mark.parametrize("verb", [["membership"], ["verify"], ["subderivative", "matrix"]])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb,f", [
+        (["membership"], "radius2"), (["verify"], "radius2"),
+        (["subderivative", "matrix"], "radius2"), (["verify"], "radius"),
+    ], ids=["verb0-radius2", "verb1-radius2", "verb2-radius2", "verb1-radius"])
     def test_modulus_past_the_square_range_exits_3(self, capsys, paths, verb, f):
-        # |lambda|^2 / 2 overflows to inf, outside the domain of radius2,
-        # which the radius reaches through its transform
+        # radius2's |lambda|^2 / 2 overflows to inf, outside its domain; the
+        # radius's calculus runs on |z|^2 / (2 rho), but the suite of verify
+        # needs |X|, which numpy's norm squares into an overflow
         spath = paths("S.json", {"eigs": [{"lambda": [1e155, 0.0], "blocks": [1]}]})
         ypath = paths("Y.json", matrix_to_json(np.eye(1)))
         argv = verb + [spath] + ([] if verb == ["verify"] else [ypath]) + ["--f", f]
         code = main(argv)
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert out.err.startswith("domain error")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("verb", [["membership"], ["subderivative", "matrix"]],
+                             ids=["membership", "subderivative"])
+    def test_radius_calculus_runs_past_the_square_range(self, capsys, paths, verb):
+        spath = paths("S.json", {"eigs": [{"lambda": [1e155, 0.0], "blocks": [1]}]})
+        ypath = paths("Y.json", matrix_to_json(np.eye(1)))
+        code = main(verb + [spath, ypath, "--f", "radius"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        payload = json.loads(out.out)
+        if verb == ["membership"]:
+            assert payload["verdict"] is True
+        else:
+            assert payload["value"] == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_refuses_a_matrix_whose_norm_overflows(self, capsys, paths):
+        # |X| of J_2(1e155) reads inf, so the suite's noise term would be inf
+        # and no direction could fail
+        spath = paths("J.json", {"eigs": [{"lambda": [1e155, 0.0], "blocks": [2]}]})
+        code = main(["verify", spath, "--f", "abscissa", "--samples", "100"])
         out = capsys.readouterr()
         assert code == 3 and out.out == ""
         assert out.err.startswith("domain error")

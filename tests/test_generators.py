@@ -55,6 +55,27 @@ class TestBuiltinValuesAndGradients:
         assert RAD2.grad(3 + 4j) == 3 + 4j
         assert RAD2.value(1e155) == math.inf  # overflows as the array form does
 
+    @pytest.mark.parametrize("name", ["abscissa", "radius", "radius2", "ell1"])
+    def test_pieces_agree_on_and_off_the_axes(self, name):
+        # the gradient, where there is one, lies in the subdifferential,
+        # whose support is the directional derivative, which forward
+        # differences at t = 1e-7 confirm; 0 and the axes are every
+        # builtin's corners
+        f = builtin(name)
+        t = 1e-7
+        directions = [cmath.exp(1j * a) for a in np.linspace(0, 2 * math.pi, 12, endpoint=False)]
+        for z in [0j, 2.0, -1.5, 0.7j, -3j, 1.5 + 0.5j, -0.3 - 2j, 2.5 - 1.2j]:
+            S = f.subdiff(z)
+            g = f.grad(z)
+            assert (g is None) == (name == "ell1" and z.real * z.imag == 0
+                                   or name == "radius" and z == 0)
+            if g is not None:
+                assert S.distance(g) == 0
+            for d in directions:
+                assert S.support(d) == f.dirderiv(z, d)
+                fd = (f.value(z + t * d) - f.value(z)) / t
+                assert abs(fd - f.dirderiv(z, d)) <= 1e-6
+
     def test_radius_curvature_orthogonal_to_gradient(self):
         # curvature along i * grad equals 1/|z|
         rng = np.random.default_rng(0)

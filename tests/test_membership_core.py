@@ -312,7 +312,7 @@ def test_corner_regime_routes_agree(name, spec):
     the routes agree, and some of them fail."""
     lams = [spec.eig_value(j) for j in range(spec.num_eigs)]
     f = ELL1 if name == "ell1" else rectangles([z for z in lams if abs(abs(z) - 1) < 1e-12])
-    assert sum(spec.n_j(j) for j in declared_active(spec, f)[2]) >= 2
+    assert sum(spec.n_j(j) for j in declared_active(spec, f)[1]) >= 2
     failed_scaled = 0
     for seed in range(40):
         Y = rsd_sample(spec, f, seed=seed)
@@ -342,20 +342,41 @@ def test_corner_regime_conditions_on_the_direct_route():
 # -- the radius transform -------------------------------------------------------------
 
 
+def _bits(x) -> tuple:
+    """The parts of a complex number or of an array, signed zeros included."""
+    return tuple(float(p).hex() for p in np.ravel(np.asarray(x, dtype=complex)).view(float))
+
+
 class TestRadiusTransform:
     def test_maps(self):
-        assert radius_transform(ABSC, [3.0]) == (ABSC, 1.0)
-        g, rho = radius_transform(RAD, [1j, -2.0, 0.5])
-        assert g.name == "radius2" and rho == 2.0
-        g, rho = radius_transform(RAD, [0j])
-        assert rho == 1.0 and "nilpotent origin" in g.name
+        assert radius_transform(ABSC, [3.0]) is ABSC
+        # |z|^2 / (2 rho), z / rho and I / rho, also where |z|^2 over- or underflows
+        for rho in (2.0, 1e155, 1e-200):
+            spectrum = [rho * 1j, -0.5 * rho, rho * (0.3 - 0.8j)]
+            g = radius_transform(RAD, spectrum)
+            assert g.name == "radius" and g.tag(spectrum[0]) == "quadratic"
+            for z in spectrum:
+                assert g.value(z) == pytest.approx(0.5 * rho * (abs(z) / rho) ** 2, rel=1e-15)
+                assert g.grad(z) == pytest.approx(complex(z) / rho, rel=1e-15)
+                assert g.subdiff(z).the_point() == g.grad(z)
+                assert np.array_equal(g.hess(z), np.eye(2) / rho)
+        # at rho = 1 the image is radius2 bit for bit, signed zeros included
+        g = radius_transform(RAD, [-1j, 0.5])
+        for z in [1j, -2.0, 0.3 - 1.1j, 1e-200j, 1.5e300, complex(-0.0, 0.3),
+                  complex(0.7, -0.0), -0j]:
+            assert _bits(g.value(z)) == _bits(RAD2.value(z))
+            assert _bits(g.grad(z)) == _bits(RAD2.grad(z))
+            assert _bits(g.subdiff(z).the_point()) == _bits(RAD2.subdiff(z).the_point())
+            assert g.hess(z).tobytes() == RAD2.hess(z).tobytes()
+        g = radius_transform(RAD, [0j])
+        assert "nilpotent origin" in g.name
         assert g.subdiff(0).kind == "disk" and g.subdiff(0).data == (0j, 1.0)
 
     def test_the_radius_is_recognized_by_identity_not_by_name(self):
         assert builtin("radius") is RAD
         named = make_generator("radius", ABSC.value, grad=ABSC.grad_fn, hess=ABSC.hess_fn,
                                subdiff=ABSC.subdiff_fn, tag=ABSC.tag_fn)
-        assert radius_transform(named, [2.0, -3.0]) == (named, 1.0)
+        assert radius_transform(named, [2.0, -3.0]) is named
         spec = JordanSpec([(2.0, (1,)), (-3.0, (1,))])
         Y = np.diag([1.0, 0.0]).astype(complex)  # the gradient of the abscissa at 2
         for f in (ABSC, named):

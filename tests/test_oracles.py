@@ -7,7 +7,7 @@ import pytest
 from specmax import oracles
 from specmax.cpoly import Poly, RootCluster
 from specmax.generators import builtin, make_generator
-from specmax.jordan import JordanSpec
+from specmax.jordan import DomainError, JordanSpec
 from specmax.oracles import (
     ABS_SLACK,
     GROWTH_CUTOFF,
@@ -200,6 +200,18 @@ class TestInequalitySuite:
         # a NaN pairing compares false everywhere, which read as 0 violations
         with pytest.raises(ValueError, match="candidate"):
             subgradient_inequality_suite(J2, ABSC, Y, n_samples=10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_matrix_whose_norm_overflows_is_refused(self):
+        # |X| reads inf at 1e155, so the noise term would be inf and the
+        # suite would find none of the violations it finds at 1
+        Y = 100 * np.eye(2)
+        rep = subgradient_inequality_suite(JordanSpec([(1.0, (2,))]), ABSC, Y, n_samples=100)
+        assert rep["violations"] == 7 and rep["n_directions"] == 105
+        with pytest.raises(DomainError, match="finite"):
+            subgradient_inequality_suite(JordanSpec([(1e155, (2,))]), ABSC, Y, n_samples=100)
+        with pytest.raises(DomainError, match="finite"):
+            subgradient_inequality_suite(JordanSpec([(1e155, (1,))]), RAD, np.eye(1))
 
 
 def _suite_one_direction_at_a_time(spec, f, Y, n_samples, radii=(1e-2, 1e-3, 1e-4),

@@ -7,7 +7,7 @@ import pytest
 
 from specmax.cpoly import Poly, RootCluster, poly_root_max
 from specmax.generators import ConvexSet2D, builtin, make_generator
-from specmax.jordan import DomainError
+from specmax.jordan import DomainError, JordanSpec
 from specmax.oracles import fd_poly_quotient
 from specmax.polysub import (
     SIMPLEX_TOL,
@@ -22,6 +22,7 @@ from specmax.polysub import (
     rsd_f_membership,
     subderivative_f,
 )
+from specmax.specsub import chain_rule_membership, rsd_membership, rsd_sample
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -651,13 +652,24 @@ class TestActiveRoots:
         assert not Dp_membership(base, RAD, [0.1, 0] + tail)
         assert Dp_horizon_membership(base, RAD, [0, 0] + tail)
 
-    def test_radius_sample_is_radius2_sample_over_rho(self):
-        for cluster in self._clusters():
-            rho = max(abs(r) for r in cluster.roots)
+    def test_radius_samples_are_members_in_its_own_units(self):
+        # two active roots of modulus rho: at rho = 1 the radius's samples
+        # are radius2's bit for bit, and at every rho members of both routes
+        roots, mults = [1j, -1.0, 0.2 + 0.3j], [2, 1, 2]
+        rng = np.random.default_rng(23)
+        P = np.eye(5) + 0.2 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        for rho in (1.0, 1e-3, 2.0, 1e3):
+            cluster = RootCluster.sorted(zip([rho * z for z in roots], mults))
+            spec = JordanSpec([(rho * z, (m,)) for z, m in zip(roots, mults)], P=P)
             for s in range(3):
-                c, c2 = Dp_sample(cluster, RAD, seed=s), Dp_sample(cluster, RAD2, seed=s)
-                assert c.tobytes() == (c2.view(float) / rho).view(complex).tobytes()
+                c, Y = Dp_sample(cluster, RAD, seed=s), rsd_sample(spec, RAD, seed=s)
+                if rho == 1.0:
+                    assert c.tobytes() == Dp_sample(cluster, RAD2, seed=s).tobytes()
+                    assert Y.tobytes() == rsd_sample(spec, RAD2, seed=s).tobytes()
                 assert Dp_membership(cluster, RAD, c)
+                assert rsd_f_membership(cluster, RAD, from_coords(cluster, c))
+                assert rsd_membership(spec, RAD, Y).verdict
+                assert chain_rule_membership(spec, RAD, Y)
 
     def test_roots_outside_the_domain_are_rejected(self):
         # +inf at the inactive root 2, though tagged quadratic there

@@ -22,6 +22,9 @@ where the chain rule through the characteristic polynomial does not hold.
 On every spec's base matrix, ``spectral_active`` must report the value
 ``spectral_max`` returns, bit for bit; mismatches fail the spec and are
 counted in the final tally.
+The inequality suite also runs on each 1.5 times member; the tally reports
+how many of those non-members it flags (a count, not a check: the suite
+only samples directions, so it may miss a non-member).
 
 Prints one line per spec and a final tally; exits nonzero on any failure.
 """
@@ -110,6 +113,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     failures = 0
     eval_mismatches = 0
+    scaled_flagged = scaled_runs = 0
     for i in range(args.specs):
         f = builtin(("abscissa", "radius2", "radius")[i % 3])
         derogatory = i % 4 == 3
@@ -154,6 +158,10 @@ def main():
             rep = subgradient_inequality_suite(spec, f, Y, n_samples=args.samples,
                                                seed=args.seed + i)
             violations += rep["violations"]
+            rep = subgradient_inequality_suite(spec, f, 1.5 * Y, n_samples=args.samples,
+                                               seed=args.seed + i)
+            scaled_flagged += rep["violations"] > 0
+            scaled_runs += 1
         ok = bad_routes == 0 and violations == 0 and subderiv == "value" and not mismatch
         status = "ok" if ok else "FAIL"
         failures += status == "FAIL"
@@ -161,7 +169,8 @@ def main():
               f"routes bad={bad_routes}, fd violations={violations}, "
               f"subderivative {subderiv}, eval mismatch={mismatch:d}  [{status}]")
     print(f"{args.specs - failures}/{args.specs} specs clean, "
-          f"{eval_mismatches} spectral_active/spectral_max mismatches")
+          f"{eval_mismatches} spectral_active/spectral_max mismatches, "
+          f"{scaled_flagged}/{scaled_runs} 1.5x members flagged by the inequality suite")
     return 1 if failures else 0
 
 

@@ -274,6 +274,20 @@ class DomainError(ValueError):
     """A root or eigenvalue fell outside the domain of the generating function."""
 
 
+def _safe_norm(a) -> float:
+    """The 2-norm (Frobenius norm) of the array ``a``, finite wherever it is
+    representable: numpy's norm squares its entries, so where that reads
+    inf on finite entries it is taken again on a over its largest real or
+    imaginary part, times that part.  inf or NaN only for entries that are."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == math.inf and np.isfinite(a).all():
+        top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+        norm = top * float(np.linalg.norm(a / top))
+    return norm
+
+
 def _attaining(vals: list) -> list:
     """The indices of the values within ACTIVE_TOL of the max of vals; at a
     max of +inf, exactly the infinite values."""

@@ -16,6 +16,17 @@ matrices (directions times steps) and evaluates them in one call, or in
 blocks of at most STACK_ENTRIES matrix entries so that memory stays
 bounded for many directions.
 
+The inequality suite runs in the declared Jordan basis: with X = P^-1 J P,
+X + tZ = P^-1 (J + t P Z P^-1) P has the spectrum of J + t P Z P^-1, so
+it differences phi(J + t P Z P^-1) against phi(J).  The spectra are the
+same, and no subgradient formula enters; but the base value is exact (J is
+triangular but for the rest block), the identity and block-identity probes
+give exactly triangular matrices and the transposed nilpotents exactly
+tridiagonal ones (their images are the sparse matrices they are built
+from), and LAPACK does less work on the sampled perturbations of a nearly
+triangular matrix.  The pairing Re<Y, Z> stays in the basis of X.
+:func:`fd_phi_quotient` takes a raw matrix and stays in its basis.
+
 Everything is deterministic given the seed.  The suite's sample directions
 come from one generator per call: direction i is a function of
 (seed, i, n) alone, so it does not depend on the block size, and the first
@@ -132,6 +143,18 @@ def _margin(quotients, coeff, steps, order: int, noise: float) -> np.ndarray:
     return quotients + coeff * powers + noise / np.asarray(steps, dtype=float) + ABS_SLACK
 
 
+def _matrix_norm(X) -> float:
+    """|X|, which the noise term of a matrix quotient scales with;
+    :class:`DomainError` where numpy's norm overflows (it squares, so from
+    about 1.34e154), since an inf noise term would let every formula and
+    every candidate pass."""
+    with np.errstate(over="ignore"):  # refused, not warned of
+        norm = float(np.linalg.norm(X))
+    if not math.isfinite(norm):
+        raise DomainError(f"the noise term needs a finite |X|, got {norm}")
+    return norm
+
+
 def _build_report(steps, quotients, holder_order, formula, scale=1.0) -> FDReport:
     steps = tuple(float(t) for t in steps)
     quotients = tuple(float(q) for q in quotients)
@@ -169,11 +192,12 @@ def fd_phi_quotient(X, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
         raise ValueError("steps must lie in (0, 0.1]")
     X = np.asarray(X, dtype=complex)
     Z = np.asarray(Z, dtype=complex)
+    norm = _matrix_norm(X)
     steps = np.asarray(t_grid, dtype=float)
     base = spectral_max(X, f)
     quotients = (spectral_max(X + steps[:, None, None] * Z, f) - base) / steps
     return _build_report(t_grid, quotients, holder_order, formula,
-                         scale=max(1.0, abs(base), float(np.linalg.norm(X))))
+                         scale=max(1.0, abs(base), norm))
 
 
 def fd_poly_quotient(p: Poly, f, v: Poly, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
@@ -190,26 +214,27 @@ def fd_poly_quotient(p: Poly, f, v: Poly, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
                          scale=max(1.0, abs(base), p.coeff_norm()))
 
 
-def _structured_probes(spec: JordanSpec) -> list:
+def _structured_probes(spec: JordanSpec) -> tuple:
     """Directions along which the spectral max stays finite-differentiable
-    enough to expose subgradient-inequality violations (identity shifts and
-    per-eigenvalue block identities)."""
-    probes = []
+    enough to expose subgradient-inequality violations (identity shifts,
+    per-eigenvalue block identities and transposed nilpotents).
+
+    Returns ``(D, V)``, each of shape (k, n, n): the unit probes D in the
+    basis of X, and their images P D P^-1 in the Jordan basis, which are the
+    sparse matrices the probes are built from over the same norms."""
     eye = np.eye(spec.n, dtype=complex)
-    probes.append(eye)
-    probes.append(-eye)
+    pairs = [(eye, eye), (-eye, -eye)]
     for j in range(spec.num_eigs):
         E = spec.embed_block(j, np.eye(spec.n_j(j), dtype=complex))
         D = spec.Pinv @ E @ spec.P
-        probes.append(D)
-        probes.append(-D)
+        pairs += [(D, E), (-D, -E)]
         if spec.n_j(j) >= 2:
             # push along the transposed nilpotent: splits the eigenvalue
-            Nt = np.zeros((spec.n, spec.n), dtype=complex)
-            sl = spec.eig_slice(j)
-            Nt[sl, sl] = nilpotent(spec.n_j(j)).T
-            probes.append(spec.Pinv @ Nt @ spec.P)
-    return [p / np.linalg.norm(p) for p in probes if np.linalg.norm(p) > 0]
+            Nt = spec.embed_block(j, nilpotent(spec.n_j(j)).T)
+            pairs.append((spec.Pinv @ Nt @ spec.P, Nt))
+    norms = [np.linalg.norm(D) for D, _ in pairs]
+    kept = [(D / s, E / s) for (D, E), s in zip(pairs, norms) if s > 0]
+    return np.array([D for D, _ in kept]), np.array([V for _, V in kept])
 
 
 def _sample_directions(n: int, n_samples: int, seed: int, out=None) -> np.ndarray:
@@ -232,33 +257,48 @@ def _sample_directions(n: int, n_samples: int, seed: int, out=None) -> np.ndarra
     return out
 
 
+def _jordan_images(spec: JordanSpec, Z: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """The images P Z P^-1 of a stack Z of directions in the Jordan basis,
+    each factor one matrix product over the whole stack; the first
+    ``len(exact)`` are ``exact`` instead."""
+    ZPinv = (Z.reshape(-1, spec.n) @ spec.Pinv).reshape(Z.shape)
+    V = np.tensordot(spec.P, ZPinv, axes=(1, 1)).transpose(1, 0, 2)
+    V[:len(exact)] = exact
+    return V
+
+
 def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
                                  radii=(1e-2, 1e-3, 1e-4), seed: int = 0,
                                  include_probes: bool = True) -> dict:
     """Sampled test of Re<Y, Z> <= quotient(t) + slack(t) over seeded unit
     directions (plus structured probes), aggregating the worst violation.
+    The quotients are taken in the declared Jordan basis (module docstring).
     Raises :class:`DomainError` where |X|, and so the noise term, is inf."""
-    X = spec.synth()
+    J = spec.jordan_matrix()
     Y, _ = _candidate(spec, Y)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs)) if spec.num_eigs else 1
-    probes = _structured_probes(spec) if include_probes else []
+    probes, images = (_structured_probes(spec) if include_probes
+                      else np.empty((2, 0, spec.n, spec.n)))
     D = np.empty((len(probes) + n_samples, spec.n, spec.n), dtype=complex)
-    D[:len(probes)] = np.reshape(probes, (-1, spec.n, spec.n))
+    D[:len(probes)] = probes
     _sample_directions(spec.n, n_samples, seed, out=D[len(probes):])
 
     steps = np.asarray(radii, dtype=float)
-    base = spectral_max(X, f)
-    with np.errstate(over="ignore"):  # an overflowing norm is refused, not warned of
-        norm = float(np.linalg.norm(X))
-    if not math.isfinite(norm):
-        raise DomainError(f"the suite's noise term needs a finite |X|, got {norm}")
-    noise = eval_noise_floor(m_max, max(1.0, abs(base), norm))
+    base = spectral_max(J, f)
+    noise = eval_noise_floor(m_max, max(1.0, abs(base), _matrix_norm(spec.synth())))
     lhs = np.einsum("ki,dki->d", Y.conj(), D).real
     quotients = np.empty((len(D), len(steps)))
     block = max(1, STACK_ENTRIES // (len(steps) * spec.n ** 2))
+    # one buffer for every block: a fresh stack per block left the heap of
+    # a 10,011-direction n = 20 suite 2.5 MB larger at its peak
+    stack = np.empty((min(block, len(D)), len(steps), spec.n, spec.n), dtype=complex)
     for a in range(0, len(D), block):
-        stack = X + steps[:, None, None] * D[a:a + block, None]
-        quotients[a:a + block] = (spectral_max(stack, f) - base) / steps
+        Z = D[a:a + block]  # rows J + tV, V = P Z P^-1: the spectra of X + tZ
+        rows = np.multiply(steps[:, None, None],
+                           _jordan_images(spec, Z, images[a:a + block])[:, None],
+                           out=stack[:len(Z)])
+        rows += J
+        quotients[a:a + block] = (spectral_max(rows, f) - base) / steps
     coeff = slack_coefficient(radii, quotients, m_max)
     margin = _margin(quotients, coeff[:, None], radii, m_max, noise)
     gap = (lhs[:, None] - margin).max(axis=1)

@@ -42,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, active_roots
+from .cpoly import Poly, RootCluster, _safe_norm, active_roots
 from .generators import (
     COND14,
     COND15,
@@ -274,7 +274,7 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) ->
         raise ValueError(
             f"coordinate vector must have length {cluster.degree() + 1}, got {c.size}"
         )
-    scale = 1.0 + float(np.linalg.norm(c))
+    scale = 1.0 + _safe_norm(c)
     if not math.isfinite(scale):  # NaN passes every "> tol" test below
         raise ValueError(f"coordinate vector must be finite, got norm {scale - 1.0}")
     g, active = active_roots(f, cluster.roots)

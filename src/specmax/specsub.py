@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _values
+from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _safe_norm, _values
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
 from .polysub import COORD_TOL, _active_failures, _sample, _split_blocks, _subderivative
@@ -253,11 +253,7 @@ def _candidate(spec: JordanSpec, Y) -> tuple:
     Y = np.asarray(Y, dtype=complex)
     if Y.shape != (spec.n, spec.n):
         raise ValueError(f"candidate must be {spec.n}x{spec.n}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(Y))
-    if norm == math.inf and np.isfinite(Y).all():  # numpy squares past the float range
-        top = float(np.abs(Y).max())
-        norm = top * float(np.linalg.norm(Y / top))
+    norm = _safe_norm(Y)
     if not math.isfinite(norm):
         raise ValueError(f"candidate must be finite, got norm {norm}")
     return Y, norm
@@ -397,7 +393,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
     rhs = -Y.ravel()
     v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    resid = float(np.linalg.norm(M @ v - rhs))
+    resid = _safe_norm(M @ v - rhs)
     if resid > COORD_TOL * max(1.0, norm):
         return False
     triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v)))

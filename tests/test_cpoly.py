@@ -10,6 +10,7 @@ from specmax.cpoly import (
     Poly,
     _cluster_rows,
     RootCluster,
+    _safe_norm,
     active_set,
     elementary,
     lex_key,
@@ -101,6 +102,26 @@ class TestTaylor:
             for k in range(deg + 1):
                 rebuilt = rebuilt + taylor_coeff(p, k, lam0) * elementary(k, lam0, degree_bound=deg)
             assert np.linalg.norm(rebuilt.array() - p.array()) < 1e-12 * max(1, p.coeff_norm())
+
+
+class TestSafeNorm:
+    @pytest.mark.parametrize("a", [
+        np.arange(6.0).reshape(2, 3), np.array([[1 + 2j, 3e150], [0, -4j]]),
+        np.array([1e-300 + 0j, 0]), np.zeros((0, 3)), np.array([np.nan, 1.0]),
+    ])
+    def test_numpy_norm_where_it_is_finite_or_the_entries_are_not(self, a):
+        assert np.float64(_safe_norm(a)).tobytes() == np.float64(np.linalg.norm(a)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,expected", [
+        (np.array([[3e200, 0.0], [4e200, 0.0]]), 5e200),
+        (np.array([[3e200j, 0.0], [0.0, -4e200]]).T, 5e200),  # not contiguous
+        (np.array([1e308 + 1e308j, 1e308]), math.sqrt(3) * 1e308),
+        (np.array([1.5e308 + 1.5e308j]), math.inf),
+        (np.array([np.inf, 1e200]), math.inf),
+    ])
+    def test_finite_wherever_representable(self, a, expected):
+        assert _safe_norm(a) == pytest.approx(expected, rel=1e-15)
 
 
 class TestRoots:

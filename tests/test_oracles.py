@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 
@@ -57,6 +58,16 @@ class TestMatrixQuotients:
     def test_step_bounds(self):
         with pytest.raises(ValueError):
             fd_phi_quotient(J2.synth(), ABSC, np.eye(2), t_grid=(0.5,))
+
+    @pytest.mark.filterwarnings("error")
+    def test_matrix_whose_norm_overflows_is_refused(self):
+        # |X| reads inf at 1e155, so the noise term would be inf and the
+        # formula 1.0 would pass against quotients of -5
+        X = np.array([[1e155, 1.0], [0.0, 1e155]])
+        with pytest.raises(DomainError, match="finite"):
+            fd_phi_quotient(X, ABSC, -5 * np.eye(2), formula=1.0)
+        rep = fd_phi_quotient(X / 1e155, ABSC, -5 * np.eye(2), formula=1.0)
+        assert rep.verdict is False
 
 
 class TestPolyQuotients:
@@ -215,18 +226,29 @@ class TestInequalitySuite:
 
 
 def _suite_one_direction_at_a_time(spec, f, Y, n_samples, radii=(1e-2, 1e-3, 1e-4),
-                                   seed=0):
-    """The inequality suite with one evaluation per (direction, radius)."""
+                                   seed=0, basis="jordan"):
+    """The inequality suite with one evaluation per (direction, radius).
+
+    ``basis="jordan"`` differences phi(J + t P Z P^-1), as the suite does,
+    with the probes' exact images; ``basis="x"`` differences phi(X + t Z)
+    at X = P^-1 J P, the same spectra in the basis of X."""
     X = spec.synth()
     Y = np.asarray(Y, dtype=complex)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs))
-    directions = list(_structured_probes(spec)) + list(_sample_directions(spec.n, n_samples, seed))
+    probes, images = _structured_probes(spec)
+    samples = _sample_directions(spec.n, n_samples, seed)
+    directions = list(probes) + list(samples)
+    if basis == "jordan":
+        A = spec.jordan_matrix()
+        moved = list(images) + [spec.P @ Z @ spec.Pinv for Z in samples]
+    else:
+        A, moved = X, directions
     worst, worst_idx, violations = 0.0, -1, 0
-    base = spectral_max(X, f)
+    base = spectral_max(A, f)
     noise = eval_noise_floor(m_max, max(1.0, abs(base), float(np.linalg.norm(X))))
-    for idx, Z in enumerate(directions):
+    for idx, (Z, V) in enumerate(zip(directions, moved)):
         lhs = float(np.real(np.trace(Y.conj().T @ Z)))
-        quotients = [(spectral_max(X + t * Z, f) - base) / t for t in radii]
+        quotients = [(spectral_max(A + t * V, f) - base) / t for t in radii]
         coeff = slack_coefficient(radii, quotients, m_max)
         gap = max(lhs - (q + coeff * t ** (1.0 / m_max) + noise / t + ABS_SLACK)
                   for t, q in zip(radii, quotients))
@@ -289,7 +311,7 @@ class TestBatchedSuite:
         rep = subgradient_inequality_suite(spec, ABSC, Y, n_samples=60, seed=4)
         ref = _suite_one_direction_at_a_time(spec, ABSC, Y, n_samples=60, seed=4)
         assert ref["violations"] > 0
-        assert ref["worst_direction"] >= len(_structured_probes(spec))
+        assert ref["worst_direction"] >= len(_structured_probes(spec)[0])
         for key in ("n_directions", "violations", "worst_direction"):
             assert rep[key] == ref[key]
         assert rep["max_violation"] == pytest.approx(ref["max_violation"], rel=1e-12, abs=0)
@@ -319,3 +341,108 @@ class TestBatchedSuite:
         calls.clear()
         fd_phi_quotient(SPEC32.synth(), ABSC, np.eye(5))
         assert len(calls) <= 2
+
+
+# Jordan structures of the benchmark's regular verify specs: ("a", blocks)
+# attains the max, ("i", blocks) does not
+REGULAR = (
+    (("a", (3,)),),
+    (("a", (2,)), ("i", (1,))),
+    (("a", (1,)), ("a", (1,)), ("i", (1,))),
+    (("a", (2,)), ("i", (2,))),
+    (("a", (3,)), ("i", (1,))),
+    (("a", (2,)), ("a", (1,)), ("i", (1,))),
+    (("a", (3,)), ("i", (2,))),
+    (("a", (2,)), ("a", (2,)), ("i", (1,))),
+    (("a", (3,)), ("i", (2,)), ("i", (1,))),
+    (("a", (3,)), ("a", (2,)), ("i", (1,))),
+)
+
+
+def _regular_spec(rng, f, template):
+    """Eigenvalues for ``template`` that tie exactly for the max of f (the
+    abscissa on one vertical line, the radii on one circle), inactive ones at
+    least 0.6 below it, all 0.5 apart and 0.4 from the origin; P = I + 0.25 G
+    with complex Gaussian G and cond(P) < 50."""
+    roles = [role for role, _ in template]
+    while True:
+        if f is ABSC:
+            a = rng.uniform(-1.0, 1.5)
+            lams = [complex(a if role == "a" else a - rng.uniform(0.6, 2.5), rng.uniform(-2, 2))
+                    for role in roles]
+        else:
+            rho = rng.uniform(1.2, 2.2)
+            lams = [(rho if role == "a" else rng.uniform(0.4, rho - 0.6))
+                    * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for role in roles]
+        if min(map(abs, lams)) >= 0.4 and all(
+                abs(lams[p] - lams[q]) >= 0.5 for p in range(len(lams)) for q in range(p)):
+            break
+    n = sum(sum(blocks) for _, blocks in template)
+    while True:
+        P = np.eye(n) + 0.25 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if np.linalg.cond(P) < 50:
+            return JordanSpec([(lam, blocks) for lam, (_, blocks) in zip(lams, template)], P=P)
+
+
+def _probes_in_the_basis_of_x(spec):
+    """The structured probes built directly in the basis of X, each
+    P^-1 E P over its norm: the reference their bytes are pinned to."""
+    eye = np.eye(spec.n, dtype=complex)
+    probes = [eye, -eye]
+    for j in range(spec.num_eigs):
+        D = spec.Pinv @ spec.embed_block(j, np.eye(spec.n_j(j), dtype=complex)) @ spec.P
+        probes += [D, -D]
+        if spec.n_j(j) >= 2:
+            Nt = np.zeros((spec.n, spec.n), dtype=complex)
+            sl = spec.eig_slice(j)
+            Nt[sl, sl] = np.eye(spec.n_j(j), k=-1)
+            probes.append(spec.Pinv @ Nt @ spec.P)
+    return [p / np.linalg.norm(p) for p in probes if np.linalg.norm(p) > 0]
+
+
+class TestJordanBasis:
+    @pytest.mark.parametrize("spec", [
+        J2, SPEC32,
+        JordanSpec([(1.0, (2, 1)), (2j, (3,))],
+                   P=np.eye(6) + 0.3 * np.random.default_rng(8).standard_normal((6, 6))),
+        JordanSpec([(0.5, (2,))], P=[[2.0, 1.0, 0.0], [0.0, 1.0, 1j], [1.0, 0.0, 1.0]],
+                   B=[[-1.0]]),
+    ], ids=["J2", "SPEC32", "derogatory", "rest-block"])
+    def test_probes_keep_their_bytes_and_have_exact_images(self, spec):
+        probes, images = _structured_probes(spec)
+        ref = _probes_in_the_basis_of_x(spec)
+        assert probes.tobytes() == np.array(ref).tobytes()
+        for D, V in zip(probes, images):
+            # V is a signed 0/1 pattern (I, a block identity or a transposed
+            # nilpotent) over the norm of its image in the basis of X
+            assert set((V / np.abs(V).max()).ravel().tolist()) <= {0, 1, -1}
+            assert np.abs(np.triu(V, 1)).max() == 0 and np.abs(np.tril(V, -2)).max() == 0
+            assert np.allclose(spec.P @ D @ spec.Pinv, V, rtol=0, atol=1e-12 * np.abs(V).max())
+
+    def test_flags_what_the_basis_of_x_flags(self):
+        # on members, 1.5x, 1.05x and noisy members of the regular verify
+        # specs under every builtin generator but ell1: no member is
+        # flagged, and every candidate flagged in the basis of X (one
+        # direction at a time) is flagged in the Jordan basis
+        rng = np.random.default_rng(24)
+        flagged = {"x": 0, "jordan": 0}
+        for template in REGULAR:
+            for f in (ABSC, RAD2, RAD):
+                spec = _regular_spec(rng, f, template)
+                Y = rsd_sample(spec, f, seed=int(rng.integers(2 ** 31)))
+                G = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
+                noisy = Y + 1e-2 * np.linalg.norm(Y) * G / np.linalg.norm(G)
+                seed = int(rng.integers(2 ** 31))
+                for scale, C in (("1", Y), ("1.5", 1.5 * Y), ("1.05", 1.05 * Y), ("noisy", noisy)):
+                    jordan = subgradient_inequality_suite(spec, f, C, n_samples=50, seed=seed)
+                    x = _suite_one_direction_at_a_time(spec, f, C, n_samples=50, seed=seed,
+                                                       basis="x")
+                    assert jordan["n_directions"] == x["n_directions"]
+                    if scale == "1":
+                        assert jordan["violations"] == x["violations"] == 0
+                    assert jordan["violations"] > 0 or x["violations"] == 0, (spec, f, scale)
+                    if scale == "1.5":
+                        flagged["x"] += x["violations"] > 0
+                        flagged["jordan"] += jordan["violations"] > 0
+        print(f"1.5x members flagged of {3 * len(REGULAR)}: basis of X {flagged['x']}, "
+              f"Jordan basis {flagged['jordan']}")

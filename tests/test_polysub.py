@@ -395,6 +395,13 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="simplex"):
             Dp_sample(RootCluster((1.0,), (2,)), RAD2, gamma=gamma)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_coordinates_whose_norm_overflows_are_judged(self):
+        simple = RootCluster((1 + 0j,), (1,))
+        assert Dp_membership(simple, ABSC, [0, -1.0])
+        assert not Dp_membership(simple, ABSC, [0, -1e160])
+        assert not Dp_membership(LAM2, ABSC, [0, -0.5, 1e160])
+
     def test_nan_root_rejected(self):
         # RootCluster accepts a lone NaN root; a NaN value attains no max
         cluster = RootCluster((complex(np.nan),), (1,))

@@ -519,6 +519,17 @@ class TestChainRule:
     def test_zero_fails(self):
         assert not chain_rule_membership(J2, ABSC, np.zeros((2, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_residual_gate_past_the_square_range(self):
+        # a member of J_2(1) under the abscissa whose subdiagonal entry is
+        # past 1.34e154, where numpy's norm squares to inf: the chain
+        # route's residual gate must read the residual's true size
+        spec = JordanSpec([(1.0, (2,))])
+        Y = np.array([[0.5, 0.0], [3e200, 0.5]])
+        assert rsd_membership(spec, ABSC, Y).verdict
+        assert chain_rule_membership(spec, ABSC, Y)
+        assert not chain_rule_membership(spec, ABSC, np.array([[0.5, 3e200], [3e200, 0.5]]))
+
     @pytest.mark.parametrize("Y", [np.zeros((2, 2)), np.zeros(9), np.full((3, 3), np.nan)],
                              ids=["2x2", "flat", "nan"])
     def test_malformed_candidate_rejected(self, Y):

@@ -177,6 +177,7 @@ class RootCluster:
 
 CLUSTER_TOL = 1e-6  # absolute: the largest diameter of a root cluster
 ACTIVE_TOL = 1e-8  # absolute: how far below the max a value of an active root may lie
+_NORM_SAFE = 1e154  # below it, no square in numpy's 2-norm passes 1e308
 
 
 def _complete_linkage(row: list, tol: float) -> list:
@@ -286,6 +287,13 @@ def _safe_norm(a) -> float:
         top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
         norm = top * float(np.linalg.norm(a / top))
     return norm
+
+
+def _norm_within(a, bound: float) -> float:
+    """The 2-norm of the array ``a``, given a scale ``bound`` >= |a|: numpy's
+    where the bound keeps its squares finite, so ordinary input pays no
+    warnings state, and :func:`_safe_norm`'s beyond."""
+    return float(np.linalg.norm(a)) if bound < _NORM_SAFE else _safe_norm(a)
 
 
 def _attaining(vals: list) -> list:

@@ -12,11 +12,7 @@ import numpy as np
 
 from .generators import builtin
 from .jordan import JordanSpec
-from .specsub import (
-    radius_rsd_membership,
-    regularity_verdict,
-    spectral_max,
-)
+from .specsub import regularity_verdict, rsd_membership, spectral_max
 
 __all__ = [
     "fixture_two_active",
@@ -61,19 +57,19 @@ def worked_example_checks(nu_count: int = 100) -> list:
     val = spectral_max(A.synth(), radius)
     checks.append(("two-active: spectral radius is 1", abs(val - 1.0) < 1e-12, f"value={val}"))
 
-    rep = radius_rsd_membership(A, _diag_theta(0.5, 0.0, 0.0))
+    rep = rsd_membership(A, radius, _diag_theta(0.5, 0.0, 0.0))
     checks.append(("two-active: Diag(1/2,1/2,0) is a regular subgradient",
                    rep.verdict, rep.details))
 
-    rep = radius_rsd_membership(A, np.eye(3, dtype=complex))
+    rep = rsd_membership(A, radius, np.eye(3, dtype=complex))
     checks.append(("two-active: Diag(1,1,1) is rejected (trailing ray sign)",
                    not rep.verdict, [v.condition for v in rep.failed]))
 
-    rep = radius_rsd_membership(A, _diag_theta(0.5, -1.0, 0.0))
+    rep = rsd_membership(A, radius, _diag_theta(0.5, -1.0, 0.0))
     checks.append(("two-active: subdiagonal -1 under diagonal 1/2 is rejected",
                    not rep.verdict, [v.condition for v in rep.failed]))
 
-    rep = radius_rsd_membership(A, _diag_theta(0.25, -0.25, -0.5))
+    rep = rsd_membership(A, radius, _diag_theta(0.25, -0.25, -0.5))
     checks.append(("two-active: boundary subdiagonal -theta11 is accepted",
                    rep.verdict, rep.details))
 
@@ -88,18 +84,18 @@ def worked_example_checks(nu_count: int = 100) -> list:
         ("derogatory: subdiagonal below -1/3 is rejected", -1.0 / 3 - 1e-3, False),
     ]:
         Y = np.eye(3, dtype=complex) / 3 + theta * third
-        rep = radius_rsd_membership(B, Y)
+        rep = rsd_membership(B, radius, Y)
         checks.append((name, rep.verdict == expect, [v.condition for v in rep.failed]))
 
     M = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    rep = radius_rsd_membership(B, M)
+    rep = rsd_membership(B, radius, M)
     checks.append(("derogatory: Diag(0,0,1) fails the equal-diagonal structure",
                    (not rep.verdict)
                    and any(v.condition == "equal_diagonals" for v in rep.failed),
                    [v.condition for v in rep.failed]))
 
     seq_ok = all(
-        radius_rsd_membership(derogatory_sequence_spec(nu), M).verdict
+        rsd_membership(derogatory_sequence_spec(nu), radius, M).verdict
         for nu in range(1, nu_count + 1)
     )
     checks.append((f"derogatory: Diag(0,0,1) accepted along the sequence (nu=1..{nu_count})",

@@ -572,19 +572,15 @@ def condition_check(f: Generator, lam: complex) -> str:
     return NEITHER
 
 
-def q_set(f: Generator, lam: complex) -> ConvexSet2D:
-    """The cone -cone(S^2) + i * rspan(S^2) built from S = subdiff(f)(lam).
+def q_set(S: ConvexSet2D) -> ConvexSet2D:
+    """The cone -cone(S^2) + i * rspan(S^2) built from a subdifferential
+    S = subdiff(f)(lam).
 
     For a singleton {g} this is the exact halfplane
     {theta : Re(conj(g^2) theta) <= 0}; fat subdifferentials whose squared
     generators cover all directions give the whole plane.  Other shapes are
     rejected: there is no finite recipe for them here.
     """
-    return _squared_generator_cone(f.subdiff(lam))
-
-
-def _squared_generator_cone(S: ConvexSet2D) -> ConvexSet2D:
-    """The body of :func:`q_set` for the subdifferential S itself."""
     if S.is_singleton:
         g = S.the_point()
         if g == 0:

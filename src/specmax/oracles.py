@@ -59,6 +59,7 @@ GROWTH_FLOOR = 1e-12  # absolute: quotients at or below it give no point of the 
 ABS_SLACK = 1e-8
 EPS = float(np.finfo(float).eps)
 STACK_ENTRIES = 1 << 18  # matrix entries per spectral_max call (4 MB per complex copy)
+RADII = (1e-2, 1e-3, 1e-4)  # the inequality suite's steps
 
 
 def eval_noise_floor(order: int, scale: float = 1.0) -> float:
@@ -268,22 +269,21 @@ def _jordan_images(spec: JordanSpec, Z: np.ndarray, exact: np.ndarray) -> np.nda
 
 
 def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
-                                 radii=(1e-2, 1e-3, 1e-4), seed: int = 0,
-                                 include_probes: bool = True) -> dict:
-    """Sampled test of Re<Y, Z> <= quotient(t) + slack(t) over seeded unit
-    directions (plus structured probes), aggregating the worst violation.
-    The quotients are taken in the declared Jordan basis (module docstring).
-    Raises :class:`DomainError` where |X|, and so the noise term, is inf."""
+                                 seed: int = 0) -> dict:
+    """Sampled test of Re<Y, Z> <= quotient(t) + slack(t) at the steps t of
+    RADII, over the structured probes and seeded unit directions,
+    aggregating the worst violation.  The quotients are taken in the
+    declared Jordan basis (module docstring).  Raises :class:`DomainError`
+    where |X|, and so the noise term, is inf."""
     J = spec.jordan_matrix()
     Y, _ = _candidate(spec, Y)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs)) if spec.num_eigs else 1
-    probes, images = (_structured_probes(spec) if include_probes
-                      else np.empty((2, 0, spec.n, spec.n)))
+    probes, images = _structured_probes(spec)
     D = np.empty((len(probes) + n_samples, spec.n, spec.n), dtype=complex)
     D[:len(probes)] = probes
     _sample_directions(spec.n, n_samples, seed, out=D[len(probes):])
 
-    steps = np.asarray(radii, dtype=float)
+    steps = np.asarray(RADII, dtype=float)
     base = spectral_max(J, f)
     noise = eval_noise_floor(m_max, max(1.0, abs(base), _matrix_norm(spec.synth())))
     lhs = np.einsum("ki,dki->d", Y.conj(), D).real
@@ -299,8 +299,8 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
                            out=stack[:len(Z)])
         rows += J
         quotients[a:a + block] = (spectral_max(rows, f) - base) / steps
-    coeff = slack_coefficient(radii, quotients, m_max)
-    margin = _margin(quotients, coeff[:, None], radii, m_max, noise)
+    coeff = slack_coefficient(RADII, quotients, m_max)
+    margin = _margin(quotients, coeff[:, None], RADII, m_max, noise)
     gap = (lhs[:, None] - margin).max(axis=1)
     positive = np.where(gap > 0, gap, 0.0)
     violations = int(np.count_nonzero(positive))
@@ -312,5 +312,5 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
         "max_violation": worst,
         "worst_direction": worst_idx,
         "seed": seed,
-        "radii": list(radii),
+        "radii": list(RADII),
     }

@@ -19,7 +19,7 @@ interval of weights, because {(x, gamma) : x in gamma S} is a convex cone,
 so the split exists exactly when those intervals can share the remaining
 mass.  The active roots come from :func:`cpoly.active_roots`, as on the
 matrix routes, with its radius transform and domain check, and every route
-reaches the per-root decision through :func:`_active_failures`.
+hands them to the one per-root decision, :func:`block_failures`.
 
 Tolerances are module constants: coordinates within the absolute
 COORD_TOL, which the matrix chain route shares, the weight sum within
@@ -42,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, _safe_norm, active_roots
+from .cpoly import Poly, RootCluster, _norm_within, _safe_norm, active_roots
 from .generators import (
     COND14,
     COND15,
@@ -50,7 +50,7 @@ from .generators import (
     Generator,
     UnsupportedGenerator,
     condition_check,
-    _squared_generator_cone,
+    q_set,
 )
 
 __all__ = [
@@ -107,7 +107,9 @@ def _solve_coords(base: RootCluster, v: Poly) -> np.ndarray:
     unique w with F'(0) w = v, by a dense solve with the coordinate matrix.
 
     The stacked coordinate matrix is nonsingular whenever the base roots are
-    distinct; the solve is guarded by a residual check at SOLVE_TOL.
+    distinct; the solve is guarded by a residual check at SOLVE_TOL.  Its
+    norms are read overflow-safely past the scale sum |v_k| >= |v|, which
+    also bounds the residual of every solve that passes the check.
     """
     ntilde = base.degree()
     if v.degree() > ntilde:
@@ -118,8 +120,9 @@ def _solve_coords(base: RootCluster, v: Poly) -> np.ndarray:
         coords = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"factor coordinate system is singular: {exc}") from exc
-    resid = float(np.linalg.norm(M @ coords - rhs))
-    if resid > SOLVE_TOL * max(1.0, float(np.linalg.norm(rhs))):
+    bound = sum(map(abs, v.coeffs))
+    resid = _norm_within(M @ coords - rhs, bound)
+    if resid > SOLVE_TOL * max(1.0, _norm_within(rhs, bound)):
         raise ValueError(f"factor coordinate solve residual {resid:.3e} too large")
     return coords
 
@@ -159,7 +162,7 @@ class _ActiveBlock:
         else:
             self.w = None
             self.offset_rate = None
-            self.q = _squared_generator_cone(self.subdiff)
+            self.q = q_set(self.subdiff)
         self.determined = self.subdiff.is_singleton
 
     def gamma_from_first(self, c1: complex) -> float:
@@ -191,16 +194,17 @@ class _ActiveBlock:
         return lo, hi
 
 
-def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) -> tuple:
+def block_failures(g: Generator, active: list, tol: float, horizon: bool = False) -> tuple:
     """The subgradient conditions on the active coordinate blocks: the one
-    decision behind both membership routes.
+    decision behind every membership route.
 
-    ``data`` are the :class:`_ActiveBlock` of the active roots and
-    ``blocks`` their coordinate blocks, lists (the fast form) or arrays of
-    complex numbers.  Returns ``(failed, gammas)``, with ``failed`` the
-    failed conditions as ``(condition, residual, i)`` (i the position of the
-    block, None for the weight sum) and ``gammas`` the list of witness
-    weights (None for the horizon cone).
+    ``active`` are the active roots as ``(lam_j, n_j, block_j)``, with
+    block_j the root's coordinate block (a list or an array of complex
+    numbers, read as a list), and g the generator of
+    :func:`cpoly.active_roots`.  Returns ``(failed, gammas)``, with
+    ``failed`` the failed conditions as ``(condition, residual, i)`` (i the
+    position of the root, None for the weight sum) and ``gammas`` the list
+    of witness weights (None for the horizon cone).
 
     Regular subgradients: a singleton subdifferential forces its weight
     through the first coordinate.  Every other block admits the weights of
@@ -214,6 +218,8 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
     and the second in the squared-generator cone.  Deeper coordinates are
     free.
     """
+    data = [_ActiveBlock(g, lam, n_j) for lam, n_j, _ in active]
+    blocks = [list(block) for _, _, block in active]
     failed = []
     if horizon:
         for i, (d, b) in enumerate(zip(data, blocks)):
@@ -257,18 +263,9 @@ def block_failures(data: list, blocks: list, tol: float, horizon: bool = False) 
     return failed, gammas
 
 
-def _active_failures(g: Generator, active: list, tol: float, horizon: bool) -> tuple:
-    """:func:`block_failures` on the active roots, given as
-    ``(lam_j, n_j, block_j)`` with g the generator of
-    :func:`cpoly.active_roots`: the one entry of every membership route to
-    the per-root decision."""
-    data = [_ActiveBlock(g, lam, n_j) for lam, n_j, _ in active]
-    return block_failures(data, [list(block) for _, _, block in active], tol, horizon)
-
-
-def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) -> bool:
-    """Whether the leading coordinate and the inactive blocks of c vanish
-    and its active blocks pass :func:`_active_failures`."""
+def _member(cluster: RootCluster, f: Generator, c, horizon: bool) -> bool:
+    """Whether the leading coordinate and the inactive blocks of c vanish and
+    its active blocks pass :func:`block_failures`, all within COORD_TOL."""
     c = np.asarray(c, dtype=complex).ravel()
     if c.size != cluster.degree() + 1:
         raise ValueError(
@@ -279,18 +276,18 @@ def _member(cluster: RootCluster, f: Generator, c, tol: float, horizon: bool) ->
         raise ValueError(f"coordinate vector must be finite, got norm {scale - 1.0}")
     g, active = active_roots(f, cluster.roots)
     blocks = _split_blocks(cluster.mults, c[1:])
-    if abs(c[0]) > tol or any(np.linalg.norm(block) > tol * scale
-                              for j, block in enumerate(blocks) if j not in active):
+    if abs(c[0]) > COORD_TOL or any(_norm_within(block, scale) > COORD_TOL * scale
+                                    for j, block in enumerate(blocks) if j not in active):
         return False
     triples = [(cluster.roots[j], cluster.mults[j], blocks[j].tolist()) for j in active]
-    return not _active_failures(g, triples, tol, horizon)[0]
+    return not block_failures(g, triples, COORD_TOL, horizon)[0]
 
 
 def Dp_membership(cluster: RootCluster, f: Generator, c) -> bool:
     """Membership of a coordinate vector in the subgradient coordinate set:
     the leading coordinate and inactive blocks vanish, and the active
     blocks pass :func:`block_failures`, all within COORD_TOL."""
-    return _member(cluster, f, c, COORD_TOL, horizon=False)
+    return _member(cluster, f, c, horizon=False)
 
 
 def _spread(lo, hi, mass: float):
@@ -320,7 +317,7 @@ def Dp_horizon_membership(cluster: RootCluster, f: Generator, c) -> bool:
     """Membership in the horizon cone: zero leading coordinate and inactive
     blocks, zero first coordinate per active block, second coordinate in the
     squared-generator cone, deeper coordinates free; all within COORD_TOL."""
-    return _member(cluster, f, c, COORD_TOL, horizon=True)
+    return _member(cluster, f, c, horizon=True)
 
 
 def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0) -> np.ndarray:
@@ -406,10 +403,10 @@ def _subderivative(f: Generator, active) -> float:
     vanish.  Orthogonality to a vertex g means that omega_j2 lies on the
     ray through g^2, which is tested within COORD_TOL * (1 + |block|) for
     every nonzero vertex of the subdifferential, a polygon (other kinds are
-    rejected).  The value is then the max over active roots of
-    (f'(lam_j; -omega_j1) + curvature term) / n_j, the curvature term being
-    f''(lam_j; sqrt(-omega_j2), sqrt(-omega_j2)) in the smooth regime and
-    zero in the corner regime.  The division by the multiplicity applies to
+    rejected), with |block| read overflow-safely.  The value is then the max
+    over active roots of (f'(lam_j; -omega_j1) + curvature term) / n_j, the
+    curvature term being f''(lam_j; sqrt(-omega_j2), sqrt(-omega_j2)) in
+    the smooth regime and zero in the corner regime.  The division by the multiplicity applies to
     the whole bracket: a multiplicity-n root responds to a coefficient
     perturbation with the mean of its n split roots, and this normalization
     is the one under which the subgradient support inequality is tight.
@@ -417,7 +414,7 @@ def _subderivative(f: Generator, active) -> float:
     vals = []
     for lam, n_j, block in active:
         cond = _regime(f, lam)
-        bound = COORD_TOL * (1.0 + float(np.linalg.norm(block)))
+        bound = COORD_TOL * (1.0 + _norm_within(block, sum(map(abs, block))))
         kappa = 0.0
         if n_j >= 2:
             # tested on omega_j2 itself: through its square root, rounding

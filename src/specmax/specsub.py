@@ -14,7 +14,8 @@ active eigenvalues, and the two are used as mutual cross-checks; members
 are drawn in factor coordinates and pushed forward through the same map.
 The subderivative along a direction Z reads the factor coordinates of Z
 through the adjoint of that map, at nonderogatory active eigenvalues.
-The spectral radius enters through :func:`generators.radius_transform`.
+The spectral radius, zero radius included, enters through
+:func:`generators.radius_transform`.
 
 Tolerances are module constants: structural zeros within STRUCT_TOL and
 the active blocks' coordinates within INEQ_SLACK, both times max(1, |Y|),
@@ -36,7 +37,7 @@ import numpy as np
 from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _safe_norm, _values
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
-from .polysub import COORD_TOL, _active_failures, _sample, _split_blocks, _subderivative
+from .polysub import COORD_TOL, _sample, _split_blocks, _subderivative, block_failures
 
 __all__ = [
     "Violation",
@@ -303,7 +304,7 @@ def _membership(spec: JordanSpec, declared: tuple, params: ToeplitzParams,
     the active set ``declared`` = ``(g, active)`` of
     :func:`jordan.declared_active`: the regular W structure, vanishing
     inactive blocks, and the active blocks -theta_j through
-    :func:`polysub._active_failures` at INEQ_SLACK * max(1, |Y|)."""
+    :func:`polysub.block_failures` at INEQ_SLACK * max(1, |Y|)."""
     g, active = declared
     scale = max(1.0, params.norm)
     failed = params.violations + [Violation("inactive_block_zero", r, name)
@@ -311,7 +312,7 @@ def _membership(spec: JordanSpec, declared: tuple, params: ToeplitzParams,
                                   if r > STRUCT_TOL * scale]
     triples = [(spec.eig_value(j), spec.n_j(j), [-t for t in params.theta[j].tolist()])
                for j in active]
-    core, gammas = _active_failures(g, triples, INEQ_SLACK * scale, horizon)
+    core, gammas = block_failures(g, triples, INEQ_SLACK * scale, horizon)
     failed += [Violation(c, r, "active" if i is None else f"eig{active[i]}")
                for c, r, i in core]
     details = {"active": active}
@@ -380,7 +381,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     """Membership via the polynomial route: invert the coordinate-to-matrix
     map R of the active eigenvalues on its range (least squares plus a
     residual gate) and pass the Taylor coordinates of the active factor to
-    :func:`polysub._active_failures`, both at COORD_TOL.  The active set is
+    :func:`polysub.block_failures`, both at COORD_TOL.  The active set is
     decided once, by :func:`jordan.declared_active`: the factor holds only
     the active eigenvalues and its leading coordinate is zero by
     construction, so no inactive block or leading coordinate is left to
@@ -397,7 +398,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     if resid > COORD_TOL * max(1.0, norm):
         return False
     triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v)))
-    return not _active_failures(g, triples, COORD_TOL, horizon)[0]
+    return not block_failures(g, triples, COORD_TOL, horizon)[0]
 
 
 def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
@@ -428,13 +429,10 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
 
 
 def radius_rsd_membership(spec: JordanSpec, Y, horizon: bool = False) -> MembershipReport:
-    """Regular subgradient (or recession direction) test for the spectral
-    radius at a base point with positive radius: the test of its image
-    under :func:`generators.radius_transform` on Y."""
-    if all(lam == 0 for lam, _ in spec.eigs) and not spec.b_eigenvalues.any():
-        raise ValueError("zero spectral radius: use rsd_membership with the radius")
-    params = W_extract(spec, Y)
-    return _membership(spec, declared_active(spec, _RADIUS), params, horizon)
+    """:func:`rsd_membership` (or, with ``horizon``,
+    :func:`rsd_recession_membership`) with the builtin radius, at every
+    radius, zero included."""
+    return _membership(spec, declared_active(spec, _RADIUS), W_extract(spec, Y), horizon)
 
 
 # -- regularity and the derogatory witness ---------------------------------------
@@ -548,8 +546,7 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
         size = abs(c)
         triples = [(spec_nu.eig_value(j), spec_nu.n_j(j), [-(c * t) for t in thetas[j]])
                    for j in active_nu]
-        core, _ = _active_failures(g_nu, triples, INEQ_SLACK * max(1.0, size * basis.norm),
-                                   False)
+        core, _ = block_failures(g_nu, triples, INEQ_SLACK * max(1.0, size * basis.norm))
         worst = max([struct] + [r for _, r in _inactive(basis, active_nu)])
         per_nu.append(not core and _scaled_within_tol(worst, size, basis.norm))
 

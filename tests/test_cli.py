@@ -220,6 +220,18 @@ class TestSubderivative:
         assert code == 2 and out.out == ""
         assert "eigenvalue (1+0j) has 2 Jordan blocks" in out.err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [1.0, 1e150, 1e160])
+    def test_matrix_variant_off_the_ray_is_inf_at_any_size(self, capsys, paths, size):
+        # J_2(1) under radius2: a second coordinate off the ray through
+        # g^2 = 1 gives inf, also where numpy's norm of the block overflows
+        spath = paths("S.json", spec_to_json(JordanSpec([(1.0, (2,))])))
+        Z = np.zeros((2, 2), dtype=complex)
+        Z[1, 0] = size * 1j
+        zpath = paths("Z.json", matrix_to_json(Z))
+        code, out = run(capsys, ["subderivative", "matrix", spath, zpath, "--f", "radius2"])
+        assert code == 0 and json.loads(out)["value"] == "inf"
+
     def test_matrix_variant_with_a_nan_direction_exits_2(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         Z = np.eye(3)

@@ -19,7 +19,13 @@ from specmax.generators import (
     q_set,
     re_cip,
 )
-from specmax.polysub import Dp_horizon_membership, Dp_membership, Dp_sample, _member, _sample_set
+from specmax.polysub import (
+    Dp_horizon_membership,
+    Dp_membership,
+    Dp_sample,
+    _sample_set,
+    block_failures,
+)
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -144,19 +150,19 @@ class TestConditionCheck:
 
 class TestQSet:
     def test_abscissa_left_halfplane(self):
-        Q = q_set(ABSC, 0)
+        Q = q_set(ABSC.subdiff(0))
         assert Q.distance(-1 + 5j) <= 1e-10 and Q.distance(0) <= 1e-10
         assert Q.distance(0.1) > 1e-10
 
     def test_radius2_same_halfplane_at_one(self):
-        Q = q_set(RAD2, 1.0)
+        Q = q_set(RAD2.subdiff(1.0))
         assert Q.distance(-2 - 7j) <= 1e-10 and Q.distance(1e-6) > 1e-10
 
     def test_ell1_origin_full_plane(self):
-        assert q_set(ELL1, 0).kind == "plane"
+        assert q_set(ELL1.subdiff(0)).kind == "plane"
 
     def test_cone_scaling_invariance(self):
-        Q = q_set(ABSC, 0)
+        Q = q_set(ABSC.subdiff(0))
         rng = np.random.default_rng(3)
         for _ in range(50):
             z = complex(rng.standard_normal(), rng.standard_normal())
@@ -167,7 +173,7 @@ class TestQSet:
     def test_zero_subdifferential_rejected(self):
         assert RAD2.grad(0) == 0
         with pytest.raises(ValueError):
-            q_set(RAD2, 0)
+            q_set(RAD2.subdiff(0))
 
 
 class TestDSet:
@@ -227,8 +233,11 @@ class TestGammaSet:
         for n_j in (1, 2, 4):
             base = RootCluster((1 - 1j,), (n_j,))
             for s in range(20):
-                # at 1e-9, tighter than COORD_TOL = 1e-8
-                assert _member(base, RAD2, Dp_sample(base, RAD2, seed=s), 1e-9, horizon=False)
+                # one active root: a zero leading coordinate, and its block
+                # passes at 1e-9, tighter than COORD_TOL = 1e-8
+                c = Dp_sample(base, RAD2, seed=s)
+                assert c[0] == 0
+                assert not block_failures(RAD2, [(base.roots[0], n_j, c[1:])], 1e-9)[0]
 
     def test_horizon_is_recession_cone_on_rays(self):
         rng = np.random.default_rng(4)
@@ -353,7 +362,7 @@ class TestConvexSet2D:
         with pytest.raises(UnsupportedGenerator):
             Dp_membership(RootCluster((0j,), (2,)), f, [0, -0.25, 0])
         with pytest.raises(UnsupportedGenerator):
-            q_set(f, 0)
+            q_set(f.subdiff(0))
 
     def test_scale_interval(self):
         # 3 + 1.5i = t * (2 + i) only for t = 1.5; a disk away from the

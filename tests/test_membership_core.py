@@ -23,7 +23,7 @@ from specmax.generators import (
     re_cip,
 )
 from specmax.jordan import DomainError, JordanSpec, declared_active
-from specmax.polysub import SIMPLEX_TOL, _ActiveBlock, block_failures
+from specmax.polysub import SIMPLEX_TOL, block_failures
 from specmax.specsub import (
     W_extract,
     chain_rule_membership,
@@ -421,31 +421,29 @@ class TestRadiusTransform:
 
 class TestBlockFailures:
     def test_failed_conditions_name_their_block(self):
-        data = [_ActiveBlock(ABSC, 0.0, 2), _ActiveBlock(ABSC, 1j, 1)]
         blocks = [np.array([-0.25, -0.1]), np.array([-0.5])]  # the blocks are -theta
-        failed, gammas = block_failures(data, blocks, 1e-10)
+        active = [(0.0, 2, blocks[0]), (1j, 1, blocks[1])]
+        failed, gammas = block_failures(ABSC, active, 1e-10)
         assert gammas == [0.5, 0.5] and failed == []
         blocks[0][1] = 0.1  # Re(theta_2) < 0 with eta = 0
-        failed, _ = block_failures(data, blocks, 1e-10)
+        failed, _ = block_failures(ABSC, active, 1e-10)
         assert [(c, i) for c, _, i in failed] == [("subdiagonal_halfplane", 0)]
         blocks[1][0] = -0.75
-        failed, _ = block_failures(data, blocks, 1e-10)
+        failed, _ = block_failures(ABSC, active, 1e-10)
         assert ("weight_sum_one", None) in [(c, i) for c, _, i in failed]
         assert failed[0][1] == pytest.approx(0.25)
 
     def test_derogatory_block_has_fewer_coordinates(self):
         # n_j = 3 with blocks (2, 1): the coordinate block holds m_j = 2 values
-        data = [_ActiveBlock(RAD2, 1.0, 3)]
-        failed, gammas = block_failures(data, [np.array([-1 / 3, 0.0])], 1e-10)
+        failed, gammas = block_failures(RAD2, [(1.0, 3, np.array([-1 / 3, 0.0]))], 1e-10)
         assert failed == [] and gammas[0] == pytest.approx(1.0)
-        failed, _ = block_failures(data, [np.array([-1 / 3])], 1e-10)
+        failed, _ = block_failures(RAD2, [(1.0, 3, np.array([-1 / 3]))], 1e-10)
         assert failed == []
 
     def test_infeasible_split_reports_weight_units(self):
-        data = [_ActiveBlock(ELL1, 0.0, 1)]
-        failed, _ = block_failures(data, [np.array([-2.0])], 1e-10)
+        failed, _ = block_failures(ELL1, [(0.0, 1, np.array([-2.0]))], 1e-10)
         assert failed[0][0] == "weight_sum_one" and failed[0][1] > SIMPLEX_TOL
 
     def test_zero_subdifferential_is_unsupported(self):
         with pytest.raises(UnsupportedGenerator):
-            _ActiveBlock(RAD2, 0.0, 2)
+            block_failures(RAD2, [(0.0, 2, np.zeros(2))], 1e-10)

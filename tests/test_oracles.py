@@ -317,10 +317,15 @@ class TestBatchedSuite:
         assert rep["max_violation"] == pytest.approx(ref["max_violation"], rel=1e-12, abs=0)
 
     def test_no_directions(self):
-        rep = subgradient_inequality_suite(J2, ABSC, np.eye(2), n_samples=0,
-                                           include_probes=False)
-        assert (rep["n_directions"], rep["violations"]) == (0, 0)
-        assert (rep["max_violation"], rep["worst_direction"]) == (0.0, -1)
+        # no sampled direction: the suite runs exactly the structured probes,
+        # which catch I, twice the subgradient I / 2
+        rep = subgradient_inequality_suite(J2, ABSC, np.eye(2), n_samples=0)
+        ref = _suite_one_direction_at_a_time(J2, ABSC, np.eye(2), n_samples=0)
+        assert rep["n_directions"] == ref["n_directions"] == len(_structured_probes(J2)[0])
+        assert ref["violations"] > 0
+        for key in ("violations", "worst_direction"):
+            assert rep[key] == ref[key]
+        assert rep["max_violation"] == pytest.approx(ref["max_violation"], rel=1e-12, abs=0)
 
     def test_one_stack_and_no_characteristic_polynomial(self, monkeypatch):
         calls = []

@@ -239,7 +239,9 @@ def _ref_spread(lo, hi, mass):
     return lo + slack * room / room.sum()
 
 
-def _ref_block_failures(data, blocks, tol, horizon=False):
+def _ref_block_failures(g, active, tol, horizon=False):
+    data = [_ActiveBlock(g, lam, n_j) for lam, n_j, _ in active]
+    blocks = [block for _, _, block in active]
     failed = []
     if horizon:
         for i, (d, b) in enumerate(zip(data, blocks)):
@@ -301,8 +303,8 @@ class TestWeightSplitEquivalence:
             rng = np.random.default_rng(21 + determined)
             for _ in range(60):
                 cluster, f, _, c = grid._case(rng, determined)
-                yield ([_ActiveBlock(f, lam, n) for lam, n in zip(cluster.roots, cluster.mults)],
-                       _split_blocks(cluster.mults, c[1:]))
+                yield f, list(zip(cluster.roots, cluster.mults,
+                                  _split_blocks(cluster.mults, c[1:])))
 
     @staticmethod
     def _rectangle_cases():
@@ -321,7 +323,7 @@ class TestWeightSplitEquivalence:
                 d, h = rng.uniform(1.5, 2.5), rng.uniform(1.0, 2.0)
                 polys[z] = ConvexSet2D.polygon([z * 1j * h, -z * 1j * h, z * (d - 1j * h),
                                                 z * (d + 1j * h)])
-            f = make_generator("corners", abs, subdiff=lambda z: polys[z],
+            f = make_generator("corners", abs, subdiff=lambda z, polys=polys: polys[z],
                                tag=lambda z: "nonsmooth-fullspan")
             total = rng.uniform(0.3, 1.6)
             vanish = rng.uniform() < 0.25
@@ -333,17 +335,17 @@ class TestWeightSplitEquivalence:
                 first = 0j if vanish else -z * complex(p, q)
                 blocks.append(np.r_[first, 0.5 * (rng.standard_normal(n_j - 1)
                                                   + 1j * rng.standard_normal(n_j - 1))])
-            yield [_ActiveBlock(f, z, n) for z, n in zip(roots, mults)], blocks
+            yield f, list(zip(roots, mults, blocks))
 
     @pytest.mark.parametrize("horizon", [False, True])
     @pytest.mark.parametrize("tol", [0.0, 1e-8, 1e-3])
     def test_matches_the_numpy_form(self, tol, horizon):
         outcomes = set()
-        for data, blocks in (*self._feasibility_cases(), *self._rectangle_cases()):
-            ref = _split_bits(*_ref_block_failures(data, blocks, tol, horizon))
-            lists = [b.tolist() for b in blocks]
-            assert _split_bits(*block_failures(data, lists, tol, horizon)) == ref, blocks
-            assert _split_bits(*block_failures(data, blocks, tol, horizon)) == ref, blocks
+        for f, active in (*self._feasibility_cases(), *self._rectangle_cases()):
+            ref = _split_bits(*_ref_block_failures(f, active, tol, horizon))
+            lists = [(lam, n_j, b.tolist()) for lam, n_j, b in active]
+            assert _split_bits(*block_failures(f, lists, tol, horizon)) == ref, active
+            assert _split_bits(*block_failures(f, active, tol, horizon)) == ref, active
             outcomes.add(tuple(sorted({c for c, _, _ in ref[0]})))
         # horizon: members, and one or both conditions failed; otherwise splits found,
         # intervals empty and sums out of reach
@@ -401,6 +403,19 @@ class TestNonFiniteInput:
         assert Dp_membership(simple, ABSC, [0, -1.0])
         assert not Dp_membership(simple, ABSC, [0, -1e160])
         assert not Dp_membership(LAM2, ABSC, [0, -0.5, 1e160])
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_input_whose_block_norms_overflow_is_judged(self):
+        # the coordinate solve's |rhs| and residual, an inactive block's norm
+        assert not rsd_f_membership(RootCluster((1,), (2,)), ABSC, Poly((1e160, 0, 0)))
+        assert not Dp_membership(RootCluster((-1, 1), (1, 1)), ABSC, [0, 1e160, -1])
+        assert Dp_membership(RootCluster((-1, 1), (1, 1)), ABSC, [0, 0, -1])
+        # the orthogonality bound: on the ray through g^2 = 1 the value is
+        # finite, off it inf, however large the second coordinate
+        base = RootCluster((1 + 0j,), (2,))
+        assert subderivative_f(base, RAD2, from_coords(base, [0, -1, 1e160])) < math.inf
+        for omega2 in (1e160j, -1e160, 1j):
+            assert subderivative_f(base, RAD2, from_coords(base, [0, -1, omega2])) == math.inf
 
     def test_nan_root_rejected(self):
         # RootCluster accepts a lone NaN root; a NaN value attains no max

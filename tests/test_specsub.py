@@ -644,8 +644,17 @@ class TestRadiusMembership:
         assert not radius_rsd_membership(A_SPEC, np.eye(3) / 3, horizon=True).verdict
 
     def test_zero_radius_routed_away(self):
-        with pytest.raises(ValueError):
-            radius_rsd_membership(J2, np.eye(2) / 2)
+        # no branch of its own: the generic test with the builtin radius,
+        # at the nilpotent origin as at a positive radius
+        cases = [(J2, np.eye(2) / 2), (J2, np.eye(2)), (J2, nilpotent(2).T),
+                 (A_SPEC, np.diag([0.5, 0.5, 0.0])), (A_SPEC, np.eye(3))]
+        for spec, Y in cases:
+            Y = np.asarray(Y, dtype=complex)
+            for horizon, generic in ((False, rsd_membership), (True, rsd_recession_membership)):
+                got = radius_rsd_membership(spec, Y, horizon=horizon)
+                want = generic(spec, RAD, Y)
+                assert got.verdict == want.verdict
+                assert got.failed == want.failed and got.details == want.details
 
     def test_complex_eigenvalue_ray(self):
         lam = 1j
@@ -1065,12 +1074,12 @@ class TestWitnessLoop:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(jordan, "active_roots")
-        counted(specsub, "_active_failures")
+        counted(specsub, "block_failures")
         for spec, f, block_index in WITNESS_CASES:
             calls.clear()
             derogatory_witness(spec, f, count=40, block_index=block_index)
             # once per nu, and once for the limit at the base point
-            assert calls.count("active_roots") == calls.count("_active_failures") == 41
+            assert calls.count("active_roots") == calls.count("block_failures") == 41
 
 
 class TestSubgradientDefinition:
@@ -1169,9 +1178,8 @@ def _ref_membership(spec, f, params, horizon):
                 for name, sl in _ref_segments(spec) if name not in kept]
     failed = params.violations + [Violation("inactive_block_zero", r, name)
                                   for name, r in inactive if r > STRUCT_TOL * scale]
-    data = [polysub._ActiveBlock(f, spec.eig_value(j), spec.n_j(j)) for j in active]
-    core, gammas = polysub.block_failures(data, [-params.theta[j] for j in active],
-                                          INEQ_SLACK * scale, horizon)
+    triples = [(spec.eig_value(j), spec.n_j(j), -params.theta[j]) for j in active]
+    core, gammas = polysub.block_failures(f, triples, INEQ_SLACK * scale, horizon)
     failed += [Violation(c, r, "active" if i is None else f"eig{active[i]}")
                for c, r, i in core]
     details = {"active": active}

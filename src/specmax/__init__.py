@@ -3,7 +3,6 @@
 from .cpoly import (
     Poly,
     RootCluster,
-    active_set,
     elementary,
     poly_from_json,
     poly_root_max,
@@ -29,7 +28,6 @@ from .jordan import (
 )
 from .oracles import FDReport, fd_phi_quotient, fd_poly_quotient, subgradient_inequality_suite
 from .polysub import (
-    Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
     rsd_f_membership,

@@ -58,8 +58,11 @@ class SystemExit2(Exception):
 def _emit(payload, out) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {out}: {exc}")
     print(text)
 
 

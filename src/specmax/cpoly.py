@@ -27,7 +27,6 @@ __all__ = [
     "lex_key",
     "elementary",
     "roots",
-    "active_set",
     "active_roots",
     "poly_root_max",
     "poly_from_json",
@@ -251,14 +250,6 @@ def _row_cluster(means: np.ndarray, mults: np.ndarray) -> tuple:
     return RootCluster(tuple(zs[j] for j in order), tuple(ms[j] for j in order)), order
 
 
-def _clustered_roots(p: Poly, cluster_tol: float) -> tuple:
-    """The roots of p as the one row ``(means, mults)`` of :func:`_cluster_rows`."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no well-defined roots")
-    cs = p.array()[: p.degree() + 1]
-    return _cluster_rows(np.roots(cs[::-1])[None, :], cluster_tol)  # high order first
-
-
 def roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootCluster:
     """All roots of p via the balanced companion matrix, merged into clusters.
 
@@ -267,7 +258,10 @@ def roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootCluster:
     its members (:func:`_cluster_rows`, which :func:`specsub.spectral_max`
     shares), so the multiplicities always sum to the (numerical) degree of p.
     """
-    means, mults = _clustered_roots(p, cluster_tol)
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no well-defined roots")
+    cs = p.array()[: p.degree() + 1]
+    means, mults = _cluster_rows(np.roots(cs[::-1])[None, :], cluster_tol)  # high order first
     return _row_cluster(means[0], mults[0])[0]
 
 
@@ -328,16 +322,6 @@ def _reading(f, means: np.ndarray, mults: np.ndarray) -> tuple:
     return float(vals.max(axis=-1)[0]), cluster, frozenset(active)
 
 
-def active_set(p: Poly, f) -> tuple:
-    """Max of f over the distinct roots of p and the indices attaining it:
-    ``(value, active)`` of :func:`_reading` on the roots of :func:`roots`."""
-    means, mults = _clustered_roots(p, CLUSTER_TOL)
-    if not means.size:
-        raise ValueError("constant polynomial: no roots to maximize over")
-    value, _, active = _reading(f, means, mults)
-    return value, active
-
-
 def active_roots(f, roots, rest=()) -> tuple:
     """The one active-set routine of the calculus, for the matrix and the
     polynomial routes alike.
@@ -368,8 +352,11 @@ def active_roots(f, roots, rest=()) -> tuple:
 
 
 def poly_root_max(p: Poly, f) -> float:
-    """The root max function: max of f over the roots of p."""
-    return active_set(p, f)[0]
+    """The root max function: max of f over the distinct roots of :func:`roots`."""
+    zs = np.asarray(roots(p).roots, dtype=complex)
+    if not zs.size:
+        raise ValueError("constant polynomial: no roots to maximize over")
+    return float(_values(f, zs).max())
 
 
 def poly_from_json(data: Sequence) -> Poly:

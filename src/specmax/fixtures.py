@@ -17,7 +17,6 @@ from .specsub import regularity_verdict, rsd_membership, spectral_max
 __all__ = [
     "fixture_two_active",
     "fixture_derogatory",
-    "derogatory_sequence_spec",
     "worked_example_checks",
 ]
 
@@ -30,13 +29,6 @@ def fixture_two_active() -> JordanSpec:
 def fixture_derogatory() -> JordanSpec:
     """Eigenvalue 1 with Jordan blocks of sizes 2 and 1 (derogatory)."""
     return JordanSpec([(1.0, (2, 1))])
-
-
-def derogatory_sequence_spec(nu: int) -> JordanSpec:
-    """The derogatory fixture with its trailing 1x1 block pushed to 1 + 1/nu."""
-    if nu < 1:
-        raise ValueError("sequence index must be positive")
-    return JordanSpec([(1.0, (2,)), (1.0 + 1.0 / nu, (1,))])
 
 
 def _diag_theta(theta11: complex, theta12: complex, theta21: complex) -> np.ndarray:
@@ -94,8 +86,8 @@ def worked_example_checks(nu_count: int = 100) -> list:
                    and any(v.condition == "equal_diagonals" for v in rep.failed),
                    [v.condition for v in rep.failed]))
 
-    seq_ok = all(
-        rsd_membership(derogatory_sequence_spec(nu), radius, M).verdict
+    seq_ok = all(  # the trailing 1x1 block pushed to 1 + 1/nu
+        rsd_membership(JordanSpec([(1.0, (2,)), (1.0 + 1.0 / nu, (1,))]), radius, M).verdict
         for nu in range(1, nu_count + 1)
     )
     checks.append((f"derogatory: Diag(0,0,1) accepted along the sequence (nu=1..{nu_count})",

@@ -56,7 +56,6 @@ from .generators import (
 __all__ = [
     "block_failures",
     "Dp_membership",
-    "Dp_horizon_membership",
     "Dp_sample",
     "rsd_f_membership",
     "subderivative_f",
@@ -313,13 +312,6 @@ def _sum(xs) -> float:
     return total
 
 
-def Dp_horizon_membership(cluster: RootCluster, f: Generator, c) -> bool:
-    """Membership in the horizon cone: zero leading coordinate and inactive
-    blocks, zero first coordinate per active block, second coordinate in the
-    squared-generator cone, deeper coordinates free; all within COORD_TOL."""
-    return _member(cluster, f, c, horizon=True)
-
-
 def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0) -> np.ndarray:
     """A point of the subgradient coordinate set (always a member)."""
     g, active = active_roots(f, cluster.roots)
@@ -402,8 +394,10 @@ def _subderivative(f: Generator, active) -> float:
     real-orthogonal to the whole subdifferential and the deeper coordinates
     vanish.  Orthogonality to a vertex g means that omega_j2 lies on the
     ray through g^2, which is tested within COORD_TOL * (1 + |block|) for
-    every nonzero vertex of the subdifferential, a polygon (other kinds are
-    rejected), with |block| read overflow-safely.  The value is then the max
+    every nonzero vertex of a polygon subdifferential, with |block| read
+    overflow-safely; a disk of positive radius (the radius at a nilpotent
+    base) spans the plane, as 1 and i do, and is tested through them.  Other
+    kinds are rejected.  The value is then the max
     over active roots of (f'(lam_j; -omega_j1) + curvature term) / n_j, the
     curvature term being f''(lam_j; sqrt(-omega_j2), sqrt(-omega_j2)) in
     the smooth regime and zero in the corner regime.  The division by the multiplicity applies to
@@ -420,10 +414,14 @@ def _subderivative(f: Generator, active) -> float:
             # tested on omega_j2 itself: through its square root, rounding
             # noise of size eps would become noise of size sqrt(eps)
             S = f.subdiff(lam)
-            if S.kind != "polygon":
+            if S.kind == "polygon":
+                gens = S.data
+            elif S.kind == "disk" and S.data[1] > 0:
+                gens = (1, 1j)  # they span the plane too: omega_j2 on the rays of 1 and -1 is 0
+            else:
                 raise UnsupportedGenerator(
                     f"orthogonality test has no finite generator list for {S.kind!r}")
-            for g in S.data:
+            for g in gens:
                 if g == 0:
                     continue
                 t = (g * g).conjugate() * block[1] / abs(g * g)  # on the ray iff t >= 0

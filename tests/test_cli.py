@@ -232,6 +232,14 @@ class TestSubderivative:
         code, out = run(capsys, ["subderivative", "matrix", spath, zpath, "--f", "radius2"])
         assert code == 0 and json.loads(out)["value"] == "inf"
 
+    def test_matrix_variant_at_a_zero_radius(self, capsys, paths):
+        # J_2(0): (1 + t) J_2(0) keeps the spectrum at 0, so the value is 0
+        spath = paths("S.json", {"eigs": [{"lambda": [0, 0], "blocks": [2]}]})
+        zpath = paths("Z.json", matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        code, out = run(capsys, ["subderivative", "matrix", spath, zpath, "--f", "radius"])
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0
+
     def test_matrix_variant_with_a_nan_direction_exits_2(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         Z = np.eye(3)
@@ -409,6 +417,22 @@ class TestVerify:
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         code, _ = run(capsys, ["verify", spath, "--f", "abscissa", "--seed", "x"])
         assert code == 2
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("verb", ["eval", "verify"])
+    def test_unwritable_out_exits_2(self, capsys, paths, tmp_path, verb, target):
+        out = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+        if verb == "eval":
+            argv = ["eval", paths("A.json", matrix_to_json(A)), "--f", "radius"]
+        else:
+            argv = ["verify", paths("S.json", spec_to_json(fixture_two_active())),
+                    "--f", "abscissa", "--samples", "20"]
+        code = main(argv + ["--out", str(out)])  # returns: no exception escapes
+        err = capsys.readouterr()
+        assert code == 2 and err.out == ""
+        assert f"cannot write {out}" in err.err and "Traceback" not in err.err
 
 
 class TestCountFlags:

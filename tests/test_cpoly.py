@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmax.cpoly import (
+    DomainError,
     Poly,
     _cluster_rows,
     RootCluster,
     _safe_norm,
-    active_set,
+    active_roots,
     elementary,
     lex_key,
     poly_from_json,
@@ -164,33 +165,41 @@ class TestRoots:
             assert all(abs(a - b) < tol for a, b in zip(back.roots, cluster.roots))
 
 
+def _value_and_active(p, f):
+    """poly_root_max of p and the active roots of the calculus, both read
+    off the clusters of roots(p)."""
+    return poly_root_max(p, f), set(active_roots(f, roots(p).roots)[1])
+
+
 class TestActiveSet:
     def test_abscissa_picks_the_right_root(self):
         p = RootCluster((-1 + 0j, 1 + 0j), (1, 1)).as_poly()
-        value, idx = active_set(p, builtin("abscissa"))
+        value, idx = _value_and_active(p, builtin("abscissa"))
         assert value == pytest.approx(1.0)
         assert idx == {1}
 
     def test_modulus_ties_both_roots(self):
         p = RootCluster((-1 + 0j, 1 + 0j), (1, 1)).as_poly()
-        value, idx = active_set(p, builtin("radius"))
+        value, idx = _value_and_active(p, builtin("radius"))
         assert value == pytest.approx(1.0)
         assert idx == {0, 1}
 
     def test_half_squared_modulus(self):
         # lambda^2 (lambda - 1/2), f = |.|^2/2: value 1/8 at the root 1/2
         p = RootCluster((0j, 0.5 + 0j), (2, 1)).as_poly()
-        value, idx = active_set(p, builtin("radius2"))
+        value, idx = _value_and_active(p, builtin("radius2"))
         assert value == pytest.approx(1 / 8)
         assert idx == {1}
 
     def test_out_of_domain_root_flags_inf(self):
+        # the root max reads +inf; the calculus refuses the root off dom f
         def partial(z):
             return math.inf if z.real < 0 else z.real
 
         p = RootCluster((-1 + 0j, 1 + 0j), (1, 1)).as_poly()
-        value, idx = active_set(p, partial)
-        assert math.isinf(value) and idx == {0}
+        assert math.isinf(poly_root_max(p, partial))
+        with pytest.raises(DomainError):
+            active_roots(partial, roots(p).roots)
 
 
 class TestPolyRootMax:

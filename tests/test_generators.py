@@ -20,9 +20,9 @@ from specmax.generators import (
     re_cip,
 )
 from specmax.polysub import (
-    Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
+    _member,
     _sample_set,
     block_failures,
 )
@@ -250,7 +250,7 @@ class TestGammaSet:
             z[2:] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             if rng.uniform() < 0.5:
                 z[2] = -abs(z[2].real) * (RAD2.grad(1 + 0.5j) ** 2)  # inside the cone
-            inside = Dp_horizon_membership(base, RAD2, z)
+            inside = _member(base, RAD2, z, horizon=True)
             # recession definition: x0 + z/t stays in the set as t decreases
             stays = all(Dp_membership(base, RAD2, x0 + z / t)
                         for t in (1e-1, 1e-2, 1e-3))
@@ -263,7 +263,7 @@ class TestGammaSet:
         with pytest.raises(UnsupportedGenerator):
             Dp_membership(base, ELL1, [0, -0.5, 0])
         with pytest.raises(UnsupportedGenerator):
-            Dp_horizon_membership(base, ELL1, [0, 0, 0])
+            _member(base, ELL1, [0, 0, 0], horizon=True)
 
 
 class TestConvexSet2D:

@@ -21,7 +21,7 @@ from specmax.oracles import (
     slack_coefficient,
     subgradient_inequality_suite,
 )
-from specmax.specsub import rsd_sample, spectral_max
+from specmax.specsub import chain_rule_membership, rsd_membership, rsd_sample, spectral_max
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -451,3 +451,50 @@ class TestJordanBasis:
                         flagged["jordan"] += jordan["violations"] > 0
         print(f"1.5x members flagged of {3 * len(REGULAR)}: basis of X {flagged['x']}, "
               f"Jordan basis {flagged['jordan']}")
+
+
+ITEM_17 = pytest.mark.xfail(strict=True, raises=AssertionError,
+                            reason="ROADMAP item 17: along a direction that splits the "
+                            "eigenvalue the quotient diverges, like t^(-1/2) at a J_2 block, "
+                            "so a member whose subdiagonal pairing exceeds it at the smallest "
+                            "radius is flagged")
+
+
+def _large_subdiagonal_member(case, f, theta):
+    """A member of both routes whose W subdiagonal is theta times the unit
+    ∇f(λ)²/|∇f(λ)²| at each active block, P = I."""
+    if case == "J2(0)+[-1]":
+        spec = JordanSpec([(0j, (2,)), (-1.0, (1,))])
+        return spec, rsd_sample(spec, f, seed=1, theta2={0: theta})
+    spec = JordanSpec([(1.0, (3,)), (1 + 0.5j, (2,))])
+    grads = [f.grad(spec.eig_value(j)) for j in range(2)]
+    theta2 = {j: theta * g * g / abs(g * g) for j, g in enumerate(grads)}
+    return spec, rsd_sample(spec, f, seed=1, theta2=theta2)
+
+
+DIVERGING = [pytest.param("J2(0)+[-1]", ABSC, theta, id=f"J2(0)+[-1]-abscissa-{theta}")
+             for theta in (0, 100, 400)]
+DIVERGING += [pytest.param("J2(0)+[-1]", ABSC, 1000, marks=ITEM_17,
+                           id="J2(0)+[-1]-abscissa-1000"),
+              pytest.param("J3(1)+J2(1+0.5i)", ABSC, 1000, marks=ITEM_17,
+                           id="J3(1)+J2(1+0.5i)-abscissa-1000")]
+DIVERGING += [pytest.param("J3(1)+J2(1+0.5i)", f, 1000, id=f"J3(1)+J2(1+0.5i)-{f.name}-1000")
+              for f in (RAD2, RAD)]
+
+
+class TestDivergingDirections:
+    """ROADMAP item 17: true members with a large W subdiagonal, which the
+    suite flags under the abscissa at theta = 1000 (15 of 107 and 2 of 108
+    directions), but not at theta <= 400 or under the radii."""
+
+    @pytest.mark.parametrize("case,f,theta", [p.values for p in DIVERGING],
+                             ids=[p.id for p in DIVERGING])
+    def test_both_routes_accept_the_member(self, case, f, theta):
+        spec, Y = _large_subdiagonal_member(case, f, theta)
+        assert rsd_membership(spec, f, Y).verdict
+        assert chain_rule_membership(spec, f, Y)
+
+    @pytest.mark.parametrize("case,f,theta", DIVERGING)
+    def test_suite_passes_the_member(self, case, f, theta):
+        spec, Y = _large_subdiagonal_member(case, f, theta)
+        assert subgradient_inequality_suite(spec, f, Y, n_samples=100, seed=0)["violations"] == 0

@@ -8,21 +8,21 @@ import pytest
 from specmax.cpoly import Poly, RootCluster, poly_root_max
 from specmax.generators import ConvexSet2D, builtin, make_generator
 from specmax.jordan import DomainError, JordanSpec
-from specmax.oracles import fd_poly_quotient
+from specmax.oracles import fd_phi_quotient, fd_poly_quotient
 from specmax.polysub import (
     SIMPLEX_TOL,
-    Dp_horizon_membership,
     Dp_membership,
     Dp_sample,
     _ActiveBlock,
     _coordinate_matrix,
+    _member,
     _solve_coords,
     _split_blocks,
     block_failures,
     rsd_f_membership,
     subderivative_f,
 )
-from specmax.specsub import chain_rule_membership, rsd_membership, rsd_sample
+from specmax.specsub import chain_rule_membership, rsd_membership, rsd_sample, subderivative
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -79,7 +79,7 @@ class TestDpMembership:
         # the sampler, the membership test and the horizon cone of one set
         c = Dp_sample(LAM2, ABSC, seed=1)
         assert Dp_membership(LAM2, ABSC, c)
-        assert Dp_horizon_membership(LAM2, ABSC, [0, 0, -1])
+        assert _member(LAM2, ABSC, [0, 0, -1], horizon=True)
 
     def test_second_coordinate_tolerance_is_a_distance(self):
         # radius2 at the double root 10: w = grad^2 = 400, so a tolerance on
@@ -88,9 +88,9 @@ class TestDpMembership:
         # accepts 2e-9; both read the tolerance as a distance
         base = RootCluster((10 + 0j,), (2,))
         assert Dp_membership(base, RAD2, [0, -5, 0.5 + 2e-10])
-        assert Dp_horizon_membership(base, RAD2, [0, 0, 2e-9])
+        assert _member(base, RAD2, [0, 0, 2e-9], horizon=True)
         assert not Dp_membership(base, RAD2, [0, -5, 0.5 + 1e-7])
-        assert not Dp_horizon_membership(base, RAD2, [0, 0, 1e-7])
+        assert not _member(base, RAD2, [0, 0, 1e-7], horizon=True)
 
 
 class TestDpSearchPath:
@@ -355,21 +355,21 @@ class TestWeightSplitEquivalence:
 
 class TestHorizon:
     def test_zero_is_in_every_horizon(self):
-        assert Dp_horizon_membership(LAM2, ABSC, [0, 0, 0])
+        assert _member(LAM2, ABSC, [0, 0, 0], horizon=True)
 
     def test_first_coordinate_must_vanish(self):
-        assert not Dp_horizon_membership(LAM2, ABSC, [0, -0.5, -1])
+        assert not _member(LAM2, ABSC, [0, -0.5, -1], horizon=True)
 
     def test_second_coordinate_cone(self):
-        assert Dp_horizon_membership(LAM2, ABSC, [0, 0, -1])
-        assert not Dp_horizon_membership(LAM2, ABSC, [0, 0, 1])
+        assert _member(LAM2, ABSC, [0, 0, -1], horizon=True)
+        assert not _member(LAM2, ABSC, [0, 0, 1], horizon=True)
 
     def test_recession_property_on_members(self):
         rng = np.random.default_rng(0)
         c0 = Dp_sample(LAM2, ABSC, seed=3)
         for _ in range(20):
             d = np.array([0, 0, complex(-abs(rng.standard_normal()), rng.standard_normal())])
-            assert Dp_horizon_membership(LAM2, ABSC, d)
+            assert _member(LAM2, ABSC, d, horizon=True)
             for t in (1.0, 10.0, 100.0):
                 assert Dp_membership(LAM2, ABSC, c0 + t * d)
 
@@ -382,9 +382,8 @@ class TestNonFiniteInput:
                                    [0, -0.5, np.inf, 0]], ids=["all-nan", "nan", "inf"])
     def test_coordinates_rejected(self, c, horizon):
         cluster = RootCluster((1 + 0j, 1 + 1j), (2, 1))
-        member = Dp_horizon_membership if horizon else Dp_membership
         with pytest.raises(ValueError, match="finite"):
-            member(cluster, ABSC, c)
+            _member(cluster, ABSC, c, horizon)
 
     @pytest.mark.parametrize("gamma", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]])
     def test_weights_rejected(self, gamma):
@@ -437,8 +436,8 @@ class TestRsdFMembership:
 
     def test_horizon_direction(self):
         v = from_coords(LAM2, [0, 0, -1])
-        assert Dp_horizon_membership(LAM2, ABSC, _solve_coords(LAM2, v))
-        assert not Dp_horizon_membership(LAM2, ABSC, _solve_coords(LAM2, LAM2.as_poly()))
+        assert _member(LAM2, ABSC, _solve_coords(LAM2, v), horizon=True)
+        assert not _member(LAM2, ABSC, _solve_coords(LAM2, LAM2.as_poly()), horizon=True)
 
 
 class TestSubderivative:
@@ -593,8 +592,24 @@ class TestSubderivativeRadius:
         assert subderivative_f(base, RAD, v) == math.inf
 
     def test_zero_radius_rejected(self):
-        with pytest.raises(ValueError):
-            subderivative_f(LAM2, RAD, Poly((1 + 0j, 0j, 0j)))
+        # at lambda^2 the unit disk spans the plane, so omega_2 must vanish:
+        # lambda^2 + t splits into +-i sqrt(t); lambda^2 + 2t lambda has the
+        # roots 0 and -2t, and the mean of the double root moves by t
+        assert subderivative_f(LAM2, RAD, Poly((1 + 0j, 0j, 0j))) == math.inf
+        assert subderivative_f(LAM2, RAD, Poly((0j, 2 + 0j, 0j))) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_radius_matches_the_quotient_oracle(self, n):
+        # J_n(0) under the radius: finite exactly on upper triangular Z
+        spec = JordanSpec([(0j, (n,))])
+        rng = np.random.default_rng(n)
+        for k in range(200):
+            Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if k % 2:
+                Z = np.triu(Z)
+            d = subderivative(spec, RAD, Z)
+            assert math.isfinite(d) == bool(k % 2)
+            assert fd_phi_quotient(spec.synth(), RAD, Z, holder_order=n, formula=d).verdict
 
     def test_leading_coordinate_is_ignored(self):
         base = RootCluster((1 + 0j,), (2,))
@@ -656,8 +671,8 @@ class TestActiveRoots:
                     assert verdict == Dp_membership(cluster, RAD2, rho * x)
                     seen.add(verdict)
                 for x in (z, c):
-                    verdict = Dp_horizon_membership(cluster, RAD, x)
-                    assert verdict == Dp_horizon_membership(cluster, RAD2, rho * x)
+                    verdict = _member(cluster, RAD, x, horizon=True)
+                    assert verdict == _member(cluster, RAD2, rho * x, horizon=True)
                     seen.add(verdict)
         assert seen == {True, False}
 
@@ -670,9 +685,9 @@ class TestActiveRoots:
             u = cmath.exp(1j * angle)
             assert Dp_membership(base, RAD, [0, 0.99 * u / n] + tail)
             assert not Dp_membership(base, RAD, [0, 1.01 * u / n] + tail)
-            assert not Dp_horizon_membership(base, RAD, [0, 0.01 * u] + tail)
+            assert not _member(base, RAD, [0, 0.01 * u] + tail, horizon=True)
         assert not Dp_membership(base, RAD, [0.1, 0] + tail)
-        assert Dp_horizon_membership(base, RAD, [0, 0] + tail)
+        assert _member(base, RAD, [0, 0] + tail, horizon=True)
 
     def test_radius_samples_are_members_in_its_own_units(self):
         # two active roots of modulus rho: at rho = 1 the radius's samples
@@ -702,7 +717,7 @@ class TestActiveRoots:
         with pytest.raises(DomainError):
             Dp_membership(base, half, [0, 0, -1])
         with pytest.raises(DomainError):
-            Dp_horizon_membership(base, half, [0, 0, 0])
+            _member(base, half, [0, 0, 0], horizon=True)
         with pytest.raises(DomainError):
             Dp_sample(base, half)
         with pytest.raises(DomainError):

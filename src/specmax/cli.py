@@ -56,7 +56,11 @@ class SystemExit2(Exception):
 
 
 def _emit(payload, out) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    _write(json.dumps(payload, sort_keys=True, indent=2), out)
+
+
+def _write(text: str, out) -> None:
+    """Print ``text`` and, given a path ``out``, write it there too."""
     if out:
         try:
             with open(out, "w") as fh:
@@ -151,9 +155,9 @@ def cmd_paper_examples(args) -> int:
         _emit(payload, args.out)
     else:
         width = max(len(n) for n, _, _ in checks)
-        for name, ok, _ in checks:
-            print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-        print(f"{'total':<{width}}  {sum(ok for _, ok, _ in checks)}/{len(checks)} passed")
+        lines = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}" for name, ok, _ in checks]
+        lines.append(f"{'total':<{width}}  {sum(ok for _, ok, _ in checks)}/{len(checks)} passed")
+        _write("\n".join(lines), args.out)
     return EXIT_OK if all_ok else EXIT_NONMEMBER
 
 

@@ -221,10 +221,19 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple:
     Returns ``(means, mults)``, both of shape (rows, k): a row's clusters
     come first, in merge order, and a row with fewer than k clusters repeats
     its first mean with multiplicity 0 in the padding, so a max over a row
-    of ``means`` is the max over its clusters.  Only rows with some pair of
-    points within ``tol`` run the agglomeration: complete linkage merges
-    nothing when every pair is farther apart, so every other row is all
-    singletons.
+    of ``means`` is the max over its clusters.
+
+    Only rows with some pair of points within ``tol`` are clustered:
+    complete linkage merges nothing when every pair is farther apart, so
+    every other row is all singletons.  A row with a NaN distance (two
+    points with the same infinite part) stays unclustered, since its
+    smallest distance reads NaN.  A close row whose every pair within
+    ``tol`` is at distance exactly 0 (exact repeats, as in the inequality
+    suite's probe rows) is grouped by equality: there every merge joins
+    equal points, ties break in index order, and distinct values are more
+    than ``tol`` apart, so complete linkage would return the groups of equal
+    points in first-occurrence order.  Only rows with a nonzero pair within
+    ``tol`` run the agglomeration.
     """
     points = np.asarray(points)
     k = points.shape[-1]
@@ -232,11 +241,18 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple:
     i = [a for a in range(k) for _ in range(a + 1, k)]
     j = [b for a in range(k) for b in range(a + 1, k)]
     with np.errstate(over="ignore"):  # an overflowing distance is not close
-        close = np.abs(points[:, i] - points[:, j]).min(axis=1, initial=np.inf) <= tol
+        dist = np.abs(points[:, i] - points[:, j])
+    nearest = dist.min(axis=1, initial=np.inf)  # NaN where two points share an infinite part
     means = points.astype(complex)
     mults = np.ones(points.shape, dtype=int)
-    for r in np.flatnonzero(close).tolist():
-        groups = _complete_linkage(points[r].tolist(), tol)
+    for r in np.flatnonzero(nearest <= tol).tolist():
+        if nearest[r] or any(0 < d <= tol for d in dist[r].tolist()):
+            groups = _complete_linkage(points[r].tolist(), tol)
+        else:  # no nonzero pair within tol: exact repeats
+            by_value = {}
+            for z in points[r].tolist():
+                by_value.setdefault(z, []).append(z)
+            groups = list(by_value.values())
         centers = [sum(g) / len(g) for g in groups]
         means[r] = centers + centers[:1] * (k - len(groups))
         mults[r] = [len(g) for g in groups] + [0] * (k - len(groups))

@@ -24,7 +24,10 @@ triangular but for the rest block), the identity and block-identity probes
 give exactly triangular matrices and the transposed nilpotents exactly
 tridiagonal ones (their images are the sparse matrices they are built
 from), and LAPACK does less work on the sampled perturbations of a nearly
-triangular matrix.  The pairing Re<Y, Z> stays in the basis of X.
+triangular matrix.  The identity and block-identity probe rows, like the
+base value, hold each multiple eigenvalue as exact repeats, which
+:func:`specmax.cpoly._cluster_rows` groups by equality with no linkage.
+The pairing Re<Y, Z> stays in the basis of X.
 :func:`fd_phi_quotient` takes a raw matrix and stays in its basis.
 
 Everything is deterministic given the seed.  The suite's sample directions

@@ -420,19 +420,30 @@ class TestVerify:
 
 
 class TestOutPath:
+    @staticmethod
+    def _argv(verb, paths):
+        if verb == "eval":
+            return ["eval", paths("A.json", matrix_to_json(A)), "--f", "radius"]
+        if verb == "verify":
+            return ["verify", paths("S.json", spec_to_json(fixture_two_active())),
+                    "--f", "abscissa", "--samples", "20"]
+        return ["paper-examples", "--nu", "3"] + (["--json"] if verb.endswith("json") else [])
+
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
-    @pytest.mark.parametrize("verb", ["eval", "verify"])
+    @pytest.mark.parametrize("verb", ["eval", "verify", "paper-examples", "paper-examples-json"])
     def test_unwritable_out_exits_2(self, capsys, paths, tmp_path, verb, target):
         out = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
-        if verb == "eval":
-            argv = ["eval", paths("A.json", matrix_to_json(A)), "--f", "radius"]
-        else:
-            argv = ["verify", paths("S.json", spec_to_json(fixture_two_active())),
-                    "--f", "abscissa", "--samples", "20"]
-        code = main(argv + ["--out", str(out)])  # returns: no exception escapes
+        code = main(self._argv(verb, paths) + ["--out", str(out)])  # no exception escapes
         err = capsys.readouterr()
         assert code == 2 and err.out == ""
         assert f"cannot write {out}" in err.err and "Traceback" not in err.err
+
+    @pytest.mark.parametrize("verb", ["paper-examples", "paper-examples-json"])
+    def test_out_file_holds_what_stdout_shows(self, capsys, paths, tmp_path, verb):
+        out = tmp_path / "x.txt"
+        code, shown = run(capsys, self._argv(verb, paths) + ["--out", str(out)])
+        assert code == 0 and shown.endswith("passed\n" if verb == "paper-examples" else "}\n")
+        assert out.read_text() == shown
 
 
 class TestCountFlags:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specmax import cpoly
 from specmax.cpoly import (
     DomainError,
     Poly,
@@ -20,7 +21,9 @@ from specmax.cpoly import (
     roots,
 )
 from specmax.generators import builtin, make_generator
-from specmax.specsub import spectral_max
+from specmax.jordan import JordanSpec
+from specmax.oracles import RADII, _structured_probes, subgradient_inequality_suite
+from specmax.specsub import rsd_sample, spectral_max
 
 from charpoly_lemmas import taylor_coeff
 
@@ -369,6 +372,105 @@ class TestClusterRowsAgainstReference:
         assert mults[0].tolist() == [1, 2, 1, 0]
 
 
+@pytest.fixture
+def linkage_calls(monkeypatch):
+    """The rows that reach :func:`cpoly._complete_linkage`, one list per call."""
+    calls = []
+    original = cpoly._complete_linkage
+
+    def counted(row, tol):
+        calls.append(row)
+        return original(row, tol)
+
+    monkeypatch.setattr(cpoly, "_complete_linkage", counted)
+    return calls
+
+
+def _assert_same_bits(a, b):
+    """Equal arrays, NaN where NaN, and the same sign on every zero part."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    np.testing.assert_array_equal(a, b)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def _assert_reference_bits(rows, tol=1e-6):
+    """``_cluster_rows`` equals the reference complete linkage bit for bit;
+    returns its ``(means, mults)``."""
+    means, mults = _cluster_rows(rows, tol)
+    for r, (ref_means, ref_mults) in enumerate(_reference_cluster_rows(rows, tol)):
+        g = len(ref_mults)
+        np.testing.assert_array_equal(mults[r], ref_mults + [0] * (rows.shape[1] - g))
+        _assert_same_bits(means[r, :g], ref_means)
+        _assert_same_bits(means[r, g:], np.full(rows.shape[1] - g, means[r, 0]))
+    return means, mults
+
+
+class TestExactRepeats:
+    """A close row whose every pair within tol is an exact repeat is grouped
+    by equality, with no linkage, and reads as complete linkage would."""
+
+    def test_means_that_round_away_from_the_value(self, linkage_calls):
+        z, w, u = 0.1 + 0.7j, -0.3 + 1.1j, 0.7 - 0.1j
+        for v, m in ((z, 3), (w, 6), (u, 3)):
+            assert sum([v] * m) / m != v  # the in-order mean is not the value
+        rows = np.array([
+            [2.0, z, w, z, w, z],
+            [w, w, w, w, w, w],
+            [u, -u, u, -u, u, 1.0],
+        ], dtype=complex)
+        means, mults = _assert_reference_bits(rows)
+        assert mults.tolist() == [[1, 3, 2, 0, 0, 0], [6, 0, 0, 0, 0, 0], [3, 2, 1, 0, 0, 0]]
+        assert means[0, 1] == sum([z] * 3) / 3 != z
+        assert linkage_calls == []
+
+    def test_signed_zero_parts(self, linkage_calls):
+        rows = np.array([
+            [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 1.0, complex(1.0, -0.0)],
+            [complex(-0.0, -0.0), complex(-0.0, -0.0), 3.0, complex(-2.0, -0.0), -2.0],
+        ], dtype=complex)
+        _, mults = _assert_reference_bits(rows)
+        assert mults.tolist() == [[3, 2, 0, 0, 0], [2, 1, 2, 0, 0]]
+        assert linkage_calls == []
+
+    def test_a_nonzero_close_pair_still_links(self, linkage_calls):
+        # an exact pair, and a pair 1e-8 apart: the row goes through linkage
+        rows = np.array([[1.0, 1.0, 3.0, 3.0 + 1e-8j, 5.0],
+                         [0.5, 0.5, 2.0, 4.0, 2.0]], dtype=complex)
+        _assert_reference_bits(rows)
+        assert linkage_calls == [rows[0].tolist()]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_inf_and_nan_rows(self, linkage_calls):
+        inf = math.inf
+        rows = np.array([
+            [complex(inf, 0), 1.0, 1.0 + 1e-9, 2.0],
+            [complex(inf, 0), complex(inf, 0), 1.0, 1.0 + 1e-9],
+            [complex(-inf, 0), complex(inf, 0), 0.0, 1e-8],
+            [complex(0, inf), 1.0, 2.0, 3.0],
+            [complex(inf, 0), 2.0, 2.0, complex(0, inf)],  # exact: no linkage
+            [complex(inf, 0), complex(inf, 0), 2.0, 2.0],  # NaN distance: unclustered
+        ], dtype=complex)
+        _, mults = _assert_reference_bits(rows)
+        assert mults[4].tolist() == [1, 2, 1, 0] and mults[5].tolist() == [1, 1, 1, 1]
+        assert len(linkage_calls) == 2  # rows 0 and 2
+
+    def test_random_exact_rows(self, linkage_calls):
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            pool = rng.standard_normal(k) * 10 ** rng.uniform(-3, 3, k) \
+                + 1j * rng.standard_normal(k) * 10 ** rng.uniform(-3, 3, k)
+            pool[rng.random(k) < 0.2] *= 0.0  # some parts -0.0, some +0.0
+            rows.append(np.pad(pool[rng.integers(0, k, k)], (0, 6 - k), constant_values=pool[0]))
+        rows = np.array(rows)
+        _, mults = _assert_reference_bits(rows)
+        assert (mults == 0).any(axis=1).sum() >= 250
+        near = np.abs(rows[:, :, None] - rows[:, None, :])
+        assert len(linkage_calls) == np.count_nonzero(((near > 0) & (near <= 1e-6)).any(axis=(1, 2)))
+
+
 def _stack_with_close_rows(rng, count):
     """Perturbed matrices with defective eigenvalues (split by about
     eps^(1/m)), near-double ones, and plain random ones."""
@@ -442,3 +544,38 @@ class TestSpectralMaxAgainstReference:
         assert isinstance(calls[0], np.ndarray) and calls[0].shape == (2, 3)
         assert len(calls) == 7
         assert all(type(z) is complex for z in calls[1:])
+
+
+def _suite_cases():
+    rng = np.random.default_rng(0)
+    P = np.eye(5) + 0.25 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    rng = np.random.default_rng(1)
+    P3 = np.eye(3) + 0.25 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return [
+        pytest.param(JordanSpec([(1.0, (3,)), (1 + 0.5j, (2,))], P=P), builtin("abscissa"),
+                     id="J3(1)+J2(1+0.5i)-abscissa"),
+        pytest.param(JordanSpec([(1.0, (2,)), (-1.0, (1,))], P=P3), builtin("radius2"),
+                     id="J2(1)+[-1]-radius2-tie"),
+    ]
+
+
+class TestSuiteRowsAreExact:
+    """The inequality suite's probe rows and base value hold exact repeats,
+    so the suite runs no complete linkage and reads the reference's bits."""
+
+    @pytest.mark.parametrize("spec,f", _suite_cases())
+    def test_suite_runs_no_linkage(self, linkage_calls, spec, f):
+        report = subgradient_inequality_suite(spec, f, rsd_sample(spec, f, seed=1),
+                                              n_samples=100, seed=0)
+        assert report["violations"] == 0
+        assert linkage_calls == []
+
+    @pytest.mark.parametrize("spec,f", _suite_cases())
+    def test_probe_rows_read_the_reference_bits(self, spec, f):
+        _, images = _structured_probes(spec)
+        J = spec.jordan_matrix()
+        rows = J + np.asarray(RADII)[:, None, None] * images[:, None]
+        _, mults = _assert_reference_bits(np.linalg.eigvals(rows).reshape(-1, spec.n))
+        assert (mults == 0).any(axis=1).sum() >= 18  # the equality path ran
+        assert spectral_max(rows, f).tobytes() == _reference_spectral_max(rows, f).tobytes()
+        assert spectral_max(J, f) == _reference_spectral_max(J, f)

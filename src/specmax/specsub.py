@@ -348,22 +348,28 @@ def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
     ``gamma`` are convex weights over the active eigenvalues, listed in the
     spec's declared order (a random point of the simplex by default).
     ``theta2`` maps active eigenvalue indices to subdiagonal values of W,
-    which replace the drawn ones; ValueError is raised when the result then
-    fails :func:`rsd_membership`.  The active eigenvalues must be
-    nonderogatory; both regimes of f are supported.
+    which replace the drawn ones; ValueError is raised for a key that is
+    not the index of an active eigenvalue of size at least two, and when
+    the result fails :func:`rsd_membership`.  The active eigenvalues must
+    be nonderogatory; both regimes of f are supported.
     """
     g, active = declared_active(spec, f)
     order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
+    theta2 = dict(theta2 or {})
+    wide = {j for j in active if spec.n_j(j) >= 2}
+    stray = [j for j in theta2 if j not in wide]
+    if stray:
+        raise ValueError(f"theta2 keys {stray} are not active eigenvalues with a "
+                         f"block of size at least two")
     if gamma is not None:
         gamma = np.asarray(gamma, dtype=float).ravel()
         if gamma.size != len(active):
             raise ValueError("gamma needs one weight per active eigenvalue")
         gamma = gamma[[active.index(j) for j in order]]
     c = _sample(cluster, g, list(range(len(order))), gamma, seed)
-    theta2 = dict(theta2 or {})
     for j, block in zip(order, _split_blocks(cluster.mults, c[1:])):
-        if j in theta2 and len(block) >= 2:
+        if j in theta2:
             block[1] = -complex(theta2[j])  # block is a view into c
     Y = -(M @ c[1:]).reshape(spec.n, spec.n)
     if theta2:
@@ -445,31 +451,6 @@ def regularity_verdict(spec: JordanSpec, f) -> str:
     return "regular" if ok else "not_regular"
 
 
-def _split_spec(spec: JordanSpec, j: int, block_index: int, lam_new: complex):
-    """Move sub-block ``block_index`` of eigenvalue j to the end of its
-    segment, assign it the new eigenvalue, and fold the re-layout into P.
-    With at least two sub-blocks, the moved one becomes eigenvalue j + 1."""
-    sizes = spec.block_sizes(j)
-    subs = spec.subblock_slices(j)
-    order = [k for k in range(len(sizes)) if k != block_index] + [block_index]
-    perm = list(range(spec.eig_slice(j).start))
-    for k in order:
-        perm.extend(range(subs[k].start, subs[k].stop))
-    perm.extend(range(spec.eig_slice(j).stop, spec.n))
-    Pi = np.eye(spec.n)[perm, :]
-
-    eigs = []
-    for i, (lam, blocks) in enumerate(spec.eigs):
-        if i != j:
-            eigs.append((lam, blocks))
-            continue
-        rest = tuple(sizes[k] for k in order[:-1])
-        if rest:
-            eigs.append((lam, rest))
-        eigs.append((lam_new, (sizes[block_index],)))
-    return JordanSpec(eigs, P=Pi @ spec.P, B=spec.B if spec.n0 else None)
-
-
 def _scaled_within_tol(r: float, size: float, norm: float) -> bool:
     """Whether a structure residual r of a candidate Y of norm ``norm``
     passes for size * Y: size * r within STRUCT_TOL * max(1, size |Y|),
@@ -477,42 +458,43 @@ def _scaled_within_tol(r: float, size: float, norm: float) -> bool:
     return not size * r > STRUCT_TOL * max(1.0, size * norm)
 
 
-def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
-                       block_index: int = 0):
+def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100):
     """Construct the sequence certifying that derogatory active eigenvalues
     break regularity.
 
-    One sub-block of a derogatory active eigenvalue is pushed outward along
-    the generator's steepest direction at rates 1/nu, making it the unique
-    active (nonderogatory) eigenvalue of each perturbed matrix; the
-    associated subgradients converge to a limit M that fails the regular
-    test at the base point because the sub-block diagonals of W end up
-    unequal.  Returns ``(witnesses, M, report)`` with ``witnesses`` a list
-    of (spec_nu, Y_nu) pairs.
+    The last sub-block of a derogatory active eigenvalue lam is pushed
+    outward along the generator's steepest direction at rates 1/nu, making
+    it the unique active (nonderogatory) eigenvalue of each perturbed
+    matrix; the associated subgradients converge to a limit M that fails
+    the regular test at the base point because the sub-block diagonals of W
+    end up unequal.  The pushed block becomes a new eigenvalue right after
+    lam's other blocks, where it already sits in the layout, so every
+    member keeps the base similarity: no re-layout.  Returns ``(witnesses,
+    M, report)`` with ``witnesses`` a list of (spec_nu, Y_nu) pairs;
+    ValueError when the last member would come within
+    ``JordanSpec.MIN_SEPARATION`` of lam.
 
-    All Y_nu are multiples c_nu * Y_basis of one matrix under one
-    similarity, so everything but the moved eigenvalue and c_nu is done
-    once: W is formed and its structure checked on Y_basis, which gives the
-    largest structure residual, each segment's diagonal-block maximum and
-    the diagonal values theta as Python numbers.  Each nu then makes its
-    own active set and its own active-block decision on c_nu * theta, and
-    judges the largest of the structure residuals and the inactive blocks'
-    maxima, times |c_nu|, at its own tolerance STRUCT_TOL * max(1, |c_nu|
-    |Y_basis|).  So it gets the verdict :func:`rsd_membership` gives on
-    (spec_nu, Y_nu), up to rounding in forming W.  The limit's test at the
-    base point reuses the active set that picks the derogatory eigenvalue.
+    All Y_nu and M are multiples of one matrix Y_basis = P^* E P^{-*}, E
+    the identity on the pushed block, so everything but the moved
+    eigenvalue and c_nu is done once: W is formed and its structure checked
+    on Y_basis, which gives the largest structure residual, each segment's
+    diagonal-block maximum and the diagonal values theta as Python numbers.
+    Each nu then makes its own active set and its own active-block decision
+    on c_nu * theta, and judges the largest of the structure residuals and
+    the inactive blocks' maxima, times |c_nu|, at its own tolerance
+    STRUCT_TOL * max(1, |c_nu| |Y_basis|).  So it gets the verdict
+    :func:`rsd_membership` gives on (spec_nu, Y_nu), up to rounding in
+    forming W.  The limit's test at the base point reuses the active set
+    that picks the derogatory eigenvalue.
     """
     if count < 1:
         raise ValueError(f"the witness sequence needs at least one member, got {count}")
     declared = declared_active(spec, f)
-    active = declared[1]
-    target = next((j for j in active if not spec.nonderogatory(j)), None)
+    target = next((j for j in declared[1] if not spec.nonderogatory(j)), None)
     if target is None:
         raise ValueError("no derogatory active eigenvalue to witness")
-    if not 0 <= block_index < spec.q_j(target):
-        raise ValueError(f"block index outside 0..{spec.q_j(target) - 1}")
     lam = spec.eig_value(target)
-    m_k = spec.block_sizes(target)[block_index]
+    *kept, m_k = spec.block_sizes(target)
 
     # at a corner, such as the radius at the nilpotent origin, the gradient
     # on the ray lam + t (t > 0), where the modulus has a constant one
@@ -527,8 +509,24 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
     seps += [abs(lam - mu) for mu in spec.b_eigenvalues]
     step0 = min([1.0] + [s / 4 for s in seps])
 
-    # only the moved eigenvalue differs between nu: one split similarity
-    split = _split_spec(spec, target, block_index, lam + step0 * direction)
+    # the members approach lam; the gap only shrinks with nu, so the largest
+    # count that fits is found by bisection
+    def apart(nu):
+        return abs(lam + (step0 / nu) * direction - lam) > JordanSpec.MIN_SEPARATION
+
+    if not apart(count):
+        fit, over = 0, count
+        while over - fit > 1:
+            mid = (fit + over) // 2
+            fit, over = (mid, over) if apart(mid) else (fit, mid)
+        raise ValueError(f"a witness of {count} members comes within "
+                         f"JordanSpec.MIN_SEPARATION = {JordanSpec.MIN_SEPARATION:g} of "
+                         f"the eigenvalue {lam}; at most {fit} members fit")
+
+    # only the moved eigenvalue differs between nu: one split spec
+    eigs = list(spec.eigs)
+    eigs[target:target + 1] = [(lam, tuple(kept)), (lam + step0 * direction, (m_k,))]
+    split = JordanSpec(eigs, P=spec.P, B=spec.B)
     idx = target + 1
     Y_basis = split.from_W(split.embed_block(idx, np.eye(m_k)))
 
@@ -550,10 +548,7 @@ def derogatory_witness(spec: JordanSpec, f: Generator, count: int = 100,
         worst = max([struct] + [r for _, r in _inactive(basis, active_nu)])
         per_nu.append(not core and _scaled_within_tol(worst, size, basis.norm))
 
-    E = np.zeros((spec.n, spec.n), dtype=complex)
-    sl = spec.subblock_slices(target)[block_index]
-    E[sl, sl] = np.eye(m_k)
-    M = (g / m_k) * spec.from_W(E)
+    M = (g / m_k) * Y_basis
     base_rep = _membership(spec, declared, W_extract(spec, M), horizon=False)
 
     report = {

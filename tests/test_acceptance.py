@@ -389,7 +389,7 @@ def test_criterion_10_regularity_and_witness():
     """Verdicts on the fixtures and a fully verified derogatory witness."""
     ok = regularity_verdict(A_SPEC, RAD) == "regular"
     ok &= regularity_verdict(B_SPEC, RAD) == "not_regular"
-    wits, M, rep = derogatory_witness(B_SPEC, RAD, count=100, block_index=1)
+    wits, M, rep = derogatory_witness(B_SPEC, RAD, count=100)
     ok &= len(wits) == 100 and rep["ok"] and all(rep["per_nu"])
     ok &= np.allclose(M, np.diag([0.0, 0.0, 1.0]))
     wits, M, rep = derogatory_witness(JordanSpec([(0.0, (1, 1))]), ABSC, count=100)

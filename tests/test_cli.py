@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 
@@ -347,6 +349,22 @@ class TestVerify:
         assert code == 0
         assert payload["witness"]["ok"]
 
+    @pytest.mark.parametrize("spec", [JordanSpec([(0.0, (1, 1)), (-1e-6, (1,))]),
+                                      JordanSpec([(0.0, (2, 1))], B=np.array([[-1e-6]]))],
+                             ids=["declared", "rest"])
+    def test_witness_members_too_close_exit_2(self, capsys, paths, spec):
+        # an eigenvalue 1e-6 away makes the witness's steps 2.5e-7 / nu,
+        # which stay apart from 0 up to nu = 24
+        spath = paths("S.json", spec_to_json(spec))
+        argv = ["verify", spath, "--f", "abscissa", "--samples", "20"]
+        assert main(argv + ["--nu", "24"]) == 0
+        capsys.readouterr()
+        for nu in ("25", "50"):
+            assert main(argv + ["--nu", nu]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: a witness of {nu} members")
+            assert "at most 24 members fit" in err and "Traceback" not in err
+
     def test_radius_runs_both_routes(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         code, out = run(capsys, ["verify", spath, "--f", "radius",
@@ -571,6 +589,30 @@ class TestImport:
         counts = dict(line.split() for line in out.stdout.splitlines())
         assert {"cpoly", "polysub", "jordan", "specsub", "cli"} <= counts.keys()
         assert int(counts["jordan"]) > 0 and int(counts["cpoly"]) > 0
+
+    def test_readme_names_resolve(self):
+        # every backticked `module.name` of README.md that names a specmax
+        # module, such as `jordan.R_matrix` or `specsub.STRUCT_TOL = 1e-9`,
+        # resolves in a fresh process: removed code leaves no stale name
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            spans = re.findall(r"`([^`\n]+)`", fh.read())
+        modules = {m.name for m in pkgutil.iter_modules(specmax.__path__)}
+        refs = sorted({m.groups() for span in spans for m in re.finditer(
+            r"\b(?:specmax\.)?([a-z_]\w*)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", span)
+            if m.group(1) in modules})
+        assert ("jordan", "R_matrix") in refs
+        src = os.path.dirname(os.path.dirname(specmax.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import importlib\n"
+                f"for mod, name in {refs!r}:\n"
+                "    obj = importlib.import_module('specmax.' + mod)\n"
+                "    for part in name.split('.'):\n"
+                "        obj = getattr(obj, part)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
 
 
 class TestScripts:

@@ -8,7 +8,7 @@ import pytest
 from specmax import oracles
 from specmax.cpoly import Poly, RootCluster
 from specmax.generators import builtin, make_generator
-from specmax.jordan import DomainError, JordanSpec
+from specmax.jordan import DomainError, JordanSpec, declared_active
 from specmax.oracles import (
     ABS_SLACK,
     GROWTH_CUTOFF,
@@ -462,13 +462,14 @@ ITEM_17 = pytest.mark.xfail(strict=True, raises=AssertionError,
 
 def _large_subdiagonal_member(case, f, theta):
     """A member of both routes whose W subdiagonal is theta times the unit
-    ∇f(λ)²/|∇f(λ)²| at each active block, P = I."""
+    ∇f(λ)²/|∇f(λ)²| at each active block, P = I: both blocks of J_3(1) ⊕
+    J_2(1+0.5i) under the abscissa, only J_2(1+0.5i) under the radii."""
     if case == "J2(0)+[-1]":
         spec = JordanSpec([(0j, (2,)), (-1.0, (1,))])
         return spec, rsd_sample(spec, f, seed=1, theta2={0: theta})
     spec = JordanSpec([(1.0, (3,)), (1 + 0.5j, (2,))])
-    grads = [f.grad(spec.eig_value(j)) for j in range(2)]
-    theta2 = {j: theta * g * g / abs(g * g) for j, g in enumerate(grads)}
+    grads = {j: f.grad(spec.eig_value(j)) for j in declared_active(spec, f)[1]}
+    theta2 = {j: theta * g * g / abs(g * g) for j, g in grads.items()}
     return spec, rsd_sample(spec, f, seed=1, theta2=theta2)
 
 

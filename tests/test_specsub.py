@@ -7,6 +7,7 @@ import pytest
 
 from specmax import cpoly, jordan, polysub, specsub
 from specmax.cli import main
+from specmax.fixtures import fixture_derogatory
 from specmax.generators import UnsupportedGenerator, builtin, make_generator
 from specmax.jordan import (
     DerogatoryEigenvalue,
@@ -485,6 +486,20 @@ class TestRsdSample:
         with pytest.raises(DerogatoryEigenvalue):
             rsd_sample(B_SPEC, RAD2)
 
+    # a key that could not take effect names itself instead of leaving the
+    # drawn sample, which is a member, as it is
+    @pytest.mark.parametrize("spec,key", [
+        (JordanSpec([(2.0, (2,)), (-0.5, (2,))]), 1),  # inactive under radius2
+        (A_SPEC, 1),  # active, a block of size 1
+        (A_SPEC, 2),  # out of range
+        (A_SPEC, -1),
+        (A_SPEC, 0.5),  # not an index
+        (A_SPEC, "0"),
+    ], ids=["inactive", "size-1", "out-of-range", "negative", "fraction", "string"])
+    def test_key_without_effect_rejected(self, spec, key):
+        with pytest.raises(ValueError, match=f"theta2 keys \\[{key!r}\\]"):
+            rsd_sample(spec, RAD2, theta2={0: 0.0, key: 0.0})
+
     @pytest.mark.parametrize("gamma", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]])
     def test_non_finite_weights_rejected(self, gamma):
         with pytest.raises(ValueError, match="simplex"):
@@ -738,7 +753,7 @@ class TestRegularityAndWitness:
         assert regularity_verdict(spec, ABSC) == "regular"
 
     def test_sequence_matches_the_fixture(self):
-        wits, M, report = derogatory_witness(B_SPEC, RAD, count=20, block_index=1)
+        wits, M, report = derogatory_witness(B_SPEC, RAD, count=20)
         assert np.allclose(M, np.diag([0.0, 0.0, 1.0]))
         assert report["ok"]
         spec_nu, Y_nu = wits[4]  # nu = 5
@@ -748,14 +763,14 @@ class TestRegularityAndWitness:
     def test_abscissa_analogue(self):
         spec = JordanSpec([(0.0, (1, 1))])
         wits, M, report = derogatory_witness(spec, ABSC, count=10)
-        assert np.allclose(M, np.diag([1.0, 0.0]))
+        assert np.allclose(M, np.diag([0.0, 1.0]))
         assert report["ok"]
 
     def test_radius_at_origin(self):
         spec = JordanSpec([(0.0, (2, 1))])
         wits, M, report = derogatory_witness(spec, RAD, count=10)
         assert report["ok"]
-        assert np.allclose(M, np.diag([0.5, 0.5, 0.0]))
+        assert np.allclose(M, np.diag([0.0, 0.0, 1.0]))
 
     def test_nonderogatory_rejected(self):
         with pytest.raises(ValueError):
@@ -766,14 +781,39 @@ class TestRegularityAndWitness:
         with pytest.raises(ValueError, match="at least one member"):
             derogatory_witness(B_SPEC, RAD, count=count)
 
+    def test_is_the_papers_sequence_bit_for_bit(self):
+        # the worked example pushes the trailing 1x1 block of B to 1 + 1/nu
+        # with Diag(0, 0, 1) the subgradient of every member and the limit
+        wits, M, report = derogatory_witness(fixture_derogatory(), RAD, count=40)
+        E = np.diag([0.0, 0.0, 1.0]).astype(complex).tobytes()
+        assert M.tobytes() == E
+        for nu, (spec_nu, Y_nu) in enumerate(wits, start=1):
+            assert spec_nu.eigs == ((1, (2,)), (1 + 1 / nu, (1,)))
+            assert Y_nu.tobytes() == E
+        table = [rsd_membership(JordanSpec([(1.0, (2,)), (1.0 + 1.0 / nu, (1,))]), RAD,
+                                np.diag([0.0, 0.0, 1.0]).astype(complex)).verdict
+                 for nu in range(1, 41)]
+        assert report["per_nu"] == table and all(table)
 
-def _witness_from_scratch(spec, f, count, block_index=0):
+    @pytest.mark.parametrize("spec", [JordanSpec([(0.0, (1, 1)), (-1e-6, (1,))]),
+                                      JordanSpec([(0.0, (2, 1))], B=np.array([[-1e-6]]))],
+                             ids=["declared", "rest"])
+    def test_members_too_close_to_the_eigenvalue_rejected(self, spec):
+        # step0 is a quarter of the distance 1e-6, so member nu lies
+        # 2.5e-7 / nu from 0: 24 members stay apart, the 25th does not
+        assert len(derogatory_witness(spec, ABSC, count=24)[0]) == 24
+        for count in (25, 50, 10 ** 9):
+            with pytest.raises(ValueError, match=f"of {count} members.*at most 24 members fit"):
+                derogatory_witness(spec, ABSC, count=count)
+
+
+def _witness_from_scratch(spec, f, count):
     """(per_nu, Ys, M) of the witness with every nu's split spec built by
-    JordanSpec(...) from scratch."""
+    JordanSpec(...) from scratch, the last block split off in place."""
     _, active = declared_active(spec, f)
     target = next(j for j in active if not spec.nonderogatory(j))
     lam = spec.eig_value(target)
-    m_k = spec.block_sizes(target)[block_index]
+    *kept, m_k = spec.block_sizes(target)
     direction = f.grad(lam) / abs(f.grad(lam))
     seps = [abs(lam - spec.eig_value(i)) for i in range(spec.num_eigs) if i != target]
     seps += [abs(lam - mu) for mu in spec.b_eigenvalues]
@@ -781,17 +821,9 @@ def _witness_from_scratch(spec, f, count, block_index=0):
     per_nu, Ys = [], []
     for nu in range(1, count + 1):
         lam_nu = lam + (step0 / nu) * direction
-        sizes = spec.block_sizes(target)
-        rest = tuple(b for k, b in enumerate(sizes) if k != block_index)
-        eigs = list(spec.eigs[:target]) + [(lam, rest), (lam_nu, (sizes[block_index],))]
+        eigs = list(spec.eigs[:target]) + [(lam, tuple(kept)), (lam_nu, (m_k,))]
         eigs += list(spec.eigs[target + 1:])
-        perm = list(range(spec.eig_slice(target).start))
-        subs = spec.subblock_slices(target)
-        for k in [k for k in range(len(sizes)) if k != block_index] + [block_index]:
-            perm.extend(range(subs[k].start, subs[k].stop))
-        perm.extend(range(spec.eig_slice(target).stop, spec.n))
-        spec_nu = JordanSpec(eigs, P=np.eye(spec.n)[perm, :] @ spec.P,
-                             B=spec.B if spec.n0 else None)
+        spec_nu = JordanSpec(eigs, P=spec.P, B=spec.B if spec.n0 else None)
         E = spec_nu.embed_block(target + 1, np.eye(m_k))
         Y = (f.grad(lam_nu) / m_k) * spec_nu.from_W(E)
         rep = (radius_rsd_membership(spec_nu, Y) if f.name == "radius"
@@ -799,22 +831,21 @@ def _witness_from_scratch(spec, f, count, block_index=0):
         per_nu.append(rep.verdict)
         Ys.append(Y)
     E = np.zeros((spec.n, spec.n), dtype=complex)
-    sl = spec.subblock_slices(target)[block_index]
+    sl = spec.subblock_slices(target)[-1]
     E[sl, sl] = np.eye(m_k)
     return per_nu, Ys, (f.grad(lam) / m_k) * spec.from_W(E)
 
 
 class TestSharedSplitWitness:
-    @pytest.mark.parametrize("spec,f,block_index", [
-        (B_SPEC, RAD, 1),
-        (B_SPEC, RAD, 0),
+    @pytest.mark.parametrize("spec,f", [
+        (B_SPEC, RAD),
         (JordanSpec([(0.5 + 0.2j, (2, 1, 1)), (-1.0, (1,))],
                     P=np.eye(6) + 0.2 * np.random.default_rng(8).standard_normal((6, 6)),
-                    B=np.array([[0.1]])), ABSC, 1),
+                    B=np.array([[0.1]])), ABSC),
     ])
-    def test_matches_specs_built_from_scratch(self, spec, f, block_index):
-        wits, M, report = derogatory_witness(spec, f, count=30, block_index=block_index)
-        per_nu, Ys, M_ref = _witness_from_scratch(spec, f, 30, block_index)
+    def test_matches_specs_built_from_scratch(self, spec, f):
+        wits, M, report = derogatory_witness(spec, f, count=30)
+        per_nu, Ys, M_ref = _witness_from_scratch(spec, f, 30)
         assert report["per_nu"] == per_nu
         assert np.abs(M - M_ref).max() <= 1e-14
         for (spec_nu, Y_nu), Y_ref in zip(wits, Ys):
@@ -833,29 +864,45 @@ class TestSharedSplitWitness:
 
 
 WITNESS_CASES = [
-    (B_SPEC, RAD, 1),
-    (B_SPEC, RAD, 0),
+    (B_SPEC, RAD),
     (JordanSpec([(0.5 + 0.2j, (2, 1, 1)), (-1.0, (1,))],
                 P=np.eye(6) + 0.2 * np.random.default_rng(8).standard_normal((6, 6)),
-                B=np.array([[0.1]])), ABSC, 1),
+                B=np.array([[0.1]])), ABSC),
     (JordanSpec([(1.0 + 0.5j, (1, 2)), (0.3, (1,))],
-                P=random_P(np.random.default_rng(15), 4)), RAD2, 1),
+                P=random_P(np.random.default_rng(15), 4)), RAD2),
     (JordanSpec([(0.8, (2, 2)), (-0.5j, (1,))], P=random_P(np.random.default_rng(16), 7),
-                B=np.array([[0.2, 0.1], [0.0, -0.3]])), ABSC, 0),
+                B=np.array([[0.2, 0.1], [0.0, -0.3]])), ABSC),
 ]
 
 
 class TestWitnessFormsWOnce:
-    @pytest.mark.parametrize("spec,f,block_index", WITNESS_CASES)
-    def test_each_verdict_is_rsd_membership_of_its_pair(self, spec, f, block_index):
-        wits, _, report = derogatory_witness(spec, f, count=30, block_index=block_index)
+    @pytest.mark.parametrize("spec,f", WITNESS_CASES)
+    def test_each_verdict_is_rsd_membership_of_its_pair(self, spec, f):
+        wits, _, report = derogatory_witness(spec, f, count=30)
         assert report["ok"]
         assert [rsd_membership(s, f, Y).verdict for s, Y in wits] == report["per_nu"]
+
+    @pytest.mark.parametrize("spec,f", WITNESS_CASES)
+    def test_members_and_limit_are_multiples_of_one_matrix(self, spec, f):
+        # the last block splits off in place: the base similarity serves
+        # every member, and Y_basis = P^* E P^{-*} is formed once
+        wits, M, _ = derogatory_witness(spec, f, count=30)
+        target = next(j for j in declared_active(spec, f)[1] if not spec.nonderogatory(j))
+        lam, m = spec.eig_value(target), spec.block_sizes(target)[-1]
+        sl = spec.subblock_slices(target)[-1]
+        E = np.zeros((spec.n, spec.n), dtype=complex)
+        E[sl, sl] = np.eye(m)
+        Y_basis = spec.from_W(E)
+        assert M.tobytes() == ((f.grad(lam) / m) * Y_basis).tobytes()
+        for spec_nu, Y_nu in wits:
+            assert spec_nu.P is spec.P
+            c = f.grad(spec_nu.eig_value(target + 1)) / m
+            assert Y_nu.tobytes() == (c * Y_basis).tobytes()
 
     @pytest.mark.parametrize("level", ["regular", "limiting"])
     def test_scaled_extraction_matches_extracting_the_scaled_candidate(self, level):
         rng = np.random.default_rng(17)
-        spec = WITNESS_CASES[2][0]
+        spec = WITNESS_CASES[1][0]
         W0 = np.zeros((spec.n, spec.n), dtype=complex)
         W0[spec.eig_slice(0), spec.eig_slice(0)] = 0.4 * np.eye(spec.n_j(0)) + 0.1
         noise = 10 ** rng.uniform(-13, -7, (spec.n, spec.n)) * np.exp(
@@ -914,7 +961,7 @@ def _ref_scaled(params, c):
                           size * params.norm, None)
 
 
-def _ref_witness(spec, f, count, block_index=0):
+def _ref_witness(spec, f, count):
     """derogatory_witness as it ran the whole direct-route test on every nu:
     the basis extraction scaled by c_nu, then the active set, the structure
     and inactive checks at the scaled tolerance and the active blocks'
@@ -922,7 +969,7 @@ def _ref_witness(spec, f, count, block_index=0):
     _, active = declared_active(spec, f)
     target = next(j for j in active if not spec.nonderogatory(j))
     lam = spec.eig_value(target)
-    m_k = spec.block_sizes(target)[block_index]
+    *kept, m_k = spec.block_sizes(target)
     g = f.grad(lam)
     if g is None:
         g = f.grad(lam + 1.0)
@@ -930,7 +977,9 @@ def _ref_witness(spec, f, count, block_index=0):
     seps = [abs(lam - spec.eig_value(i)) for i in range(spec.num_eigs) if i != target]
     seps += [abs(lam - mu) for mu in spec.b_eigenvalues]
     step0 = min([1.0] + [s / 4 for s in seps])
-    split = specsub._split_spec(spec, target, block_index, lam + step0 * direction)
+    eigs = list(spec.eigs)
+    eigs[target:target + 1] = [(lam, tuple(kept)), (lam + step0 * direction, (m_k,))]
+    split = JordanSpec(eigs, P=spec.P, B=spec.B if spec.n0 else None)
     idx = target + 1
     Y_basis = split.from_W(split.embed_block(idx, np.eye(m_k)))
     basis = specsub.W_extract(split, Y_basis)
@@ -942,7 +991,7 @@ def _ref_witness(spec, f, count, block_index=0):
         witnesses.append((spec_nu, c * Y_basis))
         per_nu.append(_ref_membership(spec_nu, f, _ref_scaled(basis, c), horizon=False).verdict)
     E = np.zeros((spec.n, spec.n), dtype=complex)
-    sl = spec.subblock_slices(target)[block_index]
+    sl = spec.subblock_slices(target)[-1]
     E[sl, sl] = np.eye(m_k)
     M = (g / m_k) * spec.from_W(E)
     base_rep = rsd_membership(spec, f, M)
@@ -960,9 +1009,9 @@ def _spec_bytes(spec):
             for k, v in vars(spec).items()}
 
 
-def _assert_same_witness(spec, f, block_index, count):
-    wits, M, report = derogatory_witness(spec, f, count=count, block_index=block_index)
-    ref_wits, ref_M, ref_report = _ref_witness(spec, f, count, block_index)
+def _assert_same_witness(spec, f, count):
+    wits, M, report = derogatory_witness(spec, f, count=count)
+    ref_wits, ref_M, ref_report = _ref_witness(spec, f, count)
     assert report == ref_report
     assert M.tobytes() == ref_M.tobytes()
     assert len(wits) == len(ref_wits) == count
@@ -1009,9 +1058,9 @@ class TestWitnessLoop:
     direct-route test on every nu: the same verdicts, report, limit and
     witness pairs, bit for bit."""
 
-    @pytest.mark.parametrize("spec,f,block_index", WITNESS_CASES)
-    def test_matches_the_per_nu_membership_loop(self, spec, f, block_index):
-        assert _assert_same_witness(spec, f, block_index, count=30)["ok"]
+    @pytest.mark.parametrize("spec,f", WITNESS_CASES)
+    def test_matches_the_per_nu_membership_loop(self, spec, f):
+        assert _assert_same_witness(spec, f, count=30)["ok"]
 
     def test_matches_it_on_random_derogatory_specs(self):
         rng = np.random.default_rng(2000)
@@ -1027,18 +1076,16 @@ class TestWitnessLoop:
                 P = Q[0] @ np.diag(np.geomspace(1.0, 10 ** -rng.uniform(5, 6.5), spec.n)) @ Q[1]
                 specs.append(JordanSpec(spec.eigs, P=P, B=spec.B if spec.n0 else None))
             for s in specs:
-                for block_index in range(s.q_j(0)):
-                    report = _assert_same_witness(s, f, block_index, count=20)
-                    seen.add((f.name, s.n0 > 0, origin, report["ok"]))
-                    verdicts.update(report["per_nu"])
+                report = _assert_same_witness(s, f, count=20)
+                seen.add((f.name, s.n0 > 0, origin, report["ok"]))
+                verdicts.update(report["per_nu"])
         assert {(g, r, False, True) for g in ("abscissa", "radius2", "radius")
                 for r in (False, True)} | {("radius", False, True, True)} <= seen
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("where", ["inactive_block", "cross_block"])
-    @pytest.mark.parametrize("spec,f,block_index", WITNESS_CASES)
-    def test_matches_it_where_the_basis_fails_one_check(self, monkeypatch, spec, f,
-                                                        block_index, where):
+    @pytest.mark.parametrize("spec,f", WITNESS_CASES)
+    def test_matches_it_where_the_basis_fails_one_check(self, monkeypatch, spec, f, where):
         """A defect of 1e-4 |Y_basis| put into the basis W fails every nu
         on one check alone: the kept part of the derogatory eigenvalue, an
         inactive segment, as a multiple of the identity (so only the
@@ -1059,7 +1106,7 @@ class TestWitnessLoop:
             return extract(s, Y + 1e-4 * max(1.0, np.linalg.norm(Y)) * s.from_W(D), level)
 
         monkeypatch.setattr(specsub, "W_extract", defective)
-        report = _assert_same_witness(spec, f, block_index, count=20)
+        report = _assert_same_witness(spec, f, count=20)
         assert not any(report["per_nu"])
 
     def test_one_decision_and_one_active_set_per_nu(self, monkeypatch):
@@ -1075,9 +1122,9 @@ class TestWitnessLoop:
 
         counted(jordan, "active_roots")
         counted(specsub, "block_failures")
-        for spec, f, block_index in WITNESS_CASES:
+        for spec, f in WITNESS_CASES:
             calls.clear()
-            derogatory_witness(spec, f, count=40, block_index=block_index)
+            derogatory_witness(spec, f, count=40)
             # once per nu, and once for the limit at the base point
             assert calls.count("active_roots") == calls.count("block_failures") == 41
 

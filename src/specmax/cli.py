@@ -26,6 +26,7 @@ from .jordan import DomainError, matrix_from_json, spec_from_json
 from .oracles import subgradient_inequality_suite
 from .polysub import subderivative_f
 from .specsub import (
+    MembershipReport,
     W_extract,
     chain_rule_membership,
     derogatory_witness,
@@ -106,22 +107,15 @@ def cmd_membership(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
     Y = matrix_from_json(_load_json(args.candidate))
 
-    if args.set == "limiting-structure":
-        params = W_extract(spec, Y, level="limiting")
-        payload = {
-            "verdict": params.ok,
-            "failed_conditions": [v.to_json() for v in params.violations],
-            "flags": params.flags,
-        }
-        _emit(payload, args.out)
-        return EXIT_OK if params.ok else EXIT_NONMEMBER
-
     if args.set == "chain":
         verdict = chain_rule_membership(spec, f, Y)
         _emit({"verdict": verdict, "route": "chain"}, args.out)
         return EXIT_OK if verdict else EXIT_NONMEMBER
 
-    if args.set == "recession":
+    if args.set == "limiting-structure":
+        params = W_extract(spec, Y, level="limiting")
+        report = MembershipReport(verdict=params.ok, failed=params.violations)
+    elif args.set == "recession":
         report = rsd_recession_membership(spec, f, Y)
     else:
         report = rsd_membership(spec, f, Y)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,9 +76,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return self.degree() < 0
-
-    def coeff_norm(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.coeffs)))
 
     def array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
@@ -184,32 +182,17 @@ def _complete_linkage(row: list, tol: float) -> list:
     of clusters whose union has the smallest diameter (the first such pair
     in index order on ties) while that diameter is at most ``tol``.
 
-    Returns the clusters as lists of points in merge order.  The diameter
-    of a union is the largest of the two diameters and their largest cross
-    distance, and the cross distances of a union are the larger of its
-    parts' (the Lance-Williams update), so a merge costs O(k^2).
+    Returns the clusters as lists of points in merge order.  Each pass
+    recomputes the diameter of every candidate union and takes the least
+    ``(diameter, i, j)``; the rows that reach it hold a few points.
     """
     groups = [[p] for p in row]
-    diam = [0.0] * len(row)
-    cross = [[abs(a - b) for b in row] for a in row]
     while len(groups) > 1:
-        best = None
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                d = max(diam[i], diam[j], cross[i][j])
-                if d <= tol and (best is None or d < best[0]):
-                    best = (d, i, j)
-        if best is None:
+        d, i, j = min((max(abs(a - b) for a, b in combinations(groups[i] + groups[j], 2)), i, j)
+                      for i, j in combinations(range(len(groups)), 2))
+        if not d <= tol:  # a NaN diameter merges nothing
             break
-        d, i, j = best
         groups[i] += groups.pop(j)
-        diam[i] = d
-        del diam[j]
-        row_j = cross.pop(j)
-        for r in cross:
-            r[i] = max(r[i], r.pop(j))
-        del row_j[j]
-        cross[i] = [max(a, b) for a, b in zip(cross[i], row_j)]
     return groups
 
 

@@ -147,15 +147,15 @@ def _margin(quotients, coeff, steps, order: int, noise: float) -> np.ndarray:
     return quotients + coeff * powers + noise / np.asarray(steps, dtype=float) + ABS_SLACK
 
 
-def _matrix_norm(X) -> float:
-    """|X|, which the noise term of a matrix quotient scales with;
-    :class:`DomainError` where numpy's norm overflows (it squares, so from
-    about 1.34e154), since an inf noise term would let every formula and
-    every candidate pass."""
+def _finite_norm(a) -> float:
+    """|a| of a matrix or a coefficient vector, which the noise term of a
+    quotient scales with; :class:`DomainError` where numpy's norm overflows
+    (it squares, so from about 1.34e154), since an inf noise term would let
+    every formula and every candidate pass."""
     with np.errstate(over="ignore"):  # refused, not warned of
-        norm = float(np.linalg.norm(X))
+        norm = float(np.linalg.norm(a))
     if not math.isfinite(norm):
-        raise DomainError(f"the noise term needs a finite |X|, got {norm}")
+        raise DomainError(f"the noise term needs a finite norm, got {norm}")
     return norm
 
 
@@ -196,7 +196,7 @@ def fd_phi_quotient(X, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
         raise ValueError("steps must lie in (0, 0.1]")
     X = np.asarray(X, dtype=complex)
     Z = np.asarray(Z, dtype=complex)
-    norm = _matrix_norm(X)
+    norm = _finite_norm(X)
     steps = np.asarray(t_grid, dtype=float)
     base = spectral_max(X, f)
     quotients = (spectral_max(X + steps[:, None, None] * Z, f) - base) / steps
@@ -212,10 +212,11 @@ def fd_poly_quotient(p: Poly, f, v: Poly, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
         raise ValueError("steps must lie in (0, 0.1]")
     n = max(p.degree_bound, v.degree_bound)
     p, v = p.padded(n), v.padded(n)
+    norm = _finite_norm(p.array())
     base = poly_root_max(p, f)
     quotients = [(poly_root_max(p + t * v, f) - base) / t for t in t_grid]
     return _build_report(t_grid, quotients, holder_order, formula,
-                         scale=max(1.0, abs(base), p.coeff_norm()))
+                         scale=max(1.0, abs(base), norm))
 
 
 def _structured_probes(spec: JordanSpec) -> tuple:
@@ -288,7 +289,7 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
 
     steps = np.asarray(RADII, dtype=float)
     base = spectral_max(J, f)
-    noise = eval_noise_floor(m_max, max(1.0, abs(base), _matrix_norm(spec.synth())))
+    noise = eval_noise_floor(m_max, max(1.0, abs(base), _finite_norm(spec.synth())))
     lhs = np.einsum("ki,dki->d", Y.conj(), D).real
     quotients = np.empty((len(D), len(steps)))
     block = max(1, STACK_ENTRIES // (len(steps) * spec.n ** 2))

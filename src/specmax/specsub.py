@@ -74,13 +74,12 @@ class Violation:
         return {"condition": self.condition, "residual": self.residual, "where": self.where}
 
 
-# each W check: the structural flag it clears when it fails, and the format
-# of its location
+# each W check: the format of its location
 _CHECKS = {
-    "cross_block_zero": ("block_diagonal", "{}x{}"),
-    "toeplitz": ("toeplitz", "eig{}[{},{}]"),
-    "subblock_coupling_zero": ("subblock_coupling_zero", "eig{}[{},{}]"),
-    "equal_diagonals": ("equal_diagonals", "eig{} diag {}"),
+    "cross_block_zero": "{}x{}",
+    "toeplitz": "eig{}[{},{}]",
+    "subblock_coupling_zero": "eig{}[{},{}]",
+    "equal_diagonals": "eig{} diag {}",
 }
 
 
@@ -92,8 +91,8 @@ class ToeplitzParams:
     tuple the check's location is formatted from, and the largest modulus
     in each segment's diagonal block, by segment name ("rest", "eig0",
     ...), which the inactive-block test reads.  The violations are the
-    residuals above ``STRUCT_TOL * max(1, norm)``, with ``norm`` = |Y|; the
-    flags and ``ok`` summarize them."""
+    residuals above ``STRUCT_TOL * max(1, norm)``, with ``norm`` = |Y|, and
+    ``ok`` says there are none."""
 
     W: np.ndarray
     theta: dict
@@ -104,17 +103,12 @@ class ToeplitzParams:
 
     def __post_init__(self):
         atol = STRUCT_TOL * max(1.0, self.norm)
-        self.violations = [Violation(c, r, _CHECKS[c][1].format(*at))
+        self.violations = [Violation(c, r, _CHECKS[c].format(*at))
                            for c, r, at in self.residuals if r > atol]
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def flags(self) -> dict:
-        failed = {v.condition for v in self.violations}
-        return {flag: c not in failed for c, (flag, _) in _CHECKS.items()}
 
 
 @dataclass

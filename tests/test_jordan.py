@@ -273,7 +273,8 @@ class TestCharPoly:
             expect = Poly.one()
             for j in range(spec.num_eigs):
                 expect = expect * elementary(spec.n_j(j), spec.eig_value(j))
-            assert np.allclose(p.array(), expect.array(), atol=1e-8 * expect.coeff_norm())
+            assert np.allclose(p.array(), expect.array(),
+                               atol=1e-8 * np.linalg.norm(expect.array()))
 
     def test_rest_block_contributes_its_factor(self):
         B = np.array([[3.0, 1.0], [0.0, 4.0]], dtype=complex)
@@ -286,7 +287,7 @@ class TestCharPoly:
 class TestCharPolyDerivAction:
     def test_zero_direction(self):
         spec = JordanSpec([(0.0, (2,))])
-        assert char_poly_deriv_action(spec, np.zeros((2, 2))).coeff_norm() < 1e-15
+        assert np.linalg.norm(char_poly_deriv_action(spec, np.zeros((2, 2))).array()) < 1e-15
 
     def test_identity_direction_on_a_nilpotent_block(self):
         spec = JordanSpec([(0.0, (2,))])
@@ -296,7 +297,7 @@ class TestCharPolyDerivAction:
     def test_derogatory_pair_with_offdiagonal_direction(self):
         spec = JordanSpec([(0.0, (1, 1))])
         Z = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert char_poly_deriv_action(spec, Z).coeff_norm() < 1e-15
+        assert np.linalg.norm(char_poly_deriv_action(spec, Z).array()) < 1e-15
 
     def test_richardson_fd_agreement(self):
         rng = np.random.default_rng(3)
@@ -328,7 +329,8 @@ class TestCharPolyDerivAction:
             got = char_poly_deriv_action(spec, Z)
             ref = _reference_char_poly_deriv_action(spec, Z)
             assert got.degree_bound == ref.degree_bound == spec.n - 1
-            assert np.linalg.norm(got.array() - ref.array()) <= 1e-12 * max(1.0, ref.coeff_norm())
+            assert (np.linalg.norm(got.array() - ref.array())
+                    <= 1e-12 * max(1.0, np.linalg.norm(ref.array())))
             derogatory += any(spec.q_j(j) > 1 for j in range(spec.num_eigs))
         assert derogatory >= 40
 

@@ -89,6 +89,37 @@ class TestPolyQuotients:
                                t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
         assert rep.growth_exponent == pytest.approx(-0.5, abs=0.1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_polynomial_whose_norm_overflows_is_refused(self):
+        # |p| reads inf at 1e160, so the noise term would be inf and the
+        # formula 1e6 would pass against quotients of about -0.5
+        p, v = Poly((-1e160, 0, 1e160)), Poly((0, 1e160, 0))
+        with pytest.raises(DomainError, match="finite"):
+            fd_poly_quotient(p, ABSC, v, formula=1e6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_polynomial_norm_below_the_overflow_is_read(self):
+        p, v = Poly((-1e150, 0, 1e150)), Poly((0, 1e150, 0))
+        rep = fd_poly_quotient(p, ABSC, v, formula=1e6)
+        assert rep.noise == eval_noise_floor(1, np.linalg.norm(p.array()))
+        assert rep.extrapolated == pytest.approx(-0.5, abs=1e-6)
+        assert rep.verdict  # the noise term of item 13's pin below
+
+    @pytest.mark.parametrize("s", [
+        1e-100, 1.0, 1e8,
+        *(pytest.param(s, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 13: the noise term of fd_poly_quotient scales with |p|, "
+                   "while the root max is unchanged under (p, v) -> (s p, s v), so at "
+                   "s = 1e20 the noise reads 1e6 and the false formula 1e6 passes"))
+          for s in (1e20, 1e100)),
+    ])
+    def test_false_formula_is_rejected_at_every_scale(self, s):
+        # psi(s p + t s v) = psi(p + t v): the quotient is about -0.499 at every s
+        rep = fd_poly_quotient(Poly((-s, 0, s)), ABSC, Poly((0, s, 0)), formula=1e6)
+        assert rep.extrapolated == pytest.approx(-0.5, abs=1e-6)
+        assert rep.verdict is False
+
 
 class TestDiagnostics:
     def test_growth_exponent_fit(self):

@@ -1301,7 +1301,6 @@ class TestWExtractionEquivalence:
                         assert {j: t.tolist() for j, t in got.theta.items()} == \
                             {j: t.tolist() for j, t in ref.theta.items()}
                         assert got.violations == ref.violations
-                        assert got.flags == ref.flags
                         assert got.segment_max == ref.segment_max
                         cases += 1
                     ref = _ref_W_extract(spec, Y, "regular")

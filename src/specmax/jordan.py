@@ -73,7 +73,8 @@ class JordanSpec:
     refinement sweep needs anyway, is only a shortcut that accepts without
     an SVD: it implies the gate.  Every other P goes to ``np.linalg.cond``,
     so the accepted and the rejected similarities are those of the 2-norm
-    gate alone.
+    gate alone.  ``frob_norms`` keeps the shortcut's ``(|P|_F, |P^-1|_F)``,
+    which bound the moduli met in reading a candidate in W coordinates.
     """
 
     MIN_SEPARATION = 1e-8  # absolute: between declared eigenvalues
@@ -111,12 +112,13 @@ class JordanSpec:
             raise ValueError(f"similarity must be {self.n}x{self.n}, got {P.shape}")
         try:
             Pinv = np.linalg.inv(P)
-            frob = math.sqrt(float(np.vdot(P, P).real) * float(np.vdot(Pinv, Pinv).real))
+            self.frob_norms = (math.sqrt(float(np.vdot(P, P).real)),
+                               math.sqrt(float(np.vdot(Pinv, Pinv).real)))
         except np.linalg.LinAlgError:
-            frob = math.inf
+            self.frob_norms = (math.inf, math.inf)
         # cond_2(P) <= |P|_F |P^-1|_F, and the factor 2 covers rounding in
         # the inverse; a NaN or inf bound fails the test and goes to the SVD
-        if not frob <= self.MAX_CONDITION / 2:
+        if not self.frob_norms[0] * self.frob_norms[1] <= self.MAX_CONDITION / 2:
             try:
                 cond = np.linalg.cond(P)  # inf for an inf entry
             except np.linalg.LinAlgError as exc:  # a NaN entry stops the SVD
@@ -129,10 +131,10 @@ class JordanSpec:
         self.Pstar = P.conj().T
         self.Pinvstar = Pinv.conj().T
 
-        lams = [lam for lam, _ in self.eigs]
         self._b_eigs = np.linalg.eigvals(B) if self.n0 else np.zeros(0, dtype=complex)
-        for i, lam in enumerate(lams):
-            self._check_separation(lam, lams[i + 1:])
+        others = [lam for lam, _ in self.eigs] + list(self._b_eigs)
+        for i, (lam, _) in enumerate(self.eigs):
+            self._check_separation(lam, others[i + 1:])
 
         # layout: [0, n0) is B, then each eigenvalue's sub-blocks in order
         self._eig_slices = []
@@ -147,9 +149,9 @@ class JordanSpec:
             self._eig_slices.append(slice(start, pos))
             self._subblock_slices.append(tuple(subs))
 
-    def _check_separation(self, lam: complex, lams) -> None:
-        """Raise unless lam is apart from ``lams`` and the rest-block spectrum."""
-        for mu in list(lams) + list(self._b_eigs):
+    def _check_separation(self, lam: complex, others: list) -> None:
+        """Raise unless lam is apart from each of ``others``."""
+        for mu in others:
             if abs(lam - mu) <= self.MIN_SEPARATION:
                 raise ValueError(
                     f"declared eigenvalues must be distinct (and distinct from the "
@@ -165,7 +167,8 @@ class JordanSpec:
         rest block is checked again.
         """
         lam = complex(lam)
-        self._check_separation(lam, [mu for i, (mu, _) in enumerate(self.eigs) if i != j])
+        self._check_separation(lam, [mu for i, (mu, _) in enumerate(self.eigs) if i != j]
+                               + list(self._b_eigs))
         moved = object.__new__(type(self))
         moved.__dict__ = {**self.__dict__,
                           "eigs": self.eigs[:j] + ((lam, self.eigs[j][1]),) + self.eigs[j + 1:]}

@@ -207,13 +207,19 @@ def fd_phi_quotient(X, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
 def fd_poly_quotient(p: Poly, f, v: Poly, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
                      holder_order: int = 1, formula: Optional[float] = None) -> FDReport:
     """Quotients of the root max function along a polynomial direction,
-    recomputing roots at every step."""
+    recomputing roots at every step.  The noise term scales with the
+    monic p, p over its leading coefficient, whose roots are the root max
+    function's; :class:`DomainError` where |p| or |p| over that coefficient
+    overflows."""
     if any(t <= 0 or t > 1e-1 for t in t_grid):
         raise ValueError("steps must lie in (0, 0.1]")
     n = max(p.degree_bound, v.degree_bound)
     p, v = p.padded(n), v.padded(n)
-    norm = _finite_norm(p.array())
+    _finite_norm(p.array())
     base = poly_root_max(p, f)
+    # the roots, and so the root max, are those of the monic p
+    with np.errstate(over="ignore"):  # refused by _finite_norm, not warned of
+        norm = _finite_norm(p.array() / p.coeffs[p.degree()])
     quotients = [(poly_root_max(p + t * v, f) - base) / t for t in t_grid]
     return _build_report(t_grid, quotients, holder_order, formula,
                          scale=max(1.0, abs(base), norm))
@@ -272,13 +278,30 @@ def _jordan_images(spec: JordanSpec, Z: np.ndarray, exact: np.ndarray) -> np.nda
     return V
 
 
+def _diverging(quotients: np.ndarray) -> np.ndarray:
+    """Per row of quotients at the steps RADII, whether it diverges to +inf:
+    every |q| above GROWTH_FLOOR and finite, the least-squares slope of
+    log|q| against log t at most GROWTH_CUTOFF, and the last quotient
+    positive.  No finite pairing can violate the limit inequality along
+    such a direction (:func:`_build_report` reads an infinite formula by
+    the same slope)."""
+    size = np.abs(quotients)
+    usable = ((size > GROWTH_FLOOR) & np.isfinite(size)).all(axis=1)
+    x = np.log(RADII)
+    x -= x.mean()
+    y = np.log(np.where(usable[:, None], size, 1.0))  # no zero reaches the log
+    slope = (y - y.mean(axis=1, keepdims=True)) @ x / (x @ x)
+    return usable & (slope <= GROWTH_CUTOFF) & (quotients[:, -1] > 0)
+
+
 def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
                                  seed: int = 0) -> dict:
     """Sampled test of Re<Y, Z> <= quotient(t) + slack(t) at the steps t of
     RADII, over the structured probes and seeded unit directions,
-    aggregating the worst violation.  The quotients are taken in the
-    declared Jordan basis (module docstring).  Raises :class:`DomainError`
-    where |X|, and so the noise term, is inf."""
+    aggregating the worst violation.  A direction whose quotients diverge
+    to +inf (:func:`_diverging`) counts no violation.  The quotients are
+    taken in the declared Jordan basis (module docstring).  Raises
+    :class:`DomainError` where |X|, and so the noise term, is inf."""
     J = spec.jordan_matrix()
     Y, _ = _candidate(spec, Y)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs)) if spec.num_eigs else 1
@@ -306,7 +329,10 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     coeff = slack_coefficient(RADII, quotients, m_max)
     margin = _margin(quotients, coeff[:, None], RADII, m_max, noise)
     gap = (lhs[:, None] - margin).max(axis=1)
-    positive = np.where(gap > 0, gap, 0.0)
+    flagged = gap > 0
+    if flagged.any():  # only a flagged direction needs the growth fit
+        flagged[flagged] = ~_diverging(quotients[flagged])
+    positive = np.where(flagged, gap, 0.0)
     violations = int(np.count_nonzero(positive))
     worst_idx = int(np.argmax(positive)) if violations else -1
     worst = float(positive[worst_idx]) if violations else 0.0

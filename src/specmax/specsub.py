@@ -60,6 +60,7 @@ __all__ = [
 
 STRUCT_TOL = 1e-9   # relative, structural zeros and Toeplitz deviations
 INEQ_SLACK = 1e-10  # relative, the first and second coordinates of active blocks
+_READ_LIMIT = 1e300  # 4n times the largest modulus of W or of the chain coordinates
 
 _RADIUS = builtin("radius")
 
@@ -188,56 +189,71 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
     sub-blocks to vanish and all diagonal sub-blocks of one eigenvalue to
     share their diagonal values.  Every check's residual is reported, and
     those above ``STRUCT_TOL * max(1, |Y|)`` are the violations; nothing is
-    raised.
+    raised but :func:`_candidate`'s refusals and a ValueError where W
+    overflows (:func:`_bounded`).
 
-    The checks run on Python numbers: W read once by ``tolist()``, and its
-    moduli once as one ``np.abs(W)`` array, which the max-|.| checks of
-    whole sub-blocks and the segments' diagonal-block maxima read.  numpy's
-    array modulus may differ from the scalar ``abs`` in the last bit, so
-    taking those maxima from the one array (and every other modulus from
-    ``abs``) keeps each residual bit-equal to the block-by-block numpy
-    reading.
+    The max-|.| numbers (``segment_max``, ``cross_block_zero`` and
+    ``subblock_coupling_zero``) are read from one table, the largest entry
+    of ``np.abs(W)`` over each pair of layout blocks (the rest block and
+    each Jordan sub-block), taken by two ``np.maximum.reduceat`` calls.
+    Everything else runs on Python numbers from ``W.tolist()``: each
+    diagonal of a diagonal sub-block is read once, and its entries, center
+    and largest deviation give the Toeplitz residual, theta_j and, pooled
+    over a derogatory eigenvalue's sub-blocks, ``equal_diagonals``.
+    numpy's array modulus may differ from the scalar ``abs`` in the last
+    bit, so the maxima come from the one array and every other modulus
+    from ``abs``, which keeps each residual bit-equal to the block-by-block
+    numpy reading.
     """
     if level not in ("limiting", "regular"):
         raise ValueError("level must be 'limiting' or 'regular'")
     Y, norm = _candidate(spec, Y)
-    W = spec.to_W(Y)
+    if _bounded(spec, norm):
+        W = spec.to_W(Y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = spec.to_W(Y)
+            top = float(np.abs(W).max())  # NaN where W holds one
+        if not 4 * spec.n * top < _READ_LIMIT:
+            raise ValueError(f"the candidate overflows in W = P^-* Y P^*: largest modulus {top}")
     L = W.tolist()
-    A = np.abs(W).tolist()
-    residuals = []
-    segments = _segments(spec)
-    segment_max = {name: _block_max(A, sl, sl) for name, sl in segments}
-    for a, (name_a, sl_a) in enumerate(segments):
-        for b, (name_b, sl_b) in enumerate(segments):
-            if a != b:
-                residuals.append(("cross_block_zero", _block_max(A, sl_a, sl_b),
-                                  (name_a, name_b)))
+    names, heads, starts = _segments(spec)
+    table = np.maximum.reduceat(np.maximum.reduceat(np.abs(W), starts, axis=1), starts, axis=0)
+    T = table.tolist()
+    S = T if len(heads) == len(starts) else (  # merge the sub-blocks of each segment
+        np.maximum.reduceat(np.maximum.reduceat(table, heads, axis=1), heads, axis=0).tolist())
+    segment_max = {name: S[a][a] for a, name in enumerate(names)}
+    residuals = [("cross_block_zero", S[a][b], (name_a, name_b))
+                 for a, name_a in enumerate(names) for b, name_b in enumerate(names) if a != b]
 
     regular = level == "regular"
     theta: dict = {}
-    for j in range(spec.num_eigs):
-        subs = spec.subblock_slices(j)
-        sizes = spec.block_sizes(j)
+    for j, head in enumerate(heads[bool(spec.n0):]):
+        subs, sizes = spec.subblock_slices(j), spec.block_sizes(j)
+        # (entries, center, largest deviation) of each diagonal of each diagonal sub-block
+        diags = [[_spread([L[sl.start + i + s][sl.start + i] for i in range(m - s)])
+                  for s in range(m)] for sl, m in zip(subs, sizes)]
         for r_i, (sl_r, m_r) in enumerate(zip(subs, sizes)):
             for s_i, (sl_s, m_s) in enumerate(zip(subs, sizes)):
-                if regular and r_i != s_i:
-                    residuals.append(("subblock_coupling_zero", _block_max(A, sl_r, sl_s),
+                if r_i == s_i:  # the diagonals' deviations and the moduli above them
+                    r0, r1 = sl_r.start, sl_r.stop
+                    devs = [abs(e) for i, row in enumerate(L[sl_r]) for e in row[r0 + i + 1:r1]]
+                    residuals.append(("toeplitz", max(devs + [dev for _, _, dev in diags[r_i]]),
+                                      (j, r_i, s_i)))
+                elif regular:
+                    residuals.append(("subblock_coupling_zero", T[head + r_i][head + s_i],
                                       (j, r_i, s_i)))
                 else:
                     residuals.append(("toeplitz", _rect_toeplitz_residual(
                         L, sl_r.start, sl_s.start, m_r, m_s), (j, r_i, s_i)))
-        # diagonal values shared across diagonal sub-blocks; a mean is the
-        # sum times 1 / k, as numpy divides a complex by a real
-        vals = []
-        for s in range(spec.m_j(j)):
-            entries = [L[sl.start + i + s][sl.start + i]
-                       for sl, m_k in zip(subs, sizes) for i in range(m_k - s)]
-            center = sum(entries) * (1.0 / len(entries))
-            vals.append(center)
-            if regular:
-                residuals.append(("equal_diagonals", max([abs(e - center) for e in entries]),
-                                  (j, s + 1)))
-        theta[j] = np.array(vals)
+        # the shared diagonals, pooled over the sub-blocks that reach them
+        shared = diags[0] if len(diags) == 1 else [
+            _spread([e for d in diags if len(d) > s for e in d[s][0]])
+            for s in range(spec.m_j(j))]
+        theta[j] = np.array([center for _, center, _ in shared])
+        if regular:
+            residuals += [("equal_diagonals", dev, (j, s + 1))
+                          for s, (_, _, dev) in enumerate(shared)]
 
     return ToeplitzParams(W, theta, residuals, norm, segment_max)
 
@@ -254,15 +270,37 @@ def _candidate(spec: JordanSpec, Y) -> tuple:
     return Y, norm
 
 
-def _segments(spec: JordanSpec) -> list:
-    """(name, slice) of the rest block, if any, and of each eigenvalue."""
-    rest = [("rest", slice(0, spec.n0))] if spec.n0 else []
-    return rest + [(f"eig{j}", spec.eig_slice(j)) for j in range(spec.num_eigs)]
+def _bounded(spec: JordanSpec, norm: float) -> bool:
+    """Whether a candidate of norm ``norm`` is read in W and in the chain
+    coordinates without leaving the floats, so that neither needs a check.
+    With p = |P|_F and q = |P^-1|_F: the products P^-* Y and W, partial
+    sums included, stay within q max(1, p) |Y|, the chain coordinates within
+    cond(P) |Y| <= p q |Y| and their image under R within n p q times that,
+    and :func:`W_extract`'s sums and deviations of at most n entries within
+    4n times W's largest modulus.  So 4n |Y| max(1, p) max(1, q) p q below
+    _READ_LIMIT bounds them all.  Past it, a reading is made with overflow
+    ignored and refused unless 4n times its largest modulus stays below
+    _READ_LIMIT."""
+    p, q = spec.frob_norms
+    return 4 * spec.n * norm * max(1.0, p) * max(1.0, q) * p * q < _READ_LIMIT
 
 
-def _block_max(A: list, rows: slice, cols: slice) -> float:
-    """Largest entry of the sub-block ``rows`` x ``cols`` of the rows ``A``."""
-    return max(max(row[cols]) for row in A[rows])
+def _segments(spec: JordanSpec) -> tuple:
+    """``(names, heads, starts)``: the names of W's segments ("rest" if
+    there is a rest block, then "eig0", "eig1", ...), the index in
+    ``starts`` of each segment's first layout block, and the first row of
+    each layout block: the rest block, then each eigenvalue's sub-blocks."""
+    rest = [0] * bool(spec.n0)
+    starts = rest + [sl.start for j in range(spec.num_eigs) for sl in spec.subblock_slices(j)]
+    heads = rest + [starts.index(spec.eig_slice(j).start) for j in range(spec.num_eigs)]
+    return ["rest"] * bool(spec.n0) + [f"eig{j}" for j in range(spec.num_eigs)], heads, starts
+
+
+def _spread(entries: list) -> tuple:
+    """``(entries, center, largest deviation from it)``; the center is the
+    sum times 1 / k, as numpy divides a complex by a real."""
+    center = sum(entries) * (1.0 / len(entries))
+    return entries, center, max([abs(e - center) for e in entries])
 
 
 def _rect_toeplitz_residual(L: list, r0: int, s0: int, m_r: int, m_s: int) -> float:
@@ -393,12 +431,25 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
     rhs = -Y.ravel()
-    v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    resid = _safe_norm(M @ v - rhs)
+    if _bounded(spec, norm):
+        v, resid = _chain_coordinates(M, rhs)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, resid = _chain_coordinates(M, rhs)
+            top = float(np.abs(v).max())  # NaN where v holds one
+        if not (4 * spec.n * top < _READ_LIMIT and math.isfinite(resid)):
+            raise ValueError(f"the candidate overflows in the chain coordinates: "
+                             f"largest modulus {top}, residual {resid}")
     if resid > COORD_TOL * max(1.0, norm):
         return False
     triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v)))
     return not block_failures(g, triples, COORD_TOL, horizon)[0]
+
+
+def _chain_coordinates(M: np.ndarray, rhs: np.ndarray) -> tuple:
+    """``(v, |M v - rhs|)`` for the least-squares solution v of M v = rhs."""
+    v, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    return v, _safe_norm(M @ v - rhs)
 
 
 def subderivative(spec: JordanSpec, f: Generator, Z) -> float:

@@ -172,6 +172,19 @@ class TestMembership:
         out = capsys.readouterr()
         assert code == 2 and "candidate must be finite" in out.err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["rsd", "recession", "limiting-structure", "chain"])
+    def test_candidate_whose_W_overflows_exits_2(self, capsys, paths, kind):
+        # |Y| is finite, but W = P^-* Y P^* would read 4e308 below the diagonal
+        spec = JordanSpec([(1.0, (2,)), (-1.0, (1,))], P=np.diag([2.0, 0.5, 1.0]))
+        Y = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        Y[1, 0] = 1e308
+        spath, ypath = paths("S.json", spec_to_json(spec)), paths("Y.json", matrix_to_json(Y))
+        code = main(["membership", spath, ypath, "--f", "abscissa", "--set", kind])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "the candidate overflows in" in out.err
+
     def test_wrong_size_candidate_exits_2(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         ypath = paths("Y.json", matrix_to_json(np.eye(2)))

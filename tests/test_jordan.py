@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_with_eigenvalue_shares_everything_but_the_moved_eigenvalue():
     assert np.array_equal(moved.synth(), JordanSpec(moved.eigs, P=spec.P, B=spec.B).synth())
     with pytest.raises(ValueError, match="distinct"):
         spec.with_eigenvalue(1, 1.0)
+
+
+@pytest.mark.parametrize("eigs,pair", [
+    ([(1.0, (1,)), (3.0, (2,)), (3 + 1e-9, (1,))], "(1+0j) vs (1.000000001+0j)"),
+    ([(3.0, (2,)), (3 + 1e-9, (1,)), (1.0, (1,))], "(3+0j) vs (3.000000001+0j)"),
+])
+def test_separation_names_the_first_pair_in_declaration_order(eigs, pair):
+    # each eigenvalue against the later ones, then against the rest block
+    with pytest.raises(ValueError, match=re.escape(f"rest block): {pair}")):
+        JordanSpec(eigs, B=[[1 + 1e-9]])
+    spec = JordanSpec([(1.0, (1,)), (3.0, (2,))], B=[[-2.0]])
+    with pytest.raises(ValueError, match=re.escape("(-2+1e-09j) vs (-2+0j)")):
+        spec.with_eigenvalue(0, -2 + 1e-9j)
 
 
 def _reference_gate(P):

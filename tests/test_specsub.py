@@ -1148,6 +1148,50 @@ class TestSubgradientDefinition:
         assert rates[2] <= max(0.5 * rates[0], 1e-7)
 
 
+class TestOverflowRefusal:
+    """J_2(1) + [-1] with P = diag(2, 0.5, 1) under the abscissa, and Y = 0
+    but Y00 = Y11 = 0.5 and Y10 = sign * size: W's subdiagonal is 4 Y10, a
+    member for sign +1 and outside the halfplane for sign -1.  At 1e308 |Y|
+    is finite while W and the chain coordinates overflow (a NaN row of W
+    passed every check); both routes refuse that, and read the candidate
+    below it, also past the bound where the reading is checked."""
+
+    SPEC = JordanSpec([(1.0, (2,)), (-1.0, (1,))], P=np.diag([2.0, 0.5, 1.0]))
+
+    @staticmethod
+    def _candidate(sign, size):
+        Y = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        Y[1, 0] = sign * size
+        return Y
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_both_routes_refuse_an_overflowing_reading(self, sign):
+        Y = self._candidate(sign, 1e308)
+        assert math.isfinite(cpoly._safe_norm(Y))  # accepted by _candidate
+        for read in (lambda: W_extract(self.SPEC, Y),
+                     lambda: W_extract(self.SPEC, Y, "limiting"),
+                     lambda: rsd_membership(self.SPEC, ABSC, Y),
+                     lambda: rsd_recession_membership(self.SPEC, ABSC, Y),
+                     lambda: radius_rsd_membership(self.SPEC, Y)):
+            with pytest.raises(ValueError, match="overflows in W"):
+                read()
+        for horizon in (False, True):
+            with pytest.raises(ValueError, match="overflows in the chain coordinates"):
+                chain_rule_membership(self.SPEC, ABSC, Y, horizon)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [1.0, 1e150, 1e298])
+    def test_a_large_candidate_below_the_overflow_is_read(self, size):
+        # 1e298 lies past specsub._bounded, so its readings are checked, not refused
+        assert specsub._bounded(self.SPEC, size) == (size < 1e298)
+        for sign in (1, -1):
+            Y = self._candidate(sign, size)
+            assert rsd_membership(self.SPEC, ABSC, Y).verdict == (sign > 0)
+            assert chain_rule_membership(self.SPEC, ABSC, Y) == (sign > 0)
+            assert W_extract(self.SPEC, Y).theta[0][1] == 4 * sign * size
+
+
 # -- W extraction as it read numpy sub-blocks -------------------------------------
 #
 # ``_ref_*`` are W_extract, its Toeplitz residual and the direct-route caller
@@ -1235,15 +1279,21 @@ def _ref_membership(spec, f, params, horizon):
     return MembershipReport(verdict=not failed, failed=failed, details=details)
 
 
-def _equivalence_spec(rng, derogatory, rest):
+def _equivalence_spec(rng, derogatory, rest, wide=False):
     """A spec of size at most 8 whose first eigenvalue, of modulus 1.8 and
     real part at least 1.4, is active for the abscissa, radius2 and the
     radius; half the time its conjugate is a second active eigenvalue.  The
-    first eigenvalue carries the blocks (1, 1), (2, 1) or (3, 2) when
-    ``derogatory``; ``rest`` adds a 2x2 rest block of small spectrum."""
+    first eigenvalue carries one block of size 1 to 3, or the blocks (1, 1),
+    (2, 1) or (3, 2) when ``derogatory``; with ``wide``, one block of size 4
+    or 5, or (2, 2, 1), (2, 2) or (3, 1, 1).  ``rest`` adds a 2x2 rest block
+    of small spectrum."""
     top = 1.8 * np.exp(1j * rng.choice([-1, 1]) * rng.uniform(0.2, 0.6))
-    blocks = [[(1, 1), (2, 1), (3, 2)][int(rng.integers(3))] if derogatory
-              else (int(rng.integers(1, 4)),)]
+    if wide:
+        shapes = [(2, 2, 1), (2, 2), (3, 1, 1)] if derogatory else [(4,), (5,)]
+        blocks = [shapes[int(rng.integers(len(shapes)))]]
+    else:
+        blocks = [[(1, 1), (2, 1), (3, 2)][int(rng.integers(3))] if derogatory
+                  else (int(rng.integers(1, 4)),)]
     lams = [top]
     left = 8 - 2 * rest - sum(blocks[0])
     if left and rng.uniform() < 0.5:
@@ -1281,6 +1331,32 @@ def _member(rng, spec, f):
     return spec.from_W(W)
 
 
+def _assert_numpy_reading(rng, spec, f) -> int:
+    """W_extract at both levels and both direct-route reports equal the
+    numpy reading on a member, a perturbed member and noise, each at three
+    sizes; returns the number of W_extract calls compared."""
+    member = _member(rng, spec, f)
+    noise = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
+    cases = 0
+    for Y0 in (member, member + 1e-11 * np.linalg.norm(member) * noise, noise):
+        for size in (1e-6, 1.0, 1e4):
+            Y = size * Y0
+            for level in ("regular", "limiting"):
+                got, ref = W_extract(spec, Y, level), _ref_W_extract(spec, Y, level)
+                assert got.residuals == ref.residuals
+                assert {j: t.tolist() for j, t in got.theta.items()} == \
+                    {j: t.tolist() for j, t in ref.theta.items()}
+                assert got.violations == ref.violations
+                assert got.segment_max == ref.segment_max
+                cases += 1
+            ref = _ref_W_extract(spec, Y, "regular")
+            assert rsd_membership(spec, f, Y).to_json() == \
+                _ref_membership(spec, f, ref, horizon=False).to_json()
+            assert rsd_recession_membership(spec, f, Y).to_json() == \
+                _ref_membership(spec, f, ref, horizon=True).to_json()
+    return cases
+
+
 class TestWExtractionEquivalence:
     @pytest.mark.parametrize("derogatory", [False, True])
     @pytest.mark.parametrize("rest", [False, True])
@@ -1289,23 +1365,20 @@ class TestWExtractionEquivalence:
         cases = 0
         for i in range(36):
             f = (ABSC, RAD2, RAD)[i % 3]
-            spec = _equivalence_spec(rng, derogatory, rest)
-            member = _member(rng, spec, f)
-            noise = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
-            for Y0 in (member, member + 1e-11 * np.linalg.norm(member) * noise, noise):
-                for size in (1e-6, 1.0, 1e4):
-                    Y = size * Y0
-                    for level in ("regular", "limiting"):
-                        got, ref = W_extract(spec, Y, level), _ref_W_extract(spec, Y, level)
-                        assert got.residuals == ref.residuals
-                        assert {j: t.tolist() for j, t in got.theta.items()} == \
-                            {j: t.tolist() for j, t in ref.theta.items()}
-                        assert got.violations == ref.violations
-                        assert got.segment_max == ref.segment_max
-                        cases += 1
-                    ref = _ref_W_extract(spec, Y, "regular")
-                    assert rsd_membership(spec, f, Y).to_json() == \
-                        _ref_membership(spec, f, ref, horizon=False).to_json()
-                    assert rsd_recession_membership(spec, f, Y).to_json() == \
-                        _ref_membership(spec, f, ref, horizon=True).to_json()
+            cases += _assert_numpy_reading(rng, _equivalence_spec(rng, derogatory, rest), f)
         assert cases == 36 * 3 * 3 * 2
+
+    @pytest.mark.parametrize("derogatory", [False, True])
+    @pytest.mark.parametrize("rest", [False, True])
+    def test_wide_blocks_match_the_numpy_reading(self, derogatory, rest):
+        # single blocks of size 4 and 5, and (2, 2, 1), (2, 2), (3, 1, 1):
+        # shapes no workload reaches, where the shared diagonals pool
+        # sub-blocks of different sizes
+        rng = np.random.default_rng(1500 + 2 * derogatory + rest)
+        shapes = set()
+        for i in range(24):
+            spec = _equivalence_spec(rng, derogatory, rest, wide=True)
+            shapes.add(spec.block_sizes(0))
+            assert spec.n <= 8
+            assert _assert_numpy_reading(rng, spec, (ABSC, RAD2, RAD)[i % 3]) == 3 * 3 * 2
+        assert shapes == ({(2, 2, 1), (2, 2), (3, 1, 1)} if derogatory else {(4,), (5,)})

@@ -256,10 +256,18 @@ def roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootCluster:
     declares the root structure of p, and each is represented by the mean of
     its members (:func:`_cluster_rows`, which :func:`specsub.spectral_max`
     shares), so the multiplicities always sum to the (numerical) degree of p.
+    ValueError where a coefficient over the leading one overflows, before
+    the companion matrix is formed.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined roots")
     cs = p.array()[: p.degree() + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        monic = cs[:-1] / cs[-1]  # np.roots' companion row, up to sign
+    if not np.isfinite(monic).all():
+        powers = np.flatnonzero(~np.isfinite(monic)).tolist()
+        raise ValueError(f"the monic coefficients of p overflow: powers {powers} over the "
+                         f"leading coefficient {cs[-1]}")
     means, mults = _cluster_rows(np.roots(cs[::-1])[None, :], cluster_tol)  # high order first
     return _row_cluster(means[0], mults[0])[0]
 
@@ -361,5 +369,5 @@ def poly_root_max(p: Poly, f) -> float:
 def poly_from_json(data: Sequence) -> Poly:
     try:
         return Poly(tuple(complex(re, im) for re, im in data))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
         raise ValueError(f"malformed polynomial JSON: {exc}") from exc

@@ -294,7 +294,7 @@ def matrix_from_json(data) -> np.ndarray:
         M = np.array(
             [[complex(re, im) for re, im in row] for row in data], dtype=complex
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if M.ndim != 2:
         raise ValueError("matrix JSON must be a list of rows")
@@ -320,7 +320,7 @@ def spec_from_json(data: dict) -> JordanSpec:
             (complex(e["lambda"][0], e["lambda"][1]), tuple(e["blocks"]))
             for e in data["eigs"]
         ]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed spec JSON: {exc}") from exc
     P = matrix_from_json(data["P"]) if data.get("P") is not None else None
     B = matrix_from_json(data["B"]) if data.get("B") is not None else None

@@ -21,6 +21,15 @@ mass.  The active roots come from :func:`cpoly.active_roots`, as on the
 matrix routes, with its radius transform and domain check, and every route
 hands them to the one per-root decision, :func:`block_failures`.
 
+A root's curvature eta and the set q_set of its squared subdifferential
+constrain only the second coordinate, so they are evaluated where a
+condition reads them (:class:`_ActiveBlock`).  Their refusals follow: a
+user generator tagged smooth without a Hessian, or tagged corner with a
+subdifferential :func:`generators.q_set` cannot represent (a segment off
+0, say), gets a verdict on a one-coordinate block and still raises
+UnsupportedGenerator on a two-coordinate block whose second coordinate is
+tested.  The builtins have no such case.
+
 Tolerances are module constants: coordinates within the absolute
 COORD_TOL, which the matrix chain route shares, the weight sum within
 SIMPLEX_TOL, and the residual of the coordinate solve within SOLVE_TOL.
@@ -140,14 +149,47 @@ def _regime(f: Generator, lam: complex) -> str:
     return cond
 
 
+class _on_first_read:
+    """A method read as an attribute, computed on the first read and kept
+    in the instance's dict, which later reads find first: what
+    functools.cached_property does, without the lock Python 3.11 takes on
+    every first read.  Building an object and reading such an attribute
+    once took 1.41 us through cached_property and 0.35 us through this,
+    against 0.16 us for an attribute set in __init__ (timeit, Python
+    3.11.7, 2-core Xeon)."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _ActiveBlock:
     """Per-active-root data needed by the membership tests.  A coordinate
     block carries the first coordinate and, when it has one, the second; a
     derogatory eigenvalue of the matrix route has fewer coordinates than its
-    multiplicity n_j."""
+    multiplicity n_j.
+
+    The regime and the subdifferential, which the first coordinate needs,
+    and in the smooth regime the squared gradient w are read at
+    construction.  The curvature rate ``offset_rate`` and the horizon set
+    ``q`` of the second coordinate are computed on first read, by
+    :meth:`weight_interval`, :meth:`second_set`, the horizon test or the
+    sampler, and kept.  So a one-coordinate block never evaluates either,
+    the horizon cone never evaluates the curvature, and a block whose
+    weight split has already failed evaluates neither.  Their refusals
+    (UnsupportedGenerator for a generator tagged smooth without a Hessian,
+    or tagged corner with a subdifferential :func:`generators.q_set` cannot
+    represent) fire at that read, not at construction: a one-coordinate
+    block gets a verdict, a two-coordinate block raises when its second
+    coordinate is tested."""
 
     def __init__(self, f: Generator, lam: complex, n_j: int):
-        self.n_j = n_j
+        self.f, self.lam, self.n_j = f, lam, n_j
         self.cond = _regime(f, lam)
         self.subdiff = f.subdiff(lam)
         if self.subdiff.is_singleton and self.subdiff.the_point() == 0:
@@ -156,13 +198,23 @@ class _ActiveBlock:
         if self.cond == COND14:
             g = f.grad(lam)
             self.w = g * g
-            self.offset_rate = f.eta(lam) / n_j  # halfplane offset per unit weight
-            self.q = ConvexSet2D.halfplane(self.w, 0.0)
         else:
             self.w = None
-            self.offset_rate = None
-            self.q = q_set(self.subdiff)
         self.determined = self.subdiff.is_singleton
+
+    @_on_first_read
+    def offset_rate(self) -> float:
+        """eta / n_j, the smooth regime's halfplane offset per unit weight."""
+        return self.f.eta(self.lam) / self.n_j
+
+    @_on_first_read
+    def q(self) -> ConvexSet2D:
+        """The set of the second coordinate on the horizon cone: the
+        halfplane through 0 normal to w (smooth regime), or the
+        squared-generator cone :func:`generators.q_set` (corner regime)."""
+        if self.cond == COND14:
+            return ConvexSet2D.halfplane(self.w, 0.0)
+        return q_set(self.subdiff)
 
     def gamma_from_first(self, c1: complex) -> float:
         """Weight forced by the first coordinate when the subdifferential is

@@ -210,6 +210,16 @@ class TestSubderivative:
         assert code == 0
         assert json.loads(out)["value"] == "inf"
 
+    @pytest.mark.filterwarnings("error")
+    def test_poly_whose_monic_coefficients_overflow_exits_2(self, capsys, paths):
+        # 1e100 + 1e-250 lambda is finite, but its monic form 1e350 + lambda is not
+        ppath = paths("p.json", [[1e100, 0.0], [1e-250, 0.0]])
+        vpath = paths("v.json", [[1.0, 0.0]])
+        code = main(["subderivative", "poly", ppath, vpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: the monic coefficients of p overflow: powers [0]")
+
     def test_matrix_variant(self, capsys, paths):
         spath = paths("A.json", spec_to_json(fixture_two_active()))
         zpath = paths("Z.json", matrix_to_json(np.eye(3)))
@@ -286,6 +296,29 @@ class TestSubderivative:
         out = capsys.readouterr()
         assert code == 2 and out.out == ""
         assert "full spectrum" in out.err
+
+
+HUGE = 10 ** 400  # a JSON integer that no float holds
+ONE_EIG = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [1]}]}
+
+
+class TestMalformedNumbers:
+    """A JSON integer too large for a float is malformed input: exit 2 with
+    the reader's message, never a traceback."""
+
+    @pytest.mark.parametrize("command,files,reader", [
+        (["eval"], [[[[HUGE, 0]]]], "matrix"),
+        (["membership"], [{"eigs": [{"lambda": [HUGE, 0], "blocks": [1]}]}, [[[1.0, 0.0]]]],
+         "spec"),
+        (["membership"], [ONE_EIG, [[[HUGE, 0]]]], "matrix"),
+        (["subderivative", "poly"], [[[HUGE, 0]], [[1.0, 0.0]]], "polynomial"),
+    ], ids=["eval-matrix", "membership-spec", "membership-candidate", "subderivative-poly"])
+    def test_integer_too_large_for_a_float_exits_2(self, capsys, paths, command, files, reader):
+        argv = command + [paths(f"{k}.json", data) for k, data in enumerate(files)]
+        code = main(argv + ["--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == f"error: malformed {reader} JSON: int too large to convert to float\n"
 
 
 class TestDomainErrors:

@@ -152,6 +152,23 @@ class TestRoots:
         with pytest.raises(ValueError):
             roots(Poly.zero(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_monic_coefficients_that_overflow_are_refused(self):
+        # 1e100 + 1e-250 lambda: np.roots would divide its way to 1e350
+        with pytest.raises(ValueError, match=r"monic coefficients of p overflow: powers \[0\]"):
+            roots(Poly((1e100, 1e-250)))
+        with pytest.raises(ValueError, match=r"powers \[0, 2\]"):
+            roots(Poly((1e300, 0.0, -1e300, 1e-200)))
+        # a subnormal leading coefficient overflows every other one
+        with pytest.raises(ValueError, match=r"powers \[0\]"):
+            roots(Poly((1.0, 5e-324)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_monic_coefficients_below_the_overflow_are_read(self):
+        # 1e100 + 1e-200 lambda has the finite monic form 1e300 + lambda
+        c = roots(Poly((1e100, 1e-200)))
+        assert c.mults == (1,) and c.roots[0] == pytest.approx(-1e300)
+
     def test_roundtrip_with_separated_clusters(self):
         rng = np.random.default_rng(1)
         tol = 1e-3

@@ -5,8 +5,17 @@ import struct
 import numpy as np
 import pytest
 
+from specmax import polysub
 from specmax.cpoly import Poly, RootCluster, poly_root_max
-from specmax.generators import ConvexSet2D, builtin, make_generator
+from specmax.generators import (
+    TAG_FULLSPAN,
+    TAG_QUADRATIC,
+    ConvexSet2D,
+    Generator,
+    UnsupportedGenerator,
+    builtin,
+    make_generator,
+)
 from specmax.jordan import DomainError, JordanSpec
 from specmax.oracles import fd_phi_quotient, fd_poly_quotient
 from specmax.polysub import (
@@ -351,6 +360,111 @@ class TestWeightSplitEquivalence:
         # intervals empty and sums out of reach
         assert ({(), ("diagonal_zero",), ("diagonal_zero", "subdiagonal_halfplane")} if horizon else
                 {(), ("diagonal_in_subdifferential",), ("weight_sum_one",)}) <= outcomes
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts of the calls of Generator.eta and of polysub.q_set."""
+    calls = {"eta": 0, "q_set": 0}
+    eta, q_set = Generator.eta, polysub.q_set
+
+    def counted_eta(self, z):
+        calls["eta"] += 1
+        return eta(self, z)
+
+    def counted_q_set(S):
+        calls["q_set"] += 1
+        return q_set(S)
+
+    monkeypatch.setattr(Generator, "eta", counted_eta)
+    monkeypatch.setattr(polysub, "q_set", counted_q_set)
+    return calls
+
+
+class TestOnDemandBlockData:
+    """The curvature eta and the corner set q_set constrain only the second
+    coordinate, so a block evaluates each on its first read, once, and
+    only where a condition reads it."""
+
+    LAM = 1 + 0.5j  # radius2: gradient LAM, a positive curvature
+
+    def test_one_coordinate_block_never_evaluates_eta(self, reads):
+        assert Dp_membership(RootCluster((self.LAM,), (1,)), RAD2, [0, -self.LAM])
+        assert not Dp_membership(RootCluster((self.LAM,), (1,)), RAD2, [0, self.LAM])
+        # a derogatory eigenvalue's block: multiplicity 2, one coordinate
+        assert not block_failures(RAD2, [(self.LAM, 2, [-self.LAM / 2])], 1e-10)[0]
+        assert reads == {"eta": 0, "q_set": 0}
+
+    def test_horizon_blocks_never_evaluate_eta(self, reads):
+        base = RootCluster((self.LAM,), (3,))
+        inside = -(self.LAM ** 2)  # on the ray of -w, inside the cone
+        assert _member(base, RAD2, [0, 0, inside, 5], horizon=True)
+        assert not _member(base, RAD2, [0, 0, -inside, 5], horizon=True)
+        assert not _member(base, RAD2, [0, 0.1, inside, 5], horizon=True)
+        assert reads["eta"] == 0
+
+    def test_rectangle_whose_weight_split_fails_never_builds_q_set(self, reads):
+        f = TestDpSearchPath._two_corner_generator()
+        base = RootCluster((-1 + 0j, 1 + 0j), (2, 2))
+        # each first coordinate needs a weight of at least 0.7
+        failed, _ = block_failures(f, [(-1 + 0j, 2, [0.7, 0]), (1 + 0j, 2, [-0.7, 0])],
+                                   1e-10)
+        assert [c for c, _, _ in failed] == ["weight_sum_one"]
+        assert not Dp_membership(base, f, [0, 0.7, 0, -0.7, 0])
+        assert reads["q_set"] == 0
+        # the weights (0.7, 0.3) pass, and each block then reads its set once
+        assert Dp_membership(base, f, [0, 0.35 * (1 - 0.5j), 0, -0.15 * (1 + 1j), 0])
+        assert reads["q_set"] == 2
+
+    def test_two_coordinate_member_reads_each_quantity_once(self, reads):
+        assert Dp_membership(RootCluster((self.LAM,), (2,)), RAD2, [0, -self.LAM / 2, 0])
+        assert reads == {"eta": 1, "q_set": 0}
+        d = _ActiveBlock(RAD2, self.LAM, 2)
+        d.second_set(0.3), d.second_set(0.7), d.weight_interval([-self.LAM / 2, 0], 1e-10)
+        assert reads == {"eta": 2, "q_set": 0}
+        d = _ActiveBlock(TestDpSearchPath._two_corner_generator(), 1 + 0j, 2)
+        assert d.q is d.second_set(0.3) is d.second_set(0.7)
+        assert reads == {"eta": 2, "q_set": 1}
+
+
+class TestRefusalsAtTheRead:
+    """A refusal for the curvature or for q_set fires where the block reads
+    it: a one-coordinate block gets a verdict, a two-coordinate block whose
+    second coordinate is tested still raises."""
+
+    @staticmethod
+    def _smooth_without_hessian():
+        return make_generator("flat", lambda z: z.real, grad=lambda z: 1 + 0j,
+                              tag=lambda z: TAG_QUADRATIC)
+
+    @staticmethod
+    def _corner_off_the_origin():
+        # a segment away from 0: q_set has no exact representation for it
+        return make_generator("segment corner", abs,
+                              subdiff=lambda z: ConvexSet2D.segment(1 - 1j, 1 + 1j),
+                              tag=lambda z: TAG_FULLSPAN)
+
+    @pytest.mark.parametrize("make", ["_smooth_without_hessian", "_corner_off_the_origin"])
+    def test_one_coordinate_block_gets_a_verdict(self, make):
+        f = getattr(self, make)()
+        base = RootCluster((0j,), (1,))
+        assert Dp_membership(base, f, [0, -1])
+        assert not Dp_membership(base, f, [0, 1])
+        assert _member(base, f, [0, 0], horizon=True)
+
+    @pytest.mark.parametrize("make", ["_smooth_without_hessian", "_corner_off_the_origin"])
+    def test_two_coordinate_block_still_raises(self, make):
+        f = getattr(self, make)()
+        with pytest.raises(UnsupportedGenerator):
+            Dp_membership(RootCluster((0j,), (2,)), f, [0, -0.5, 0])
+        with pytest.raises(UnsupportedGenerator):
+            Dp_sample(RootCluster((0j,), (2,)), f)
+
+    def test_horizon_reads_q_set_but_no_curvature(self):
+        base = RootCluster((0j,), (2,))
+        assert _member(base, self._smooth_without_hessian(), [0, 0, -1], horizon=True)
+        with pytest.raises(UnsupportedGenerator):
+            _member(base, self._corner_off_the_origin(), [0, 0, -1], horizon=True)
 
 
 class TestHorizon:

@@ -19,6 +19,10 @@ boxing a numpy scalar costs about 1 us, several times the arithmetic, and
 numpy's array kernels may fuse a multiply and an add, which moves the last
 ulp.  The results equal those of ``np.real(np.conj(a) * b)`` bit for bit,
 signed zeros and overflow included; only the sign bit of a NaN may differ.
+The polygon queries read each edge once: the scale interval folds the
+bounds of an edge's four normals into its interval as it projects the
+vertices on that edge, and containment stops at the first edge that
+decides it.  Both still match the numpy-scalar reference bit for bit.
 
 Generators are immutable after construction; user-supplied hooks must be
 pure, under which contract everything here is safe for concurrent use.
@@ -27,6 +31,7 @@ pure, under which contract everything here is safe for concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,6 +63,7 @@ TAG_FULLSPAN = "nonsmooth-fullspan"
 TAG_OTHER = "other"
 
 POLYGON_TOL = 1e-14  # absolute: the polygon test of a loop of three or more vertices
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max)  # about 1.34e154: longer edges overflow squared
 
 
 class UnsupportedGenerator(ValueError):
@@ -197,48 +203,44 @@ class ConvexSet2D:
         bound relaxed by tol; lo > hi when there is none.  It is an interval
         because {(z, t) : z in t * set} is a convex cone.  Each supporting
         halfplane Re(conj(a) z) <= t * support(a) of a polygon, or a
-        halfplane itself, bounds t linearly; a disk bounds it by the
-        quadratic |z - t * center| <= t * radius + tol.
+        halfplane itself, bounds t linearly, and each bound is folded into
+        (lo, hi) as it is read; a disk bounds t by the quadratic
+        |z - t * center| <= t * radius + tol.
 
         The normals of a polygon are a = k * e for every edge unit e and k
-        in (1, -1, i, -i), or the axes when all its vertices are equal.
-        Their supports come from the two projections x_v = Re(conj(e) v) and
-        y_v = Im(conj(e) v) of each vertex, one pass per edge: max x, -min x,
-        max y and -min y, equal to the support of each a up to the sign of a
-        zero, which no bound reads.  Re(conj(a) z) is taken from a itself:
-        the sign of a zero bound follows its parts.
+        in (1, -1, i, -i), or the axes when all its vertices are equal
+        (:func:`_polygon_bounds`).  One loop reads each edge once: it
+        projects every vertex on e, takes the four supports from the
+        extreme projections and hands over the four bounds.  Re(conj(a) z)
+        is taken from the product k * e itself, as the sign of a zero bound
+        follows its parts, so (lo, hi) equals the numpy-scalar form of the
+        same bounds bit for bit.
         """
         z = complex(z)
         if self.kind == "disk":
             return _disk_scales(z, *self.data, tol)
-        if self.kind == "halfplane":
+        if self.kind == "halfplane":  # one edge, with one bound
             normal, offset = self.data
-            bounds = [(re_cip(normal / abs(normal), z), offset / abs(normal))]
+            m = abs(normal)
+            edges = (((normal / m, offset / m),),)
         elif self.kind == "polygon":
-            # along and across every edge, both signs (so the orientation of
-            # the loop does not matter), or the axes for a point
-            vs = self.data
-            edges = [(b - a) / abs(b - a) for a, b in zip(vs, vs[1:] + vs[:1]) if a != b]
-            normals = [k * e for e in edges for k in (1, -1, 1j, -1j)] or [1, -1, 1j, -1j]
-            supports = []
-            for e in edges or [1]:
-                xs = [e.real * v.real + e.imag * v.imag for v in vs]
-                ys = [e.real * v.imag - e.imag * v.real for v in vs]
-                supports += [max(xs), -min(xs), max(ys), -min(ys)]
-            bounds = [(a.real * z.real + a.imag * z.imag, s)  # Re(conj(a) z), support(a)
-                      for a, s in zip(normals, supports)]
+            edges = _polygon_bounds(self.data)
         else:
             raise UnsupportedGenerator(f"no scale interval for set kind {self.kind!r}")
-        lo, hi = 0.0, math.inf
-        for az, s in bounds:
-            r = az - tol  # the bound reads t * s >= r
-            if s > 0:
-                lo = max(lo, r / s)
-            elif s < 0:
-                hi = min(hi, r / s)
-            elif r > 0:
-                return math.inf, 0.0
-        return lo, hi
+        zr, zi = z.real, z.imag
+        lo, hi, empty = 0.0, math.inf, False
+        for bounds in edges:
+            for a, s in bounds:
+                r = a.real * zr + a.imag * zi - tol  # the bound reads t * s >= r
+                if s > 0.0:
+                    if (q := r / s) > lo:
+                        lo = q
+                elif s < 0.0:
+                    if (q := r / s) < hi:
+                        hi = q
+                elif r > 0.0:
+                    empty = True  # read on: an edge too long for abs raises wherever it sits
+        return (math.inf, 0.0) if empty else (lo, hi)
 
     def rspan_is_plane(self) -> bool:
         """Whether the real linear span {t*z : t real, z in set} is all of C.
@@ -263,9 +265,15 @@ class ConvexSet2D:
 def _segment_distance(z: complex, a: complex, b: complex) -> float:
     if a == b:
         return abs(z - a)
-    t = re_cip(b - a, z - a) / abs(b - a) ** 2
+    d, w = b - a, z - a
+    m = abs(d)
+    t = re_cip(d, w)
+    if m < _SQUARE_LIMIT and abs(t) < math.inf:
+        t /= m ** 2
+    else:  # m ** 2 or the product overflows: project on the unit edge
+        t = re_cip(d / m, w) / m
     t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * (b - a)))
+    return abs(z - (a + t * d))
 
 
 def _disk_scales(z: complex, center: complex, radius: float, tol: float) -> tuple:
@@ -292,21 +300,57 @@ def _disk_scales(z: complex, center: complex, radius: float, tol: float) -> tupl
     return 2 * c / (root - b), math.inf  # the positive root, stably
 
 
-def _edge_crosses(z: complex, vertices) -> list:
+def _polygon_bounds(vertices):
+    """Per edge unit e of a vertex loop, in order, the bounds (a, support(a))
+    of the normals a = k * e for k in (1, -1, i, -i), or of the axes when
+    all the vertices are equal.  Each vertex v is projected on e once,
+    x + iy = conj(e) v; the supports are max x, -min x, max y and -min y,
+    which equal the support of each a up to the sign of a zero.  The running
+    extremes change only for a strictly larger or smaller projection, as
+    max and min do, so a NaN is read as they read it."""
+    units = [(b - a) / abs(b - a) for a, b in zip(vertices, vertices[1:] + vertices[:1])
+             if a != b]
+    for e in units or [1.0]:
+        ce = e.conjugate()
+        w = ce * vertices[0]
+        xmax = xmin = w.real
+        ymax = ymin = w.imag
+        for v in vertices:
+            w = ce * v
+            x, y = w.real, w.imag
+            if x > xmax:
+                xmax = x
+            elif x < xmin:
+                xmin = x
+            if y > ymax:
+                ymax = y
+            elif y < ymin:
+                ymin = y
+        if units:
+            yield (1 * e, xmax), (-1 * e, -xmin), (1j * e, ymax), (-1j * e, -ymin)
+        else:
+            yield (1, xmax), (-1, -xmin), (1j, ymax), (-1j, -ymin)
+
+
+def _edge_crosses(z: complex, vertices):
     """Signed areas Im(conj(b - a) * (z - a)) over the edges a -> b of a loop."""
-    return [(b.real - a.real) * (z.imag - a.imag) - (b.imag - a.imag) * (z.real - a.real)
-            for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+    return ((b.real - a.real) * (z.imag - a.imag) - (b.imag - a.imag) * (z.real - a.real)
+            for a, b in zip(vertices, vertices[1:] + vertices[:1]))
 
 
 def _polygon_contains(z: complex, vertices) -> bool:
     """Point-in-convex-polygon via signed areas (a loop of three or more
-    vertices).  A loop whose vertices lie exactly on one line (its signed
-    areas at its own first vertex all vanish) is read as the segment between
-    its extreme vertices: a point close to that line passes the sign test
-    wherever along the line it lies."""
-    signs = _edge_crosses(z, vertices)
-    if not (all(s >= -POLYGON_TOL for s in signs) or all(s <= POLYGON_TOL for s in signs)):
-        return False
+    vertices): z is outside at the first edge whose area, with those before
+    it, has both signs past POLYGON_TOL.  A loop whose vertices lie exactly
+    on one line (its signed areas at its own first vertex all vanish) is
+    read as the segment between its extreme vertices: a point close to that
+    line passes the sign test wherever along the line it lies."""
+    left = right = True  # every area so far >= -POLYGON_TOL, <= POLYGON_TOL
+    for s in _edge_crosses(z, vertices):
+        left = left and s >= -POLYGON_TOL
+        right = right and s <= POLYGON_TOL
+        if not (left or right):
+            return False
     v0 = vertices[0]
     for a, b in zip(vertices[1:-1], vertices[2:]):  # the first and last edges meet v0
         if (b.real - a.real) * (v0.imag - a.imag) - (b.imag - a.imag) * (v0.real - a.real):

@@ -299,7 +299,8 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     """Sampled test of Re<Y, Z> <= quotient(t) + slack(t) at the steps t of
     RADII, over the structured probes and seeded unit directions,
     aggregating the worst violation.  A direction whose quotients diverge
-    to +inf (:func:`_diverging`) counts no violation.  The quotients are
+    to +inf (:func:`_diverging`) counts no violation; ``"diverging"`` is the
+    number of directions above the margin set aside so.  The quotients are
     taken in the declared Jordan basis (module docstring).  Raises
     :class:`DomainError` where |X|, and so the noise term, is inf."""
     J = spec.jordan_matrix()
@@ -330,8 +331,11 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     margin = _margin(quotients, coeff[:, None], RADII, m_max, noise)
     gap = (lhs[:, None] - margin).max(axis=1)
     flagged = gap > 0
+    diverging = 0
     if flagged.any():  # only a flagged direction needs the growth fit
-        flagged[flagged] = ~_diverging(quotients[flagged])
+        set_aside = _diverging(quotients[flagged])
+        diverging = int(np.count_nonzero(set_aside))
+        flagged[flagged] = ~set_aside
     positive = np.where(flagged, gap, 0.0)
     violations = int(np.count_nonzero(positive))
     worst_idx = int(np.argmax(positive)) if violations else -1
@@ -339,6 +343,7 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     return {
         "n_directions": len(D),
         "violations": violations,
+        "diverging": diverging,
         "max_violation": worst,
         "worst_direction": worst_idx,
         "seed": seed,

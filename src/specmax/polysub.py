@@ -176,7 +176,8 @@ class _ActiveBlock:
 
     The regime and the subdifferential, which the first coordinate needs,
     and in the smooth regime the squared gradient w are read at
-    construction.  The curvature rate ``offset_rate`` and the horizon set
+    construction (UnsupportedGenerator where a generator tagged smooth has
+    no gradient).  The curvature rate ``offset_rate`` and the horizon set
     ``q`` of the second coordinate are computed on first read, by
     :meth:`weight_interval`, :meth:`second_set`, the horizon test or the
     sampler, and kept.  So a one-coordinate block never evaluates either,
@@ -197,6 +198,9 @@ class _ActiveBlock:
                 f"subdifferential of {f.name} at {lam} is {{0}}: no weight reaches it")
         if self.cond == COND14:
             g = f.grad(lam)
+            if g is None:
+                raise UnsupportedGenerator(
+                    f"{f.name} is tagged smooth but has no gradient at {lam}")
             self.w = g * g
         else:
             self.w = None

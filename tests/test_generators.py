@@ -406,6 +406,24 @@ class TestConvexSet2D:
                         assert d > floor * (1.0 + abs(z)), (S, z, t, lo, hi, d)
         assert nonempty >= 100
 
+    def test_distance_scales_with_sets_past_the_square_range(self):
+        # an edge longer than about 1.34e154 overflows squared: the distance
+        # of an outside point still scales, distance(sS, sz) = s distance(S, z)
+        rng = np.random.default_rng(20)
+        checked = 0
+        for S in _random_sets(rng):
+            if S.kind != "polygon" or S.is_singleton:
+                continue
+            for z in (complex(*rng.uniform(-3, 3, 2)) for _ in range(3)):
+                d = S.distance(z)
+                if d < 1e-3:
+                    continue
+                s = 10.0 ** rng.uniform(150, 200)
+                big = ConvexSet2D.polygon([s * v for v in S.data])
+                assert big.distance(s * z) == pytest.approx(s * d, rel=1e-12), (S, z, s)
+                checked += 1
+        assert checked >= 200
+
 
 # -- the plane geometry with numpy scalars, as it was written before the
 # plain-float arithmetic; kept as the reference it must reproduce bit for bit
@@ -551,13 +569,49 @@ def _random_sets(rng):
 
 
 def _probes(rng, S):
-    """Random points, signed zeros, and points on the vertices and edges."""
-    zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(3)] + SIGNED_ZEROS
+    """Random points, their projections on the axes (the sign of a zero
+    bound follows the parts of z), signed zeros, and points on the vertices
+    and edges."""
+    zs = [complex(*rng.uniform(-3, 3, 2)) for _ in range(3)]
+    zs += [complex(z.real, 0.0) for z in zs] + [complex(-0.0, z.imag) for z in zs]
+    zs += SIGNED_ZEROS
     if S.kind == "polygon":
         vs = S.data
         zs += list(vs)
         zs += [a + rng.uniform() * (b - a) for a, b in zip(vs, vs[1:] + vs[:1])]
     return zs
+
+
+def _edge_case_loops(rng, count=100):
+    """Three families of loops past the convex ones of :func:`_random_sets`:
+    loops that repeat a consecutive vertex (a skipped edge), loops of 3 or 4
+    vertices exactly on one line (dyadic points, or a shared coordinate),
+    and loops with vertices at 1e150 to 1e200."""
+    convex = [S.data for S in _random_sets(rng) if S.kind == "polygon" and len(S.data) > 2]
+    repeated = []
+    for _ in range(count):
+        vs = list(convex[int(rng.integers(len(convex)))])
+        i = int(rng.integers(len(vs)))
+        repeated.append(ConvexSet2D.polygon(vs[:i + 1] + [vs[i]] + vs[i + 1:]))
+    collinear = []
+    for _ in range(count):
+        ts = rng.integers(-16, 17, int(rng.integers(3, 5))) / 8
+        if rng.uniform() < 0.5:  # a base and a step of small dyadics: exact products
+            base = complex(*(rng.integers(-8, 9, 2) / 4))
+            step = complex(*rng.integers(-3, 4, 2)) or 1 + 0j
+            loop = [base + complex(t * step.real, t * step.imag) for t in ts]
+        else:  # a shared real or imaginary part
+            c, xs = rng.uniform(-2, 2), rng.uniform(-2, 2, len(ts))
+            loop = [complex(c, x) for x in xs] if rng.uniform() < 0.5 else \
+                [complex(x, c) for x in xs]
+        collinear.append(ConvexSet2D.polygon(loop))
+    huge = []
+    for _ in range(count):
+        vs = convex[int(rng.integers(len(convex)))] if rng.uniform() < 0.7 else \
+            [complex(*rng.uniform(-2, 2, 2)) for _ in range(int(rng.integers(1, 3)))]
+        scale = 10.0 ** rng.uniform(150, 200)
+        huge.append(ConvexSet2D.polygon([scale * v for v in vs]))
+    return repeated, collinear, huge
 
 
 class TestPlainFloatGeometry:
@@ -576,7 +630,8 @@ class TestPlainFloatGeometry:
 
     def test_support_distance_and_scale_interval_match_the_reference(self):
         rng = np.random.default_rng(12)
-        for S in _random_sets(rng):
+        repeated, _, _ = _edge_case_loops(np.random.default_rng(14))
+        for S in _random_sets(rng) + repeated:
             for z in _probes(rng, S):
                 assert _bits(S.support(z)) == _bits(_ref_support(S, z)), (S, z)
                 assert _bits(S.distance(z)) == _bits(_ref_distance(S, z)), (S, z)
@@ -586,10 +641,26 @@ class TestPlainFloatGeometry:
 
     def test_polygon_membership_matches_the_reference(self):
         rng = np.random.default_rng(13)
-        for S in _random_sets(rng):
+        repeated, _, _ = _edge_case_loops(np.random.default_rng(14))
+        for S in _random_sets(rng) + repeated:
             if S.kind == "polygon" and len(S.data) > 2:
                 for z in _probes(rng, S):
                     assert _polygon_contains(z, S.data) == _ref_polygon_contains(z, S.data)
+
+    def test_collinear_and_huge_loops_match_the_reference_support_and_scales(self):
+        # the reference has no collinear containment and squares lengths, so
+        # on these loops only the support and the scale interval are compared
+        rng = np.random.default_rng(15)
+        _, collinear, huge = _edge_case_loops(np.random.default_rng(14))
+        with np.errstate(all="ignore"):
+            for S in collinear + huge:
+                zs = _probes(rng, S)
+                zs += [abs(S.data[0]) * z for z in zs[:3]]  # at the loop's scale
+                for z in zs:
+                    assert _bits(S.support(z)) == _bits(_ref_support(S, z)), (S, z)
+                    for tol in (0.0, 1e-8, 1e-3):
+                        got, ref = S.scale_interval(z, tol), _ref_scale_interval(S, z, tol)
+                        assert _bits(got) == _bits(ref), (S, z, tol)
 
     def test_one_and_two_vertex_loops_are_the_point_and_the_segment(self):
         # a loop of one vertex is a point and one of two a segment, bit for

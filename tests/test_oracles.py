@@ -244,6 +244,7 @@ class TestInequalitySuite:
         Y = 100 * np.eye(2)
         rep = subgradient_inequality_suite(JordanSpec([(1.0, (2,))]), ABSC, Y, n_samples=100)
         assert rep["violations"] == 2 and rep["n_directions"] == 105
+        assert rep["diverging"] == 5
         with pytest.raises(DomainError, match="finite"):
             subgradient_inequality_suite(JordanSpec([(1e155, (2,))]), ABSC, Y, n_samples=100)
         with pytest.raises(DomainError, match="finite"):
@@ -514,4 +515,8 @@ class TestDivergingDirections:
     @pytest.mark.parametrize("case,f,theta", DIVERGING)
     def test_suite_passes_the_member(self, case, f, theta):
         spec, Y = _large_subdiagonal_member(case, f, theta)
-        assert subgradient_inequality_suite(spec, f, Y, n_samples=100, seed=0)["violations"] == 0
+        rep = subgradient_inequality_suite(spec, f, Y, n_samples=100, seed=0)
+        assert rep["violations"] == 0
+        # the flags set aside as diverging: 15 and 2 under the abscissa at 1000
+        expected = {("J2(0)+[-1]", 1000): 15, ("J3(1)+J2(1+0.5i)", 1000): 2}
+        assert rep["diverging"] == (expected.get((case, theta), 0) if f is ABSC else 0)

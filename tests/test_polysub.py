@@ -460,6 +460,16 @@ class TestRefusalsAtTheRead:
         with pytest.raises(UnsupportedGenerator):
             Dp_sample(RootCluster((0j,), (2,)), f)
 
+    def test_smooth_tag_without_a_gradient_is_refused(self):
+        # the squared gradient is read at construction, on every block
+        f = make_generator("u", lambda z: z.real, subdiff=lambda z: ConvexSet2D.point(1),
+                           tag=lambda z: TAG_QUADRATIC)
+        base = RootCluster((0j,), (1,))
+        with pytest.raises(UnsupportedGenerator, match=r"^u is tagged smooth .* at 0j$"):
+            Dp_membership(base, f, [0, -1])
+        with pytest.raises(UnsupportedGenerator, match="no gradient"):
+            _member(base, f, [0, 0], horizon=True)
+
     def test_horizon_reads_q_set_but_no_curvature(self):
         base = RootCluster((0j,), (2,))
         assert _member(base, self._smooth_without_hessian(), [0, 0, -1], horizon=True)

@@ -144,14 +144,14 @@ class RootCluster:
     mults: tuple
 
     def __post_init__(self):
-        rs = tuple(complex(r) for r in self.roots)
-        ms = tuple(int(m) for m in self.mults)
+        rs = tuple(map(complex, self.roots))
+        ms = tuple(map(int, self.mults))
         if len(rs) != len(ms):
             raise ValueError("roots and multiplicities must have equal length")
-        if any(m < 1 for m in ms):
+        if ms and min(ms) < 1:
             raise ValueError("multiplicities must be positive")
         for r, s in zip(rs, rs[1:]):
-            if not lex_key(r) < lex_key(s):
+            if not (r.real, r.imag) < (s.real, s.imag):  # lex_key order
                 raise ValueError("roots must be strictly increasing in lex order")
         object.__setattr__(self, "roots", rs)
         object.__setattr__(self, "mults", ms)
@@ -243,10 +243,13 @@ def _cluster_rows(points: np.ndarray, tol: float) -> tuple:
 
 
 def _row_cluster(means: np.ndarray, mults: np.ndarray) -> tuple:
-    """``(cluster, order)``: a row of :func:`_cluster_rows` and its clusters' positions."""
+    """``(cluster, order)``: a row of :func:`_cluster_rows` and its clusters'
+    positions, in lex order of the means (position order on ties)."""
     zs, ms = means.tolist(), mults.tolist()
-    order = sorted((j for j, m in enumerate(ms) if m), key=lambda j: lex_key(zs[j]))
-    return RootCluster(tuple(zs[j] for j in order), tuple(ms[j] for j in order)), order
+    order = [j for _, _, j in sorted([(z.real, z.imag, j)
+                                      for j, (z, m) in enumerate(zip(zs, ms)) if m])]
+    return RootCluster(tuple(map(zs.__getitem__, order)),
+                       tuple(map(ms.__getitem__, order))), order
 
 
 def roots(p: Poly, cluster_tol: float = CLUSTER_TOL) -> RootCluster:
@@ -280,8 +283,13 @@ def _safe_norm(a) -> float:
     """The 2-norm (Frobenius norm) of the array ``a``, finite wherever it is
     representable: numpy's norm squares its entries, so where that reads
     inf on finite entries it is taken again on a over its largest real or
-    imaginary part, times that part.  inf or NaN only for entries that are."""
+    imaginary part, times that part.  inf or NaN only for entries that are.
+    Where the squares sum below _NORM_SAFE**2 (as np.vdot reads them, with
+    no overflow warning), numpy's norm cannot overflow and is taken with no
+    warnings state."""
     a = np.asarray(a)
+    if np.vdot(a, a).real < _NORM_SAFE ** 2:  # NaN and inf fail
+        return float(np.linalg.norm(a))
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
     if norm == math.inf and np.isfinite(a).all():
@@ -322,11 +330,21 @@ def _values(f, z: np.ndarray) -> np.ndarray:
 def _reading(f, means: np.ndarray, mults: np.ndarray) -> tuple:
     """``(value, cluster, active)`` of a (1, k) row of :func:`_cluster_rows`: the
     max of f over its means as :func:`specsub.spectral_max` takes it, the
-    clusters, and those within ACTIVE_TOL of the max (at +inf, those off dom f)."""
+    clusters, and those within ACTIVE_TOL of the max (at +inf, those off dom f).
+    ValueError where f is NaN at a mean, which attains no max.
+
+    The values are read once as Python floats.  A nonzero max has one bit
+    pattern, so Python's max gives numpy's; a zero max takes its sign from
+    numpy's reduction, whose choice between 0.0 and -0.0 is its own."""
     cluster, order = _row_cluster(means[0], mults[0])
     vals = _values(f, means)
-    active = _attaining(vals[0, order].tolist())
-    return float(vals.max(axis=-1)[0]), cluster, frozenset(active)
+    row = vals[0].tolist()
+    if any(map(math.isnan, row)):
+        raise ValueError("the generator is NaN at a cluster mean of the spectrum")
+    value = max(row)
+    if value == 0:
+        value = float(vals.max(axis=-1)[0])
+    return value, cluster, frozenset(_attaining(list(map(row.__getitem__, order))))
 
 
 def active_roots(f, roots, rest=()) -> tuple:

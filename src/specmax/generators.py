@@ -23,6 +23,8 @@ The polygon queries read each edge once: the scale interval folds the
 bounds of an edge's four normals into its interval as it projects the
 vertices on that edge, and containment stops at the first edge that
 decides it.  Both still match the numpy-scalar reference bit for bit.
+An edge whose difference b - a overflows, which that reference reads as
+NaN, is read from its halved vertices.
 
 Generators are immutable after construction; user-supplied hooks must be
 pure, under which contract everything here is safe for concurrent use.
@@ -30,6 +32,7 @@ pure, under which contract everything here is safe for concurrent use.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -150,8 +153,7 @@ class ConvexSet2D:
                 _segment_distance(z, vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))
             )
         if self.kind == "halfplane":
-            normal, offset = self.data
-            return max(0.0, (re_cip(normal, z) - offset) / abs(normal))
+            return _halfplane_distance(*self.data, z)
         if self.kind == "plane":
             return 0.0
         if self.kind == "disk":
@@ -228,7 +230,7 @@ class ConvexSet2D:
         else:
             raise UnsupportedGenerator(f"no scale interval for set kind {self.kind!r}")
         zr, zi = z.real, z.imag
-        lo, hi, empty = 0.0, math.inf, False
+        lo, hi = 0.0, math.inf
         for bounds in edges:
             for a, s in bounds:
                 r = a.real * zr + a.imag * zi - tol  # the bound reads t * s >= r
@@ -239,8 +241,8 @@ class ConvexSet2D:
                     if (q := r / s) < hi:
                         hi = q
                 elif r > 0.0:
-                    empty = True  # read on: an edge too long for abs raises wherever it sits
-        return (math.inf, 0.0) if empty else (lo, hi)
+                    return math.inf, 0.0
+        return lo, hi
 
     def rspan_is_plane(self) -> bool:
         """Whether the real linear span {t*z : t real, z in set} is all of C.
@@ -262,18 +264,41 @@ class ConvexSet2D:
         raise ValueError(f"unknown set kind {self.kind!r}")
 
 
+def _halfplane_distance(normal: complex, offset: float, z: complex) -> float:
+    """Distance of z to the halfplane {x : Re(conj(normal) x) <= offset}."""
+    return max(0.0, (re_cip(normal, z) - offset) / abs(normal))
+
+
+def _halved(v: complex) -> complex:
+    """v / 2, part by part: exact wherever it does not underflow."""
+    return complex(v.real * 0.5, v.imag * 0.5)
+
+
+def _unit(d: complex) -> complex:
+    return d / abs(d)
+
+
 def _segment_distance(z: complex, a: complex, b: complex) -> float:
     if a == b:
         return abs(z - a)
     d, w = b - a, z - a
-    m = abs(d)
+    try:
+        m = abs(d)
+    except OverflowError:  # finite parts, a modulus past the float range
+        m = math.inf
     t = re_cip(d, w)
     if m < _SQUARE_LIMIT and abs(t) < math.inf:
         t /= m ** 2
+    elif m == math.inf and cmath.isfinite(a) and cmath.isfinite(b):
+        # b - a overflows: the halved edge and point, whose distance is half
+        return 2.0 * _segment_distance(_halved(z), _halved(a), _halved(b))
     else:  # m ** 2 or the product overflows: project on the unit edge
         t = re_cip(d / m, w) / m
     t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
+    try:
+        return abs(z - (a + t * d))
+    except OverflowError:  # finite parts, a distance past the float range
+        return math.inf
 
 
 def _disk_scales(z: complex, center: complex, radius: float, tol: float) -> tuple:
@@ -307,9 +332,14 @@ def _polygon_bounds(vertices):
     x + iy = conj(e) v; the supports are max x, -min x, max y and -min y,
     which equal the support of each a up to the sign of a zero.  The running
     extremes change only for a strictly larger or smaller projection, as
-    max and min do, so a NaN is read as they read it."""
-    units = [(b - a) / abs(b - a) for a, b in zip(vertices, vertices[1:] + vertices[:1])
-             if a != b]
+    max and min do, so a NaN is read as they read it.  An edge whose b - a
+    overflows, in a part or in modulus, has the unit of its halved vertices."""
+    ends = vertices[1:] + vertices[:1]
+    try:
+        units = [d / m if (m := abs(d := b - a)) < math.inf else _unit(_halved(b) - _halved(a))
+                 for a, b in zip(vertices, ends) if a != b]
+    except OverflowError:  # abs raises on finite parts: every edge halved
+        units = [_unit(_halved(b) - _halved(a)) for a, b in zip(vertices, ends) if a != b]
     for e in units or [1.0]:
         ce = e.conjugate()
         w = ce * vertices[0]
@@ -333,9 +363,16 @@ def _polygon_bounds(vertices):
 
 
 def _edge_crosses(z: complex, vertices):
-    """Signed areas Im(conj(b - a) * (z - a)) over the edges a -> b of a loop."""
-    return ((b.real - a.real) * (z.imag - a.imag) - (b.imag - a.imag) * (z.real - a.real)
-            for a, b in zip(vertices, vertices[1:] + vertices[:1]))
+    """Signed areas Im(conj(b - a) * (z - a)) over the edges a -> b of a
+    loop.  Where b - a overflows, which reads the area as inf - inf or
+    inf * 0 = NaN, 4 times the area of the halved vertices and point."""
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        s = (b.real - a.real) * (z.imag - a.imag) - (b.imag - a.imag) * (z.real - a.real)
+        if s - s and cmath.isinf(b - a) and cmath.isfinite(a) and cmath.isfinite(b):
+            z2, a2, b2 = _halved(z), _halved(a), _halved(b)
+            s = 4.0 * ((b2.real - a2.real) * (z2.imag - a2.imag)
+                       - (b2.imag - a2.imag) * (z2.real - a2.real))
+        yield s
 
 
 def _polygon_contains(z: complex, vertices) -> bool:
@@ -470,8 +507,10 @@ def _abscissa() -> Generator:
 
 
 def _modulus_squared(name: str, rho: float) -> Generator:
-    """|z|^2 / (2 rho): radius2 at rho = 1, the radius's image at rho > 0."""
-    form = np.eye(2) / rho
+    """|z|^2 / (2 rho): radius2 at rho = 1, the radius's image at rho > 0.
+    Its Hessian form I / rho is formed on the first read, so a spectral
+    radius query that tests no curvature forms none."""
+    form = None
 
     def value(z):
         a = abs(z)
@@ -480,11 +519,17 @@ def _modulus_squared(name: str, rho: float) -> Generator:
     def grad(z):
         return complex(z.real / rho, z.imag / rho)  # part by part: z's bits at rho = 1
 
+    def hess(z):
+        nonlocal form
+        if form is None:
+            form = np.eye(2) / rho
+        return form
+
     return Generator(
         name,
         value=value,
         grad_fn=grad,
-        hess_fn=lambda z: form,
+        hess_fn=hess,
         subdiff_fn=lambda z: ConvexSet2D.point(grad(z)),
         tag_fn=lambda z: TAG_QUADRATIC,
     )
@@ -592,7 +637,7 @@ def radius_transform(f, eigenvalues) -> Generator:
     """
     if f is not _RADIUS:
         return f
-    rho = max((abs(z) for z in eigenvalues), default=0.0)
+    rho = max(map(abs, eigenvalues), default=0.0)
     if rho > 0:
         return _modulus_squared("radius", rho)
     return _NILPOTENT_ORIGIN

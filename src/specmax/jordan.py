@@ -62,6 +62,13 @@ def nilpotent(size: int) -> np.ndarray:
     return N
 
 
+def _finite_eigenvalue(lam) -> complex:
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"eigenvalue must be finite, got {lam}")
+    return lam
+
+
 class JordanSpec:
     """Declared Jordan data: eigenvalues with block sizes, similarity, rest-block.
 
@@ -81,19 +88,19 @@ class JordanSpec:
     MAX_CONDITION = 1e8
 
     def __init__(self, eigs, P=None, B=None):
-        parsed = []
+        parsed, lams, size = [], [], 0
         for lam, blocks in eigs:
             blocks = tuple(blocks)
             try:  # 2.0 is a block size, 1.7 and inf are not
-                sizes = tuple(int(b) for b in blocks)
+                sizes = tuple(map(int, blocks))
             except (TypeError, ValueError, OverflowError):
                 sizes = ()
-            if not sizes or any(s < 1 or s != b for s, b in zip(sizes, blocks)):
+            if not sizes or min(sizes) < 1 or sizes != blocks:
                 raise ValueError("block sizes must be positive integers")
-            lam = complex(lam)
-            if not cmath.isfinite(lam):
-                raise ValueError(f"eigenvalue must be finite, got {lam}")
+            lam = _finite_eigenvalue(lam)
             parsed.append((lam, sizes))
+            lams.append(lam)
+            size += sum(sizes)
         if not parsed and (B is None or np.asarray(B).size == 0):
             raise ValueError("a spec needs at least one eigenvalue or a rest block")
         self.eigs = tuple(parsed)
@@ -105,7 +112,7 @@ class JordanSpec:
             raise ValueError("rest block B must have finite entries")
         self.B = B
         self.n0 = B.shape[0]
-        self.n = self.n0 + sum(sum(blocks) for _, blocks in self.eigs)
+        self.n = self.n0 + size
 
         P = np.eye(self.n, dtype=complex) if P is None else np.asarray(P, dtype=complex)
         if P.shape != (self.n, self.n):
@@ -132,8 +139,8 @@ class JordanSpec:
         self.Pinvstar = Pinv.conj().T
 
         self._b_eigs = np.linalg.eigvals(B) if self.n0 else np.zeros(0, dtype=complex)
-        others = [lam for lam, _ in self.eigs] + list(self._b_eigs)
-        for i, (lam, _) in enumerate(self.eigs):
+        others = lams + list(self._b_eigs)
+        for i, lam in enumerate(lams):
             self._check_separation(lam, others[i + 1:])
 
         # layout: [0, n0) is B, then each eigenvalue's sub-blocks in order
@@ -163,10 +170,10 @@ class JordanSpec:
 
         The copy shares P, its inverse and the block layout, which do not
         depend on the eigenvalues, through a copy of the attribute dict;
-        only the moved eigenvalue's separation from the others and from the
-        rest block is checked again.
+        only the moved eigenvalue's finiteness and its separation from the
+        others and from the rest block are checked again.
         """
-        lam = complex(lam)
+        lam = _finite_eigenvalue(lam)
         self._check_separation(lam, [mu for i, (mu, _) in enumerate(self.eigs) if i != j]
                                + list(self._b_eigs))
         moved = object.__new__(type(self))
@@ -247,9 +254,9 @@ def _lex_cluster(spec: JordanSpec, eigs) -> tuple:
     """``(order, cluster)``: the declared eigenvalue indices ``eigs`` in lex
     order of their values, and the monic factor they carry as a root
     cluster, whose coordinates list the eigenvalues in that order."""
-    order = sorted(eigs, key=lambda j: lex_key(spec.eig_value(j)))
-    return order, RootCluster(tuple(spec.eig_value(j) for j in order),
-                              tuple(spec.n_j(j) for j in order))
+    order = sorted(eigs, key=lambda j: lex_key(spec.eigs[j][0]))
+    return order, RootCluster(tuple([spec.eigs[j][0] for j in order]),
+                              tuple([sum(spec.eigs[j][1]) for j in order]))
 
 
 def declared_active(spec: JordanSpec, f) -> tuple:
@@ -269,16 +276,21 @@ def R_matrix(spec: JordanSpec, eigs=None) -> np.ndarray:
     block layout cancels between P^* and P^{-*}.  Every listed eigenvalue
     must be a single Jordan block."""
     eigs = range(spec.num_eigs) if eigs is None else eigs
-    cols = []
+    shifts = []  # (first row of the slot, its end, s) per column
     for j in eigs:
         if not spec.nonderogatory(j):
             raise DerogatoryEigenvalue(
                 f"eigenvalue {spec.eig_value(j)} has {spec.q_j(j)} Jordan blocks"
             )
         sl = spec.eig_slice(j)
-        cols += [(spec.Pstar[:, sl.start + s: sl.stop] @ spec.Pinvstar[sl.start: sl.stop - s])
-                 .ravel() for s in range(spec.n_j(j))]
-    return np.stack(cols, axis=1)
+        for s in range(sl.stop - sl.start):
+            shifts.append((sl.start, sl.stop, s))
+    # column c as an n x n matrix: each product is written in place, then
+    # one copy lays the columns out
+    cols = np.empty((len(shifts), spec.n, spec.n), dtype=complex)
+    for c, (a, b, s) in enumerate(shifts):
+        np.matmul(spec.Pstar[:, a + s:b], spec.Pinvstar[a:b - s], out=cols[c])
+    return cols.reshape(len(shifts), -1).T.copy()
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .generators import (
     ConvexSet2D,
     Generator,
     UnsupportedGenerator,
+    _halfplane_distance,
     condition_check,
     q_set,
 )
@@ -179,8 +180,8 @@ class _ActiveBlock:
     construction (UnsupportedGenerator where a generator tagged smooth has
     no gradient).  The curvature rate ``offset_rate`` and the horizon set
     ``q`` of the second coordinate are computed on first read, by
-    :meth:`weight_interval`, :meth:`second_set`, the horizon test or the
-    sampler, and kept.  So a one-coordinate block never evaluates either,
+    :meth:`weight_interval`, :meth:`second_distance`, :meth:`second_set` or
+    the sampler, and kept.  So a one-coordinate block never evaluates either,
     the horizon cone never evaluates the curvature, and a block whose
     weight split has already failed evaluates neither.  Their refusals
     (UnsupportedGenerator for a generator tagged smooth without a Hessian,
@@ -201,7 +202,7 @@ class _ActiveBlock:
             if g is None:
                 raise UnsupportedGenerator(
                     f"{f.name} is tagged smooth but has no gradient at {lam}")
-            self.w = g * g
+            self.w = complex(g * g)
         else:
             self.w = None
         self.determined = self.subdiff.is_singleton
@@ -222,12 +223,21 @@ class _ActiveBlock:
 
     def gamma_from_first(self, c1: complex) -> float:
         """Weight forced by the first coordinate when the subdifferential is
-        a singleton {g}: c1 = -gamma * g / n_j."""
+        a singleton {g}: c1 = -gamma * g / n_j, so gamma = Re(-n_j c1 / g)."""
         g = self.subdiff.the_point()
-        # numpy's complex division (times a reciprocal) rounds apart from
-        # Python's: divide as numpy does, whether the block is a list or an array
-        xi = -self.n_j * np.complex128(c1) / g
-        return max(0.0, float(xi.real))
+        return max(0.0, _quotient_real(-self.n_j * c1, g))
+
+    def second_distance(self, c2: complex, gamma=None) -> float:
+        """Distance of c2 to :meth:`second_set` at weight gamma, or to the
+        horizon set ``q`` without one.  The smooth regime's halfplane
+        Re(conj(w) x) <= offset is read without building it."""
+        if self.cond != COND14:
+            return self.q.distance(c2)
+        w = self.w
+        if w == 0:
+            raise ValueError("halfplane needs a nonzero normal")
+        offset = 0.0 if gamma is None else float(gamma * self.offset_rate)
+        return _halfplane_distance(w, offset, c2)
 
     def second_set(self, gamma: float) -> ConvexSet2D:
         """The set of the second coordinate at weight gamma; in the corner
@@ -280,7 +290,7 @@ def block_failures(g: Generator, active: list, tol: float, horizon: bool = False
         for i, (d, b) in enumerate(zip(data, blocks)):
             if abs(b[0]) > tol:
                 failed.append(("diagonal_zero", abs(b[0]), i))
-            if len(b) >= 2 and (r := d.q.distance(b[1])) > tol:
+            if len(b) >= 2 and (r := d.second_distance(b[1])) > tol:
                 failed.append(("subdiagonal_halfplane", r, i))
         return failed, None
 
@@ -308,14 +318,29 @@ def block_failures(g: Generator, active: list, tol: float, horizon: bool = False
     if abs(total - 1.0) > SIMPLEX_TOL:
         failed.append(("weight_sum_one", abs(total - 1.0), None))
     for i, (d, b, g) in enumerate(zip(data, blocks, gammas)):
-        r = d.subdiff.scaled(g / d.n_j).distance(-b[0])
+        t = g / d.n_j
+        if d.determined:  # -b_0 against t * p for the point {p}, with no scaled set built
+            r = abs(complex(-b[0]) - (t * d.subdiff.data[0] if t != 0 else 0j))
+        else:
+            r = d.subdiff.scaled(t).distance(-b[0])
         if r > tol:
             failed.append(("diagonal_in_subdifferential", r, i))
         if len(b) >= 2:
-            r = d.second_set(g).distance(b[1])
+            r = d.second_distance(b[1], g)
             if r > tol:
                 failed.append(("subdiagonal_halfplane", r, i))
     return failed, gammas
+
+
+def _quotient_real(x: complex, g: complex) -> float:
+    """Re(x / g) as numpy divides complex128 scalars, on Python floats:
+    Smith's method, times the reciprocal of the scaled denominator (Python's
+    own complex division rounds apart).  g must be nonzero."""
+    if abs(g.real) >= abs(g.imag):
+        rat = g.imag / g.real
+        return (x.real + x.imag * rat) * (1.0 / (g.real + g.imag * rat))
+    rat = g.real / g.imag
+    return (x.real * rat + x.imag) * (1.0 / (g.imag + g.real * rat))
 
 
 def _member(cluster: RootCluster, f: Generator, c, horizon: bool) -> bool:

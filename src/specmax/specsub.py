@@ -442,7 +442,7 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
                              f"largest modulus {top}, residual {resid}")
     if resid > COORD_TOL * max(1.0, norm):
         return False
-    triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v)))
+    triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v.tolist())))
     return not block_failures(g, triples, COORD_TOL, horizon)[0]
 
 

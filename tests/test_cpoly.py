@@ -117,6 +117,23 @@ class TestSafeNorm:
     def test_numpy_norm_where_it_is_finite_or_the_entries_are_not(self, a):
         assert np.float64(_safe_norm(a)).tobytes() == np.float64(np.linalg.norm(a)).tobytes()
 
+    def test_numpy_norm_bits_without_a_warnings_state_on_ordinary_input(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        arrays = []
+        for k in range(400):
+            shape = [(6, 6), (9,), (3, 4), (1,)][k % 4]
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150)
+            arrays.append(a + 1j * rng.standard_normal(shape) if k % 2 else a)
+        arrays.append(np.array([[7e153 + 7e153j]]))  # |a|^2 just below _NORM_SAFE^2
+        states = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda **k: states.append(k) or errstate(**k))
+        for a in arrays:
+            assert np.float64(_safe_norm(a)).tobytes() == np.float64(np.linalg.norm(a)).tobytes()
+        assert states == []
+        assert _safe_norm(np.array([3e200, 4e200j])) == pytest.approx(5e200, rel=1e-15)
+        assert states == [{"over": "ignore"}]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a,expected", [
         (np.array([[3e200, 0.0], [4e200, 0.0]]), 5e200),

@@ -423,6 +423,42 @@ class TestConvexSet2D:
                 assert big.distance(s * z) == pytest.approx(s * d, rel=1e-12), (S, z, s)
                 checked += 1
         assert checked >= 200
+        # at s = 1e308 an edge's b - a overflows, in its parts (the segment,
+        # the square and the triangle's base) or in its modulus (the
+        # diagonal segment): it is read from the halved vertices, so the
+        # distance still scales at the vertices, along the edges and outside,
+        # and the scales of sz in sS are those of z in S.  (A point inside a
+        # loop at this scale meets areas that overflow as products: item 20.)
+        loops = [[-1, 1], [0.7 + 0.7j, -0.7 - 0.7j], [1, 1j, -1],
+                 [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], [1, 1j, -1, -1j]]
+        s, on_loops = 1e308, 0
+        for vs in loops:
+            S, big = ConvexSet2D.polygon(vs), ConvexSet2D.polygon([s * v for v in vs])
+            zs = [complex(*rng.uniform(-1.2, 1.2, 2)) for _ in range(100)]
+            zs = [z for z in zs if len(vs) == 2 or S.distance(z) >= 1e-3]
+            zs += vs + [a + u * (b - a) for a, b in zip(vs, vs[1:] + vs[:1])
+                        for u in rng.uniform(0, 1, 5)]
+            for z in zs:
+                assert big.distance(s * z) == pytest.approx(s * S.distance(z), rel=1e-12,
+                                                            abs=s * 2 ** -50), (vs, z)
+                assert big.scale_interval(s * z) == pytest.approx(S.scale_interval(z),
+                                                                  rel=1e-12), (vs, z)
+            on_loops += len(zs)
+        assert on_loops >= 300
+
+    def test_edges_whose_difference_overflows(self):
+        # b - a = 2e308 overflows: the edge is read from its halved vertices,
+        # and the triangle reads as the one scaled down by 1e308
+        seg = ConvexSet2D.segment(-1e308, 1e308)
+        assert seg.distance(1) <= 1e308 * 2 ** -52  # on the segment, up to its rounding
+        assert seg.distance(1j) == 1.0 and seg.distance(-1e308j) == 1e308
+        assert seg.distance(3e307 + 4e307j) == 4e307
+        tri = ConvexSet2D.polygon([1e308, 1e308j, -1e308])
+        small = ConvexSet2D.polygon([1, 1j, -1])
+        assert tri.distance(1) == 0.0 and tri.distance(-1j) == 1.0
+        for z in (-1j, 0.5j, 2j, 1 - 1j, -0.25 + 0.5j):
+            assert tri.scale_interval(z) == pytest.approx(small.scale_interval(z / 1e308)), z
+        assert tri.scale_interval(-1j) == (math.inf, 0.0)
 
 
 # -- the plane geometry with numpy scalars, as it was written before the

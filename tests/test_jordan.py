@@ -143,6 +143,13 @@ class TestDeclarationChecks:
             with pytest.raises(ValueError, match="eigenvalue must be finite"):
                 JordanSpec([(lam, (1,)), (1.0, (1,))])
 
+    def test_non_finite_moved_eigenvalue_rejected(self):
+        spec = JordanSpec([(1.0, (2,)), (-1.0, (1,))])
+        for lam in [np.inf, np.nan, complex(0, -np.inf), complex(np.nan, 1.0)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"eigenvalue must be finite, got {complex(lam)}")):
+                spec.with_eigenvalue(1, lam)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_similarity_rejected(self, bad):
         P = np.eye(2)
@@ -552,6 +559,18 @@ def _reference_R_matrix(spec):
     return np.stack(cols, axis=1)
 
 
+def _stacked_R_matrix(spec, eigs):
+    """R_matrix as it was written before its columns went into one array:
+    one raveled product per column, then np.stack; it must reproduce these
+    bytes."""
+    cols = []
+    for j in eigs:
+        sl = spec.eig_slice(j)
+        cols += [(spec.Pstar[:, sl.start + s: sl.stop] @ spec.Pinvstar[sl.start: sl.stop - s])
+                 .ravel() for s in range(spec.n_j(j))]
+    return np.stack(cols, axis=1)
+
+
 def spec_with_rest(rng, f):
     """One to three active single-block eigenvalues of f (equal real parts
     for the abscissa, equal moduli for the radius), up to two inactive ones
@@ -633,6 +652,23 @@ class TestRMap:
         spec = JordanSpec([(0.0, (1, 1))])
         with pytest.raises(DerogatoryEigenvalue):
             R_matrix(spec)
+
+    def test_bytes_match_the_stacked_columns(self):
+        rng = np.random.default_rng(34)
+        rests = 0
+        for _ in range(40):
+            spec = random_spec(rng, derogatory_ok=False) if rng.uniform() < 0.5 else \
+                spec_with_rest(rng, ABSC)
+            for k in range(1, spec.num_eigs + 1):
+                eigs = [int(j) for j in rng.permutation(spec.num_eigs)[:k]]
+                M = R_matrix(spec, eigs)
+                ref = _stacked_R_matrix(spec, eigs)
+                assert M.shape == ref.shape and M.flags.c_contiguous
+                assert M.tobytes() == ref.tobytes(), (spec, eigs)
+            assert R_matrix(spec).tobytes() == \
+                _stacked_R_matrix(spec, range(spec.num_eigs)).tobytes()
+            rests += spec.n0 > 0
+        assert rests >= 5
 
     @pytest.mark.parametrize("f", [ABSC, RAD])
     def test_active_columns_match_the_re_laid_out_spec(self, f):

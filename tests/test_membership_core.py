@@ -7,7 +7,9 @@ independent check that the core gives the same verdicts.
 """
 
 import cmath
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from specmax.generators import (
     re_cip,
 )
 from specmax.jordan import DomainError, JordanSpec, declared_active
-from specmax.polysub import SIMPLEX_TOL, block_failures
+from specmax.polysub import SIMPLEX_TOL, _ActiveBlock, _quotient_real, block_failures
 from specmax.specsub import (
     W_extract,
     chain_rule_membership,
@@ -447,3 +449,85 @@ class TestBlockFailures:
     def test_zero_subdifferential_is_unsupported(self):
         with pytest.raises(UnsupportedGenerator):
             block_failures(RAD2, [(0.0, 2, np.zeros(2))], 1e-10)
+
+
+# -- the per-root scalars on Python numbers -------------------------------------------
+
+
+def _float_bits(x: float) -> bytes:
+    """The bytes of a float; every NaN reads alike."""
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def _point_generator(g):
+    """A smooth generator whose subdifferential is the prebuilt point {g}."""
+    point = ConvexSet2D.point(g)
+    return make_generator("point", lambda z: z.real, grad=lambda z: g,
+                          hess=lambda z: np.zeros((2, 2)), subdiff=lambda z: point,
+                          tag=lambda z: "quadratic")
+
+
+# ±0, the smallest subnormal, the smallest normal, ordinary values and ±1e300
+GRID_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5, 3.7,
+              1e300, -1e300]
+GRID = [complex(a, b) for a, b in itertools.product(GRID_PARTS, repeat=2)]  # ties |a| = |b|
+
+
+class TestScalarReplicas:
+    """The per-root scalars computed on Python numbers equal the numpy
+    scalar forms they replace, bit for bit."""
+
+    def test_quotient_matches_complex128_division(self):
+        rng = np.random.default_rng(34)
+        draws = rng.standard_normal((100_000, 4)) * np.exp(rng.uniform(-30, 30, (100_000, 4)))
+        pairs = list(itertools.product(GRID, GRID))
+        pairs += [(complex(a, b), complex(c, d)) for a, b, c, d in draws.tolist()]
+        checked = 0
+        with np.errstate(all="ignore"):
+            for x, g in pairs:
+                if g == 0:
+                    continue
+                ref = float((np.complex128(x) / np.complex128(g)).real)
+                assert _float_bits(_quotient_real(x, g)) == _float_bits(ref), (x, g)
+                checked += 1
+        assert checked > 100_000
+
+    @pytest.mark.parametrize("n_j", [1, 2, 3])
+    def test_forced_weight_matches_the_numpy_form(self, n_j):
+        with np.errstate(all="ignore"):
+            for g in GRID:
+                if g == 0:
+                    continue
+                d = _ActiveBlock(_point_generator(g), 0.5, n_j)
+                for c1 in GRID:
+                    ref = max(0.0, float((-n_j * np.complex128(c1) / g).real))
+                    assert _float_bits(d.gamma_from_first(c1)) == _float_bits(ref), (g, c1)
+
+    def test_a_smooth_member_builds_no_set(self, monkeypatch):
+        # abscissa-like, its point subdifferential prebuilt: the first
+        # coordinate is read against gamma / n_j * g and the second against
+        # the halfplane Re(conj(g^2) x) <= 0, with no ConvexSet2D made
+        f = _point_generator(1.0 + 0j)
+        built = []
+        init = ConvexSet2D.__init__
+        monkeypatch.setattr(ConvexSet2D, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        active = [(1.0, 2, [-0.25, -0.1 + 2j]), (1 + 1j, 1, [-0.5])]
+        failed, gammas = block_failures(f, active, 1e-10)
+        assert failed == [] and gammas == [0.5, 0.5]
+        failed, _ = block_failures(f, [(1.0, 2, [0.0, -0.5j - 1.0])], 1e-10, horizon=True)
+        assert failed == []
+        failed, _ = block_failures(f, [(1.0, 2, [-0.5, 0.3])], 1e-10)
+        assert [c for c, _, _ in failed] == ["subdiagonal_halfplane"]
+        assert built == []
+
+    def test_the_radius_forms_no_hessian_until_read(self, monkeypatch):
+        spec = JordanSpec([(2.0, (2,)), (-2j, (1,)), (0.5, (1,))])
+        eye = np.eye
+        calls = []
+        monkeypatch.setattr(np, "eye", lambda *a, **k: calls.append(a) or eye(*a, **k))
+        g, active = declared_active(spec, RAD)
+        assert active == [0, 1] and calls == []
+        form = g.hess(2.0)
+        assert len(calls) == 1 and form.tobytes() == (eye(2) / 2.0).tobytes()
+        assert g.hess(-2j) is form and len(calls) == 1

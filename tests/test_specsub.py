@@ -128,6 +128,30 @@ class TestSpectralMax:
             assert stacked.ravel().tolist() == single
         assert math.isinf(spectral_max(X, half)[0, 0])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nan_at_a_cluster_mean_is_refused(self, sign):
+        # NaN attains no max: the active set would depend on the order
+        f = make_generator("u", lambda z: np.where(sign * z.real > 0, np.nan, z.real))
+        X = np.diag([1.0, -1.0, -2.0])
+        assert math.isnan(spectral_max(X, f))
+        with pytest.raises(ValueError, match="NaN"):
+            spectral_active(X, f)
+
+    def test_a_zero_max_keeps_the_sign_spectral_max_gives_it(self):
+        # the values 0.0 (odd eigenvalues) and -0.0 (even ones) in every
+        # order, and -1 at -3: the sign of a zero max is numpy's
+        f = make_generator("signed zero", lambda z: np.where(
+            z.real < 0, -1.0, np.copysign(0.0, np.round(z.real) % 2 - 0.5)))
+        seen = set()
+        for k in range(1, 7):
+            for bits in range(2 ** k):
+                X = np.diag([10.0 * i + (bits >> i & 1) for i in range(k)] + [-3.0])
+                value, _, _ = spectral_active(X, f)
+                expect = spectral_max(X, f)
+                assert np.float64(value).tobytes() == np.float64(expect).tobytes(), X
+                seen.add(math.copysign(1.0, expect))
+        assert seen == {1.0, -1.0}
+
     def test_active_value_is_the_spectral_max_bit_for_bit(self):
         def hypot(z):  # scalar-only: an array argument would raise
             return math.hypot(z.real, z.imag)
@@ -403,6 +427,19 @@ class TestRsdMembership:
 
 
 class TestRecession:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 7: the direct route's slack INEQ_SLACK |Y| is "
+                       "relative, so past |Y| = 1e10 it swallows the diagonal 0.5 that the "
+                       "chain route's absolute COORD_TOL rejects")
+    def test_diagonal_under_a_large_subdiagonal_is_rejected(self):
+        # J_2(1) + [-1], P = I, under the abscissa: theta_1 = 0.5 is no
+        # recession direction at any subdiagonal t
+        for t in (1e10, 1e12, 1e150):
+            Y = np.diag([0.5, 0.5, 0.0]).astype(complex)
+            Y[1, 0] = t
+            assert not chain_rule_membership(A_SPEC, ABSC, Y, horizon=True), t
+            assert not rsd_recession_membership(A_SPEC, ABSC, Y).verdict, t
+
     def test_zero_is_always_a_recession_direction(self):
         assert rsd_recession_membership(J2, ABSC, np.zeros((2, 2))).verdict
 

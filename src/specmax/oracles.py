@@ -11,24 +11,31 @@ t^(1/m), which the slack model c * t^(1/m) tracks with c calibrated from
 the observed second differences of the quotients.
 
 Matrix quotients difference :func:`specmax.specsub.spectral_max`, which
-clusters backward-stable eigenvalues; each oracle stacks its perturbed
-matrices (directions times steps) and evaluates them in one call, or in
-blocks of at most STACK_ENTRIES matrix entries so that memory stays
-bounded for many directions.
+clusters backward-stable eigenvalues.  Both matrix oracles, the inequality
+suite and :func:`fd_phi_quotient`, run in the declared Jordan basis: with
+X = P^-1 J P, X + tZ = P^-1 (J + t P Z P^-1) P has the spectrum of
+J + t P Z P^-1, so they difference phi(J + t P Z P^-1) against phi(J).
+The spectra are the same, and no subgradient formula enters; but the base
+value is exact (J is triangular but for the rest block), a direction
+whose image only couples one block to a later one leaves J + tV block
+triangular up to the rounding of the image, so no multiple eigenvalue
+splits along it as rounding in the basis of X splits it, the identity
+and block-identity probes give exactly triangular matrices and the
+transposed nilpotents exactly tridiagonal ones (their images are the
+sparse matrices they are built from), and LAPACK does less work on the
+sampled perturbations of a nearly triangular matrix.  The identity and
+block-identity probe rows, like the base value, hold each multiple
+eigenvalue as exact repeats, which :func:`specmax.cpoly._cluster_rows`
+groups by equality with no linkage.  The pairing Re<Y, Z> stays in the
+basis of X.  One routine stacks the perturbed matrices (directions times
+steps) and evaluates them in one call, or in blocks of at most
+STACK_ENTRIES matrix entries so that memory stays bounded for many
+directions.
 
-The inequality suite runs in the declared Jordan basis: with X = P^-1 J P,
-X + tZ = P^-1 (J + t P Z P^-1) P has the spectrum of J + t P Z P^-1, so
-it differences phi(J + t P Z P^-1) against phi(J).  The spectra are the
-same, and no subgradient formula enters; but the base value is exact (J is
-triangular but for the rest block), the identity and block-identity probes
-give exactly triangular matrices and the transposed nilpotents exactly
-tridiagonal ones (their images are the sparse matrices they are built
-from), and LAPACK does less work on the sampled perturbations of a nearly
-triangular matrix.  The identity and block-identity probe rows, like the
-base value, hold each multiple eigenvalue as exact repeats, which
-:func:`specmax.cpoly._cluster_rows` groups by equality with no linkage.
-The pairing Re<Y, Z> stays in the basis of X.
-:func:`fd_phi_quotient` takes a raw matrix and stays in its basis.
+One least-squares slope of log|q| against log t serves both the reported
+growth exponent and the one rule by which quotients diverge to +inf
+(:func:`_diverging`): the suite sets such directions aside, and a report
+reads an infinite formula by it.
 
 Everything is deterministic given the seed.  The suite's sample directions
 come from one generator per call: direction i is a function of
@@ -93,10 +100,29 @@ def growth_exponent(steps: Sequence[float], quotients: Sequence[float]) -> Optio
     pts = [(t, abs(q)) for t, q in zip(steps, quotients) if abs(q) > GROWTH_FLOOR and t > 0]
     if len(pts) < 3:
         return None
-    xs = np.log([t for t, _ in pts])
-    ys = np.log([q for _, q in pts])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    return float(_log_slope([t for t, _ in pts], np.log([q for _, q in pts])))
+
+
+def _log_slope(steps, y):
+    """Least-squares slope of ``y`` (last axis) against log t over
+    ``steps``, in closed form over the centred log steps: one per row."""
+    x = np.log(steps)
+    x -= x.mean()
+    return (y - y.mean(axis=-1, keepdims=True)) @ x / (x @ x)
+
+
+def _diverging(steps, quotients) -> np.ndarray:
+    """Per row of quotients at ``steps`` (last axis), whether it diverges
+    to +inf: at least three steps, every |q| above GROWTH_FLOOR and finite,
+    the least-squares slope of log|q| against log t at most GROWTH_CUTOFF,
+    and the quotient at the smallest step positive.  No finite pairing can
+    violate the limit inequality along such a direction, and it is the
+    limit an infinite formula claims."""
+    size = np.abs(quotients)
+    usable = ((size > GROWTH_FLOOR) & np.isfinite(size)).all(axis=-1) & (len(steps) >= 3)
+    # no zero reaches the log
+    slope = _log_slope(steps, np.log(np.where(usable[..., None], size, 1.0)))
+    return usable & (slope <= GROWTH_CUTOFF) & (quotients[..., np.argmin(steps)] > 0)
 
 
 def slack_coefficient(steps: Sequence[float], quotients, order: int = 1):
@@ -167,9 +193,9 @@ def _build_report(steps, quotients, holder_order, formula, scale=1.0) -> FDRepor
     noise = eval_noise_floor(holder_order, scale)
     verdict = None
     if formula is not None:
-        if math.isinf(formula):
-            verdict = expo is not None and expo <= GROWTH_CUTOFF
-        else:
+        if formula == math.inf:
+            verdict = bool(_diverging(steps, np.array(quotients)))
+        else:  # -inf included, which every margin passes
             verdict = bool(np.all(formula <= _margin(np.array(quotients), coeff, steps,
                                                      holder_order, noise)))
     return FDReport(
@@ -185,22 +211,33 @@ def _build_report(steps, quotients, holder_order, formula, scale=1.0) -> FDRepor
     )
 
 
-def fd_phi_quotient(X, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
-                    holder_order: int = 1, formula: Optional[float] = None) -> FDReport:
-    """Quotients (phi(X + tZ) - phi(X)) / t along a fixed matrix direction.
-
-    These are upper evidence for the lower directional derivative; quotients
-    growing like t^(1/k - 1) flag eigenvalue splitting of order k.
-    """
+def _check_steps(t_grid) -> None:
+    if len(t_grid) < 2:
+        raise ValueError("need at least two steps")
     if any(t <= 0 or t > 1e-1 for t in t_grid):
         raise ValueError("steps must lie in (0, 0.1]")
-    X = np.asarray(X, dtype=complex)
+
+
+def fd_phi_quotient(spec: JordanSpec, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
+                    holder_order: int = 1, formula: Optional[float] = None) -> FDReport:
+    """Quotients (phi(X + tZ) - phi(X)) / t at the spec's base matrix X
+    along a fixed finite n x n direction Z, taken in the declared Jordan
+    basis (module docstring).
+
+    These are upper evidence for the lower directional derivative; quotients
+    growing like t^(1/k - 1) flag eigenvalue splitting of order k.  Raises
+    :class:`DomainError` where |X|, and so the noise term, is inf.
+    """
+    _check_steps(t_grid)
     Z = np.asarray(Z, dtype=complex)
-    norm = _finite_norm(X)
-    steps = np.asarray(t_grid, dtype=float)
-    base = spectral_max(X, f)
-    quotients = (spectral_max(X + steps[:, None, None] * Z, f) - base) / steps
-    return _build_report(t_grid, quotients, holder_order, formula,
+    if Z.shape != (spec.n, spec.n):
+        raise ValueError(f"direction must be {spec.n}x{spec.n}")
+    if not np.isfinite(Z).all():
+        raise ValueError("direction must be finite")
+    norm = _finite_norm(spec.synth())
+    D = Z[None]  # one direction, no exact image
+    base, quotients = _jordan_quotients(spec, f, D, D[:0], t_grid)
+    return _build_report(t_grid, quotients[0], holder_order, formula,
                          scale=max(1.0, abs(base), norm))
 
 
@@ -211,8 +248,7 @@ def fd_poly_quotient(p: Poly, f, v: Poly, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
     monic p, p over its leading coefficient, whose roots are the root max
     function's; :class:`DomainError` where |p| or |p| over that coefficient
     overflows."""
-    if any(t <= 0 or t > 1e-1 for t in t_grid):
-        raise ValueError("steps must lie in (0, 0.1]")
+    _check_steps(t_grid)
     n = max(p.degree_bound, v.degree_bound)
     p, v = p.padded(n), v.padded(n)
     _finite_norm(p.array())
@@ -278,20 +314,28 @@ def _jordan_images(spec: JordanSpec, Z: np.ndarray, exact: np.ndarray) -> np.nda
     return V
 
 
-def _diverging(quotients: np.ndarray) -> np.ndarray:
-    """Per row of quotients at the steps RADII, whether it diverges to +inf:
-    every |q| above GROWTH_FLOOR and finite, the least-squares slope of
-    log|q| against log t at most GROWTH_CUTOFF, and the last quotient
-    positive.  No finite pairing can violate the limit inequality along
-    such a direction (:func:`_build_report` reads an infinite formula by
-    the same slope)."""
-    size = np.abs(quotients)
-    usable = ((size > GROWTH_FLOOR) & np.isfinite(size)).all(axis=1)
-    x = np.log(RADII)
-    x -= x.mean()
-    y = np.log(np.where(usable[:, None], size, 1.0))  # no zero reaches the log
-    slope = (y - y.mean(axis=1, keepdims=True)) @ x / (x @ x)
-    return usable & (slope <= GROWTH_CUTOFF) & (quotients[:, -1] > 0)
+def _jordan_quotients(spec: JordanSpec, f, Z: np.ndarray, exact: np.ndarray,
+                      steps) -> tuple:
+    """``(phi(J), quotients)``: the quotients (phi(J + tV) - phi(J)) / t,
+    shape (len(Z), len(steps)), of the directions Z through their images
+    V = P Z P^-1 in the Jordan basis, the first ``len(exact)`` of which are
+    ``exact`` (:func:`_jordan_images`)."""
+    J = spec.jordan_matrix()
+    base = spectral_max(J, f)
+    steps = np.asarray(steps, dtype=float)
+    quotients = np.empty((len(Z), len(steps)))
+    block = max(1, STACK_ENTRIES // (len(steps) * spec.n ** 2))
+    # one buffer for every block: a fresh stack per block left the heap of
+    # a 10,011-direction n = 20 suite 2.5 MB larger at its peak
+    stack = np.empty((min(block, len(Z)), len(steps), spec.n, spec.n), dtype=complex)
+    for a in range(0, len(Z), block):
+        chunk = Z[a:a + block]  # rows J + tV, V = P Z P^-1: the spectra of X + tZ
+        rows = np.multiply(steps[:, None, None],
+                           _jordan_images(spec, chunk, exact[a:a + block])[:, None],
+                           out=stack[:len(chunk)])
+        rows += J
+        quotients[a:a + block] = (spectral_max(rows, f) - base) / steps
+    return base, quotients
 
 
 def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
@@ -303,7 +347,6 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     number of directions above the margin set aside so.  The quotients are
     taken in the declared Jordan basis (module docstring).  Raises
     :class:`DomainError` where |X|, and so the noise term, is inf."""
-    J = spec.jordan_matrix()
     Y, _ = _candidate(spec, Y)
     m_max = max(spec.m_j(j) for j in range(spec.num_eigs)) if spec.num_eigs else 1
     probes, images = _structured_probes(spec)
@@ -311,29 +354,17 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     D[:len(probes)] = probes
     _sample_directions(spec.n, n_samples, seed, out=D[len(probes):])
 
-    steps = np.asarray(RADII, dtype=float)
-    base = spectral_max(J, f)
-    noise = eval_noise_floor(m_max, max(1.0, abs(base), _finite_norm(spec.synth())))
+    norm = _finite_norm(spec.synth())
+    base, quotients = _jordan_quotients(spec, f, D, images, RADII)
+    noise = eval_noise_floor(m_max, max(1.0, abs(base), norm))
     lhs = np.einsum("ki,dki->d", Y.conj(), D).real
-    quotients = np.empty((len(D), len(steps)))
-    block = max(1, STACK_ENTRIES // (len(steps) * spec.n ** 2))
-    # one buffer for every block: a fresh stack per block left the heap of
-    # a 10,011-direction n = 20 suite 2.5 MB larger at its peak
-    stack = np.empty((min(block, len(D)), len(steps), spec.n, spec.n), dtype=complex)
-    for a in range(0, len(D), block):
-        Z = D[a:a + block]  # rows J + tV, V = P Z P^-1: the spectra of X + tZ
-        rows = np.multiply(steps[:, None, None],
-                           _jordan_images(spec, Z, images[a:a + block])[:, None],
-                           out=stack[:len(Z)])
-        rows += J
-        quotients[a:a + block] = (spectral_max(rows, f) - base) / steps
     coeff = slack_coefficient(RADII, quotients, m_max)
     margin = _margin(quotients, coeff[:, None], RADII, m_max, noise)
     gap = (lhs[:, None] - margin).max(axis=1)
     flagged = gap > 0
     diverging = 0
     if flagged.any():  # only a flagged direction needs the growth fit
-        set_aside = _diverging(quotients[flagged])
+        set_aside = _diverging(RADII, quotients[flagged])
         diverging = int(np.count_nonzero(set_aside))
         flagged[flagged] = ~set_aside
     positive = np.where(flagged, gap, 0.0)

@@ -302,7 +302,7 @@ def test_criterion_07_matrix_subderivative_oracle():
         if not math.isfinite(d) or abs(d) < 0.05:
             continue
         checked += 1
-        rep = fd_phi_quotient(spec.synth(), f, Z, t_grid=(1e-3, 1e-4, 1e-5))
+        rep = fd_phi_quotient(spec, f, Z, t_grid=(1e-3, 1e-4, 1e-5))
         equal_ok += abs(rep.extrapolated - d) <= 1e-3 * abs(d)
 
     growth_ok = 0
@@ -314,7 +314,7 @@ def test_criterion_07_matrix_subderivative_oracle():
         g = f.grad(lam)
         V[1, 0] = -1j * g * g  # mu_2 = i g^2 leaves the cone
         Z = spec.Pinv @ V @ spec.P
-        rep = fd_phi_quotient(spec.synth(), f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+        rep = fd_phi_quotient(spec, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
         growth_ok += (subderivative(spec, f, Z) == math.inf and rep.growth_exponent is not None
                       and rep.growth_exponent <= -0.4)
 
@@ -340,7 +340,7 @@ def test_criterion_07_matrix_one_sided_bound():
         V[1, 0] = -rng.uniform(0.2, 1.0) * g * g  # mu_2 = s g^2 with s in [0.2, 1]
         Z = spec.Pinv @ V @ spec.P
         d = subderivative(spec, f, Z)
-        rep = fd_phi_quotient(spec.synth(), f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
+        rep = fd_phi_quotient(spec, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
                               holder_order=2, formula=d)
         bound_ok += math.isfinite(d) and bool(rep.verdict)
     report(7, f"matrix subderivative one-sided bound: {bound_ok}/30", bound_ok == 30)

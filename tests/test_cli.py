@@ -235,7 +235,7 @@ class TestSubderivative:
         spath = paths("S.json", {"eigs": [{"lambda": [0, 0], "blocks": [1, 1]}]})
         Z = np.diag([1.0, -1.0])
         zpath = paths("Z.json", matrix_to_json(Z))
-        fd = fd_phi_quotient(np.zeros((2, 2)), builtin("abscissa"), Z)
+        fd = fd_phi_quotient(JordanSpec([(0.0, (1, 1))]), builtin("abscissa"), Z)
         assert np.allclose(fd.quotients, 1.0)
         code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
         out = capsys.readouterr()
@@ -250,7 +250,7 @@ class TestSubderivative:
         V = np.zeros((3, 3), dtype=complex)
         V[:2, :2] = [[1.0, 0.5], [0.0, -1.0]]
         Z = spec.Pinv @ V @ spec.P
-        fd = fd_phi_quotient(spec.synth(), builtin("abscissa"), Z)
+        fd = fd_phi_quotient(spec, builtin("abscissa"), Z)
         assert np.allclose(fd.quotients, 1.0)
         spath, zpath = paths("S.json", spec_to_json(spec)), paths("Z.json", matrix_to_json(Z))
         code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa"])

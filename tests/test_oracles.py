@@ -39,34 +39,78 @@ SPEC32 = JordanSpec([(1.0 + 0.5j, (3,)), (-0.5 + 0.2j, (2,))],
 
 class TestMatrixQuotients:
     def test_identity_direction_has_unit_quotients(self):
-        rep = fd_phi_quotient(J2.synth(), ABSC, np.eye(2))
+        rep = fd_phi_quotient(J2, ABSC, np.eye(2))
         assert all(q == pytest.approx(1.0, abs=1e-9) for q in rep.quotients)
 
     def test_splitting_direction_grows_like_inverse_sqrt(self):
         E21 = np.zeros((2, 2))
         E21[1, 0] = 1.0
-        rep = fd_phi_quotient(J2.synth(), ABSC, E21,
+        rep = fd_phi_quotient(J2, ABSC, E21,
                               t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
                               formula=math.inf)
         assert rep.growth_exponent == pytest.approx(-0.5, abs=0.05)
         assert rep.growth_exponent <= GROWTH_CUTOFF and rep.verdict
 
     def test_zero_direction(self):
-        rep = fd_phi_quotient(J2.synth(), ABSC, np.zeros((2, 2)))
+        rep = fd_phi_quotient(J2, ABSC, np.zeros((2, 2)))
         assert all(q == 0 for q in rep.quotients)
 
     def test_step_bounds(self):
         with pytest.raises(ValueError):
-            fd_phi_quotient(J2.synth(), ABSC, np.eye(2), t_grid=(0.5,))
+            fd_phi_quotient(J2, ABSC, np.eye(2), t_grid=(0.5,))
+
+    @pytest.mark.parametrize("t_grid", [(1e-3,), ()])
+    def test_fewer_than_two_steps_refused(self, t_grid):
+        # the extrapolation reads the two smallest steps
+        with pytest.raises(ValueError, match="two steps"):
+            fd_phi_quotient(J2, ABSC, np.eye(2), t_grid=t_grid)
+        with pytest.raises(ValueError, match="two steps"):
+            fd_poly_quotient(Poly((0j, 0j, 1 + 0j)), ABSC, Poly((0j, 1 + 0j, 0j)), t_grid=t_grid)
+
+    def test_direction_that_is_not_n_by_n_refused(self):
+        # numpy would broadcast [1, 0] over the rows of J + tZ
+        with pytest.raises(ValueError, match="2x2"):
+            fd_phi_quotient(J2, ABSC, [1.0, 0.0])
+        with pytest.raises(ValueError, match="2x2"):
+            fd_phi_quotient(J2, ABSC, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_direction_refused(self, bad):
+        Z = np.eye(2)
+        Z[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fd_phi_quotient(J2, ABSC, Z)
+
+    def test_minus_inf_formula_passes_the_margin(self):
+        # -inf lies below every margin; only +inf is read by the growth rule
+        rep = fd_phi_quotient(J2, ABSC, np.eye(2), formula=-math.inf)
+        assert all(q == pytest.approx(1.0, abs=1e-9) for q in rep.quotients)
+        assert rep.verdict is True
+        assert fd_phi_quotient(J2, ABSC, np.eye(2), formula=math.inf).verdict is False
+
+    def test_cross_block_coupling_leaves_the_quotient_at_zero(self):
+        # V = E_04 couples J_3(1) to J_2(-0.5+0.3i) above the diagonal, so
+        # J + tV has the spectrum of J at every t; in the basis of X rounding
+        # splits the triple eigenvalue by about eps^(1/3) (about 0.04 here)
+        rng = np.random.default_rng(0)
+        E = np.zeros((5, 5), dtype=complex)
+        E[0, 4] = 1.0
+        for _ in range(20):
+            P = np.eye(5) + 0.25 * (rng.standard_normal((5, 5))
+                                    + 1j * rng.standard_normal((5, 5)))
+            spec = JordanSpec([(1.0, (3,)), (-0.5 + 0.3j, (2,))], P=P)
+            Z = spec.Pinv @ E @ spec.P
+            rep = fd_phi_quotient(spec, ABSC, Z / np.linalg.norm(Z),
+                                  t_grid=(1e-2, 1e-3, 1e-4))
+            assert max(abs(q) for q in rep.quotients) < 1e-6
 
     @pytest.mark.filterwarnings("error")
     def test_matrix_whose_norm_overflows_is_refused(self):
         # |X| reads inf at 1e155, so the noise term would be inf and the
         # formula 1.0 would pass against quotients of -5
-        X = np.array([[1e155, 1.0], [0.0, 1e155]])
         with pytest.raises(DomainError, match="finite"):
-            fd_phi_quotient(X, ABSC, -5 * np.eye(2), formula=1.0)
-        rep = fd_phi_quotient(X / 1e155, ABSC, -5 * np.eye(2), formula=1.0)
+            fd_phi_quotient(JordanSpec([(1e155, (2,))]), ABSC, -5 * np.eye(2), formula=1.0)
+        rep = fd_phi_quotient(JordanSpec([(1.0, (2,))]), ABSC, -5 * np.eye(2), formula=1.0)
         assert rep.verdict is False
 
 
@@ -370,7 +414,7 @@ class TestBatchedSuite:
         assert len(calls) <= 2
         assert calls[-1] == (rep["n_directions"], 3, 5, 5)
         calls.clear()
-        fd_phi_quotient(SPEC32.synth(), ABSC, np.eye(5))
+        fd_phi_quotient(SPEC32, ABSC, np.eye(5))
         assert len(calls) <= 2
 
 

@@ -733,7 +733,7 @@ class TestSubderivativeRadius:
                 Z = np.triu(Z)
             d = subderivative(spec, RAD, Z)
             assert math.isfinite(d) == bool(k % 2)
-            assert fd_phi_quotient(spec.synth(), RAD, Z, holder_order=n, formula=d).verdict
+            assert fd_phi_quotient(spec, RAD, Z, holder_order=n, formula=d).verdict
 
     def test_leading_coordinate_is_ignored(self):
         base = RootCluster((1 + 0j,), (2,))

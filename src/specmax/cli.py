@@ -5,8 +5,11 @@ paper-examples, verify.  Complex numbers travel as [re, im] pairs
 everywhere; results print as JSON (sorted keys, so identical inputs and
 seeds give byte-identical output).
 
-Exit codes: 0 success or member, 1 non-member / failed checks, 2 usage or
-parse error, 3 domain error.
+Exit codes: 0 success or member, 1 non-member / failed checks, 2 usage,
+parse or input error (argparse's refusals and every ValueError: unreadable
+or unwritable files, malformed or non-finite matrices, unknown
+generators), 3 domain error (DomainError).  A ValueError, domain errors
+included, prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import fixtures
 from .cpoly import CLUSTER_TOL, poly_from_json, roots
-from .generators import UnsupportedGenerator, builtin
+from .generators import builtin
 from .jordan import DomainError, matrix_from_json, spec_from_json
 from .oracles import subgradient_inequality_suite
 from .polysub import subderivative_f
@@ -49,11 +52,7 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"cannot read {path}: {exc}")
-
-
-class SystemExit2(Exception):
-    """Usage/parse failure carrying exit code 2."""
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
 def _emit(payload, out) -> None:
@@ -67,15 +66,8 @@ def _write(text: str, out) -> None:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise SystemExit2(f"cannot write {out}: {exc}")
+            raise ValueError(f"cannot write {out}: {exc}")
     print(text)
-
-
-def _generator(name: str):
-    try:
-        return builtin(name)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
 
 
 def _pairs(z: complex):
@@ -86,10 +78,10 @@ def _pairs(z: complex):
 
 
 def cmd_eval(args) -> int:
-    f = _generator(args.f)
+    f = builtin(args.f)
     X = matrix_from_json(_load_json(args.matrix))
     if not np.isfinite(X).all():  # not in spectral_max, which the oracle suite calls per stack
-        raise SystemExit2("matrix must be finite")
+        raise ValueError("matrix must be finite")
     value, cluster, active = spectral_active(X, f)
     payload = {
         "value": value if math.isfinite(value) else "inf",
@@ -103,7 +95,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    f = _generator(args.f)
+    f = builtin(args.f)
     spec = spec_from_json(_load_json(args.spec))
     Y = matrix_from_json(_load_json(args.candidate))
 
@@ -124,7 +116,7 @@ def cmd_membership(args) -> int:
 
 
 def cmd_subderivative(args) -> int:
-    f = _generator(args.f)
+    f = builtin(args.f)
     if args.kind == "poly":
         p = poly_from_json(_load_json(args.base))
         v = poly_from_json(_load_json(args.direction))
@@ -156,7 +148,7 @@ def cmd_paper_examples(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f = _generator(args.f)
+    f = builtin(args.f)
     spec = spec_from_json(_load_json(args.spec))
     report = {"spec": {"n": spec.n, "eigs": [[_pairs(l), list(b)] for l, b in spec.eigs]},
               "generator": f.name, "samples": args.samples, "seed": args.seed}
@@ -279,13 +271,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _DISPATCH[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, UnsupportedGenerator) as exc:
-        if isinstance(exc, DomainError):
-            print(f"domain error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ValueError as exc:  # UnsupportedGenerator included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

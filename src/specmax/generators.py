@@ -186,10 +186,7 @@ class ConvexSet2D:
         if t == 0:
             return ConvexSet2D.point(0j)
         if self.kind == "polygon":
-            vs = self.data
-            if len(vs) == 1:  # every membership query scales a point per active block
-                return ConvexSet2D("polygon", (complex(t * vs[0]),))
-            return ConvexSet2D("polygon", tuple([complex(t * v) for v in vs]))
+            return ConvexSet2D("polygon", tuple([complex(t * v) for v in self.data]))
         if self.kind == "halfplane":
             normal, offset = self.data
             return ConvexSet2D.halfplane(normal, t * offset)

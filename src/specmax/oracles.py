@@ -229,16 +229,10 @@ def fd_phi_quotient(spec: JordanSpec, f, Z, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
     :class:`DomainError` where |X|, and so the noise term, is inf.
     """
     _check_steps(t_grid)
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape != (spec.n, spec.n):
-        raise ValueError(f"direction must be {spec.n}x{spec.n}")
-    if not np.isfinite(Z).all():
-        raise ValueError("direction must be finite")
-    norm = _finite_norm(spec.synth())
+    Z, _ = _candidate(spec, Z, "direction")
     D = Z[None]  # one direction, no exact image
-    base, quotients = _jordan_quotients(spec, f, D, D[:0], t_grid)
-    return _build_report(t_grid, quotients[0], holder_order, formula,
-                         scale=max(1.0, abs(base), norm))
+    scale, quotients = _jordan_quotients(spec, f, D, D[:0], t_grid)
+    return _build_report(t_grid, quotients[0], holder_order, formula, scale)
 
 
 def fd_poly_quotient(p: Poly, f, v: Poly, t_grid=(1e-2, 1e-3, 1e-4, 1e-5),
@@ -316,10 +310,12 @@ def _jordan_images(spec: JordanSpec, Z: np.ndarray, exact: np.ndarray) -> np.nda
 
 def _jordan_quotients(spec: JordanSpec, f, Z: np.ndarray, exact: np.ndarray,
                       steps) -> tuple:
-    """``(phi(J), quotients)``: the quotients (phi(J + tV) - phi(J)) / t,
+    """``(scale, quotients)``: the quotients (phi(J + tV) - phi(J)) / t,
     shape (len(Z), len(steps)), of the directions Z through their images
     V = P Z P^-1 in the Jordan basis, the first ``len(exact)`` of which are
-    ``exact`` (:func:`_jordan_images`)."""
+    ``exact`` (:func:`_jordan_images`), and the scale max(1, |phi(J)|, |X|)
+    of their noise term; :class:`DomainError` where |X| overflows."""
+    norm = _finite_norm(spec.synth())
     J = spec.jordan_matrix()
     base = spectral_max(J, f)
     steps = np.asarray(steps, dtype=float)
@@ -335,7 +331,7 @@ def _jordan_quotients(spec: JordanSpec, f, Z: np.ndarray, exact: np.ndarray,
                            out=stack[:len(chunk)])
         rows += J
         quotients[a:a + block] = (spectral_max(rows, f) - base) / steps
-    return base, quotients
+    return max(1.0, abs(base), norm), quotients
 
 
 def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
@@ -354,9 +350,8 @@ def subgradient_inequality_suite(spec: JordanSpec, f, Y, n_samples: int = 500,
     D[:len(probes)] = probes
     _sample_directions(spec.n, n_samples, seed, out=D[len(probes):])
 
-    norm = _finite_norm(spec.synth())
-    base, quotients = _jordan_quotients(spec, f, D, images, RADII)
-    noise = eval_noise_floor(m_max, max(1.0, abs(base), norm))
+    scale, quotients = _jordan_quotients(spec, f, D, images, RADII)
+    noise = eval_noise_floor(m_max, scale)
     lhs = np.einsum("ki,dki->d", Y.conj(), D).real
     coeff = slack_coefficient(RADII, quotients, m_max)
     margin = _margin(quotients, coeff[:, None], RADII, m_max, noise)

@@ -190,7 +190,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
     share their diagonal values.  Every check's residual is reported, and
     those above ``STRUCT_TOL * max(1, |Y|)`` are the violations; nothing is
     raised but :func:`_candidate`'s refusals and a ValueError where W
-    overflows (:func:`_bounded`).
+    overflows (:func:`_guarded_read`).
 
     The max-|.| numbers (``segment_max``, ``cross_block_zero`` and
     ``subblock_coupling_zero``) are read from one table, the largest entry
@@ -208,14 +208,7 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
     if level not in ("limiting", "regular"):
         raise ValueError("level must be 'limiting' or 'regular'")
     Y, norm = _candidate(spec, Y)
-    if _bounded(spec, norm):
-        W = spec.to_W(Y)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = spec.to_W(Y)
-            top = float(np.abs(W).max())  # NaN where W holds one
-        if not 4 * spec.n * top < _READ_LIMIT:
-            raise ValueError(f"the candidate overflows in W = P^-* Y P^*: largest modulus {top}")
+    W, = _guarded_read(spec, norm, "W = P^-* Y P^*", lambda: (spec.to_W(Y),))
     L = W.tolist()
     names, heads, starts = _segments(spec)
     table = np.maximum.reduceat(np.maximum.reduceat(np.abs(W), starts, axis=1), starts, axis=0)
@@ -258,15 +251,16 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
     return ToeplitzParams(W, theta, residuals, norm, segment_max)
 
 
-def _candidate(spec: JordanSpec, Y) -> tuple:
-    """``(Y, |Y|)`` with Y as a complex array; ValueError unless Y is n x n
-    with a finite norm, which every tolerance scales with."""
+def _candidate(spec: JordanSpec, Y, label: str = "candidate") -> tuple:
+    """``(Y, |Y|)`` with Y as a complex array; ValueError, naming the matrix
+    by ``label``, unless Y is n x n with a finite norm, which every
+    tolerance scales with.  The one check of a candidate or a direction."""
     Y = np.asarray(Y, dtype=complex)
     if Y.shape != (spec.n, spec.n):
-        raise ValueError(f"candidate must be {spec.n}x{spec.n}")
+        raise ValueError(f"{label} must be {spec.n}x{spec.n}")
     norm = _safe_norm(Y)
     if not math.isfinite(norm):
-        raise ValueError(f"candidate must be finite, got norm {norm}")
+        raise ValueError(f"{label} must be finite, got norm {norm}")
     return Y, norm
 
 
@@ -278,11 +272,27 @@ def _bounded(spec: JordanSpec, norm: float) -> bool:
     cond(P) |Y| <= p q |Y| and their image under R within n p q times that,
     and :func:`W_extract`'s sums and deviations of at most n entries within
     4n times W's largest modulus.  So 4n |Y| max(1, p) max(1, q) p q below
-    _READ_LIMIT bounds them all.  Past it, a reading is made with overflow
-    ignored and refused unless 4n times its largest modulus stays below
-    _READ_LIMIT."""
+    _READ_LIMIT bounds them all; past it, :func:`_guarded_read` checks the
+    reading itself."""
     p, q = spec.frob_norms
     return 4 * spec.n * norm * max(1.0, p) * max(1.0, q) * p * q < _READ_LIMIT
+
+
+def _guarded_read(spec: JordanSpec, norm: float, where: str, read) -> tuple:
+    """``read()``: an array formed from a candidate of norm ``norm``,
+    followed by the residual norms of its solve, if any.  It is read as is
+    where :func:`_bounded` holds; past that with overflow ignored, and
+    refused with a ValueError naming ``where`` unless 4n times the array's
+    largest modulus stays below _READ_LIMIT and every residual is finite."""
+    if _bounded(spec, norm):
+        return read()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = read()
+        top = float(np.abs(out[0]).max())  # NaN where the array holds one
+    if not (4 * spec.n * top < _READ_LIMIT and all(map(math.isfinite, out[1:]))):
+        raise ValueError(f"the candidate overflows in {where}: largest modulus {top}"
+                         + "".join(f", residual {r}" for r in out[1:]))
+    return out
 
 
 def _segments(spec: JordanSpec) -> tuple:
@@ -430,16 +440,8 @@ def chain_rule_membership(spec: JordanSpec, f: Generator, Y, horizon: bool = Fal
     g, active = declared_active(spec, f)
     order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
-    rhs = -Y.ravel()
-    if _bounded(spec, norm):
-        v, resid = _chain_coordinates(M, rhs)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            v, resid = _chain_coordinates(M, rhs)
-            top = float(np.abs(v).max())  # NaN where v holds one
-        if not (4 * spec.n * top < _READ_LIMIT and math.isfinite(resid)):
-            raise ValueError(f"the candidate overflows in the chain coordinates: "
-                             f"largest modulus {top}, residual {resid}")
+    v, resid = _guarded_read(spec, norm, "the chain coordinates",
+                             lambda: _chain_coordinates(M, -Y.ravel()))
     if resid > COORD_TOL * max(1.0, norm):
         return False
     triples = list(zip(cluster.roots, cluster.mults, _split_blocks(cluster.mults, v.tolist())))
@@ -464,11 +466,7 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
     a finite n x n matrix."""
     if spec.n0 != 0:
         raise ValueError("derivative action needs the full spectrum declared")
-    Z = np.asarray(Z, dtype=complex)
-    if Z.shape != (spec.n, spec.n):
-        raise ValueError(f"direction must be {spec.n}x{spec.n}")
-    if not np.isfinite(Z).all():
-        raise ValueError("direction must be finite")
+    Z, _ = _candidate(spec, Z, "direction")
     g, active = declared_active(spec, f)
     sizes = [spec.n_j(j) for j in active]
     mu = -(R_matrix(spec, active).conj().T @ Z.ravel())

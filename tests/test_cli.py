@@ -67,13 +67,18 @@ class TestEval:
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        code, _ = run(capsys, ["eval", str(bad), "--f", "radius"])
-        assert code == 2
+        code = main(["eval", str(bad), "--f", "radius"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith(f"error: cannot read {bad}: ")
+        assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
     def test_unknown_generator_exits_2(self, capsys, paths):
         mpath = paths("A.json", matrix_to_json(A))
-        code, _ = run(capsys, ["eval", mpath, "--f", "nope"])
-        assert code == 2
+        code = main(["eval", mpath, "--f", "nope"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert re.fullmatch(r"error: unknown generator 'nope'; choose from \[.*\]\n", out.err)
 
     def test_non_square_matrix_exits_2(self, capsys, paths):
         mpath = paths("R.json", matrix_to_json(np.ones((2, 3))))

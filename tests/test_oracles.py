@@ -21,7 +21,13 @@ from specmax.oracles import (
     slack_coefficient,
     subgradient_inequality_suite,
 )
-from specmax.specsub import chain_rule_membership, rsd_membership, rsd_sample, spectral_max
+from specmax.specsub import (
+    chain_rule_membership,
+    rsd_membership,
+    rsd_sample,
+    spectral_max,
+    subderivative,
+)
 
 ABSC = builtin("abscissa")
 RAD = builtin("radius")
@@ -67,26 +73,27 @@ class TestMatrixQuotients:
         with pytest.raises(ValueError, match="two steps"):
             fd_poly_quotient(Poly((0j, 0j, 1 + 0j)), ABSC, Poly((0j, 1 + 0j, 0j)), t_grid=t_grid)
 
-    def test_direction_that_is_not_n_by_n_refused(self):
-        # numpy would broadcast [1, 0] over the rows of J + tZ
-        with pytest.raises(ValueError, match="2x2"):
-            fd_phi_quotient(J2, ABSC, [1.0, 0.0])
-        with pytest.raises(ValueError, match="2x2"):
-            fd_phi_quotient(J2, ABSC, np.eye(3))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_direction_refused(self, bad):
-        Z = np.eye(2)
-        Z[0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            fd_phi_quotient(J2, ABSC, Z)
-
     def test_minus_inf_formula_passes_the_margin(self):
         # -inf lies below every margin; only +inf is read by the growth rule
         rep = fd_phi_quotient(J2, ABSC, np.eye(2), formula=-math.inf)
         assert all(q == pytest.approx(1.0, abs=1e-9) for q in rep.quotients)
         assert rep.verdict is True
         assert fd_phi_quotient(J2, ABSC, np.eye(2), formula=math.inf).verdict is False
+
+    @pytest.mark.parametrize("delta", [
+        pytest.param(1e-4, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 8: the quotients 1 + sqrt(delta / t) read 1.10, "
+            "1.32, 2.00 and 4.16 over the default steps, a log-log slope of -0.19 above "
+            "GROWTH_CUTOFF, so the +inf formula reads as refuted before the split sets in")),
+        1e-3,  # slope -0.31: confirmed
+    ])
+    def test_late_split_is_not_refuted(self, delta):
+        # Z = I + delta E21 splits the double eigenvalue: the quotient is
+        # 1 + sqrt(delta / t), which diverges for every delta > 0
+        Z = np.array([[1.0, 0.0], [delta, 1.0]])
+        formula = subderivative(J2, ABSC, Z)
+        assert formula == math.inf
+        assert fd_phi_quotient(J2, ABSC, Z, holder_order=2, formula=formula).verdict is not False
 
     def test_cross_block_coupling_leaves_the_quotient_at_zero(self):
         # V = E_04 couples J_3(1) to J_2(-0.5+0.3i) above the diagonal, so

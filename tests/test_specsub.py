@@ -16,7 +16,7 @@ from specmax.jordan import (
     nilpotent,
     spec_to_json,
 )
-from specmax.oracles import subgradient_inequality_suite
+from specmax.oracles import fd_phi_quotient, subgradient_inequality_suite
 from specmax.specsub import (
     INEQ_SLACK,
     STRUCT_TOL,
@@ -33,6 +33,7 @@ from specmax.specsub import (
     rsd_sample,
     spectral_active,
     spectral_max,
+    subderivative,
 )
 
 ABSC = builtin("abscissa")
@@ -371,6 +372,44 @@ class TestWExtract:
             W_extract(A_SPEC, Y, level=level)
         with pytest.raises(ValueError, match="finite"):
             rsd_recession_membership(A_SPEC, ABSC, np.full((3, 3), np.nan))
+
+
+def _with_entry(value) -> np.ndarray:
+    M = np.eye(2, dtype=complex)
+    M[0, 1] = value
+    return M
+
+
+# every entry that takes a matrix of the spec's shape, a candidate or a direction
+MATRIX_ENTRIES = {
+    "W_extract-limiting": lambda M: W_extract(J2, M, level="limiting"),
+    "W_extract-regular": lambda M: W_extract(J2, M, level="regular"),
+    "rsd_membership": lambda M: rsd_membership(J2, ABSC, M),
+    "rsd_recession_membership": lambda M: rsd_recession_membership(J2, ABSC, M),
+    "radius_rsd_membership": lambda M: radius_rsd_membership(J2, M),
+    "chain_rule_membership": lambda M: chain_rule_membership(J2, ABSC, M),
+    "subgradient_inequality_suite": lambda M: subgradient_inequality_suite(J2, ABSC, M),
+    "subderivative": lambda M: subderivative(J2, ABSC, M),
+    "fd_phi_quotient": lambda M: fd_phi_quotient(J2, ABSC, M),
+}
+MALFORMED = [
+    pytest.param([1.0, 0.0], "must be 2x2", id="row"),  # numpy would broadcast it
+    pytest.param(np.eye(3), "must be 2x2", id="3x3"),
+    pytest.param(_with_entry(np.nan), "must be finite, got norm", id="nan"),
+    pytest.param(_with_entry(np.inf), "must be finite, got norm", id="inf"),
+]
+
+
+class TestMatrixGate:
+    """specsub._candidate is the one shape-and-finiteness check of the
+    matrices the calculus takes; a direction is named as such."""
+
+    @pytest.mark.parametrize("M,message", MALFORMED)
+    @pytest.mark.parametrize("entry", list(MATRIX_ENTRIES))
+    def test_malformed_matrix_refused(self, entry, M, message):
+        label = "direction" if entry in ("subderivative", "fd_phi_quotient") else "candidate"
+        with pytest.raises(ValueError, match=f"^{label} {message}"):
+            MATRIX_ENTRIES[entry](M)
 
 
 class TestRsdMembership:

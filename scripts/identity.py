@@ -14,7 +14,11 @@ and a 64-bit digest of its result.  Results are digested bit for bit:
 floats and complex numbers through their exact repr, arrays through their
 bytes.  The corpus also holds the sha256 of the stdout of ``specmax
 paper-examples --json`` and of ``scripts/verify_random_specs.py`` with its
-defaults.
+defaults, and the CLI's error paths: each case writes its input files into
+a temporary directory, runs ``cli.main`` in-process with that directory as
+the working directory (so paths in messages stay relative), and is stored
+as its exit code (or ``raised:<type>`` for an uncaught exception), the
+sha256 of its stdout, its stderr text and the warnings it raised.
 
 LAPACK's last bits depend on the library build and the host, so the file
 records the Python, numpy and scipy versions, numpy's BLAS and LAPACK and
@@ -36,6 +40,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -106,6 +111,88 @@ def run_ops(workdir: str) -> dict:
     return out
 
 
+def _matrix(rows) -> list:
+    """Matrix JSON, [re, im] pairs, of a real matrix."""
+    return [[[float(x), 0.0] for x in row] for row in rows]
+
+
+_A = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}, {"lambda": [-1.0, 0.0], "blocks": [1]}]}
+_J2 = {"eigs": [{"lambda": [0.0, 0.0], "blocks": [2]}]}
+_NAN3 = _matrix(np.full((3, 3), np.nan))
+_EYE2 = _matrix(np.eye(2))
+_HUGE2 = _matrix([[1.5e308, 1.5e308], [0, 0]])
+# |Y| is finite, but W = P^-* Y P^* would read 4e308 below the diagonal
+_W_OVER_SPEC = dict(_A, P=_matrix(np.diag([2.0, 0.5, 1.0])))
+_W_OVER_Y = _matrix([[0.5, 0, 0], [1e308, 0.5, 0], [0, 0, 0]])
+
+# name: (argv, {file name: JSON payload, or raw text for a str})
+CLI_CASES = {
+    "eval malformed JSON": (["eval", "bad.json", "--f", "abscissa"], {"bad.json": "{"}),
+    "eval missing JSON": (["eval", "missing.json", "--f", "abscissa"], {}),
+    "eval unknown generator": (["eval", "I.json", "--f", "nope"], {"I.json": _EYE2}),
+    "eval NaN matrix": (["eval", "N.json", "--f", "abscissa"],
+                        {"N.json": _matrix([[np.nan, 0], [0, 1]])}),
+    "eval non-square matrix": (["eval", "R.json", "--f", "abscissa"],
+                               {"R.json": _matrix([[1, 0]])}),
+    "eval unwritable --out": (["eval", "I.json", "--f", "abscissa", "--out", "nodir/out.json"],
+                              {"I.json": _EYE2}),
+    "membership wrong-shape candidate": (
+        ["membership", "A.json", "Y.json", "--f", "abscissa", "--set", "chain"],
+        {"A.json": _A, "Y.json": _EYE2}),
+    "membership NaN candidate": (["membership", "A.json", "Y.json", "--f", "abscissa"],
+                                 {"A.json": _A, "Y.json": _NAN3}),
+    "membership W overflow": (["membership", "S.json", "Y.json", "--f", "abscissa"],
+                              {"S.json": _W_OVER_SPEC, "Y.json": _W_OVER_Y}),
+    "membership chain overflow": (
+        ["membership", "S.json", "Y.json", "--f", "abscissa", "--set", "chain"],
+        {"S.json": _W_OVER_SPEC, "Y.json": _W_OVER_Y}),
+    "membership candidate norm overflows": (["membership", "J.json", "Y.json", "--f", "abscissa"],
+                                            {"J.json": _J2, "Y.json": _HUGE2}),
+    "subderivative NaN direction": (
+        ["subderivative", "matrix", "A.json", "Z.json", "--f", "abscissa"],
+        {"A.json": _A, "Z.json": _NAN3}),
+    "subderivative wrong-shape direction": (
+        ["subderivative", "matrix", "A.json", "Z.json", "--f", "abscissa"],
+        {"A.json": _A, "Z.json": _EYE2}),
+    "subderivative direction norm overflows": (
+        ["subderivative", "matrix", "J.json", "Z.json", "--f", "abscissa"],
+        {"J.json": _J2, "Z.json": _HUGE2}),
+    "verify norm overflows": (["verify", "J.json", "--f", "abscissa", "--samples", "100"],
+                              {"J.json": {"eigs": [{"lambda": [1e155, 0.0], "blocks": [2]}]}}),
+    "verify radius2 tiny eigenvalue": (
+        ["verify", "T.json", "--f", "radius2", "--samples", "100"],
+        {"T.json": {"eigs": [{"lambda": [1e-100, 0.0], "blocks": [2]}]}}),
+    "verify radius2 witness refusal": (
+        ["verify", "D.json", "--f", "radius2"],
+        {"D.json": {"eigs": [{"lambda": [0.0, 0.0], "blocks": [1, 1]}]}}),
+}
+
+
+def cli_case(argv: list, files: dict) -> dict:
+    """One CLI case, run in a fresh temporary working directory."""
+    cwd = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, payload in files.items():
+            text = payload if isinstance(payload, str) else json.dumps(payload)
+            Path(workdir, name).write_text(text)
+        os.chdir(workdir)
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:  # a traceback on the command line
+                    code = f"raised:{type(exc).__name__}"
+                    print(exc, file=sys.stderr)
+        finally:
+            os.chdir(cwd)
+    return {"exit": code, "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": err.getvalue(),
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
+
+
 def paper_examples() -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -123,11 +210,12 @@ def collect() -> dict:
         with tempfile.TemporaryDirectory() as workdir:
             ops = run_ops(workdir)
         outputs = {"paper-examples --json": paper_examples()}
+        cases = {name: cli_case(*case) for name, case in CLI_CASES.items()}
     finally:
         stdout, _ = sweep.communicate()
     outputs["scripts/verify_random_specs.py"] = hashlib.sha256(stdout).hexdigest()
     return {"environment": environment(), "seeds": list(SEEDS), "passes": PASSES,
-            "outputs": outputs, "ops": ops}
+            "outputs": outputs, "cli": cases, "ops": ops}
 
 
 def compare(old: dict, new: dict) -> list:
@@ -135,6 +223,12 @@ def compare(old: dict, new: dict) -> list:
     workload and op kind."""
     lines = [f"output {name}: {old['outputs'].get(name)} -> {digest}"
              for name, digest in new["outputs"].items() if old["outputs"].get(name) != digest]
+    was = old.get("cli", {})
+    for name, case in new["cli"].items():
+        if was.get(name) != case:
+            lines.append(f"cli {name}:")
+            lines += [f"    {key}: {was.get(name, {}).get(key, 'missing')!r} -> {value!r}"
+                      for key, value in case.items() if was.get(name, {}).get(key) != value]
     for name in WORKLOADS:
         was, now = old["ops"].get(name, {}), new["ops"][name]
         groups = defaultdict(list)
@@ -174,11 +268,12 @@ def main(argv=None) -> int:
     count = sum(len(ops) for ops in new["ops"].values())
     if args.write:
         CORPUS.write_text(json.dumps(new, indent=1) + "\n")
-        print(f"wrote {count} ops and {len(new['outputs'])} outputs to {CORPUS.name}")
+        print(f"wrote {count} ops, {len(new['outputs'])} outputs and {len(new['cli'])} "
+              f"CLI cases to {CORPUS.name}")
         return 0
     changes = compare(old, new)
-    print("\n".join(changes) if changes else f"identical: {count} ops and "
-          f"{len(new['outputs'])} outputs")
+    print("\n".join(changes) if changes else f"identical: {count} ops, "
+          f"{len(new['outputs'])} outputs and {len(new['cli'])} CLI cases")
     return 1 if changes else 0
 
 

@@ -393,23 +393,18 @@ def _sum(xs) -> float:
     return total
 
 
-def Dp_sample(cluster: RootCluster, f: Generator, gamma=None, seed: int = 0) -> np.ndarray:
+def Dp_sample(cluster: RootCluster, f: Generator, seed: int = 0) -> np.ndarray:
     """A point of the subgradient coordinate set (always a member)."""
     g, active = active_roots(f, cluster.roots)
-    return _sample(cluster, g, active, gamma, seed)
+    return _sample(cluster, g, active, seed)
 
 
-def _sample(cluster: RootCluster, f: Generator, active: list, gamma, seed: int) -> np.ndarray:
+def _sample(cluster: RootCluster, f: Generator, active: list, seed: int) -> np.ndarray:
     """The body of :func:`Dp_sample` for a transformed generator f and its
-    active roots, the increasing indices ``active``; ``gamma`` are weights
-    over them (a random point of the simplex by default)."""
+    active roots, the increasing indices ``active``, with weights drawn from
+    the simplex over them."""
     rng = np.random.default_rng(seed)
-    if gamma is None:
-        gamma = rng.dirichlet(np.ones(len(active)))
-    gamma = np.asarray(gamma, dtype=float)
-    if (gamma.shape != (len(active),) or not gamma.min() >= 0
-            or not abs(gamma.sum() - 1) <= SIMPLEX_TOL):  # NaN fails both
-        raise ValueError("weights must be a point of the active simplex")
+    gamma = rng.dirichlet(np.ones(len(active)))
     c = np.zeros(cluster.degree() + 1, dtype=complex)
     blocks = _split_blocks(cluster.mults, c[1:])  # views into c
     for j, g in zip(active, gamma):

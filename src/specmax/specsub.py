@@ -254,12 +254,15 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
 def _candidate(spec: JordanSpec, Y, label: str = "candidate") -> tuple:
     """``(Y, |Y|)`` with Y as a complex array; ValueError, naming the matrix
     by ``label``, unless Y is n x n with a finite norm, which every
-    tolerance scales with.  The one check of a candidate or a direction."""
+    tolerance scales with: finite entries whose norm overflows are refused
+    as such.  The one check of a candidate or a direction."""
     Y = np.asarray(Y, dtype=complex)
     if Y.shape != (spec.n, spec.n):
         raise ValueError(f"{label} must be {spec.n}x{spec.n}")
     norm = _safe_norm(Y)
     if not math.isfinite(norm):
+        if np.isfinite(Y).all():
+            raise ValueError(f"{label} has finite entries, but its norm overflows")
         raise ValueError(f"{label} must be finite, got norm {norm}")
     return Y, norm
 
@@ -381,45 +384,18 @@ def rsd_recession_membership(spec: JordanSpec, f: Generator, Y) -> MembershipRep
     return _membership(spec, declared_active(spec, f), params, horizon=True)
 
 
-def rsd_sample(spec: JordanSpec, f: Generator, gamma=None, theta2=None,
-               seed: int = 0) -> np.ndarray:
+def rsd_sample(spec: JordanSpec, f: Generator, seed: int = 0) -> np.ndarray:
     """Construct a regular subgradient: a point of the active factor's
     coordinate set drawn by :func:`polysub.Dp_sample`'s sampler on the
     active eigenvalues of :func:`jordan.declared_active`, mapped through R.
-
-    ``gamma`` are convex weights over the active eigenvalues, listed in the
-    spec's declared order (a random point of the simplex by default).
-    ``theta2`` maps active eigenvalue indices to subdiagonal values of W,
-    which replace the drawn ones; ValueError is raised for a key that is
-    not the index of an active eigenvalue of size at least two, and when
-    the result fails :func:`rsd_membership`.  The active eigenvalues must
-    be nonderogatory; both regimes of f are supported.
+    The active eigenvalues must be nonderogatory; both regimes of f are
+    supported.
     """
     g, active = declared_active(spec, f)
     order, cluster = _lex_cluster(spec, active)
     M = R_matrix(spec, order)  # raises on derogatory active eigenvalues
-    theta2 = dict(theta2 or {})
-    wide = {j for j in active if spec.n_j(j) >= 2}
-    stray = [j for j in theta2 if j not in wide]
-    if stray:
-        raise ValueError(f"theta2 keys {stray} are not active eigenvalues with a "
-                         f"block of size at least two")
-    if gamma is not None:
-        gamma = np.asarray(gamma, dtype=float).ravel()
-        if gamma.size != len(active):
-            raise ValueError("gamma needs one weight per active eigenvalue")
-        gamma = gamma[[active.index(j) for j in order]]
-    c = _sample(cluster, g, list(range(len(order))), gamma, seed)
-    for j, block in zip(order, _split_blocks(cluster.mults, c[1:])):
-        if j in theta2:
-            block[1] = -complex(theta2[j])  # block is a view into c
-    Y = -(M @ c[1:]).reshape(spec.n, spec.n)
-    if theta2:
-        report = rsd_membership(spec, f, Y)
-        if not report.verdict:
-            raise ValueError("the subdiagonal values leave the subgradient set: "
-                             + ", ".join(v.condition for v in report.failed))
-    return Y
+    c = _sample(cluster, g, list(range(len(order))), seed)
+    return -(M @ c[1:]).reshape(spec.n, spec.n)
 
 
 # -- chain rule route -----------------------------------------------------------

@@ -450,6 +450,13 @@ class TestVerify:
         assert code == 0 and payload["ok"]
         assert payload["cross_route_failures"] == 0 and payload["violations"] == 0
 
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                       reason="ROADMAP item 23: rsd_sample divides by |lambda|^4, radius2's "
+                       "halfplane normal squared, which underflows to 0 at lambda = 1e-100")
+    def test_tiny_eigenvalue_under_radius2_passes(self, capsys, paths):
+        spath = paths("T.json", {"eigs": [{"lambda": [1e-100, 0.0], "blocks": [2]}]})
+        assert main(["verify", spath, "--f", "radius2", "--samples", "100"]) == 0
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 8: the slack is calibrated from "
                        "the maximizing branch only, so a second branch with the larger "
                        "derivative, which takes over only below t = 1e-4, is missed")

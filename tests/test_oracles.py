@@ -533,14 +533,19 @@ class TestJordanBasis:
 def _large_subdiagonal_member(case, f, theta):
     """A member of both routes whose W subdiagonal is theta times the unit
     ∇f(λ)²/|∇f(λ)²| at each active block, P = I: both blocks of J_3(1) ⊕
-    J_2(1+0.5i) under the abscissa, only J_2(1+0.5i) under the radii."""
+    J_2(1+0.5i) under the abscissa, only J_2(1+0.5i) under the radii.  It
+    is a sampled member with every first-subdiagonal entry of each active
+    block set to that value."""
     if case == "J2(0)+[-1]":
         spec = JordanSpec([(0j, (2,)), (-1.0, (1,))])
-        return spec, rsd_sample(spec, f, seed=1, theta2={0: theta})
-    spec = JordanSpec([(1.0, (3,)), (1 + 0.5j, (2,))])
-    grads = {j: f.grad(spec.eig_value(j)) for j in declared_active(spec, f)[1]}
-    theta2 = {j: theta * g * g / abs(g * g) for j, g in grads.items()}
-    return spec, rsd_sample(spec, f, seed=1, theta2=theta2)
+    else:
+        spec = JordanSpec([(1.0, (3,)), (1 + 0.5j, (2,))])
+    W = spec.to_W(rsd_sample(spec, f, seed=1))
+    for j in declared_active(spec, f)[1]:
+        g = f.grad(spec.eig_value(j))
+        sl = spec.eig_slice(j)
+        np.fill_diagonal(W[sl, sl][1:], theta * g * g / abs(g * g))  # writes through to W
+    return spec, spec.from_W(W)
 
 
 DIVERGING = [pytest.param("J2(0)+[-1]", ABSC, theta, id=f"J2(0)+[-1]-abscissa-{theta}")

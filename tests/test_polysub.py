@@ -509,17 +509,6 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             _member(cluster, ABSC, c, horizon)
 
-    @pytest.mark.parametrize("gamma", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]])
-    def test_weights_rejected(self, gamma):
-        with pytest.raises(ValueError, match="simplex"):
-            Dp_sample(RootCluster((1 + 0j, 1 + 1j), (2, 1)), ABSC, gamma=gamma)
-
-    @pytest.mark.parametrize("gamma", [[[1.0]], np.array(1.0)], ids=["2-d", "0-d"])
-    def test_weights_of_another_shape_rejected(self, gamma):
-        # one active root: the weight count matches, the shape does not
-        with pytest.raises(ValueError, match="simplex"):
-            Dp_sample(RootCluster((1.0,), (2,)), RAD2, gamma=gamma)
-
     @pytest.mark.filterwarnings("error")
     def test_finite_coordinates_whose_norm_overflows_are_judged(self):
         simple = RootCluster((1 + 0j,), (1,))

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from specmax import cpoly, jordan, polysub, specsub
 from specmax.cli import main
 from specmax.fixtures import fixture_derogatory
-from specmax.generators import UnsupportedGenerator, builtin, make_generator
+from specmax.generators import ConvexSet2D, UnsupportedGenerator, builtin, make_generator
 from specmax.jordan import (
     DerogatoryEigenvalue,
     JordanSpec,
@@ -411,6 +412,78 @@ class TestMatrixGate:
         with pytest.raises(ValueError, match=f"^{label} {message}"):
             MATRIX_ENTRIES[entry](M)
 
+    @pytest.mark.parametrize("entry", ["rsd_membership", "subderivative"])
+    def test_finite_matrix_whose_norm_overflows_refused(self, entry):
+        label = "direction" if entry == "subderivative" else "candidate"
+        M = np.array([[1.5e308, 1.5e308], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match=f"^{label} has finite entries, but its norm "
+                                             f"overflows$"):
+            MATRIX_ENTRIES[entry](M)
+
+
+# every input refusal of the public constructors and entries that no other
+# test reaches: (call, exception, message prefix)
+INPUT_REFUSALS = {
+    "spec-without-eigenvalues": (lambda: JordanSpec([]), ValueError, "a spec needs at least"),
+    "spec-non-square-rest": (lambda: JordanSpec([(1.0, (1,))], B=np.zeros((1, 2))),
+                             ValueError, "rest block must be square"),
+    "spec-similarity-of-another-size": (lambda: JordanSpec([(1.0, (1,))], P=np.eye(2)),
+                                        ValueError, "similarity must be 1x1"),
+    "matrix_from_json-empty": (lambda: jordan.matrix_from_json([]), ValueError,
+                               "matrix JSON must be a list of rows"),
+    "poly-without-coefficients": (lambda: cpoly.Poly(()), ValueError,
+                                  "polynomial needs at least one coefficient"),
+    "poly_from_json-nan": (lambda: cpoly.poly_from_json(json.loads("[[NaN, 0], [1, 0]]")),
+                           ValueError, "malformed polynomial JSON: polynomial coefficients "
+                           "must be finite"),
+    "poly-padded-below-degree": (lambda: cpoly.Poly((1, 2)).padded(0), ValueError,
+                                 "cannot shrink the degree bound"),
+    "cluster-lengths": (lambda: cpoly.RootCluster((1, 2), (1,)), ValueError,
+                        "roots and multiplicities must have equal length"),
+    "cluster-zero-multiplicity": (lambda: cpoly.RootCluster((1,), (0,)), ValueError,
+                                  "multiplicities must be positive"),
+    "cluster-unordered": (lambda: cpoly.RootCluster((2, 1), (1, 1)), ValueError,
+                          "roots must be strictly increasing in lex order"),
+    "poly_root_max-constant": (lambda: cpoly.poly_root_max(cpoly.Poly((1,)), ABSC), ValueError,
+                               "constant polynomial: no roots"),
+    "active_roots-empty": (lambda: cpoly.active_roots(ABSC, []), ValueError,
+                           "no root or declared eigenvalue"),
+    "spectral_max-empty": (lambda: spectral_max(np.zeros((0, 0)), ABSC), ValueError,
+                           "empty matrix: no eigenvalues"),
+    "spectral_active-stack": (lambda: spectral_active(np.zeros((2, 2, 2)), ABSC), ValueError,
+                              "spectral_active takes one square matrix"),
+    "W_extract-level": (lambda: W_extract(J2, np.eye(2) / 2, level="x"), ValueError,
+                        "level must be 'limiting' or 'regular'"),
+    "fd_phi_quotient-steps": (lambda: fd_phi_quotient(J2, ABSC, np.eye(2), t_grid=(0.5, 0.01)),
+                              ValueError, "steps must lie in"),
+    "halfplane-zero-normal": (lambda: ConvexSet2D.halfplane(0, 0), ValueError,
+                              "halfplane needs a nonzero normal"),
+    "disk-negative-radius": (lambda: ConvexSet2D.disk(-1), ValueError,
+                             "disk radius must be nonnegative"),
+    "segment-the_point": (lambda: ConvexSet2D.segment(0, 1).the_point(), ValueError,
+                          "set is not a singleton"),
+    "point-scaled-negative": (lambda: ConvexSet2D.point(1).scaled(-1), ValueError,
+                              "scaling factor must be nonnegative"),
+    "witness-zero-gradient": (lambda: derogatory_witness(JordanSpec([(0.0, (1, 1))]), RAD2),
+                              UnsupportedGenerator, "witness needs a nonzero gradient"),
+}
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("entry", list(INPUT_REFUSALS))
+    def test_refused(self, entry):
+        call, exc, message = INPUT_REFUSALS[entry]
+        with pytest.raises(exc, match=f"^{re.escape(message)}"):
+            call()
+
+    def test_verify_names_the_witness_refusal(self, capsys, tmp_path):
+        path = tmp_path / "S.json"
+        path.write_text(json.dumps(spec_to_json(JordanSpec([(0.0, (1, 1))]))))
+        assert main(["verify", str(path), "--f", "radius2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: witness needs a nonzero gradient of radius2 at 0j\n"
+
 
 class TestRsdMembership:
     def test_halfplane_on_the_subdiagonal(self):
@@ -519,26 +592,26 @@ class TestRecession:
 
 class TestRsdSample:
     def test_explicit_single_block(self):
-        Y = rsd_sample(J2, ABSC, gamma=[1.0], theta2={0: 0.0})
-        assert np.allclose(Y, np.eye(2) / 2)
-        # under the radius, too, the override is W's own subdiagonal at rho = 2
-        spec = JordanSpec([(2.0, (2,)), (-0.5, (1,))])
-        for f in (RAD, RAD2):
-            W = spec.to_W(rsd_sample(spec, f, gamma=[1.0], theta2={0: 0.1}))
-            assert W[1, 0] == pytest.approx(0.1, abs=1e-14)
+        # one active block carries all the weight: W's diagonal is 1/2 up to
+        # the one-point simplex draw, which reads 1 or 1 - 2^-53
+        for s in range(20):
+            W = J2.to_W(rsd_sample(J2, ABSC, seed=s))
+            assert W[0, 1] == 0 and W[0, 0] == W[1, 1], s
+            assert W[0, 0].imag == 0 and abs(W[0, 0] - 0.5) <= 2 ** -54, s
 
     def test_two_active_modulus_squared_diagonals(self):
-        # gamma follows the declared order: eigenvalue 1 first, then -1
-        Y = rsd_sample(A_SPEC, RAD2, gamma=[0.25, 0.75], theta2={0: 0.0})
-        W = A_SPEC.to_W(Y)
-        assert W[0, 0] == pytest.approx(0.25 * 1.0 / 2)
-        assert W[2, 2] == pytest.approx(0.75 * (-1.0) / 1)
+        # the weights read back as W_jj n_j / grad f(lambda_j) lie on the simplex
+        for s in range(20):
+            W = A_SPEC.to_W(rsd_sample(A_SPEC, RAD2, seed=s))
+            gamma = [W[k, k] * n_j / RAD2.grad(lam) for k, n_j, lam in [(0, 2, 1.0), (2, 1, -1.0)]]
+            assert all(g.imag == 0 and g.real >= 0 for g in gamma), (s, gamma)
+            assert abs(sum(gamma) - 1) <= polysub.SIMPLEX_TOL, (s, gamma)
 
     def test_boundary_weight_gives_zero_block_and_still_member(self):
-        Y = rsd_sample(A_SPEC, RAD2, gamma=[1.0, 0.0], theta2={0: 0.0}, seed=1)
-        W = A_SPEC.to_W(Y)
-        assert abs(W[2, 2]) < 1e-15
+        # gamma = (1, 0): the block of -1 is zero, and the member stays one
+        Y = A_SPEC.from_W(np.diag([0.5, 0.5, 0.0]).astype(complex))
         assert rsd_membership(A_SPEC, RAD2, Y).verdict
+        assert chain_rule_membership(A_SPEC, RAD2, Y)
 
     def test_every_sample_is_a_member(self):
         rng = np.random.default_rng(3)
@@ -550,44 +623,36 @@ class TestRsdSample:
                     assert rsd_membership(spec, f, Y).verdict
 
     def test_invalid_subdiagonal_rejected(self):
-        with pytest.raises(ValueError):
-            rsd_sample(J2, ABSC, gamma=[1.0], theta2={0: -0.5})
-        # the radius's halfplane at lambda = 2 ends at theta_2 = -1/4; read
-        # as a radius2 coordinate, -0.3 would land inside it at -0.15
-        with pytest.raises(ValueError):
-            rsd_sample(JordanSpec([(2.0, (2,)), (-0.5, (1,))]), RAD, gamma=[1.0],
-                       theta2={0: -0.3})
+        W = np.array([[0.5, 0], [-0.5, 0.5]], dtype=complex)
+        assert not rsd_membership(J2, ABSC, W).verdict
+        assert not chain_rule_membership(J2, ABSC, W)
+        # the radius's halfplane at lambda = 2 ends at W's subdiagonal -1/4,
+        # in the radius's own units; read as a radius2 coordinate, -0.3
+        # would land inside it at -0.15
+        spec = JordanSpec([(2.0, (2,)), (-0.5, (1,))])
+        for t, member in [(-0.3, False), (-0.25, True), (-0.2, True)]:
+            W = np.zeros((3, 3), dtype=complex)
+            W[0, 0] = W[1, 1] = 0.5
+            W[1, 0] = t
+            Y = spec.from_W(W)
+            assert rsd_membership(spec, RAD, Y).verdict is member, t
+            assert chain_rule_membership(spec, RAD, Y) is member, t
 
     def test_derogatory_active_rejected(self):
         with pytest.raises(DerogatoryEigenvalue):
             rsd_sample(B_SPEC, RAD2)
 
-    # a key that could not take effect names itself instead of leaving the
-    # drawn sample, which is a member, as it is
-    @pytest.mark.parametrize("spec,key", [
-        (JordanSpec([(2.0, (2,)), (-0.5, (2,))]), 1),  # inactive under radius2
-        (A_SPEC, 1),  # active, a block of size 1
-        (A_SPEC, 2),  # out of range
-        (A_SPEC, -1),
-        (A_SPEC, 0.5),  # not an index
-        (A_SPEC, "0"),
-    ], ids=["inactive", "size-1", "out-of-range", "negative", "fraction", "string"])
-    def test_key_without_effect_rejected(self, spec, key):
-        with pytest.raises(ValueError, match=f"theta2 keys \\[{key!r}\\]"):
-            rsd_sample(spec, RAD2, theta2={0: 0.0, key: 0.0})
-
-    @pytest.mark.parametrize("gamma", [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf]])
-    def test_non_finite_weights_rejected(self, gamma):
-        with pytest.raises(ValueError, match="simplex"):
-            rsd_sample(A_SPEC, RAD2, gamma=gamma)
-
-    def test_weights_of_any_shape_are_flattened(self):
-        Y = rsd_sample(A_SPEC, RAD2, gamma=[0.3, 0.7], seed=4)
-        assert np.array_equal(rsd_sample(A_SPEC, RAD2, gamma=[[0.3, 0.7]], seed=4), Y)
-        one = JordanSpec([(1.0, (2,)), (0.2, (1,))])
-        Y = rsd_sample(one, RAD2, gamma=[1.0], seed=4)
-        for gamma in ([[1.0]], np.array(1.0)):
-            assert np.array_equal(rsd_sample(one, RAD2, gamma=gamma, seed=4), Y)
+    @pytest.mark.xfail(strict=True, raises=(ZeroDivisionError, ValueError),
+                       reason="ROADMAP item 23: radius2's halfplane at J_2(lambda) has the "
+                       "normal lambda^2, whose squared modulus underflows to 0 in "
+                       "polysub._sample_set from |lambda| <= 1e-85 and which itself "
+                       "underflows from |lambda| <= 1e-165")
+    @pytest.mark.parametrize("lam", [1e-100, 1e-170])
+    def test_tiny_eigenvalue_sample_is_a_member(self, lam):
+        spec = JordanSpec([(lam, (2,))])
+        Y = rsd_sample(spec, RAD2, seed=0)
+        assert rsd_membership(spec, RAD2, Y).verdict
+        assert chain_rule_membership(spec, RAD2, Y)
 
 
 class TestChainRule:

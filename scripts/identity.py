@@ -14,9 +14,10 @@ and a 64-bit digest of its result.  Results are digested bit for bit:
 floats and complex numbers through their exact repr, arrays through their
 bytes.  The corpus also holds the sha256 of the stdout of ``specmax
 paper-examples --json`` and of ``scripts/verify_random_specs.py`` with its
-defaults, and the CLI's error paths: each case writes its input files into
-a temporary directory, runs ``cli.main`` in-process with that directory as
-the working directory (so paths in messages stay relative), and is stored
+defaults, and the CLI's error paths and edge inputs: each case writes its
+input files into a temporary directory, runs ``cli.main`` in-process with
+that directory as the working directory (so paths in messages stay
+relative), and is stored
 as its exit code (or ``raised:<type>`` for an uncaught exception), the
 sha256 of its stdout, its stderr text and the warnings it raised.
 
@@ -118,6 +119,8 @@ def _matrix(rows) -> list:
 
 _A = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}, {"lambda": [-1.0, 0.0], "blocks": [1]}]}
 _J2 = {"eigs": [{"lambda": [0.0, 0.0], "blocks": [2]}]}
+_A1 = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}]}  # J_2(1)
+_LAM2 = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # lambda^2
 _NAN3 = _matrix(np.full((3, 3), np.nan))
 _EYE2 = _matrix(np.eye(2))
 _HUGE2 = _matrix([[1.5e308, 1.5e308], [0, 0]])
@@ -157,6 +160,15 @@ CLI_CASES = {
     "subderivative direction norm overflows": (
         ["subderivative", "matrix", "J.json", "Z.json", "--f", "abscissa"],
         {"J.json": _J2, "Z.json": _HUGE2}),
+    "subderivative matrix rest block": (
+        ["subderivative", "matrix", "S.json", "Z.json", "--f", "abscissa"],
+        {"S.json": dict(_A1, B=[[[-1.0, 0.0]]]), "Z.json": _matrix(np.eye(3))}),
+    "subderivative poly trailing zeros": (
+        ["subderivative", "poly", "p.json", "v.json", "--f", "abscissa"],
+        {"p.json": _LAM2, "v.json": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}),
+    "subderivative poly degree 3": (
+        ["subderivative", "poly", "p.json", "v.json", "--f", "abscissa"],
+        {"p.json": _LAM2, "v.json": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
     "verify norm overflows": (["verify", "J.json", "--f", "abscissa", "--samples", "100"],
                               {"J.json": {"eigs": [{"lambda": [1e155, 0.0], "blocks": [2]}]}}),
     "verify radius2 tiny eigenvalue": (

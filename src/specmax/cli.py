@@ -121,7 +121,7 @@ def cmd_subderivative(args) -> int:
         p = poly_from_json(_load_json(args.base))
         v = poly_from_json(_load_json(args.direction))
         cluster = roots(p, cluster_tol=args.cluster_tol)
-        value = subderivative_f(cluster, f, v.padded(cluster.degree()))
+        value = subderivative_f(cluster, f, v)
     else:
         spec = spec_from_json(_load_json(args.base))
         Z = matrix_from_json(_load_json(args.direction))
@@ -221,10 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate the spectral max")
+    p.set_defaults(func=cmd_eval)
     p.add_argument("matrix", help="matrix JSON path")
     p.add_argument("--f", required=True, help="generator name")
 
     p = sub.add_parser("membership", parents=[common], help="subgradient membership test")
+    p.set_defaults(func=cmd_membership)
     p.add_argument("spec", help="Jordan spec JSON path")
     p.add_argument("candidate", help="candidate matrix JSON path")
     p.add_argument("--f", required=True, help="generator name")
@@ -233,6 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subderivative", parents=[common],
                        help="lower directional derivative along a direction")
+    p.set_defaults(func=cmd_subderivative)
     p.add_argument("kind", choices=["poly", "matrix"])
     p.add_argument("base", help="polynomial or Jordan spec JSON path")
     p.add_argument("direction", help="polynomial or matrix JSON path")
@@ -242,25 +245,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-examples", parents=[common],
                        help="run the bundled worked examples")
+    p.set_defaults(func=cmd_paper_examples)
     p.add_argument("--nu", type=_at_least(1), default=100,
                    help="perturbation sequence length")
 
     p = sub.add_parser("verify", parents=[common], help="run the oracle suites")
+    p.set_defaults(func=cmd_verify)
     p.add_argument("spec", help="Jordan spec JSON path")
     p.add_argument("--f", required=True, help="generator name")
     p.add_argument("--samples", type=_at_least(0), default=200)
     p.add_argument("--nu", type=_at_least(1), default=50)
 
     return parser
-
-
-_DISPATCH = {
-    "eval": cmd_eval,
-    "membership": cmd_membership,
-    "subderivative": cmd_subderivative,
-    "paper-examples": cmd_paper_examples,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -270,7 +266,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _DISPATCH[args.command](args)
+        return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

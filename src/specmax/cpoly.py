@@ -80,14 +80,6 @@ class Poly:
     def array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
     # -- arithmetic ---------------------------------------------------------
 
     def padded(self, degree_bound: int) -> "Poly":
@@ -100,12 +92,6 @@ class Poly:
         a = self.padded(n).array() + other.padded(n).array()
         return Poly(tuple(a))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             return Poly(tuple(np.convolve(self.array(), other.array())))
@@ -114,15 +100,11 @@ class Poly:
     __rmul__ = __mul__
 
     @staticmethod
-    def zero(degree_bound: int = 0) -> "Poly":
-        return Poly((0j,) * (degree_bound + 1))
-
-    @staticmethod
     def one() -> "Poly":
         return Poly((1.0 + 0j,))
 
 
-def elementary(ell: int, lam0: complex, degree_bound: int | None = None) -> Poly:
+def elementary(ell: int, lam0: complex) -> Poly:
     """The monic monomial (lambda - lam0)**ell expanded into coefficients."""
     if ell < 0:
         raise ValueError("monomial degree must be nonnegative")
@@ -130,10 +112,7 @@ def elementary(ell: int, lam0: complex, degree_bound: int | None = None) -> Poly
     base = np.array([-complex(lam0), 1.0 + 0j])
     for _ in range(ell):
         cs = np.convolve(cs, base)
-    p = Poly(tuple(cs))
-    if degree_bound is not None:
-        p = p.padded(degree_bound)
-    return p
+    return Poly(tuple(cs))
 
 
 @dataclass(frozen=True)
@@ -295,6 +274,18 @@ def _safe_norm(a) -> float:
     if norm == math.inf and np.isfinite(a).all():
         top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
         norm = top * float(np.linalg.norm(a / top))
+    return norm
+
+
+def _checked_norm(a, label: str) -> float:
+    """:func:`_safe_norm` of ``a``; ValueError, naming the array by
+    ``label``, where it is not finite: finite entries whose norm overflows
+    are refused as such."""
+    norm = _safe_norm(a)
+    if not math.isfinite(norm):
+        if np.isfinite(a).all():
+            raise ValueError(f"{label} has finite entries, but its norm overflows")
+        raise ValueError(f"{label} must be finite, got norm {norm}")
     return norm
 
 

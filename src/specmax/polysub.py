@@ -51,7 +51,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cpoly import Poly, RootCluster, _norm_within, _safe_norm, active_roots
+from .cpoly import Poly, RootCluster, _checked_norm, _norm_within, active_roots
 from .generators import (
     COND14,
     COND15,
@@ -124,7 +124,8 @@ def _solve_coords(base: RootCluster, v: Poly) -> np.ndarray:
     if v.degree() > ntilde:
         raise ValueError(f"degree of v exceeds {ntilde}")
     M = _coordinate_matrix(base)
-    rhs = v.padded(ntilde).array()
+    rhs = np.zeros(ntilde + 1, dtype=complex)  # v's coefficients up to its degree, then zeros
+    rhs[: v.degree_bound + 1] = v.coeffs[: ntilde + 1]
     try:
         coords = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
@@ -351,9 +352,8 @@ def _member(cluster: RootCluster, f: Generator, c, horizon: bool) -> bool:
         raise ValueError(
             f"coordinate vector must have length {cluster.degree() + 1}, got {c.size}"
         )
-    scale = 1.0 + _safe_norm(c)
-    if not math.isfinite(scale):  # NaN passes every "> tol" test below
-        raise ValueError(f"coordinate vector must be finite, got norm {scale - 1.0}")
+    # refused unless finite: NaN passes every "> tol" test below
+    scale = 1.0 + _checked_norm(c, "coordinate vector")
     g, active = active_roots(f, cluster.roots)
     blocks = _split_blocks(cluster.mults, c[1:])
     if abs(c[0]) > COORD_TOL or any(_norm_within(block, scale) > COORD_TOL * scale

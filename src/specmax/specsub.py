@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpoly import CLUSTER_TOL, _cluster_rows, _reading, _safe_norm, _values
+from .cpoly import CLUSTER_TOL, _checked_norm, _cluster_rows, _reading, _safe_norm, _values
 from .generators import Generator, UnsupportedGenerator, builtin
 from .jordan import JordanSpec, R_matrix, _lex_cluster, declared_active
 from .polysub import COORD_TOL, _sample, _split_blocks, _subderivative, block_failures
@@ -254,17 +254,12 @@ def W_extract(spec: JordanSpec, Y, level: str = "regular") -> ToeplitzParams:
 def _candidate(spec: JordanSpec, Y, label: str = "candidate") -> tuple:
     """``(Y, |Y|)`` with Y as a complex array; ValueError, naming the matrix
     by ``label``, unless Y is n x n with a finite norm, which every
-    tolerance scales with: finite entries whose norm overflows are refused
-    as such.  The one check of a candidate or a direction."""
+    tolerance scales with (:func:`cpoly._checked_norm`).  The one check of a
+    candidate or a direction."""
     Y = np.asarray(Y, dtype=complex)
     if Y.shape != (spec.n, spec.n):
         raise ValueError(f"{label} must be {spec.n}x{spec.n}")
-    norm = _safe_norm(Y)
-    if not math.isfinite(norm):
-        if np.isfinite(Y).all():
-            raise ValueError(f"{label} has finite entries, but its norm overflows")
-        raise ValueError(f"{label} must be finite, got norm {norm}")
-    return Y, norm
+    return Y, _checked_norm(Y, label)
 
 
 def _bounded(spec: JordanSpec, norm: float) -> bool:
@@ -438,10 +433,8 @@ def subderivative(spec: JordanSpec, f: Generator, Z) -> float:
     (:func:`jordan.R_matrix`), no solve.  The chain rule needs F'(X) onto,
     so every active eigenvalue nonderogatory: at a derogatory one the value
     would only be a lower bound, and R_matrix raises DerogatoryEigenvalue.
-    The spec must declare the whole spectrum (no rest block), and Z must be
-    a finite n x n matrix."""
-    if spec.n0 != 0:
-        raise ValueError("derivative action needs the full spectrum declared")
+    A rest block is accepted below the max, and Z must be a finite n x n
+    matrix."""
     Z, _ = _candidate(spec, Z, "direction")
     g, active = declared_active(spec, f)
     sizes = [spec.n_j(j) for j in active]

@@ -35,7 +35,7 @@ def taylor_coeff(p: Poly, k: int, lam0: complex) -> complex:
     cs = p.array()
     for _ in range(k):
         cs = cs[1:] * np.arange(1, len(cs))
-    return Poly(tuple(cs))(lam0) / math.factorial(k)
+    return np.polyval(cs[::-1], lam0) / math.factorial(k)
 
 
 def factor_coords(spec, j: int, Z) -> np.ndarray:

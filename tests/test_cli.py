@@ -215,6 +215,25 @@ class TestSubderivative:
         assert code == 0
         assert json.loads(out)["value"] == "inf"
 
+    def test_poly_variant_reads_a_direction_with_trailing_zeros(self, capsys, paths):
+        ppath = paths("p.json", [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        answers = []
+        for v in ([[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]):
+            vpath = paths("v.json", v)
+            answers.append(run(capsys, ["subderivative", "poly", ppath, vpath,
+                                        "--f", "abscissa"]))
+        assert answers[0] == answers[1]
+        code, out = answers[0]
+        assert code == 0 and json.loads(out)["value"] == pytest.approx(0.0)
+
+    def test_poly_variant_refuses_a_true_degree_3_direction(self, capsys, paths):
+        ppath = paths("p.json", [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        vpath = paths("v.json", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        code = main(["subderivative", "poly", ppath, vpath, "--f", "abscissa"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err == "error: degree of v exceeds 2\n"
+
     @pytest.mark.filterwarnings("error")
     def test_poly_whose_monic_coefficients_overflow_exits_2(self, capsys, paths):
         # 1e100 + 1e-250 lambda is finite, but its monic form 1e350 + lambda is not
@@ -293,14 +312,15 @@ class TestSubderivative:
         assert code == 2 and out.out == ""
         assert "direction must be finite" in out.err
 
-    def test_matrix_variant_with_a_rest_block_exits_2(self, capsys, paths):
+    def test_matrix_variant_with_a_rest_block_below_the_max_exits_0(self, capsys, paths):
+        # J_2(1) + [-1] along Z = I: the active J_2 block moves by t
         spec = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}], "B": [[[-1.0, 0.0]]]}
         spath = paths("S.json", spec)
         zpath = paths("Z.json", matrix_to_json(np.eye(3)))
-        code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa"])
+        code = main(["subderivative", "matrix", spath, zpath, "--f", "abscissa", "--json"])
         out = capsys.readouterr()
-        assert code == 2 and out.out == ""
-        assert "full spectrum" in out.err
+        assert code == 0 and out.err == ""
+        assert json.loads(out.out) == {"value": 1.0, "kind": "matrix"}
 
 
 HUGE = 10 ** 400  # a JSON integer that no float holds

@@ -84,10 +84,10 @@ def _reference_gj_deriv(spec, j, Z):
     for b in spec.block_sizes(j):
         Nb[pos: pos + b, pos: pos + b] = nilpotent(b)
         pos += b
-    out = Poly.zero(n_j - 1)
+    out = Poly((0j,) * n_j)
     power = np.eye(n_j, dtype=complex)
     for ell in range(1, spec.m_j(j) + 1):
-        out = out + (-np.trace(power @ Vjj)) * elementary(n_j - ell, lam, degree_bound=n_j - 1)
+        out = out + (-np.trace(power @ Vjj)) * elementary(n_j - ell, lam).padded(n_j - 1)
         power = power @ Nb
     return out
 
@@ -95,7 +95,7 @@ def _reference_gj_deriv(spec, j, Z):
 def _reference_char_poly_deriv_action(spec, Z):
     """sum_j r_j * g_j'(X) Z, r_j the product of the other
     eigenvalues' monic factors."""
-    out = Poly.zero(max(spec.n - 1, 0))
+    out = Poly((0j,) * max(spec.n, 1))
     for j in range(spec.num_eigs):
         r_j = Poly.one()
         for k in range(spec.num_eigs):
@@ -335,10 +335,10 @@ class TestCharPolyDerivAction:
             assert abs(fd[-1]) <= 1e-8  # both paths stay monic
             assert np.linalg.norm(got - fd[: len(got)]) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
-    def test_rest_block_rejected(self):
-        # the full-spectrum check is the matrix subderivative's
+    def test_rest_block_attaining_the_max_rejected(self):
+        # a rest block below the max is accepted; B = [5] attains it
         spec = JordanSpec([(0.0, (2,))], B=np.array([[5.0]]))
-        with pytest.raises(ValueError, match="full spectrum"):
+        with pytest.raises(ValueError, match="rest block attains the max"):
             subderivative(spec, ABSC, np.zeros((3, 3)))
 
     def test_matches_the_cofactor_reference(self):
@@ -505,7 +505,7 @@ class TestLambdaGrad:
                 near = sorted(rts, key=lambda r: abs(r - lam0))[:2]
                 factor = Poly((-near[0], 1 + 0j)) * Poly((-near[1], 1 + 0j))
                 base = elementary(2, lam0)
-                return taylor_coeff(factor - base, 2 - s - 1, lam0)
+                return taylor_coeff(factor + (-1) * base, 2 - s - 1, lam0)
 
             for s in (0, 1):
                 t = 1e-5

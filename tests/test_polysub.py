@@ -39,6 +39,7 @@ RAD2 = builtin("radius2")
 ELL1 = builtin("ell1")
 
 LAM2 = RootCluster((0j,), (2,))
+ONE2 = RootCluster((1 + 0j,), (2,))
 TWO_SIMPLE = RootCluster((0j, 1 + 0j), (1, 1))
 
 
@@ -509,6 +510,17 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             _member(cluster, ABSC, c, horizon)
 
+    @pytest.mark.parametrize("horizon", [False, True])
+    @pytest.mark.parametrize("c, message", [
+        ([0, 1.5e308, 1.5e308], "has finite entries, but its norm overflows"),
+        ([0, np.nan, 0], "must be finite, got norm nan"),
+        ([0, np.inf, 0], "must be finite, got norm inf"),
+    ], ids=["norm-overflows", "nan", "inf"])
+    def test_message_tells_an_overflowing_norm_from_non_finite_entries(self, c, message,
+                                                                       horizon):
+        with pytest.raises(ValueError, match=f"^coordinate vector {message}$"):
+            _member(ONE2, ABSC, c, horizon)
+
     @pytest.mark.filterwarnings("error")
     def test_finite_coordinates_whose_norm_overflows_are_judged(self):
         simple = RootCluster((1 + 0j,), (1,))
@@ -572,7 +584,21 @@ class TestSubderivative:
         assert subderivative_f(LAM2, ABSC, Poly((-1 + 0j, 0j, 0j))) == math.inf
 
     def test_zero_direction(self):
-        assert subderivative_f(LAM2, ABSC, Poly.zero(2)) == 0.0
+        assert subderivative_f(LAM2, ABSC, Poly((0j,) * 3)) == 0.0
+
+    @pytest.mark.parametrize("c", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0.3, -0.2, 0.7)])
+    def test_trailing_zeros_change_nothing(self, c):
+        # a degree bound above the base degree is no degree: only the
+        # coefficients up to v's degree are read
+        short, long = Poly(c), Poly(c + (0, 0))
+        for base, f in ((LAM2, ABSC), (ONE2, RAD2), (ONE2, RAD)):
+            assert rsd_f_membership(base, f, long) == rsd_f_membership(base, f, short)
+            assert subderivative_f(base, f, long) == subderivative_f(base, f, short)
+
+    def test_a_true_degree_3_direction_is_refused(self):
+        for call in (rsd_f_membership, subderivative_f):
+            with pytest.raises(ValueError, match="^degree of v exceeds 2$"):
+                call(LAM2, ABSC, Poly((1, 0, 0, 1e-300)))
 
     @staticmethod
     def _corner_double_root():

@@ -1523,3 +1523,65 @@ class TestWExtractionEquivalence:
             assert spec.n <= 8
             assert _assert_numpy_reading(rng, spec, (ABSC, RAD2, RAD)[i % 3]) == 3 * 3 * 2
         assert shapes == ({(2, 2, 1), (2, 2), (3, 1, 1)} if derogatory else {(4,), (5,)})
+
+
+def _active_and_rest(rng):
+    """``(full, part)``: J_m(lam) + [0.2 lam], m = 1..3 and |lam| >= 1, with
+    a 2x2 rest block of small spectrum first, and the same Jordan data
+    without it, each under its own random similarity."""
+    lam = complex(rng.uniform(1.0, 1.5), rng.uniform(-0.5, 0.5))
+    eigs = [(lam, (int(rng.integers(1, 4)),)), (0.2 * lam, (1,))]
+    n = 2 + sum(b for _, (b,) in eigs)
+    B = 0.1 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return JordanSpec(eigs, P=random_P(rng, n), B=B), JordanSpec(eigs, P=random_P(rng, n - 2))
+
+
+def _rest_direction(rng, spec, f, on_cone):
+    """A random direction Z, or (``on_cone``) one whose image V = P Z P^-1
+    has the active block upper triangular but V_10 = -s g^2, s in [0.2, 1]:
+    the second factor coordinate on the ray through g^2, the deeper ones
+    zero, so the subderivative is finite."""
+    V = rng.standard_normal((spec.n, spec.n)) + 1j * rng.standard_normal((spec.n, spec.n))
+    if on_cone:
+        blk = spec.eig_slice(0)
+        Vjj = np.triu(V[blk, blk])
+        if Vjj.shape[0] > 1:
+            g = f.grad(spec.eig_value(0))
+            Vjj[1, 0] = -rng.uniform(0.2, 1.0) * g * g
+        V[blk, blk] = Vjj
+    return spec.Pinv @ V @ spec.P
+
+
+class TestSubderivativeWithARestBlock:
+    """A rest block below the max leaves the subderivative to the declared
+    eigenvalues: the value equals that of the spec without the block, along
+    the same image of Z on them."""
+
+    @pytest.mark.parametrize("on_cone", [False, True], ids=["random", "cone"])
+    @pytest.mark.parametrize("name", ["abscissa", "radius2", "radius"])
+    def test_equals_the_value_without_the_block(self, name, on_cone):
+        f = builtin(name)
+        rng = np.random.default_rng(3800 + 2 * len(name) + on_cone)
+        finite = 0
+        for _ in range(25):
+            full, part = _active_and_rest(rng)
+            Z = _rest_direction(rng, full, f, on_cone)
+            V = full.P @ Z @ full.Pinv
+            d = subderivative(full, f, Z)
+            ref = subderivative(part, f, part.Pinv @ V[2:, 2:] @ part.P)
+            if math.isinf(ref):
+                assert d == ref
+            else:
+                finite += 1
+                assert abs(d - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert finite == 25 if on_cone else 0 < finite < 25
+
+    def test_fd_quotients_bound_the_value(self):
+        rng = np.random.default_rng(3810)
+        for k in range(30):
+            f = (ABSC, RAD2, RAD)[k % 3]
+            spec, _ = _active_and_rest(rng)
+            Z = _rest_direction(rng, spec, f, on_cone=True)
+            d = subderivative(spec, f, Z)
+            assert math.isfinite(d)
+            assert fd_phi_quotient(spec, f, Z, holder_order=2, formula=d).verdict

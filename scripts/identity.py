@@ -119,7 +119,6 @@ def _matrix(rows) -> list:
 
 _A = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}, {"lambda": [-1.0, 0.0], "blocks": [1]}]}
 _J2 = {"eigs": [{"lambda": [0.0, 0.0], "blocks": [2]}]}
-_A1 = {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}]}  # J_2(1)
 _LAM2 = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # lambda^2
 _NAN3 = _matrix(np.full((3, 3), np.nan))
 _EYE2 = _matrix(np.eye(2))
@@ -162,7 +161,8 @@ CLI_CASES = {
         {"J.json": _J2, "Z.json": _HUGE2}),
     "subderivative matrix rest block": (
         ["subderivative", "matrix", "S.json", "Z.json", "--f", "abscissa"],
-        {"S.json": dict(_A1, B=[[[-1.0, 0.0]]]), "Z.json": _matrix(np.eye(3))}),
+        {"S.json": {"eigs": [{"lambda": [1.0, 0.0], "blocks": [2]}], "B": [[[-1.0, 0.0]]]},
+         "Z.json": _matrix(np.eye(3))}),
     "subderivative poly trailing zeros": (
         ["subderivative", "poly", "p.json", "v.json", "--f", "abscissa"],
         {"p.json": _LAM2, "v.json": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}),
